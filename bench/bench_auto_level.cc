@@ -1,6 +1,7 @@
 // Cost-based strategy selection (OptLevel::kAuto): the auto planner pays a
-// plan-search overhead (≈20 candidate compilations + costings) and should
-// buy back a near-best execution.
+// plan-search overhead (one normalization, then at most one compilation and
+// costing per strategy level and permanent-index choice) and should buy
+// back a near-best execution.
 //
 // Expected shape:
 //  - auto's measured total_work tracks the best fixed level (the regret
@@ -28,15 +29,29 @@ void BM_Auto_Example21(benchmark::State& state) {
   PlannerOptions options;
   options.level = OptLevel::kAuto;
   QueryRun last;
+  const CompileCounters before = GlobalCompileCounters();
   for (auto _ : state) {
     last = MustRunOptions(*db, Example21QuerySource(), options);
     benchmark::DoNotOptimize(last.tuples);
   }
+  const CompileCounters after = GlobalCompileCounters();
   ExportStats(state, last.stats, last.tuples.size());
   state.counters["chosen_level"] =
       static_cast<double>(static_cast<int>(last.planned.plan.level));
   state.counters["estimated_work"] =
       static_cast<double>(last.planned.estimate.predicted.TotalWork());
+  // The search's own work, per search: a deterministic gate on the size
+  // of the candidate space (bench_compare.py flags growth).
+  const double searches = static_cast<double>(after.plan_searches -
+                                              before.plan_searches);
+  state.counters["plans_per_search"] =
+      static_cast<double>(after.plans - before.plans) / searches;
+  state.counters["collection_walks_per_search"] =
+      static_cast<double>(after.collection_walks - before.collection_walks) /
+      searches;
+  state.counters["standard_forms_per_search"] =
+      static_cast<double>(after.standard_forms - before.standard_forms) /
+      searches;
 }
 
 void BM_Fixed_Example21(benchmark::State& state) {

@@ -441,6 +441,80 @@ BENCHMARK(RunParallelScaling)
     ->Args({1000, 4})
     ->Unit(benchmark::kMicrosecond);
 
+// Cursor companions of RunBatchSweep and RunParallelScaling: the same plan
+// drained the way a client drains it — Cursor::Open (collection phase),
+// Next to the end (combination + construction), Close — so the timing
+// includes collection and construction, and batches_emitted and the
+// collection counters are recorded (the root-only drains above leave them
+// at 0). Batch 1 is the cursor's row-at-a-time mode.
+void DrainThroughCursor(benchmark::State& state,
+                        const PlannerOptions& options) {
+  auto db = MakeScaledDb(static_cast<size_t>(state.range(0)));
+  Parser parser(
+      "[<e.ename, c.ctitle> OF EACH e IN employees, EACH c IN courses:"
+      " SOME t IN timetable ((e.enr = t.tenr) AND (c.cnr = t.tcnr))]");
+  Result<SelectionExpr> sel = parser.ParseSelectionOnly();
+  if (!sel.ok()) std::abort();
+  Binder binder(db.get());
+  Result<BoundQuery> bound = binder.Bind(std::move(sel).value());
+  if (!bound.ok()) std::abort();
+  Result<PlannedQuery> planned =
+      PlanQuery(*db, std::move(bound).value(), options);
+  if (!planned.ok()) std::abort();
+  auto plan = std::make_shared<const QueryPlan>(std::move(planned->plan));
+
+  ExecStats last;
+  size_t results = 0;
+  for (auto _ : state) {
+    Result<Cursor> cursor = Cursor::Open(plan, *db, nullptr);
+    if (!cursor.ok()) std::abort();
+    Tuple t;
+    results = 0;
+    while (true) {
+      Result<bool> more = cursor->Next(&t);
+      if (!more.ok()) std::abort();
+      if (!*more) break;
+      ++results;
+    }
+    last = cursor->stats();
+    cursor->Close();
+    benchmark::DoNotOptimize(results);
+  }
+  ExportStats(state, last, results);
+}
+
+void RunBatchSweepCursor(benchmark::State& state) {
+  PlannerOptions options;
+  options.level = OptLevel::kOneStep;
+  options.batch_size = static_cast<size_t>(state.range(1));
+  DrainThroughCursor(state, options);
+  state.SetLabel("cursor, batch=" + std::to_string(options.batch_size));
+}
+
+BENCHMARK(RunBatchSweepCursor)
+    ->Args({256, 1})
+    ->Args({256, 64})
+    ->Args({256, 1024})
+    ->Args({1000, 1})
+    ->Args({1000, 1024})
+    ->Unit(benchmark::kMicrosecond);
+
+void RunParallelScalingCursor(benchmark::State& state) {
+  PlannerOptions options;
+  options.level = OptLevel::kOneStep;
+  options.parallel = static_cast<size_t>(state.range(1));
+  DrainThroughCursor(state, options);
+  state.SetLabel("cursor, workers=" + std::to_string(options.parallel));
+}
+
+BENCHMARK(RunParallelScalingCursor)
+    ->Args({256, 1})
+    ->Args({256, 2})
+    ->Args({256, 4})
+    ->Args({1000, 1})
+    ->Args({1000, 4})
+    ->Unit(benchmark::kMicrosecond);
+
 // Tail-latency exhibit: per-iteration drain latency of the streamed
 // combination recorded into the obs/ latency histogram, exported as
 // p50/p95/p99/max into BENCH_*.json. Mean-only timing hides the replans

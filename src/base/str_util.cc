@@ -35,17 +35,6 @@ std::string AsciiToLower(std::string_view s) {
   return out;
 }
 
-bool EqualsIgnoreCase(std::string_view s, std::string_view t) {
-  if (s.size() != t.size()) return false;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(s[i])) !=
-        std::tolower(static_cast<unsigned char>(t[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list ap;
   va_start(ap, fmt);

@@ -19,9 +19,6 @@ std::vector<std::string> Split(std::string_view s, char sep);
 /// ASCII lower-casing (the query language is case-insensitive on keywords).
 std::string AsciiToLower(std::string_view s);
 
-/// True if `s` equals `t` ignoring ASCII case.
-bool EqualsIgnoreCase(std::string_view s, std::string_view t);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

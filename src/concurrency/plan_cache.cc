@@ -10,13 +10,13 @@ namespace pascalr {
 
 std::string EncodePlannerOptions(const PlannerOptions& o) {
   return StrFormat(
-      "level=%d div=%d permidx=%d cnf=%d cost=%d ordidx=%d dp=%d dpmax=%zu "
-      "bushy=%d pipe=%d coll=%d",
+      "level=%d div=%d permidx=%d cnf=%d cost=%d dp=%d dpmax=%zu bushy=%d "
+      "pipe=%d coll=%d",
       static_cast<int>(o.level), static_cast<int>(o.division),
       o.use_permanent_indexes ? 1 : 0, o.use_cnf_extensions ? 1 : 0,
-      o.cost_based ? 1 : 0, o.prefer_ordered_indexes ? 1 : 0,
-      o.join_order_dp ? 1 : 0, o.join_dp_max_inputs, o.join_dp_bushy ? 1 : 0,
-      o.pipeline ? 1 : 0, static_cast<int>(o.collection));
+      o.cost_based ? 1 : 0, o.join_order_dp ? 1 : 0, o.join_dp_max_inputs,
+      o.join_dp_bushy ? 1 : 0, o.pipeline ? 1 : 0,
+      static_cast<int>(o.collection));
 }
 
 bool SharedPlanCache::Lookup(const std::string& key,

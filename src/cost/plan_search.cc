@@ -16,11 +16,8 @@ namespace pascalr {
 namespace {
 
 std::string LabelFor(const PlannerOptions& o) {
-  std::string label = StrFormat("O%d", static_cast<int>(o.level));
-  label += o.division == DivisionAlgorithm::kHash ? "/hash-div" : "/sort-div";
-  if (o.use_permanent_indexes) label += "/perm";
-  if (o.prefer_ordered_indexes) label += "/btree";
-  return label;
+  return StrFormat("O%d/hash-div%s", static_cast<int>(o.level),
+                   o.use_permanent_indexes ? "/perm" : "");
 }
 
 /// True when the catalog holds a fresh permanent index over any component
@@ -57,22 +54,21 @@ double CardinalityFor(const Database& db, const std::string& relation) {
 /// summing those cardinalities never exceeds the cost model's
 /// elements_scanned for the compiled plan — and elements_scanned is one
 /// addend of the weighted cost. Returns 0 (no pruning) whenever the bound
-/// cannot be guaranteed: extended ranges (restricted post-scan passes),
-/// empty or missing relations (runtime adaptation refolds the formula),
-/// or a standard form that fails to build.
-double NaiveScanLowerBound(const Database& db, const BoundQuery& query) {
-  for (const auto& [var, binding] : query.vars) {
+/// cannot be guaranteed: extended ranges (restricted post-scan passes) and
+/// empty or missing relations, including any range rule 1 folded away.
+double NaiveScanLowerBound(const Database& db, const LevelForm& folded) {
+  if (folded.replans > 0) return 0.0;
+  const StandardForm& sf = folded.sf;
+  for (const auto& [var, binding] : sf.vars) {
     const Relation* rel = db.FindRelation(binding.relation_name);
     if (rel == nullptr || rel->empty()) return 0.0;
   }
-  Result<StandardForm> sf = BuildStandardForm(CloneBoundQuery(query));
-  if (!sf.ok()) return 0.0;
-  for (const QuantifiedVar& qv : sf->prefix) {
+  for (const QuantifiedVar& qv : sf.prefix) {
     if (qv.range.IsExtended()) return 0.0;
   }
   double bound = 0.0;
   std::set<std::string> seen;  // the keys AssembleNaive interns by
-  for (const Conjunction& conj : sf->matrix.disjuncts) {
+  for (const Conjunction& conj : sf.matrix.disjuncts) {
     for (const JoinTerm& t : conj.terms) {
       std::vector<std::string> vars = t.Variables();
       if (vars.empty()) continue;
@@ -80,50 +76,56 @@ double NaiveScanLowerBound(const Database& db, const BoundQuery& query) {
         if (!seen.insert("sl#" + vars[0] + "#" + t.ToString()).second) {
           continue;
         }
-        bound += CardinalityFor(db, sf->vars.at(vars[0]).relation_name);
+        bound += CardinalityFor(db, sf.vars.at(vars[0]).relation_name);
         continue;
       }
       if (!seen.insert("ij#" + t.ToString()).second) continue;
-      bound += CardinalityFor(db, sf->vars.at(t.lhs.var).relation_name);
-      bound += CardinalityFor(db, sf->vars.at(t.rhs.var).relation_name);
+      bound += CardinalityFor(db, sf.vars.at(t.lhs.var).relation_name);
+      bound += CardinalityFor(db, sf.vars.at(t.rhs.var).relation_name);
     }
   }
   return bound;
 }
 
-bool HasQuantifier(const Formula& f) {
-  switch (f.kind()) {
-    case FormulaKind::kQuant:
-      return true;
-    case FormulaKind::kNot:
-      return HasQuantifier(f.child());
-    case FormulaKind::kAnd:
-    case FormulaKind::kOr:
-      for (const FormulaPtr& c : f.children()) {
-        if (HasQuantifier(*c)) return true;
-      }
-      return false;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
-Result<PlannedQuery> SearchBestPlan(const Database& db,
-                                    const BoundQuery& query,
+Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
                                     const PlannerOptions& base) {
   ++GlobalCompileCounters().plan_searches;
   TraceSpanGuard trace_span(spans::kPlanSearch);
-  // The physical knobs that can matter for this query and catalog:
-  // divisions only differ when a quantifier can survive to the
-  // combination phase, permanent indexes only when the catalog has one.
-  std::vector<DivisionAlgorithm> divisions = {DivisionAlgorithm::kHash};
-  if (query.selection.wff != nullptr && HasQuantifier(*query.selection.wff)) {
-    divisions.push_back(DivisionAlgorithm::kSort);
-  }
+  // Permanent indexes only matter when the catalog has one.
   std::vector<bool> perm_choices = {false};
   if (AnyFreshPermanentIndex(db, query)) perm_choices.push_back(true);
+
+  // Normalize once. Each level plans from a copy of the folded form, level
+  // 4 from level 3's, so range extension and rule 2 run once. A level whose
+  // own step changed nothing has the plan of the level below, which wins
+  // the equal-cost tie (plan.level is display-only): it is not compiled.
+  PASCALR_ASSIGN_OR_RETURN(LevelForm folded,
+                           StandardFormWithFolding(db, std::move(query)));
+  std::vector<LevelForm> forms;
+  for (int level = 0; level <= 3; ++level) {
+    forms.push_back(LevelFormFor(db, folded, static_cast<OptLevel>(level),
+                                 base.use_cnf_extensions));
+  }
+  forms.push_back(forms[3].Clone());
+  std::string same_as_below[5];
+  if (forms[3].level < OptLevel::kRangeExt) {
+    same_as_below[3] = same_as_below[4] =
+        "extended range empty; strategies 3/4 abandoned";
+  } else {
+    const RangeExtensionReport& ext = forms[3].range_extension;
+    if (ext.extensions.empty() && ext.cnf_extended.empty() &&
+        forms[3].sf.matrix.disjuncts.size() ==
+            folded.sf.matrix.disjuncts.size()) {
+      same_as_below[3] = "no range extended";
+    }
+    forms[4].level = OptLevel::kQuantPush;
+    forms[4].pushdown = ApplyQuantPushdown(&forms[4].sf);
+    if (forms[4].pushdown.eliminated.empty()) {
+      same_as_below[4] = "no quantifier pushed";
+    }
+  }
 
   std::optional<PlannedQuery> best;
   PlannerOptions best_options;
@@ -152,88 +154,70 @@ Result<PlannedQuery> SearchBestPlan(const Database& db,
   // lower bound already exceeds it cannot win, so its compilation is
   // skipped. Only the naive level has a per-candidate bound worth having
   // (its per-term scans dwarf everything once a grouped plan is costed).
-  const double naive_bound = NaiveScanLowerBound(db, query);
+  const double naive_bound = NaiveScanLowerBound(db, folded);
   size_t pruned = 0;
 
   for (int level = 4; level >= 0; --level) {
+    if (!same_as_below[level].empty()) {
+      table += StrFormat("  O%d: same plan as O%d (%s)\n", level, level - 1,
+                         same_as_below[level].c_str());
+      continue;
+    }
     for (bool perm : perm_choices) {
-      // Set by the ordered=false pass; with no transient index builds the
-      // btree variant would be an exact duplicate, so it is skipped. Note
-      // the btree dimension is currently dominated: the compiler already
-      // picks ordered indexes wherever a range probe needs one, so
-      // forcing the rest ordered only adds log factors — the knob stays
-      // in the search space for when the cost model learns a case where
-      // ordered transient indexes win (e.g. sharing one index across
-      // eq and range probes).
-      bool any_transient_indexes = false;
-      for (bool ordered : {false, true}) {
-        if (ordered && !any_transient_indexes) continue;
-        for (DivisionAlgorithm division : divisions) {
-          PlannerOptions options = base;
-          options.level = static_cast<OptLevel>(level);
-          options.cost_based = false;
-          options.division = division;
-          options.use_permanent_indexes = perm;
-          options.prefer_ordered_indexes = ordered;
+      PlannerOptions options = base;
+      options.level = static_cast<OptLevel>(level);
+      options.division = DivisionAlgorithm::kHash;
+      options.use_permanent_indexes = perm;
 
-          // Sound under both rankings: the bound is a lower bound on
-          // elements_scanned, which is an addend of the materializing
-          // AND the pipelined work estimates.
-          if (level == 0 && naive_bound > 0.0 && best.has_value() &&
-              naive_bound >= rank(best->estimate)) {
-            ++pruned;
-            continue;
-          }
+      // Sound under both rankings: the bound is a lower bound on
+      // elements_scanned, which is an addend of the materializing
+      // AND the pipelined work estimates.
+      if (level == 0 && naive_bound > 0.0 && best.has_value() &&
+          naive_bound >= rank(best->estimate)) {
+        ++pruned;
+        continue;
+      }
 
-          Result<PlannedQuery> planned =
-              PlanQuery(db, CloneBoundQuery(query), options);
-          if (!planned.ok()) {
-            last_error = planned.status();
-            table += "  " + LabelFor(options) +
-                     ": failed: " + planned.status().ToString() + "\n";
-            continue;
-          }
-          if (!ordered) {
-            for (const IndexBuildSpec& spec : planned->plan.indexes) {
-              if (!IndexBorrowsPermanent(planned->plan, db, spec)) {
-                any_transient_indexes = true;
-              }
-            }
-          }
-          // Reuse the collection-phase walk the join-order optimizer
-          // already did for this candidate (one walk per candidate, not
-          // two — see CollectionCost).
-          planned->estimate = EstimatePlanCost(
-              planned->plan, db,
-              planned->collection_cost.valid ? &planned->collection_cost
-                                             : nullptr);
-          // Levels run 4 -> 0 but exact ties still choose the lowest
-          // level, as the ascending enumeration used to.
-          bool better = !best.has_value() ||
-                        rank(planned->estimate) < rank(best->estimate) ||
-                        (rank(planned->estimate) == rank(best->estimate) &&
-                         options.level < best_options.level);
-          if (!have_mat || planned->estimate.weighted_cost < best_mat_cost ||
-              (planned->estimate.weighted_cost == best_mat_cost &&
-               options.level < best_mat_level)) {
-            have_mat = true;
-            best_mat_cost = planned->estimate.weighted_cost;
-            best_mat_level = options.level;
-            best_mat_label = LabelFor(options);
-          }
-          table += StrFormat(
-              "  %-22s estimated work %llu (weighted %.0f, pipelined "
-              "%.0f)\n",
-              LabelFor(options).c_str(),
-              static_cast<unsigned long long>(
-                  planned->estimate.predicted.TotalWork()),
-              planned->estimate.weighted_cost,
-              planned->estimate.pipelined_weighted_cost);
-          if (better) {
-            best = std::move(planned).value();
-            best_options = options;
-          }
-        }
+      Result<PlannedQuery> planned = PlanLevelForm(
+          db, perm == perm_choices.back() ? std::move(forms[level])
+                                          : forms[level].Clone(),
+          options);
+      if (!planned.ok()) {
+        last_error = planned.status();
+        table += "  " + LabelFor(options) +
+                 ": failed: " + planned.status().ToString() + "\n";
+        continue;
+      }
+      // Reuse the collection-phase walk the join-order optimizer already
+      // did for this candidate (one walk per candidate, not two — see
+      // CollectionCost).
+      planned->estimate = EstimatePlanCost(
+          planned->plan, db,
+          planned->collection_cost.valid ? &planned->collection_cost
+                                         : nullptr);
+      // Levels run 4 -> 0 but exact ties still choose the lowest level.
+      bool better = !best.has_value() ||
+                    rank(planned->estimate) < rank(best->estimate) ||
+                    (rank(planned->estimate) == rank(best->estimate) &&
+                     options.level < best_options.level);
+      if (!have_mat || planned->estimate.weighted_cost < best_mat_cost ||
+          (planned->estimate.weighted_cost == best_mat_cost &&
+           options.level < best_mat_level)) {
+        have_mat = true;
+        best_mat_cost = planned->estimate.weighted_cost;
+        best_mat_level = options.level;
+        best_mat_label = LabelFor(options);
+      }
+      table += StrFormat(
+          "  %-22s estimated work %llu (weighted %.0f, pipelined %.0f)\n",
+          LabelFor(options).c_str(),
+          static_cast<unsigned long long>(
+              planned->estimate.predicted.TotalWork()),
+          planned->estimate.weighted_cost,
+          planned->estimate.pipelined_weighted_cost);
+      if (better) {
+        best = std::move(planned).value();
+        best_options = options;
       }
     }
   }

@@ -1,8 +1,16 @@
-// The plan-search driver behind OptLevel::kAuto: enumerates candidate
-// plans across strategy levels 0-4 and the physical knobs (hash-vs-btree
-// transient indexes, permanent-index use, division algorithm), costs each
-// with the cost model, and returns the cheapest — the automatic version of
-// the paper's strategy arguments.
+// The plan-search driver behind OptLevel::kAuto: plans the paper's
+// strategy levels 0-4, each with and without permanent-index reuse (when
+// the catalog has a fresh permanent index), costs each candidate with the
+// cost model, and returns the cheapest — the automatic version of the
+// paper's strategy arguments.
+//
+// Each distinct plan is compiled once: the query is normalized once per
+// search, and a level whose own step is a no-op (no range extended, rule 2
+// abandoned the extension, no quantifier pushed) is the level below's plan
+// and is listed as "O4: same plan as O3 (no quantifier pushed)". Division
+// algorithm and B+tree transient indexes are not searched: each only adds
+// a non-negative cost nudge to the hash variant, so neither can win. kAuto
+// plans hash division; SET DIVISION applies at fixed levels.
 //
 // Join order is folded into the search: every candidate is planned with
 // the join-order optimizer (src/joinorder/) enabled per the base options,
@@ -29,12 +37,11 @@
 namespace pascalr {
 
 /// Plans `query` under every candidate configuration derived from `base`
-/// (level and knobs overridden; use_cnf_extensions is inherited), costs
-/// each candidate, and returns the cheapest with its estimate and the
+/// (level, division and permanent-index use overridden), costs each
+/// candidate, and returns the cheapest with its estimate and the
 /// candidate table filled in. `base.level`/`base.cost_based` are ignored —
 /// the caller (PlanQuery) has already decided to search.
-Result<PlannedQuery> SearchBestPlan(const Database& db,
-                                    const BoundQuery& query,
+Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
                                     const PlannerOptions& base);
 
 }  // namespace pascalr

@@ -87,23 +87,6 @@ std::string PipelineProfile::Render() const {
   return out;
 }
 
-std::vector<std::pair<std::string, uint64_t>> PipelineProfile::Totals() const {
-  uint64_t nexts = 0;
-  uint64_t batches = 0;
-  for (const OpNode& n : nodes_) {
-    nexts += n.prof.next_calls;
-    batches += n.prof.batch_calls;
-  }
-  std::vector<std::pair<std::string, uint64_t>> out;
-  out.emplace_back("pipeline.operators", nodes_.size());
-  out.emplace_back("pipeline.next_calls", nexts);
-  out.emplace_back("pipeline.batch_calls", batches);
-  if (root_ >= 0) {
-    out.emplace_back("pipeline.rows_out", node(root_).prof.rows_out);
-  }
-  return out;
-}
-
 Result<bool> ProfiledIter::Next(RefRow* out) {
   if (!opened_) {
     opened_ = true;

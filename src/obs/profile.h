@@ -67,9 +67,6 @@ class PipelineProfile {
   /// next calls, self-time, and est-vs-actual q-error per operator.
   std::string Render() const;
 
-  /// Counter summaries for the trace layer ("pipeline.rows_out", ...).
-  std::vector<std::pair<std::string, uint64_t>> Totals() const;
-
  private:
   void RenderNode(int id, int depth, std::string* out) const;
   uint64_t ChildTimeNs(int id) const;

@@ -191,8 +191,6 @@ size_t PatchPlanParams(QueryPlan* plan, const ParamBindings& bindings) {
   return patched;
 }
 
-bool FormulaHasParams(const Formula& f) { return OperandsHaveParams(f); }
-
 Status BindFormulaParams(Formula* f, const ParamBindings& bindings) {
   Status status = Status::OK();
   VisitFormulaOperands(f, [&](Operand* op) {

@@ -50,10 +50,6 @@ Status BindSelectionParams(SelectionExpr* sel, const ParamBindings& bindings);
 /// patched. Bindings must cover every tag present (CheckParamBindings).
 size_t PatchPlanParams(QueryPlan* plan, const ParamBindings& bindings);
 
-/// True when any operand under `f` carries a parameter tag (kParam, or a
-/// substituted literal slot).
-bool FormulaHasParams(const Formula& f);
-
 /// Substitutes `bindings` into every parameter slot under `f` (kParam
 /// operands and previously substituted literal slots alike).
 Status BindFormulaParams(Formula* f, const ParamBindings& bindings);

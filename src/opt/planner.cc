@@ -71,92 +71,78 @@ PlannedQuery ClonePlannedQuery(const PlannedQuery& planned) {
   return out;
 }
 
-namespace {
+LevelForm LevelForm::Clone() const {
+  return {level, sf.Clone(), range_extension, pushdown, notes, replans};
+}
 
-/// Builds the standard form and applies adaptation rule 1: folds
-/// quantifiers whose (base or user-extended) range is empty.
-Result<StandardForm> StandardFormWithFolding(const Database& db,
-                                             BoundQuery query,
-                                             std::string* notes,
-                                             uint64_t* replans) {
+Result<LevelForm> StandardFormWithFolding(const Database& db,
+                                          BoundQuery query) {
   TraceSpanGuard trace_span(spans::kNormalize);
-  PASCALR_ASSIGN_OR_RETURN(StandardForm sf,
-                           BuildStandardForm(std::move(query)));
+  LevelForm out;
+  PASCALR_ASSIGN_OR_RETURN(out.sf, BuildStandardForm(std::move(query)));
   bool any_empty = false;
-  for (const QuantifiedVar& qv : sf.prefix) {
+  for (const QuantifiedVar& qv : out.sf.prefix) {
     if (qv.quantifier == Quantifier::kFree) continue;
     if (RangeIsEmpty(db, qv.range)) {
       any_empty = true;
-      *notes += "  adapted: range of " + qv.var + " is empty (Lemma 1)\n";
+      out.notes += "  adapted: range of " + qv.var + " is empty (Lemma 1)\n";
     }
   }
-  if (!any_empty) return sf;
-  ++*replans;
+  if (!any_empty) return out;
+  ++out.replans;
   FormulaPtr folded = FoldEmptyRanges(
-      sf.original_nnf->Clone(),
+      out.sf.original_nnf->Clone(),
       [&](const RangeExpr& range) { return RangeIsEmpty(db, range); });
-  return RebuildStandardForm(sf, std::move(folded));
+  PASCALR_ASSIGN_OR_RETURN(out.sf,
+                           RebuildStandardForm(out.sf, std::move(folded)));
+  return out;
 }
 
-}  // namespace
+LevelForm LevelFormFor(const Database& db, const LevelForm& folded,
+                       OptLevel level, bool use_cnf_extensions) {
+  LevelForm form = folded.Clone();
+  form.level = level;
+  if (level >= OptLevel::kRangeExt) {
+    form.range_extension = ApplyRangeExtension(&form.sf, use_cnf_extensions);
+    // Adaptation rule 2: a strategy-3 extension denoting an empty range
+    // invalidates the factoring; abandon the extensions.
+    bool extension_empty = false;
+    for (const QuantifiedVar& qv : form.sf.prefix) {
+      if (qv.range.IsExtended() && RangeIsEmpty(db, qv.range)) {
+        extension_empty = true;
+        form.notes += "  adapted: extended range of " + qv.var +
+                      " is empty; strategies 3/4 abandoned\n";
+      }
+    }
+    if (extension_empty) {
+      // The unextended form is rule 1's output again, trail included.
+      form.level = OptLevel::kOneStep;
+      form.sf = folded.sf.Clone();
+      form.range_extension = RangeExtensionReport();
+      form.notes += folded.notes;
+      form.replans += 1 + folded.replans;
+    }
+  }
+  if (form.level >= OptLevel::kQuantPush) {
+    form.pushdown = ApplyQuantPushdown(&form.sf);
+  }
+  return form;
+}
 
-Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
-                               const PlannerOptions& options) {
-  if (SelectionHasUnboundParams(query.selection)) {
-    return Status::InvalidArgument(
-        "selection has unbound $parameters; prepare it with "
-        "Session::Prepare and Execute it with parameter values");
-  }
-  if (options.level == OptLevel::kAuto || options.cost_based) {
-    // Cost-based selection: enumerate concrete candidates and keep the
-    // cheapest (src/cost/plan_search.cc re-enters PlanQuery with concrete
-    // levels and cost_based off).
-    return SearchBestPlan(db, query, options);
-  }
+Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
+                                   const PlannerOptions& options) {
   ++GlobalCompileCounters().plans;
   TraceSpanGuard trace_span(spans::kPlan, nullptr,
                             std::string(OptLevelToString(options.level)));
   PlannedQuery out;
-  BoundQuery backup = CloneBoundQuery(query);
+  out.range_extension = std::move(form.range_extension);
+  out.quant_pushdown_summary.eliminated = form.pushdown.eliminated;
+  out.quant_pushdown_summary.derived = form.pushdown.derived;
+  out.adaptation_notes = std::move(form.notes);
+  out.replans = form.replans;
 
-  PASCALR_ASSIGN_OR_RETURN(
-      StandardForm sf,
-      StandardFormWithFolding(db, std::move(query), &out.adaptation_notes,
-                              &out.replans));
-
-  OptLevel level = options.level;
-  if (level >= OptLevel::kRangeExt) {
-    out.range_extension =
-        ApplyRangeExtension(&sf, options.use_cnf_extensions);
-    // Adaptation rule 2: a strategy-3 extension denoting an empty range
-    // invalidates the factoring; abandon the extensions.
-    bool extension_empty = false;
-    for (const QuantifiedVar& qv : sf.prefix) {
-      if (qv.range.IsExtended() && RangeIsEmpty(db, qv.range)) {
-        extension_empty = true;
-        out.adaptation_notes += "  adapted: extended range of " + qv.var +
-                                " is empty; strategies 3/4 abandoned\n";
-      }
-    }
-    if (extension_empty) {
-      ++out.replans;
-      level = OptLevel::kOneStep;
-      out.range_extension = RangeExtensionReport();
-      PASCALR_ASSIGN_OR_RETURN(
-          sf, StandardFormWithFolding(db, std::move(backup),
-                                      &out.adaptation_notes, &out.replans));
-    }
-  }
-
-  QuantPushdownResult pushdown;
-  if (level >= OptLevel::kQuantPush) {
-    pushdown = ApplyQuantPushdown(&sf);
-  }
-  out.quant_pushdown_summary.eliminated = pushdown.eliminated;
-  out.quant_pushdown_summary.derived = pushdown.derived;
-
-  Result<QueryPlan> plan =
-      BuildScanPlan(std::move(sf), level, std::move(pushdown), db);
+  Result<QueryPlan> plan = BuildScanPlan(std::move(form.sf), form.level,
+                                         std::move(form.pushdown), db);
   if (!plan.ok()) return plan.status();
   out.plan = std::move(plan).value();
   out.plan.division = options.division;
@@ -164,9 +150,6 @@ Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
   out.plan.collection = options.collection;
   out.plan.batch_size = options.batch_size;
   out.plan.parallel = options.parallel;
-  if (options.prefer_ordered_indexes) {
-    for (IndexBuildSpec& spec : out.plan.indexes) spec.ordered = true;
-  }
   if (options.use_permanent_indexes) {
     for (IndexBuildSpec& spec : out.plan.indexes) {
       // A permanent index covers the whole relation; it can only stand in
@@ -187,6 +170,26 @@ Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
     AttachJoinOrders(&out.plan, db, join_options, &out.collection_cost);
   }
   return out;
+}
+
+Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
+                               const PlannerOptions& options) {
+  if (SelectionHasUnboundParams(query.selection)) {
+    return Status::InvalidArgument(
+        "selection has unbound $parameters; prepare it with "
+        "Session::Prepare and Execute it with parameter values");
+  }
+  if (options.level == OptLevel::kAuto || options.cost_based) {
+    // Cost-based selection: src/cost/plan_search.cc plans each concrete
+    // level from one shared folded form and keeps the cheapest.
+    return SearchBestPlan(db, std::move(query), options);
+  }
+  PASCALR_ASSIGN_OR_RETURN(LevelForm folded,
+                           StandardFormWithFolding(db, std::move(query)));
+  return PlanLevelForm(
+      db,
+      LevelFormFor(db, folded, options.level, options.use_cnf_extensions),
+      options);
 }
 
 Result<QueryRun> RunQuery(const Database& db, BoundQuery query,

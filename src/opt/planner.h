@@ -39,14 +39,11 @@ struct PlannerOptions {
   /// range extensions (disjunctive restrictions). Applies at level >= 3.
   bool use_cnf_extensions = true;
   /// Cost-based plan selection (same as level = OptLevel::kAuto): the
-  /// plan-search driver enumerates strategy levels 0-4, hash-vs-btree
-  /// index choices, permanent-index use, and the division algorithm,
-  /// costs each candidate against catalog statistics, and plans the
-  /// cheapest. Run ANALYZE (Database::Analyze) for accurate estimates.
+  /// plan-search driver plans strategy levels 0-4 with and without
+  /// permanent-index use, costs each candidate against catalog
+  /// statistics, and plans the cheapest. Run ANALYZE (Database::Analyze)
+  /// for accurate estimates.
   bool cost_based = false;
-  /// Build every transient index as a B+tree even where a hash index
-  /// suffices — a physical knob the plan-search driver enumerates.
-  bool prefer_ordered_indexes = false;
   /// Selinger-style join ordering (src/joinorder/) over each
   /// conjunction's combination inputs: when every relation a conjunction
   /// ranges over has fresh statistics and its input count is within
@@ -89,9 +86,7 @@ inline bool operator==(const PlannerOptions& a, const PlannerOptions& b) {
   return a.level == b.level && a.division == b.division &&
          a.use_permanent_indexes == b.use_permanent_indexes &&
          a.use_cnf_extensions == b.use_cnf_extensions &&
-         a.cost_based == b.cost_based &&
-         a.prefer_ordered_indexes == b.prefer_ordered_indexes &&
-         a.join_order_dp == b.join_order_dp &&
+         a.cost_based == b.cost_based && a.join_order_dp == b.join_order_dp &&
          a.join_dp_max_inputs == b.join_dp_max_inputs &&
          a.join_dp_bushy == b.join_dp_bushy && a.pipeline == b.pipeline &&
          a.collection == b.collection && a.batch_size == b.batch_size &&
@@ -138,6 +133,31 @@ BoundQuery CloneBoundQuery(const BoundQuery& query);
 /// adopter clones before patching.
 QueryPlan CloneQueryPlan(const QueryPlan& plan);
 PlannedQuery ClonePlannedQuery(const PlannedQuery& planned);
+
+/// A standard form prepared for one strategy level, with its adaptation
+/// trail. StandardFormWithFolding builds the form of levels 0-2 (rule 1
+/// applied); LevelFormFor raises a copy of it: range extension with rule 2
+/// at level >= 3 (`level` drops to kOneStep when rule 2 fires), then
+/// quantifier push-down at level 4.
+struct LevelForm {
+  OptLevel level = OptLevel::kNaive;
+  StandardForm sf;
+  RangeExtensionReport range_extension;
+  QuantPushdownResult pushdown;
+  std::string notes;
+  uint64_t replans = 0;
+
+  LevelForm Clone() const;
+};
+Result<LevelForm> StandardFormWithFolding(const Database& db,
+                                          BoundQuery query);
+LevelForm LevelFormFor(const Database& db, const LevelForm& folded,
+                       OptLevel level, bool use_cnf_extensions);
+
+/// Compiles `form` and applies the physical knobs and join ordering of
+/// `options` (whose level only labels the trace span).
+Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
+                                   const PlannerOptions& options);
 
 /// Normalise + optimise + compile. Performs adaptation rules 1 and 2.
 Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,

@@ -74,6 +74,11 @@ bool PlanElimination(const StandardForm& sf, const QuantifiedVar& qv,
         elim.consumed_derived.push_back(p);
       }
     }
+    // Gates and cascaded probes filter vn's value list; ALL needs it whole.
+    if (qv.quantifier == Quantifier::kAll &&
+        !(elim.vn_gates.empty() && elim.consumed_derived.empty())) {
+      return false;
+    }
     out->push_back(std::move(elim));
   }
   return true;

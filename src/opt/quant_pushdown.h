@@ -7,8 +7,8 @@
 //  - existential vn: each matrix disjunct referencing vn is handled
 //    independently (SOME distributes over OR);
 //  - universal vn: vn must occur in no more than one disjunct (Lemma 1),
-//    and its — possibly extended — range must be non-empty (the planner
-//    checks this at runtime);
+//    with no monadic term or cascaded probe over vn there, and its —
+//    possibly extended — range must be non-empty (checked at runtime);
 //  - when vn is not innermost, adjacent *equal* quantifiers are swapped to
 //    bubble it inward (Example 4.7 swaps SOME c and SOME t).
 //

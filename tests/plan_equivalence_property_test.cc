@@ -97,6 +97,69 @@ TEST_P(TwoFreeVarTest, RandomQueriesMatchOracleAtEveryLevel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwoFreeVarTest, ::testing::Range(0, 4));
 
+/// Runs `sel` at every fixed level and under kAuto (level 5) and expects
+/// the naive oracle's result each time.
+void ExpectEveryLevelMatchesOracle(const Database& db,
+                                   const SelectionExpr& sel,
+                                   const std::string& what) {
+  std::string rendered = FormatSelection(sel);
+  Binder binder(&db);
+  Result<BoundQuery> bound = binder.Bind(sel.Clone());
+  ASSERT_TRUE(bound.ok()) << what << ": " << bound.status().ToString();
+  NaiveEvaluator naive(&db);
+  Result<std::vector<Tuple>> oracle = naive.Evaluate(*bound);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  auto expected = TupleStrings(*oracle);
+  for (int level = 0; level <= 5; ++level) {
+    PlannerOptions options;
+    options.level = static_cast<OptLevel>(level);
+    Result<QueryRun> run = RunQuery(db, CloneBoundQuery(*bound), options);
+    ASSERT_TRUE(run.ok()) << what << " level " << level << ": "
+                          << run.status().ToString() << "\n"
+                          << rendered;
+    EXPECT_EQ(TupleStrings(run->tuples), expected)
+        << what << " level " << level << "\n"
+        << rendered;
+  }
+}
+
+TEST(PlanEquivalenceTest, AllOverMonadicAndDyadicConjunctionAtEveryLevel) {
+  // Push-down used to turn q.tday <> monday (and, in the second query, the
+  // SOME over courses) into a gate on q's value list, so the ALL only saw
+  // the rows passing it and employees qualified at O4 and AUTO.
+  auto db = MakeUniversityDb(/*populate=*/false);
+  UniversityScale scale;
+  scale.employees = 16;
+  scale.papers = 32;
+  scale.courses = 9;
+  scale.timetable = 48;
+  scale.seed = 2;
+  ASSERT_TRUE(PopulateSynthetic(db.get(), scale).ok());
+  ASSERT_TRUE(db->AnalyzeAll().ok());
+  for (const char* source :
+       {"[<e.ename> OF EACH e IN employees: ALL q IN timetable "
+        "((q.tday <> monday) AND (e.enr >= q.tenr))]",
+        "[<e.ename> OF EACH e IN employees: ALL q IN timetable "
+        "(SOME r IN courses ((r.cnr = q.tcnr) AND (r.clevel = senior)) "
+        "AND (e.enr >= q.tenr))]"}) {
+    Parser parser(source);
+    Result<SelectionExpr> sel = parser.ParseSelectionOnly();
+    ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+    ExpectEveryLevelMatchesOracle(*db, *sel, source);
+  }
+}
+
+TEST(PlanEquivalenceTest, RandomAllOverConjunctionMatchesOracle) {
+  for (uint64_t seed = 900; seed < 960; ++seed) {
+    auto db = MakeUniversityDb(false);
+    QueryGenerator gen(seed);
+    gen.RandomDatabase(db.get(), /*empty_prob=*/0.1);
+    ASSERT_TRUE(db->AnalyzeAll().ok());
+    ExpectEveryLevelMatchesOracle(*db, gen.RandomAllOverConjunction(),
+                                  "seed " + std::to_string(seed));
+  }
+}
+
 TEST(PlanEquivalenceTest, PermanentIndexesPreserveResults) {
   for (uint64_t seed = 300; seed < 310; ++seed) {
     auto db = MakeUniversityDb(false);

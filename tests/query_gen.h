@@ -143,6 +143,45 @@ class QueryGenerator {
     return sel;
   }
 
+  /// `[<e.ename> OF EACH e IN employees: ALL q IN rel (m(q) AND d(e, q))]`:
+  /// one universal quantifier over a conjunction of a monadic term over q
+  /// and a dyadic term joining e and q, in random order. The shape a
+  /// push-down that gates an ALL's value list by m(q) gets wrong.
+  SelectionExpr RandomAllOverConjunction() {
+    SelectionExpr sel;
+    OutputComponent oc;
+    oc.var = "e";
+    oc.component = "ename";
+    sel.projection.push_back(oc);
+    sel.free_vars.emplace_back("e", RangeExpr("employees"));
+
+    static const char* kRelations[] = {"papers", "courses", "timetable"};
+    const std::string relation = kRelations[rng_() % 3];
+    std::vector<std::pair<const CompInfo*, const CompInfo*>> links;
+    for (const CompInfo& ec : AllComponents()) {
+      if (std::string(ec.relation) != "employees") continue;
+      for (const CompInfo& qc : AllComponents()) {
+        if (relation == qc.relation && qc.tag == ec.tag) {
+          links.push_back({&ec, &qc});
+        }
+      }
+    }
+    auto [ec, qc] = links[rng_() % links.size()];
+    FormulaPtr dyadic =
+        Formula::Compare(Operand::Component("e", ec->component), RandomOp(),
+                         Operand::Component("q", qc->component));
+    const CompInfo& mc = RandomComponentOf(relation);
+    FormulaPtr monadic =
+        Formula::Compare(Operand::Component("q", mc.component), RandomOp(),
+                         LiteralFor(mc.tag));
+    FormulaPtr body = Coin(0.5)
+                          ? Formula::And(std::move(monadic), std::move(dyadic))
+                          : Formula::And(std::move(dyadic), std::move(monadic));
+    sel.wff = Formula::Quant(Quantifier::kAll, "q", RangeExpr(relation),
+                             std::move(body));
+    return sel;
+  }
+
   /// Fills the four relations with random small contents; each relation is
   /// empty with probability `empty_prob` (exercising Lemma 1 paths).
   void RandomDatabase(Database* db, double empty_prob = 0.2) {
