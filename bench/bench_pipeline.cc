@@ -376,79 +376,16 @@ BENCHMARK(RunOperatorBatchWin)
     ->Args({1, 50000})
     ->Unit(benchmark::kMicrosecond);
 
-// Morsel-driven parallel drain scaling: the same two-free-variable join
-// compiled with SET PARALLEL <w>, drained through the order-preserving
-// morsel merge. Workers=1 runs the serial chain (no pool). Scaling is
-// bounded by the host's core count — on a single-core container all
-// worker counts serialize and the exported numbers record the
-// order-preserving merge's overhead, not a speedup; read the
-// morsels_dispatched counter to confirm the parallel path actually ran.
-void RunParallelScaling(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  size_t workers = static_cast<size_t>(state.range(1));
-  auto db = MakeScaledDb(n);
-  const std::string query =
-      "[<e.ename, c.ctitle> OF EACH e IN employees, EACH c IN courses:"
-      " SOME t IN timetable ((e.enr = t.tenr) AND (c.cnr = t.tcnr))]";
-  Parser parser(query);
-  Result<SelectionExpr> sel = parser.ParseSelectionOnly();
-  if (!sel.ok()) std::abort();
-  Binder binder(db.get());
-  Result<BoundQuery> bound = binder.Bind(std::move(sel).value());
-  if (!bound.ok()) std::abort();
+// Cursor companion of RunBatchSweep: the same plan drained the way a
+// client drains it — Cursor::Open (collection phase), Next to the end
+// (combination + construction), Close — so the timing includes
+// collection and construction, and batches_emitted and the collection
+// counters are recorded (the root-only drain above leaves them at 0).
+// Batch 1 is the cursor's row-at-a-time mode.
+void RunBatchSweepCursor(benchmark::State& state) {
   PlannerOptions options;
   options.level = OptLevel::kOneStep;
-  options.parallel = workers;
-  Result<PlannedQuery> planned =
-      PlanQuery(*db, std::move(bound).value(), options);
-  if (!planned.ok()) std::abort();
-  const QueryPlan plan = std::move(planned->plan);
-
-  ExecStats coll_stats;
-  CollectionBuilders builders(plan, *db, &coll_stats);
-  if (!builders.EnsureAll().ok()) std::abort();
-
-  ExecStats last;
-  size_t results = 0;
-  for (auto _ : state) {
-    ExecStats stats;
-    PeakTracker tracker(&stats);
-    Result<CompiledPipeline> compiled =
-        CompilePipeline(plan, &builders, &stats, &tracker);
-    if (!compiled.ok()) std::abort();
-    results = 0;
-    Chunk chunk;
-    chunk.capacity = plan.batch_size;
-    while (true) {
-      Result<bool> more = compiled->root->NextBatch(&chunk);
-      if (!more.ok()) std::abort();
-      if (!*more) break;
-      results += chunk.rows;
-    }
-    last = stats;
-    benchmark::DoNotOptimize(results);
-  }
-  ExportStats(state, last, results);
-  state.SetLabel("workers=" + std::to_string(workers));
-}
-
-BENCHMARK(RunParallelScaling)
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({256, 4})
-    ->Args({1000, 1})
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Unit(benchmark::kMicrosecond);
-
-// Cursor companions of RunBatchSweep and RunParallelScaling: the same plan
-// drained the way a client drains it — Cursor::Open (collection phase),
-// Next to the end (combination + construction), Close — so the timing
-// includes collection and construction, and batches_emitted and the
-// collection counters are recorded (the root-only drains above leave them
-// at 0). Batch 1 is the cursor's row-at-a-time mode.
-void DrainThroughCursor(benchmark::State& state,
-                        const PlannerOptions& options) {
+  options.batch_size = static_cast<size_t>(state.range(1));
   auto db = MakeScaledDb(static_cast<size_t>(state.range(0)));
   Parser parser(
       "[<e.ename, c.ctitle> OF EACH e IN employees, EACH c IN courses:"
@@ -481,13 +418,6 @@ void DrainThroughCursor(benchmark::State& state,
     benchmark::DoNotOptimize(results);
   }
   ExportStats(state, last, results);
-}
-
-void RunBatchSweepCursor(benchmark::State& state) {
-  PlannerOptions options;
-  options.level = OptLevel::kOneStep;
-  options.batch_size = static_cast<size_t>(state.range(1));
-  DrainThroughCursor(state, options);
   state.SetLabel("cursor, batch=" + std::to_string(options.batch_size));
 }
 
@@ -497,22 +427,6 @@ BENCHMARK(RunBatchSweepCursor)
     ->Args({256, 1024})
     ->Args({1000, 1})
     ->Args({1000, 1024})
-    ->Unit(benchmark::kMicrosecond);
-
-void RunParallelScalingCursor(benchmark::State& state) {
-  PlannerOptions options;
-  options.level = OptLevel::kOneStep;
-  options.parallel = static_cast<size_t>(state.range(1));
-  DrainThroughCursor(state, options);
-  state.SetLabel("cursor, workers=" + std::to_string(options.parallel));
-}
-
-BENCHMARK(RunParallelScalingCursor)
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({256, 4})
-    ->Args({1000, 1})
-    ->Args({1000, 4})
     ->Unit(benchmark::kMicrosecond);
 
 // Tail-latency exhibit: per-iteration drain latency of the streamed

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "base/logging.h"
 #include "exec/combination.h"
 #include "exec/construction.h"
 #include "obs/profile.h"
@@ -70,40 +69,27 @@ Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
   if (c.plan_->pipeline) {
     // Streamed combination: compile the iterator tree now, join (and,
     // under the lazy policy, collect) later — Next pulls rows on demand.
-    // Every compile failure is an invariant violation (there is no
-    // legitimate decline today); the materializing fallback below keeps
-    // the query correct, but the failure must not pass silently or a
-    // pipeline bug ships as an invisible perf regression.
-    Result<CompiledPipeline> compiled = CompilePipeline(
-        *c.plan_, run.builders.get(), &run.stats, &run.tracker, profile);
-    if (!compiled.ok()) {
-      PASCALR_LOG_WARNING << "pipeline compile failed, falling back to "
-                             "materializing combination: "
-                          << compiled.status().ToString();
+    // A compile failure is an engine bug and fails the Open: there is
+    // no silent fallback to the materializing combination.
+    PASCALR_ASSIGN_OR_RETURN(
+        run.pipeline, CompilePipeline(*c.plan_, run.builders.get(),
+                                      &run.stats, &run.tracker, profile));
+    PASCALR_ASSIGN_OR_RETURN(
+        run.column_of_var,
+        ResolveProjectionColumns(*c.plan_, run.pipeline.columns));
+    if (profile != nullptr) {
+      // Construction (dereference + projection + dedup) runs in the
+      // cursor above the pipeline sink; a node of its own lets EXPLAIN
+      // ANALYZE attribute that per-tuple time too.
+      run.root_prof = profile->Add("construct", -1.0, {profile->root()});
+      profile->SetRoot(run.root_prof);
     }
-    if (compiled.ok() && compiled->ok()) {
-      run.pipeline = std::move(compiled).value();
-      PASCALR_ASSIGN_OR_RETURN(
-          run.column_of_var,
-          ResolveProjectionColumns(*c.plan_, run.pipeline.columns));
-      if (profile != nullptr) {
-        // Construction (dereference + projection + dedup) runs in the
-        // cursor above the pipeline sink; a node of its own lets EXPLAIN
-        // ANALYZE attribute that per-tuple time too.
-        run.root_prof = profile->Add("construct", -1.0, {profile->root()});
-        profile->SetRoot(run.root_prof);
-      }
-      run.stats_at_open = run.stats;
-      c.open_ = true;
-      return c;
-    }
+    run.stats_at_open = run.stats;
+    c.open_ = true;
+    return c;
   }
-  // Materializing fallback: needs the whole collection up front (a no-op
-  // unless the lazy policy skipped it above).
-  {
-    TraceSpanGuard span(spans::kCollection, &run.stats);
-    PASCALR_RETURN_IF_ERROR(run.builders->EnsureAll());
-  }
+  // Materializing combination (PIPELINE OFF): the collection above
+  // already ran in full.
   {
     TraceSpanGuard span(spans::kCombination, &run.stats);
     const uint64_t t0 = profile != nullptr ? MonotonicNowNs() : 0;
@@ -166,7 +152,7 @@ Result<bool> Cursor::NextImpl(Tuple* out) {
       // Batched drain: refill a column-major chunk from the sink, then
       // construct tuples row-by-row out of it. The sink accumulates
       // full chunks, so batches_emitted is ceil(rows / batch) for a
-      // full drain regardless of upstream (morsel) chunking.
+      // full drain regardless of upstream chunking.
       while (true) {
         if (run.chunk_pos >= run.chunk.rows) {
           run.chunk.capacity = plan_->batch_size;

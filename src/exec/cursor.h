@@ -15,9 +15,10 @@
 // (lazy) the never-demanded collection structures — visible through
 // ExecStats::structures_built / structure_elements_built.
 //
-// Materializing fallback (pipeline off, or compilation declined): Open
-// runs collection + combination as before and Next streams construction
-// over the materialised combination result.
+// Materializing mode (PIPELINE OFF): Open runs collection + combination
+// as before and Next streams construction over the materialised
+// combination result. A pipelined plan whose compilation fails fails
+// the Open; it never falls back to this mode.
 //
 // Both modes produce the same tuple multiset after dedup; row order may
 // differ between them (pipelined joins emit probe-side-major in stream
@@ -53,8 +54,8 @@ class Cursor {
   Cursor& operator=(Cursor&& other) noexcept;
   ~Cursor() { Close(); }
 
-  /// Compiles the execution state for the plan. Eager policy (or the
-  /// materializing fallback): runs the collection phase — and, when not
+  /// Compiles the execution state for the plan. Eager policy (or
+  /// PIPELINE OFF): runs the collection phase — and, when not
   /// pipelined, the combination phase — before returning. Lazy policy on
   /// a pipelined plan: only registers collection builders; all collection
   /// work happens behind Next. The cursor shares ownership of the plan,
@@ -63,7 +64,7 @@ class Cursor {
   /// the cursor is closed or destroyed; it must outlive the cursor.
   /// `profile` (optional, EXPLAIN ANALYZE) receives one profiled node per
   /// pipeline operator plus a construction/dedup root — or a single
-  /// phase-level combination node on the materializing fallback, which
+  /// phase-level combination node in materializing mode, which
   /// has no iterator tree to instrument. It must outlive the cursor.
   /// When null (every normal query) no instrumentation is inserted.
   static Result<Cursor> Open(std::shared_ptr<const QueryPlan> plan,
@@ -91,7 +92,7 @@ class Cursor {
   }
 
   /// True when this cursor streams the combination phase through the
-  /// join-iterator pipeline (false: materializing fallback).
+  /// join-iterator pipeline (false: PIPELINE OFF).
   bool pipelined() const { return run_ != nullptr && run_->pipeline.ok(); }
 
   /// Work counters of this cursor's run so far (collection at Open under
@@ -108,7 +109,7 @@ class Cursor {
   CollectionResult ReleaseCollection();
 
   /// Combination-phase output rows still to be constructed (pre-dedup).
-  /// Only known on the materializing fallback; a pipelined cursor has no
+  /// Only known in materializing mode; a pipelined cursor has no
   /// materialised pending set and reports 0.
   size_t rows_pending() const;
 

@@ -293,10 +293,9 @@ struct QueryPlan {
 
   /// Stream the combination phase through the join-iterator pipeline
   /// (src/pipeline/): Cursor::Open runs only the collection phase and
-  /// every Next pulls one n-tuple through the iterator tree. When off (or
-  /// when compilation declines a plan shape) the cursor falls back to the
-  /// materializing combination path. Both modes produce the same tuple
-  /// multiset after dedup.
+  /// every Next pulls one n-tuple through the iterator tree. When off the
+  /// cursor runs the materializing combination path. Both modes produce
+  /// the same tuple multiset after dedup.
   bool pipeline = true;
 
   /// Collection-phase population policy (see CollectionPolicy). Only
@@ -310,15 +309,6 @@ struct QueryPlan {
   /// chunks through NextBatch. Same rows, order, and counters either
   /// way — batching only changes the call pattern.
   size_t batch_size = 1024;
-
-  /// Worker threads for morsel-driven intra-query parallel drains
-  /// (`SET PARALLEL <n>;`). 1 (the default) runs fully serial on the
-  /// calling thread; >1 lets eligible conjunction chains split their
-  /// driving scan into morsels across a worker pool, with an
-  /// order-preserving merge that restores the serial row order
-  /// bit-identically. Ineligible shapes (lazy collection, bushy trees,
-  /// profiled runs, materializing fallback) run serial regardless.
-  size_t parallel = 1;
 
   bool IsEliminated(const std::string& var) const {
     for (const std::string& v : eliminated_vars) {

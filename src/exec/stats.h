@@ -41,15 +41,14 @@ struct ExecStats {
   /// on row-at-a-time (`SET BATCH 1;`) and materializing runs. The sink
   /// accumulates full chunks, so for a full drain this is
   /// ceil(result rows / batch size): deterministic for a given plan and
-  /// batch size, and invariant under the PARALLEL degree. An event
-  /// count, not work: stays out of TotalWork() — every row a batch
-  /// carries is already priced by the row counters above.
+  /// batch size. An event count, not work: stays out of TotalWork() —
+  /// every row a batch carries is already priced by the row counters
+  /// above.
   uint64_t batches_emitted = 0;
-  /// Morsels of the driving structure handed to parallel drain workers —
-  /// 0 on serial drains. The morsel grid is a pure function of the
-  /// driving structure's size and the PARALLEL degree, so a full drain's
-  /// count is deterministic. An event count, not work: stays out of
-  /// TotalWork().
+  /// Always 0: the executor is serial and nothing dispatches morsels any
+  /// more. Kept only because the end-to-end benchmark reads it and the
+  /// sys$statements column of the same name mirrors it; both are due to
+  /// go in the next change to the benchmark. Stays out of TotalWork().
   uint64_t morsels_dispatched = 0;
   /// High-water mark of combination-phase rows held live at once:
   /// intermediate join/union/projection relations on the materializing

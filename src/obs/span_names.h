@@ -38,10 +38,6 @@ inline constexpr char kBuildIndex[] = "build-index";
 inline constexpr char kBuildValueList[] = "build-value-list";
 inline constexpr char kBuildStructure[] = "build-structure";
 inline constexpr char kDrain[] = "drain";
-/// Parallel drain setup on the consumer thread: shared join-table
-/// builds plus worker-pool spawn (the workers themselves run untraced —
-/// the tracer is session-thread-local by design).
-inline constexpr char kParallelDrain[] = "parallel-drain";
 
 /// Every registered name, for validation code that wants to iterate the
 /// vocabulary (the linter parses this header textually instead).
@@ -50,7 +46,6 @@ inline constexpr const char* kAllSpanNames[] = {
     kParse,      kBind,        kNormalize,      kPlan,
     kPlanSearch, kCollection,  kCombination,    kScan,
     kBuildIndex, kBuildValueList, kBuildStructure, kDrain,
-    kParallelDrain,
 };
 
 }  // namespace spans

@@ -266,13 +266,7 @@ std::string ExplainPlan(const PlannedQuery& planned) {
   if (plan.pipeline) {
     out += "  mode: pipelined (streamed join iterators; Cursor::Next pulls "
            "one combination row)\n";
-    out += StrFormat("  vectorized: %zu-row chunks", plan.batch_size);
-    if (plan.parallel > 1) {
-      out += StrFormat(
-          "; parallel drain: up to %zu workers (eligible conjunctions only)",
-          plan.parallel);
-    }
-    out += "\n";
+    out += StrFormat("  vectorized: %zu-row chunks\n", plan.batch_size);
     if (!shape.existential.empty()) {
       out += "  existential-only vars (semi-join probes, no extension): " +
              Join(shape.existential, ", ") + "\n";

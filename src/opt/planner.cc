@@ -53,7 +53,6 @@ QueryPlan CloneQueryPlan(const QueryPlan& plan) {
   out.pipeline = plan.pipeline;
   out.collection = plan.collection;
   out.batch_size = plan.batch_size;
-  out.parallel = plan.parallel;
   return out;
 }
 
@@ -149,7 +148,6 @@ Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
   out.plan.pipeline = options.pipeline;
   out.plan.collection = options.collection;
   out.plan.batch_size = options.batch_size;
-  out.plan.parallel = options.parallel;
   if (options.use_permanent_indexes) {
     for (IndexBuildSpec& spec : out.plan.indexes) {
       // A permanent index covers the whole relation; it can only stand in

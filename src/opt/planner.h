@@ -75,9 +75,6 @@ struct PlannerOptions {
   /// Rows per pipeline chunk on the batched cursor drain
   /// (`SET BATCH <n>;`); 1 recovers exact row-at-a-time execution.
   size_t batch_size = 1024;
-  /// Worker threads for morsel-driven parallel drains
-  /// (`SET PARALLEL <n>;`); 1 = fully serial.
-  size_t parallel = 1;
 };
 
 /// Field-wise equality — the prepared-query plan cache uses it to detect
@@ -89,8 +86,7 @@ inline bool operator==(const PlannerOptions& a, const PlannerOptions& b) {
          a.cost_based == b.cost_based && a.join_order_dp == b.join_order_dp &&
          a.join_dp_max_inputs == b.join_dp_max_inputs &&
          a.join_dp_bushy == b.join_dp_bushy && a.pipeline == b.pipeline &&
-         a.collection == b.collection && a.batch_size == b.batch_size &&
-         a.parallel == b.parallel;
+         a.collection == b.collection && a.batch_size == b.batch_size;
 }
 inline bool operator!=(const PlannerOptions& a, const PlannerOptions& b) {
   return !(a == b);

@@ -183,20 +183,6 @@ Status Session::ApplyOption(const std::string& name,
         "SET BATCH expects a chunk size in rows (1..65536), got '" + value +
         "'");
   }
-  if (name == "parallel") {
-    // Worker threads for morsel-driven intra-query parallel drains;
-    // 1 (the default) runs fully serial on the session thread.
-    if (!value.empty() &&
-        value.find_first_not_of("0123456789") == std::string::npos) {
-      uint64_t n = std::stoull(value);
-      if (n >= 1 && n <= 64) {
-        options_.parallel = static_cast<size_t>(n);
-        return Status::OK();
-      }
-    }
-    return Status::InvalidArgument(
-        "SET PARALLEL expects a worker count (1..64), got '" + value + "'");
-  }
   if (name == "joinorder") {
     if (value == "dp") {
       options_.join_order_dp = true;
@@ -218,8 +204,7 @@ Status Session::ApplyOption(const std::string& name,
   return Status::InvalidArgument("unknown option '" + name +
                                  "' (expected OPTLEVEL, DIVISION, "
                                  "PERMINDEXES, JOINORDER, PIPELINE, "
-                                 "COLLECTION, BATCH, PARALLEL, TRACE, "
-                                 "or SLOWLOG)");
+                                 "COLLECTION, BATCH, TRACE, or SLOWLOG)");
 }
 
 Status Session::RunAssign(const AssignStmt& stmt) {

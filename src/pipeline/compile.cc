@@ -5,7 +5,6 @@
 #include "base/str_util.h"
 #include "exec/combination.h"
 #include "obs/profile.h"
-#include "pipeline/parallel.h"
 
 namespace pascalr {
 
@@ -182,111 +181,6 @@ ConjunctionLowering PlanConjunctionLowering(const QueryPlan& plan,
   return low;
 }
 
-/// Attempts the morsel-parallel lowering of one conjunction: the whole
-/// chain (scan → joins/filters → extends → alignment) compiled into a
-/// ParallelChainSpec and wrapped in a MorselParallelIter. Returns a null
-/// iterator when the shape is ineligible — anything but a pure left-deep
-/// chain of prebuilt right leaves falls back to the serial chain (the
-/// caller gates on eager collection, parallel > 1, and no profile).
-/// Eligibility never changes plans, rows, order, or work counters: the
-/// worker chains are the serial chain's operators over morsel slices,
-/// merged back in morsel order.
-Result<RefIteratorPtr> TryCompileParallel(const QueryPlan& plan, size_t conj,
-                                          const ConjunctionLowering& low,
-                                          const CollectionResult& coll,
-                                          const PipelineShape& shape,
-                                          ExecStats* stats) {
-  const std::vector<size_t>& ids = plan.conj_inputs[conj];
-  const std::vector<JoinTreeNode>& nodes = low.tree.nodes;
-  ParallelChainSpec spec;
-  spec.batch_size = plan.batch_size > 0 ? plan.batch_size : 1;
-  spec.workers = plan.parallel;
-  std::vector<std::string> cols;
-  if (nodes.back().leaf) {
-    // Single-structure conjunction: the driving scan is the whole chain.
-    spec.driving = &coll.structures[ids[nodes.back().input]];
-    cols = low.nodes.back().cols;
-  } else {
-    // The tree must be one left-deep chain evaluated in node order:
-    // every internal node's right child a leaf, its left child the
-    // previous chain link (the driving leaf for the first join).
-    size_t driving_idx = nodes.size() - 1;
-    while (!nodes[driving_idx].leaf) {
-      driving_idx = static_cast<size_t>(nodes[driving_idx].left);
-    }
-    size_t expected_left = driving_idx;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      const JoinTreeNode& node = nodes[i];
-      if (node.leaf) continue;
-      const JoinTreeNode& rnode = nodes[static_cast<size_t>(node.right)];
-      if (!rnode.leaf) return RefIteratorPtr();  // bushy
-      if (static_cast<size_t>(node.left) != expected_left) {
-        return RefIteratorPtr();  // not the chain the serial loop drains
-      }
-      expected_left = i;
-      const NodePlan& np = low.nodes[i];
-      ParallelJoinStep step;
-      step.right = &coll.structures[ids[rnode.input]];
-      step.left_key = np.left_key;
-      step.right_key = np.right_key;
-      step.right_extras = np.right_extras;
-      step.semi = low.semi[i];
-      step.filter = np.filter;
-      spec.joins.push_back(std::move(step));
-    }
-    if (expected_left != nodes.size() - 1) return RefIteratorPtr();
-    spec.driving = &coll.structures[ids[nodes[driving_idx].input]];
-    cols = low.nodes.back().cols;
-  }
-
-  // Extensions — the same decisions CompileConjunction's serial tail
-  // makes under eager collection (see the comments there).
-  for (const QuantifiedVar& qv : shape.active) {
-    if (IndexOf(cols, qv.var) >= 0) continue;
-    if (shape.IsExistential(qv.var)) {
-      bool in_structures = false;
-      for (size_t id : ids) {
-        if (IndexOf(plan.structures[id].columns, qv.var) >= 0) {
-          in_structures = true;
-          break;
-        }
-      }
-      if (in_structures) continue;  // semi-dropped: already witnessed
-      auto it = coll.range_refs.find(qv.var);
-      if (it == coll.range_refs.end()) {
-        return Status::Internal("no materialised range for '" + qv.var + "'");
-      }
-      if (it->second.empty()) return RefIteratorPtr(new EmptyIter());
-      continue;
-    }
-    auto it = coll.range_refs.find(qv.var);
-    if (it == coll.range_refs.end()) {
-      return Status::Internal("no materialised range for '" + qv.var + "'");
-    }
-    spec.extends.push_back(&it->second);
-    cols.push_back(qv.var);
-  }
-
-  // Alignment onto the needed layout, identity skipped — as serial.
-  std::vector<int> positions;
-  for (const std::string& name : shape.needed) {
-    int pos = IndexOf(cols, name);
-    if (pos < 0) {
-      return Status::Internal("pipeline: conjunction lacks column '" + name +
-                              "'");
-    }
-    positions.push_back(pos);
-  }
-  if (cols.size() != shape.needed.size() ||
-      !std::is_sorted(positions.begin(), positions.end())) {
-    spec.project = true;
-    spec.project_positions = std::move(positions);
-    spec.project_cols = shape.needed;
-  }
-  return RefIteratorPtr(
-      new MorselParallelIter(std::move(spec), stats));
-}
-
 /// Lowers one conjunction's join tree + extension + projection-to-needed
 /// into an iterator chain emitting rows in `shape.needed` layout.
 /// `*root_node` receives the chain root's profile node id (-1 unprofiled).
@@ -323,20 +217,6 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
     }
     ConjunctionLowering low =
         PlanConjunctionLowering(plan, conj, std::move(tree), shape);
-
-    // Morsel-parallel drain: eager + unprofiled only (lazy builds and
-    // per-operator timers are inherently single-threaded), and only for
-    // shapes TryCompileParallel accepts — everything else keeps the
-    // serial chain, so SET PARALLEL can never change a plan's results.
-    if (plan.parallel > 1 && !lazy && profile == nullptr) {
-      PASCALR_ASSIGN_OR_RETURN(
-          RefIteratorPtr par,
-          TryCompileParallel(plan, conj, low, coll, shape, stats));
-      if (par != nullptr) {
-        *root_node = -1;
-        return par;
-      }
-    }
 
     std::vector<RefIteratorPtr> node_iters(low.tree.nodes.size());
     std::vector<int> node_profs(low.tree.nodes.size(), -1);

@@ -52,16 +52,6 @@ bool KeyEqualsChunk(const Chunk& chunk, size_t row,
 
 }  // namespace
 
-JoinHashTable BuildJoinHashTable(const RefRelation& rel,
-                                 const std::vector<int>& key) {
-  JoinHashTable table;
-  table.map.reserve(rel.size());
-  for (size_t i = 0; i < rel.size(); ++i) {
-    table.map[HashKey(rel.row(i), key)].push_back(i);
-  }
-  return table;
-}
-
 Result<bool> RefIterator::NextBatch(Chunk* out) {
   // Row bridge: the adapter that keeps unvectorized operators inside
   // batched plans. Work and counters are identical to pulling the same
@@ -89,13 +79,12 @@ Status ScanIter::Ensure() {
     PASCALR_RETURN_IF_ERROR(builders_->EnsureStructure(structure_id_));
     rel_ = &builders_->result().structures[structure_id_];
   }
-  if (end_ > rel_->size()) end_ = rel_->size();
   return Status::OK();
 }
 
 Result<bool> ScanIter::Next(RefRow* out) {
   PASCALR_RETURN_IF_ERROR(Ensure());
-  if (pos_ >= end_) return false;
+  if (pos_ >= rel_->size()) return false;
   *out = rel_->row(pos_++);
   return true;
 }
@@ -104,7 +93,7 @@ Result<bool> ScanIter::NextBatch(Chunk* out) {
   PASCALR_RETURN_IF_ERROR(Ensure());
   const size_t arity = rel_->arity();
   out->Reset(arity);
-  const size_t take = std::min(out->capacity, end_ - std::min(pos_, end_));
+  const size_t take = std::min(out->capacity, rel_->size() - pos_);
   if (take == 0) return false;
   // One pass over the row-major structure: each source row is chased
   // exactly once and the columns are written through raw pointers — no
@@ -194,21 +183,6 @@ ProbeJoinIter::ProbeJoinIter(RefIteratorPtr left, RefIteratorPtr right_source,
       stats_(stats),
       tracker_(tracker) {}
 
-ProbeJoinIter::ProbeJoinIter(RefIteratorPtr left, const RefRelation* right,
-                             const JoinHashTable* shared,
-                             std::vector<int> left_key,
-                             std::vector<int> right_key,
-                             std::vector<int> right_extras, bool semi,
-                             ExecStats* stats)
-    : left_(std::move(left)),
-      right_(right),
-      left_key_(std::move(left_key)),
-      right_key_(std::move(right_key)),
-      right_extras_(std::move(right_extras)),
-      semi_(semi),
-      stats_(stats),
-      shared_table_(shared) {}
-
 Status ProbeJoinIter::Prepare() {
   // prepared_ is only set on success: a failed Prepare (lazy build error,
   // bushy drain error) must re-run on the next Next, not probe
@@ -242,9 +216,11 @@ Status ProbeJoinIter::Prepare() {
     right_source_.reset();
     right_ = &right_buf_;
   }
-  if (!left_key_.empty() && shared_table_ == nullptr) {
-    table_ = BuildJoinHashTable(*right_, right_key_);
-    shared_table_ = &table_;
+  if (!left_key_.empty()) {
+    table_.reserve(right_->size());
+    for (size_t i = 0; i < right_->size(); ++i) {
+      table_[HashKey(right_->row(i), right_key_)].push_back(i);
+    }
   }
   prepared_ = true;
   return Status::OK();
@@ -277,8 +253,8 @@ Result<bool> ProbeJoinIter::Next(RefRow* out) {
                 right_structure_,
                 left_row_[static_cast<size_t>(key_probe_pos_)]));
       } else if (!left_key_.empty()) {
-        auto it = shared_table_->map.find(HashKey(left_row_, left_key_));
-        matches_ = it == shared_table_->map.end() ? nullptr : &it->second;
+        auto it = table_.find(HashKey(left_row_, left_key_));
+        matches_ = it == table_.end() ? nullptr : &it->second;
       }
     }
     if (keyed_mode_) {
@@ -365,9 +341,9 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
       have_left_ = true;
       match_pos_ = 0;
       if (!left_key_.empty()) {
-        auto it = shared_table_->map.find(
+        auto it = table_.find(
             HashKeyChunk(left_chunk_, left_pos_, left_key_));
-        matches_ = it == shared_table_->map.end() ? nullptr : &it->second;
+        matches_ = it == table_.end() ? nullptr : &it->second;
       }
     }
     const size_t l = left_pos_;
@@ -668,7 +644,7 @@ Result<bool> ProjectIter::NextBatch(Chunk* out) {
   // Dedup sink: accumulate until the output chunk is full (or the child
   // is dry), so the emitted chunk grid depends only on the distinct-row
   // stream and the batch size — not on upstream chunk boundaries. That
-  // keeps batches_emitted deterministic and PARALLEL-degree-invariant.
+  // keeps batches_emitted deterministic.
   out->Reset(positions_.size());
   while (!out->full()) {
     if (child_pos_ >= child_chunk_.rows) {

@@ -114,10 +114,6 @@ class UnitIter : public RefIterator {
 class ScanIter : public RefIterator {
  public:
   explicit ScanIter(const RefRelation* rel) : rel_(rel) {}
-  /// Morsel form: scans only rows [begin, end) — the parallel drain
-  /// hands each worker one of these over the shared driving structure.
-  ScanIter(const RefRelation* rel, size_t begin, size_t end)
-      : rel_(rel), pos_(begin), end_(end) {}
   /// Demand-driven: EnsureStructure(structure_id) at the first Next, then
   /// scan the materialised rows.
   ScanIter(CollectionBuilders* builders, size_t structure_id)
@@ -132,7 +128,6 @@ class ScanIter : public RefIterator {
   CollectionBuilders* builders_ = nullptr;
   size_t structure_id_ = 0;
   size_t pos_ = 0;
-  size_t end_ = static_cast<size_t>(-1);  ///< exclusive; clamped to size
 };
 
 /// Collection mode (c): streams the structure's base relation element at
@@ -155,20 +150,6 @@ class BaseScanIter : public RefIterator {
   std::vector<RefRow> pending_;  ///< rows of the current element
   size_t pending_pos_ = 0;
 };
-
-/// Join-key hash index over a structure: key hash -> row indices. Built
-/// once and shared read-only across the parallel drain's worker chains
-/// (each worker would otherwise rebuild an identical table per morsel).
-struct JoinHashTable {
-  std::unordered_map<uint64_t, std::vector<size_t>> map;
-};
-
-/// Builds the join-key index over `rel` exactly as ProbeJoinIter's
-/// first-Next build would — row indices appended in scan order, so a
-/// shared table produces match chains in the identical order. The
-/// parallel drain prebuilds these on the consumer thread.
-JoinHashTable BuildJoinHashTable(const RefRelation& rel,
-                                 const std::vector<int>& key);
 
 /// Streaming join. Probes an index (join-key -> row indices) over the
 /// right side, built lazily at the first Next. With an empty key the join
@@ -200,14 +181,6 @@ class ProbeJoinIter : public RefIterator {
                 std::vector<int> right_extras, bool semi, ExecStats* stats,
                 PeakTracker* tracker);
 
-  /// Worker-chain form: right side is an existing structure and the
-  /// join-key index was prebuilt (shared, read-only) by the parallel
-  /// drain — Prepare skips the build entirely.
-  ProbeJoinIter(RefIteratorPtr left, const RefRelation* right,
-                const JoinHashTable* shared, std::vector<int> left_key,
-                std::vector<int> right_key, std::vector<int> right_extras,
-                bool semi, ExecStats* stats);
-
   Result<bool> Next(RefRow* out) override;
   Result<bool> NextBatch(Chunk* out) override;
 
@@ -234,8 +207,8 @@ class ProbeJoinIter : public RefIterator {
   bool prepared_ = false;
   bool keyed_mode_ = false;  ///< per-join-key population of the right side
   int key_probe_pos_ = -1;   ///< left column probed in keyed mode (-1: off)
-  JoinHashTable table_;
-  const JoinHashTable* shared_table_ = nullptr;  ///< prebuilt (parallel)
+  /// Join-key hash -> right row indices, in scan order.
+  std::unordered_map<uint64_t, std::vector<size_t>> table_;
   RefRow left_row_;
   bool have_left_ = false;
   const std::vector<size_t>* matches_ = nullptr;  ///< keyed probe chain
@@ -368,7 +341,7 @@ class ProjectIter : public RefIterator {
   /// Dedup (the sink): accumulates child chunks until the output chunk
   /// is full, so chunk boundaries at the cursor — and the
   /// batches_emitted counter — depend only on the result cardinality and
-  /// batch size, not on upstream (e.g. per-morsel) chunking.
+  /// batch size, not on upstream (e.g. post-filter) chunking.
   Result<bool> NextBatch(Chunk* out) override;
 
  private:

@@ -256,6 +256,22 @@ TEST(PipelineEquivalenceTest, CursorActuallyStreamsAndMatches) {
   }
 }
 
+TEST(PipelineEquivalenceTest, CompileFailureFailsTheOpen) {
+  // A pipelined plan the compiler rejects must surface its Status from
+  // Cursor::Open, never run through the materializing combination.
+  auto db = MakeUniversityDb();
+  Result<PlannedQuery> planned = PlanQuery(
+      *db, testing_util::MustBind(*db, kPaperExamples[0]), PlannerOptions());
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  ASSERT_TRUE(planned->plan.pipeline);
+  planned->plan.conj_inputs.clear();  // out of sync with the disjuncts
+  Result<Cursor> cursor = Cursor::Open(
+      std::make_shared<const QueryPlan>(std::move(planned->plan)), *db);
+  ASSERT_FALSE(cursor.ok());
+  EXPECT_EQ(cursor.status().code(), StatusCode::kInternal)
+      << cursor.status().ToString();
+}
+
 TEST(PipelineEquivalenceTest, DivisionPathIsIdenticalFromTheBufferOn) {
   // Example 2.1 has the universal quantifier: the pipelined division
   // input must be the very relation the materializing path divides, so

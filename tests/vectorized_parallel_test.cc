@@ -1,16 +1,13 @@
-// Vectorized batch-at-a-time execution and the morsel-driven parallel
-// drain (src/pipeline/chunk.h, parallel.{h,cc}):
+// Vectorized batch-at-a-time execution (src/pipeline/chunk.h):
 //
-//  - NextBatch contract units (row bridge, scan morsel form, the
-//    vectorized FilterIter reference shape, MorselParallelIter merge
-//    order) over hand-built structures;
-//  - a property sweep — collection policy x batch size x parallel
-//    degree x optimization level on random queries — set-equal to the
-//    naive evaluator oracle;
-//  - the determinism contract: SET BATCH 1024 / PARALLEL 1 drains emit
-//    the bit-identical tuple sequence AND work counters of the
-//    row-at-a-time serial oracle (SET BATCH 1), and parallel > 1 keeps
-//    the same sequence with only morsels_dispatched differing;
+//  - NextBatch contract units (row bridge, the vectorized FilterIter
+//    reference shape) over hand-built structures;
+//  - a property sweep — collection policy x batch size x optimization
+//    level on random queries — set-equal to the naive evaluator oracle;
+//  - the determinism contract: SET BATCH 1024 drains emit the
+//    bit-identical tuple sequence AND work counters of the
+//    row-at-a-time oracle (SET BATCH 1);
+//  - SET PARALLEL is gone: the executor is serial;
 //  - the covered-leaf residual-predicate lowering (FilterIter
 //    membership) and its EXPLAIN rendering;
 //  - EXPLAIN ANALYZE batch attribution (batches= / rows/batch=).
@@ -32,7 +29,6 @@
 #include "pascalr/session.h"
 #include "pipeline/chunk.h"
 #include "pipeline/iterators.h"
-#include "pipeline/parallel.h"
 #include "tests/query_gen.h"
 #include "tests/test_util.h"
 
@@ -97,23 +93,6 @@ TEST(ChunkTest, RowBridgeBatchesMatchRowPulls) {
   }
 }
 
-TEST(ScanIterTest, MorselFormScansExactlyTheRange) {
-  RefRelation sl = RefRelation::SingleList("a");
-  for (uint32_t i = 0; i < 20; ++i) sl.Add({R(1, i)});
-  ScanIter morsel(&sl, 5, 12);
-  RefRow row;
-  std::vector<RefRow> rows;
-  while (*morsel.Next(&row)) rows.push_back(row);
-  ASSERT_EQ(rows.size(), 7u);
-  EXPECT_EQ(rows.front(), (RefRow{R(1, 5)}));
-  EXPECT_EQ(rows.back(), (RefRow{R(1, 11)}));
-  // End past the relation clamps.
-  ScanIter tail(&sl, 18, 1000);
-  size_t n = 0;
-  while (*tail.Next(&row)) ++n;
-  EXPECT_EQ(n, 2u);
-}
-
 TEST(FilterIterTest, MembershipModeKeepsExactlyContainedRows) {
   // The vectorized reference filter: child rows whose key columns form a
   // row of `member` survive; comparisons count every input row, and
@@ -148,51 +127,10 @@ TEST(FilterIterTest, MembershipModeKeepsExactlyContainedRows) {
   EXPECT_EQ(stats.combination_rows, 2u);
 }
 
-// ------------------------------------------------- morsel merge ordering
-
-TEST(MorselParallelIterTest, MergePreservesSerialScanOrder) {
-  // A parallel drain over a bare scan must emit the structure's rows in
-  // exactly slot order, regardless of which worker finished first.
-  RefRelation sl = RefRelation::SingleList("a");
-  constexpr uint32_t kRows = 5000;
-  for (uint32_t i = 0; i < kRows; ++i) sl.Add({R(1, i)});
-  ExecStats stats;
-  ParallelChainSpec spec;
-  spec.driving = &sl;
-  spec.batch_size = 128;
-  spec.workers = 4;
-  MorselParallelIter par(std::move(spec), &stats);
-  RefRow row;
-  for (uint32_t i = 0; i < kRows; ++i) {
-    auto more = par.Next(&row);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    ASSERT_TRUE(*more) << "exhausted early at " << i;
-    ASSERT_EQ(row, (RefRow{R(1, i)})) << "row " << i;
-  }
-  EXPECT_FALSE(*par.Next(&row));
-  EXPECT_GT(stats.morsels_dispatched, 1u);
-}
-
-TEST(MorselParallelIterTest, EarlyCloseStillMergesWorkerCounters) {
-  RefRelation sl = RefRelation::SingleList("a");
-  for (uint32_t i = 0; i < 4096; ++i) sl.Add({R(1, i)});
-  ExecStats stats;
-  {
-    ParallelChainSpec spec;
-    spec.driving = &sl;
-    spec.batch_size = 64;
-    spec.workers = 3;
-    MorselParallelIter par(std::move(spec), &stats);
-    RefRow row;
-    ASSERT_TRUE(*par.Next(&row));  // pull once, then abandon the drain
-  }
-  EXPECT_GT(stats.morsels_dispatched, 0u);
-}
-
 // ------------------------------------------------------- property sweep
 
 // Plans with `options` and drains through Cursor — the pipelined path,
-// which is the only one that honors batch_size/parallel. (RunQuery uses
+// which is the only one that honors batch_size. (RunQuery uses
 // the materializing evaluator and would bypass the vectorized code.)
 std::vector<Tuple> MustRunWith(const Database& db, const BoundQuery& bound,
                                PlannerOptions options, ExecStats* stats) {
@@ -237,20 +175,16 @@ TEST(VectorizedParallelPropertyTest, AllConfigurationsMatchNaiveOracle) {
       for (CollectionPolicy policy :
            {CollectionPolicy::kEager, CollectionPolicy::kLazy}) {
         for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
-          for (size_t parallel : {size_t{1}, size_t{3}}) {
-            PlannerOptions options;
-            options.level = static_cast<OptLevel>(level);
-            options.collection = policy;
-            options.batch_size = batch;
-            options.parallel = parallel;
-            std::vector<Tuple> got =
-                MustRunWith(*db, *bound, options, nullptr);
-            EXPECT_EQ(TupleStrings(got), want)
-                << "seed=" << seed << " level=" << level
-                << " policy=" << (policy == CollectionPolicy::kLazy)
-                << " batch=" << batch << " parallel=" << parallel;
-            ++checked;
-          }
+          PlannerOptions options;
+          options.level = static_cast<OptLevel>(level);
+          options.collection = policy;
+          options.batch_size = batch;
+          std::vector<Tuple> got = MustRunWith(*db, *bound, options, nullptr);
+          EXPECT_EQ(TupleStrings(got), want)
+              << "seed=" << seed << " level=" << level
+              << " policy=" << (policy == CollectionPolicy::kLazy)
+              << " batch=" << batch;
+          ++checked;
         }
       }
     }
@@ -260,7 +194,7 @@ TEST(VectorizedParallelPropertyTest, AllConfigurationsMatchNaiveOracle) {
 
 // ------------------------------------------------- determinism contract
 
-TEST(VectorizedParallelDeterminismTest, BatchedAndParallelDrainsAreBitIdentical) {
+TEST(VectorizedParallelDeterminismTest, BatchedDrainsAreBitIdentical) {
   auto db = MakeUniversityDb();
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     QueryGenerator gen(seed * 31);
@@ -275,34 +209,27 @@ TEST(VectorizedParallelDeterminismTest, BatchedAndParallelDrainsAreBitIdentical)
     std::vector<Tuple> oracle_rows =
         MustRunWith(*db, *bound, oracle, &oracle_stats);
 
-    for (size_t parallel : {size_t{1}, size_t{4}}) {
-      PlannerOptions options;
-      options.batch_size = 1024;
-      options.parallel = parallel;
-      ExecStats stats;
-      std::vector<Tuple> rows = MustRunWith(*db, *bound, options, &stats);
+    PlannerOptions options;
+    options.batch_size = 1024;
+    ExecStats stats;
+    std::vector<Tuple> rows = MustRunWith(*db, *bound, options, &stats);
 
-      // Bit-identical sequence: same tuples in the same order.
-      ASSERT_EQ(rows.size(), oracle_rows.size()) << "seed=" << seed;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        EXPECT_EQ(rows[i].ToString(), oracle_rows[i].ToString())
-            << "seed=" << seed << " parallel=" << parallel << " row " << i;
-      }
-      // Deterministic counters: everything except the two that describe
-      // the drain shape rather than the work done — batches_emitted
-      // (zero for a row-at-a-time drain, the chunk count otherwise) and
-      // morsels_dispatched (zero serially, the morsel count in parallel).
-      ExecStats normalized = stats;
-      normalized.batches_emitted = 0;
-      normalized.morsels_dispatched = 0;
-      ExecStats oracle_normalized = oracle_stats;
-      oracle_normalized.batches_emitted = 0;
-      EXPECT_EQ(normalized.ToString(), oracle_normalized.ToString())
-          << "seed=" << seed << " parallel=" << parallel;
-      if (parallel == 1) {
-        EXPECT_EQ(stats.morsels_dispatched, 0u);
-      }
+    // Bit-identical sequence: same tuples in the same order.
+    ASSERT_EQ(rows.size(), oracle_rows.size()) << "seed=" << seed;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].ToString(), oracle_rows[i].ToString())
+          << "seed=" << seed << " row " << i;
     }
+    // Deterministic counters: everything except batches_emitted, which
+    // describes the drain shape rather than the work done (zero for a
+    // row-at-a-time drain, the chunk count otherwise).
+    ExecStats normalized = stats;
+    normalized.batches_emitted = 0;
+    ExecStats oracle_normalized = oracle_stats;
+    oracle_normalized.batches_emitted = 0;
+    EXPECT_EQ(normalized.ToString(), oracle_normalized.ToString())
+        << "seed=" << seed;
+    EXPECT_EQ(stats.morsels_dispatched, 0u);
   }
 }
 
@@ -366,27 +293,27 @@ TEST(ResidualFilterTest, CoveredLeafLowersToMembershipFilter) {
 
 // --------------------------------------------------- session + profiling
 
-TEST(SessionBatchParallelTest, SetBatchAndParallelAreValidatedAndApplied) {
+TEST(SessionBatchParallelTest, SetBatchIsAppliedAndSetParallelIsRejected) {
   auto db = MakeUniversityDb();
   std::ostringstream out;
   Session session(db.get(), &out);
   ASSERT_TRUE(session.ExecuteScript("SET BATCH 64;").ok());
-  ASSERT_TRUE(session.ExecuteScript("SET PARALLEL 4;").ok());
   EXPECT_FALSE(session.ExecuteScript("SET BATCH 0;").ok());
   EXPECT_FALSE(session.ExecuteScript("SET BATCH 65537;").ok());
-  EXPECT_FALSE(session.ExecuteScript("SET PARALLEL 0;").ok());
-  EXPECT_FALSE(session.ExecuteScript("SET PARALLEL 65;").ok());
+  // The morsel-parallel drain was removed: PARALLEL is an unknown option.
+  Status parallel = session.ExecuteScript("SET PARALLEL 4;");
+  EXPECT_EQ(parallel.code(), StatusCode::kInvalidArgument)
+      << parallel.ToString();
   auto run = session.Query("[<e.ename> OF EACH e IN employees: e.enr >= 1]");
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  // EXPLAIN surfaces the knobs.
+  // EXPLAIN surfaces the chunk size and nothing about a parallel drain.
   ASSERT_TRUE(session
                   .ExecuteScript("EXPLAIN [<e.ename> OF EACH e IN employees: "
                                  "e.enr >= 1];")
                   .ok());
   std::string text = out.str();
   EXPECT_NE(text.find("vectorized: 64-row chunks"), std::string::npos) << text;
-  EXPECT_NE(text.find("parallel drain: up to 4 workers"), std::string::npos)
-      << text;
+  EXPECT_EQ(text.find("parallel drain"), std::string::npos) << text;
 }
 
 TEST(ExplainAnalyzeBatchTest, ProfiledDrainsReportBatchesWithoutDoubleCount) {
