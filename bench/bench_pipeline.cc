@@ -215,9 +215,8 @@ BENCHMARK(RunCollection)
 // no per-tuple construction, so the timing isolates exactly what
 // batching changes (virtual dispatch + per-row bookkeeping per pull).
 // The collection phase is hoisted out of the timing loop: every mode
-// drains the same prebuilt structures.
-//   batch 0: row-at-a-time oracle (one Next per row)
-//   batch k: NextBatch with k-row chunks
+// drains the same prebuilt structures. Batch k pulls k-row chunks;
+// batch 1 is the row-at-a-time point.
 // Expected shape: throughput climbs steeply from batch 1 to ~64 and
 // flattens by 1024 (the default) — the ISSUE's >=2x single-thread win.
 void RunBatchSweep(benchmark::State& state) {
@@ -235,7 +234,7 @@ void RunBatchSweep(benchmark::State& state) {
   if (!bound.ok()) std::abort();
   PlannerOptions options;
   options.level = OptLevel::kOneStep;
-  options.batch_size = batch == 0 ? Chunk::kDefaultRows : batch;
+  options.batch_size = batch;
   Result<PlannedQuery> planned =
       PlanQuery(*db, std::move(bound).value(), options);
   if (!planned.ok()) std::abort();
@@ -254,50 +253,37 @@ void RunBatchSweep(benchmark::State& state) {
         CompilePipeline(plan, &builders, &stats, &tracker);
     if (!compiled.ok()) std::abort();
     results = 0;
-    if (batch == 0) {
-      RefRow row;
-      while (true) {
-        Result<bool> more = compiled->root->Next(&row);
-        if (!more.ok()) std::abort();
-        if (!*more) break;
-        ++results;
-      }
-    } else {
-      Chunk chunk;
-      chunk.capacity = batch;
-      while (true) {
-        Result<bool> more = compiled->root->NextBatch(&chunk);
-        if (!more.ok()) std::abort();
-        if (!*more) break;
-        results += chunk.rows;
-      }
+    Chunk chunk;
+    chunk.capacity = batch;
+    while (true) {
+      Result<bool> more = compiled->root->NextBatch(&chunk);
+      if (!more.ok()) std::abort();
+      if (!*more) break;
+      results += chunk.rows;
     }
     last = stats;
     benchmark::DoNotOptimize(results);
   }
   ExportStats(state, last, results);
-  state.SetLabel(batch == 0 ? "row-at-a-time"
-                            : "batch=" + std::to_string(batch));
+  state.SetLabel("batch=" + std::to_string(batch));
 }
 
 BENCHMARK(RunBatchSweep)
-    ->Args({256, 0})
     ->Args({256, 1})
     ->Args({256, 64})
     ->Args({256, 256})
     ->Args({256, 1024})
     ->Args({256, 4096})
-    ->Args({1000, 0})
     ->Args({1000, 1024})
     ->Unit(benchmark::kMicrosecond);
 
-// The vectorized-kernel win in isolation: the same operator drained
-// row-at-a-time (one virtual Next per row) against its native NextBatch
-// over 1024-row chunks, paired inside one benchmark so the ratio is
-// taken under identical conditions. The full-query sweep above dilutes
+// The vectorized-kernel win in isolation: the same operator drained in
+// 1-row chunks (one virtual NextBatch per row) against 1024-row chunks,
+// paired inside one benchmark so the ratio is taken under identical
+// conditions. The full-query sweep above dilutes
 // the win with per-row sink work (dedup hashing, construction) that
 // batching cannot amortize; this is the number the chunk layer itself
-// is responsible for. batch_speedup_rate = row_ns / batch_ns.
+// is responsible for. batch_speedup_rate = one_row_ns / batch_ns.
 void RunOperatorBatchWin(benchmark::State& state) {
   const bool filter_kind = state.range(0) != 0;
   const size_t rows = static_cast<size_t>(state.range(1));
@@ -325,23 +311,13 @@ void RunOperatorBatchWin(benchmark::State& state) {
     RefIteratorPtr it = make();
     const auto t0 = std::chrono::steady_clock::now();
     size_t drained = 0;
-    if (batched) {
-      Chunk chunk;
-      while (true) {
-        chunk.capacity = Chunk::kDefaultRows;
-        Result<bool> more = it->NextBatch(&chunk);
-        if (!more.ok()) std::abort();
-        if (!*more) break;
-        drained += chunk.rows;
-      }
-    } else {
-      RefRow row;
-      while (true) {
-        Result<bool> more = it->Next(&row);
-        if (!more.ok()) std::abort();
-        if (!*more) break;
-        ++drained;
-      }
+    Chunk chunk;
+    while (true) {
+      chunk.capacity = batched ? Chunk::kDefaultRows : 1;
+      Result<bool> more = it->NextBatch(&chunk);
+      if (!more.ok()) std::abort();
+      if (!*more) break;
+      drained += chunk.rows;
     }
     benchmark::DoNotOptimize(drained);
     return static_cast<uint64_t>(
@@ -367,8 +343,8 @@ void RunOperatorBatchWin(benchmark::State& state) {
       ns_batch == 0 ? 0.0
                     : static_cast<double>(ns_row) /
                           static_cast<double>(ns_batch);
-  state.SetLabel(filter_kind ? "membership filter, 1024-row chunks"
-                             : "single-list scan, 1024-row chunks");
+  state.SetLabel(filter_kind ? "membership filter, 1-row vs 1024-row chunks"
+                             : "single-list scan, 1-row vs 1024-row chunks");
 }
 
 BENCHMARK(RunOperatorBatchWin)
@@ -381,7 +357,7 @@ BENCHMARK(RunOperatorBatchWin)
 // (combination + construction), Close — so the timing includes
 // collection and construction, and batches_emitted and the collection
 // counters are recorded (the root-only drain above leaves them at 0).
-// Batch 1 is the cursor's row-at-a-time mode.
+// Batch 1 drains 1-row chunks.
 void RunBatchSweepCursor(benchmark::State& state) {
   PlannerOptions options;
   options.level = OptLevel::kOneStep;

@@ -114,18 +114,17 @@ int main(int argc, char** argv) {
           std::cout << ".metrics takes no argument, or 'prom'\n";
         }
       } else if (line.rfind(".slow", 0) == 0) {
-        std::string arg = pascalr::AsciiToLower(Trim(line.substr(5)));
+        std::string arg = Trim(line.substr(5));
         if (arg.empty()) {
           std::cout << db.slow_log().Dump();
-        } else if (arg == "off") {
-          db.slow_log().set_threshold_us(0);
+        } else if (auto st = session.ExecuteScript("SET SLOWLOG " + arg + ";");
+                   !st.ok()) {
+          std::cout << "error: " << st.ToString() << "\n";
+        } else if (db.slow_log().threshold_us() == 0) {
           std::cout << "slow-query log disarmed\n";
-        } else if (arg.find_first_not_of("0123456789") == std::string::npos) {
-          db.slow_log().set_threshold_us(std::stoull(arg));
-          std::cout << "recording queries slower than " << arg << "us\n";
         } else {
-          std::cout << ".slow takes no argument, a microsecond threshold, "
-                       "or 'off'\n";
+          std::cout << "recording queries slower than "
+                    << db.slow_log().threshold_us() << "us\n";
         }
       } else if (line.rfind(".trace", 0) == 0) {
         std::string arg = Trim(line.substr(6));

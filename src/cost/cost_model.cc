@@ -616,8 +616,8 @@ class CostWalker {
     est.weighted_cost = work + extra_cost_;
     est.pipelined_combination_rows = pipelined_combination_rows_;
     // Per-batch drain term: one unit per root chunk refill. At the
-    // default 1024-row chunks this is noise; at SET BATCH 1 it restores
-    // the full per-row pull overhead the vectorized drain amortises.
+    // default 1024-row chunks this is noise; SET BATCH 1's 1-row chunks
+    // pay it once per row — the per-row pull overhead batching amortises.
     const double batch =
         static_cast<double>(plan_.batch_size > 0 ? plan_.batch_size : 1);
     est.est_batches = std::ceil(pipelined_final_rows_ / batch);

@@ -50,11 +50,12 @@ struct CostEstimate {
   /// Predicted ExecStats::peak_intermediate_rows per combination mode.
   double est_peak_materialized = 0.0;
   double est_peak_pipelined = 0.0;
-  /// Predicted root chunk refills of a vectorized drain —
+  /// Predicted root chunk refills of a pipelined drain —
   /// ceil(final rows / QueryPlan::batch_size), the batches_emitted
   /// counterpart. One work unit per refill is folded into the pipelined
   /// prices: the per-pull overhead batching amortises (~0.1% of work at
-  /// the default 1024-row chunks, the whole row cost at SET BATCH 1).
+  /// the default 1024-row chunks; one pull per row with SET BATCH 1's
+  /// 1-row chunks).
   double est_batches = 0.0;
 
   /// Predicted work before the first result tuple reaches the caller, in

@@ -102,7 +102,6 @@ Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
       int mat = profile->Add("materialized-combination", -1.0, {});
       OpProfile* p = profile->prof(mat);
       p->open_calls = 1;
-      p->next_calls = 1;
       p->rows_out = run.combined.rows().size();
       p->time_ns = MonotonicNowNs() - t0;
       run.root_prof = profile->Add("construct", -1.0, {mat});
@@ -148,36 +147,23 @@ Result<bool> Cursor::Next(Tuple* out) {
 Result<bool> Cursor::NextImpl(Tuple* out) {
   RunState& run = *run_;
   if (run.pipeline.ok()) {
-    if (plan_->batch_size > 1) {
-      // Batched drain: refill a column-major chunk from the sink, then
-      // construct tuples row-by-row out of it. The sink accumulates
-      // full chunks, so batches_emitted is ceil(rows / batch) for a
-      // full drain regardless of upstream chunking.
-      while (true) {
-        if (run.chunk_pos >= run.chunk.rows) {
-          run.chunk.capacity = plan_->batch_size;
-          PASCALR_ASSIGN_OR_RETURN(bool more,
-                                   run.pipeline.root->NextBatch(&run.chunk));
-          if (!more) return false;
-          run.chunk_pos = 0;
-          ++run.stats.batches_emitted;
-        }
-        run.chunk.RowAt(run.chunk_pos++, &run.scratch);
-        PASCALR_ASSIGN_OR_RETURN(
-            Tuple tuple, ConstructRow(*plan_, run.scratch, run.column_of_var,
-                                      *db_, &run.stats));
-        if (!run.seen.insert(tuple).second) continue;  // duplicate row
-        *out = std::move(tuple);
-        return true;
-      }
-    }
-    RefRow row;
+    // Refill a column-major chunk from the sink, then construct tuples
+    // row-by-row out of it. The sink accumulates full chunks, so
+    // batches_emitted is ceil(rows / batch) for a full drain regardless
+    // of upstream chunking.
     while (true) {
-      PASCALR_ASSIGN_OR_RETURN(bool more, run.pipeline.root->Next(&row));
-      if (!more) return false;
+      if (run.chunk_pos >= run.chunk.rows) {
+        run.chunk.capacity = plan_->batch_size;
+        PASCALR_ASSIGN_OR_RETURN(bool more,
+                                 run.pipeline.root->NextBatch(&run.chunk));
+        if (!more) return false;
+        run.chunk_pos = 0;
+        ++run.stats.batches_emitted;
+      }
+      run.chunk.RowAt(run.chunk_pos++, &run.scratch);
       PASCALR_ASSIGN_OR_RETURN(
-          Tuple tuple,
-          ConstructRow(*plan_, row, run.column_of_var, *db_, &run.stats));
+          Tuple tuple, ConstructRow(*plan_, run.scratch, run.column_of_var,
+                                    *db_, &run.stats));
       if (!run.seen.insert(tuple).second) continue;  // duplicate row
       *out = std::move(tuple);
       return true;
@@ -239,12 +225,6 @@ CollectionResult Cursor::ReleaseCollection() {
   // collection must not be touched again.
   run_->pipeline.root.reset();
   return run_->builders->Release();
-}
-
-size_t Cursor::rows_pending() const {
-  if (run_ == nullptr || run_->pipeline.ok()) return 0;
-  const size_t total = run_->combined.rows().size();
-  return total - std::min(run_->row, total);
 }
 
 }  // namespace pascalr

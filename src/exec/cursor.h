@@ -1,10 +1,11 @@
 // Pull-based result cursor over a compiled plan.
 //
 // Pipelined mode (QueryPlan::pipeline, the default): Open compiles the
-// combination phase into a join-iterator tree (src/pipeline/); every Next
-// pulls ONE combination row through that tree and straight into the
-// per-tuple construction helpers — dereference + projection + duplicate
-// elimination on demand. Under the eager collection policy Open still
+// combination phase into a join-iterator tree (src/pipeline/). Next
+// constructs one tuple at a time — dereference + projection + duplicate
+// elimination on demand — out of a chunk of combination rows, pulling
+// the next chunk (QueryPlan::batch_size rows) through the tree only when
+// the current one is used up. Under the eager collection policy Open still
 // runs the whole collection phase (paper §3.3 step 1) first; under
 // CollectionPolicy::kLazy Open only *registers* per-structure builders
 // and every piece of collection work — structure builds, index builds,
@@ -108,11 +109,6 @@ class Cursor {
   /// cursor has been drained). The cursor must not be advanced afterwards.
   CollectionResult ReleaseCollection();
 
-  /// Combination-phase output rows still to be constructed (pre-dedup).
-  /// Only known in materializing mode; a pipelined cursor has no
-  /// materialised pending set and reports 0.
-  size_t rows_pending() const;
-
  private:
   /// Next minus the instrumentation shell (Next itself times the pull
   /// when a tracer or profile is attached).
@@ -131,7 +127,7 @@ class Cursor {
     PeakTracker tracker{&stats};
     std::unique_ptr<CollectionBuilders> builders;
     CompiledPipeline pipeline;  ///< root null on the materializing path
-    Chunk chunk;                ///< batched drain: current sink chunk
+    Chunk chunk;                ///< current sink chunk
     size_t chunk_pos = 0;       ///< next unconstructed row of `chunk`
     RefRow scratch;             ///< reused per-row construction input
     RefRelation combined;       ///< materializing path only

@@ -303,11 +303,10 @@ struct QueryPlan {
   /// always build eagerly.
   CollectionPolicy collection = CollectionPolicy::kEager;
 
-  /// Rows per pipeline chunk on the batched drain (`SET BATCH <n>;`).
-  /// 1 selects the exact row-at-a-time execution (the bit-identity
-  /// oracle for the vectorized path); values > 1 pull column-major
-  /// chunks through NextBatch. Same rows, order, and counters either
-  /// way — batching only changes the call pattern.
+  /// Rows per pipeline chunk (`SET BATCH <n>;`): the capacity of every
+  /// NextBatch pull on the pipelined drain; 1 pulls 1-row chunks. A full
+  /// drain yields the same rows, order, and counters at every size
+  /// (batches_emitted aside) — the size only changes the call pattern.
   size_t batch_size = 1024;
 
   bool IsEliminated(const std::string& var) const {

@@ -37,10 +37,10 @@ struct ExecStats {
   /// Structure rows are already priced in single_list_refs /
   /// indirect_join_refs, so this stays out of TotalWork() too.
   uint64_t structure_elements_built = 0;
-  /// Chunks the batched cursor drain pulled from the pipeline sink — 0
-  /// on row-at-a-time (`SET BATCH 1;`) and materializing runs. The sink
-  /// accumulates full chunks, so for a full drain this is
-  /// ceil(result rows / batch size): deterministic for a given plan and
+  /// Chunks the pipelined cursor drain pulled from the pipeline sink —
+  /// one per sink row at `SET BATCH 1;`, 0 on materializing runs. The
+  /// sink accumulates full chunks, so for a full drain this is
+  /// ceil(sink rows / batch size): deterministic for a given plan and
   /// batch size. An event count, not work: stays out of TotalWork() —
   /// every row a batch carries is already priced by the row counters
   /// above.

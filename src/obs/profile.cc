@@ -60,11 +60,15 @@ void PipelineProfile::RenderNode(int id, int depth, std::string* out) const {
   uint64_t child_ns = ChildTimeNs(id);
   uint64_t self_ns = n.prof.time_ns > child_ns ? n.prof.time_ns - child_ns : 0;
   std::string indent(static_cast<size_t>(depth) * 2, ' ');
-  *out += StrFormat("%s%s  (rows=%llu nexts=%llu self=%.3f ms", indent.c_str(),
-                    n.label.c_str(),
-                    static_cast<unsigned long long>(n.prof.rows_out),
-                    static_cast<unsigned long long>(n.prof.next_calls),
-                    static_cast<double>(self_ns) / 1e6);
+  *out += StrFormat("%s%s  (rows=%llu", indent.c_str(), n.label.c_str(),
+                    static_cast<unsigned long long>(n.prof.rows_out));
+  // Only the cursor's construct node counts row pulls; operators are
+  // pulled a chunk at a time (batches= below).
+  if (n.prof.next_calls > 0) {
+    *out += StrFormat(" nexts=%llu",
+                      static_cast<unsigned long long>(n.prof.next_calls));
+  }
+  *out += StrFormat(" self=%.3f ms", static_cast<double>(self_ns) / 1e6);
   if (n.prof.batch_calls > 0) {
     *out += StrFormat(
         " batches=%llu rows/batch=%.1f",
@@ -85,19 +89,6 @@ std::string PipelineProfile::Render() const {
   if (root_ < 0) return out;
   RenderNode(root_, 0, &out);
   return out;
-}
-
-Result<bool> ProfiledIter::Next(RefRow* out) {
-  if (!opened_) {
-    opened_ = true;
-    ++prof_->open_calls;
-  }
-  ++prof_->next_calls;
-  uint64_t start = NowNs();
-  Result<bool> result = inner_->Next(out);
-  prof_->time_ns += NowNs() - start;
-  if (result.ok() && result.value()) ++prof_->rows_out;
-  return result;
 }
 
 Result<bool> ProfiledIter::NextBatch(Chunk* out) {

@@ -3,13 +3,13 @@
 // When profiling is requested, the pipeline compiler registers one OpNode
 // per operator it emits (mirroring the EXPLAIN iterator tree, estimated
 // cardinality attached) and wraps the operator in a ProfiledIter that
-// counts open/next calls, rows out, and cumulative inclusive time. When
+// counts opens, batch pulls, rows out, and cumulative inclusive time. When
 // profiling is off the wrappers are simply never inserted — the iterator
 // tree is bit-identical to the unprofiled build, so the off path carries
 // literally zero instructions of overhead (asserted by the observability
 // tests via counter identity).
 //
-// Timing is inclusive per wrapper (a Next on a join times the child pulls
+// Timing is inclusive per wrapper (a pull on a join times the child pulls
 // it performs); Render() subtracts children's inclusive time to report
 // self-time, and prints the estimated-vs-actual q-error
 // max(est/actual, actual/est) per operator — the misestimation signal
@@ -31,10 +31,10 @@
 namespace pascalr {
 
 struct OpProfile {
-  uint64_t open_calls = 0;  ///< first-Next preparations observed
-  uint64_t next_calls = 0;  ///< row-at-a-time pulls
-  uint64_t batch_calls = 0; ///< NextBatch pulls (batched drains)
-  uint64_t rows_out = 0;    ///< rows produced over both contracts
+  uint64_t open_calls = 0;  ///< first-pull preparations observed
+  uint64_t next_calls = 0;  ///< Cursor::Next calls (construct node only)
+  uint64_t batch_calls = 0; ///< NextBatch pulls (operator nodes)
+  uint64_t rows_out = 0;    ///< rows produced
   uint64_t time_ns = 0;     ///< inclusive (children included)
 };
 
@@ -64,7 +64,8 @@ class PipelineProfile {
   OpProfile* prof(int id) { return &nodes_[static_cast<size_t>(id)].prof; }
 
   /// The EXPLAIN ANALYZE operator table: indented tree with actual rows,
-  /// next calls, self-time, and est-vs-actual q-error per operator.
+  /// row pulls (construct node) or batch pulls (operators), self-time,
+  /// and est-vs-actual q-error per operator.
   std::string Render() const;
 
  private:
@@ -87,19 +88,18 @@ double QError(double est, uint64_t actual);
 /// carries one.
 double MaxQError(const PipelineProfile& profile);
 
-/// Transparent counting/timing decorator. Conforms to the one-method
-/// RefIterator protocol: the wrapped operator's first Next doubles as its
-/// open, so open_calls counts first-Next preparations.
+/// Transparent counting/timing decorator. RefIterator has no separate
+/// open: the wrapped operator's first NextBatch doubles as it, so
+/// open_calls counts first-pull preparations.
 class ProfiledIter : public RefIterator {
  public:
   ProfiledIter(RefIteratorPtr inner, OpProfile* prof)
       : inner_(std::move(inner)), prof_(prof) {}
-  Result<bool> Next(RefRow* out) override;
-  /// Forwards to the inner operator's NextBatch — NOT the row bridge —
-  /// so a profiled run takes exactly the execution path an unprofiled
-  /// one does. Times the whole batch pull once (inclusive); Render's
-  /// child-time subtraction then attributes self-time per batch, never
-  /// double-counting the child pulls performed inside it.
+  /// Forwards to the inner operator's NextBatch, so a profiled run takes
+  /// exactly the execution path an unprofiled one does. Times the whole
+  /// batch pull once (inclusive); Render's child-time subtraction then
+  /// attributes self-time per batch, never double-counting the child
+  /// pulls performed inside it.
   Result<bool> NextBatch(Chunk* out) override;
 
  private:

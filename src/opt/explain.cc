@@ -265,7 +265,7 @@ std::string ExplainPlan(const PlannedQuery& planned) {
   out += "combination phase:\n";
   if (plan.pipeline) {
     out += "  mode: pipelined (streamed join iterators; Cursor::Next pulls "
-           "one combination row)\n";
+           "a chunk at a time)\n";
     out += StrFormat("  vectorized: %zu-row chunks\n", plan.batch_size);
     if (!shape.existential.empty()) {
       out += "  existential-only vars (semi-join probes, no extension): " +

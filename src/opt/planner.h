@@ -57,7 +57,7 @@ struct PlannerOptions {
   bool join_dp_bushy = false;
   /// Stream the combination phase through the join-iterator pipeline
   /// (src/pipeline/) when executing via Cursor: Open runs only the
-  /// collection phase, Next pulls one combination row at a time, and an
+  /// collection phase, Next pulls combination rows a chunk at a time, and an
   /// early Close skips unperformed join work. Off forces the
   /// materializing combination path everywhere. Both modes yield the same
   /// tuple multiset after dedup (asserted by the pipeline property
@@ -72,8 +72,8 @@ struct PlannerOptions {
   /// stop early and can lose on full drains of small relations (repeat
   /// scans). Only the pipelined path can exploit it.
   CollectionPolicy collection = CollectionPolicy::kEager;
-  /// Rows per pipeline chunk on the batched cursor drain
-  /// (`SET BATCH <n>;`); 1 recovers exact row-at-a-time execution.
+  /// Rows per pipeline chunk on the pipelined cursor drain
+  /// (`SET BATCH <n>;`); 1 pulls 1-row chunks.
   size_t batch_size = 1024;
 };
 

@@ -168,9 +168,8 @@ Status Session::ApplyOption(const std::string& name,
         value + "'");
   }
   if (name == "batch") {
-    // Rows per pipeline chunk on the batched cursor drain. 1 is the
-    // exact row-at-a-time execution (the bit-identity oracle for the
-    // vectorized path).
+    // Rows per pipeline chunk on the pipelined cursor drain (1: 1-row
+    // chunks through the same operators).
     if (!value.empty() &&
         value.find_first_not_of("0123456789") == std::string::npos) {
       uint64_t n = std::stoull(value);

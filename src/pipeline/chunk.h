@@ -1,10 +1,9 @@
 // Chunk: a column-major batch of reference rows — the unit of the
-// vectorized (batch-at-a-time) pipeline contract. Operators that
-// implement RefIterator::NextBatch fill one of these per virtual call
-// instead of producing one RefRow per Next, turning restrictions,
-// gates, semi-join marks, and projections into tight loops over Ref
-// arrays: one virtual dispatch and zero per-row heap allocations per
-// ~1024 rows instead of per row.
+// pipeline's one operator contract. Every operator fills one of these
+// per RefIterator::NextBatch call, turning restrictions, gates,
+// semi-join marks, and projections into tight loops over Ref arrays:
+// one virtual dispatch and zero per-row heap allocations per ~1024 rows
+// instead of per row.
 //
 // Layout: `cols[c][r]` is row r's binding for column c. Selective
 // operators (FilterIter) evaluate their predicate into a
@@ -12,7 +11,8 @@
 // survivors column-by-column — the classic selection-vector shape.
 //
 // Capacity discipline: the puller sets `capacity` before each pull
-// (the plan's batch size, propagated root-to-leaf); a filler may stop
+// (the plan's batch size, propagated root-to-leaf; blocking buffers
+// drain their input at kDefaultRows); a filler may stop
 // early — a short (even length-1) chunk does NOT signal exhaustion,
 // only a false return from NextBatch does. Fillers overwrite the chunk
 // completely; no state survives in it between pulls.
@@ -55,8 +55,9 @@ struct Chunk {
     rows = 0;
   }
 
-  /// Row-at-a-time append for bridged (not-yet-vectorized) producers.
-  /// The first row of an empty chunk fixes the arity.
+  /// Row-at-a-time append for producers whose source is row-major per
+  /// element (BaseScanIter). The first row of an empty chunk fixes the
+  /// arity.
   void AppendRow(const RefRow& row) {
     if (rows == 0 && cols.size() != row.size()) Reset(row.size());
     for (size_t c = 0; c < row.size(); ++c) cols[c].push_back(row[c]);

@@ -223,7 +223,7 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
     // A leaf as a stream: lazy leaves stream straight off the base
     // relation when the lowering says so (collection mode (c) — the
     // structure is never materialised) and defer a full build to the
-    // first Next otherwise.
+    // first pull otherwise.
     auto leaf_stream = [&](size_t node_idx) -> RefIteratorPtr {
       size_t input = low.tree.nodes[node_idx].input;
       size_t id = ids[input];
@@ -292,7 +292,7 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
               std::move(np.right_extras), low.semi[i], stats);
         }
       } else {
-        // Bushy right subtree: blocking build, drained at first Next.
+        // Bushy right subtree: blocking build, drained at first pull.
         join_label = StrFormat("%s (bushy build)", join_kind);
         join_children.push_back(node_profs[static_cast<size_t>(node.right)]);
         join = std::make_unique<ProbeJoinIter>(

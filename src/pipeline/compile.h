@@ -1,8 +1,9 @@
 // Compiles a QueryPlan's combination phase into a Volcano-style iterator
 // tree over the collection phase's reference structures (the pipelined
-// combination subsystem). The compiled pipeline delivers the free-variable
-// n-tuples of §3.3 one row per Next — the same row *set* the materializing
-// ExecuteCombination produces, without materialising join intermediates.
+// combination subsystem). The compiled pipeline delivers the
+// free-variable n-tuples of §3.3 one chunk per NextBatch — the same row
+// *set* the materializing ExecuteCombination produces, without
+// materialising join intermediates.
 //
 // Per conjunction: the runtime join order (the optimizer's attached tree
 // when it survives re-validation against actual structure sizes, greedy

@@ -19,16 +19,6 @@ uint64_t HashKey(const RefRow& row, const std::vector<int>& positions) {
   return h;
 }
 
-bool KeyEquals(const RefRow& a, const std::vector<int>& pa, const RefRow& b,
-               const std::vector<int>& pb) {
-  for (size_t i = 0; i < pa.size(); ++i) {
-    if (a[static_cast<size_t>(pa[i])] != b[static_cast<size_t>(pb[i])]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 uint64_t HashKeyChunk(const Chunk& chunk, size_t row,
                       const std::vector<int>& positions) {
   uint64_t h = 0x100001b3ULL;
@@ -50,26 +40,35 @@ bool KeyEqualsChunk(const Chunk& chunk, size_t row,
   return true;
 }
 
-}  // namespace
-
-Result<bool> RefIterator::NextBatch(Chunk* out) {
-  // Row bridge: the adapter that keeps unvectorized operators inside
-  // batched plans. Work and counters are identical to pulling the same
-  // rows through Next directly — only the call pattern changes.
-  out->Reset(out->arity());
+/// Drains `source` to exhaustion into `*into` (set semantics) and
+/// registers the distinct rows with `tracker`; returns how many there
+/// were. The blocking inputs — bushy build sides and the quantifier
+/// tail's division input — are buffered this way.
+Result<uint64_t> DrainDistinct(RefIterator* source, RefRelation* into,
+                               PeakTracker* tracker) {
+  Chunk chunk;
   RefRow row;
-  while (!out->full()) {
-    PASCALR_ASSIGN_OR_RETURN(bool more, Next(&row));
-    if (!more) break;
-    out->AppendRow(row);
+  uint64_t added = 0;
+  while (true) {
+    PASCALR_ASSIGN_OR_RETURN(bool more, source->NextBatch(&chunk));
+    if (!more) return added;
+    uint64_t fresh = 0;
+    for (size_t r = 0; r < chunk.rows; ++r) {
+      chunk.RowAt(r, &row);
+      if (into->Add(row)) ++fresh;
+    }
+    if (tracker != nullptr) tracker->Add(fresh);
+    added += fresh;
   }
-  return out->rows > 0;
 }
 
-Result<bool> UnitIter::Next(RefRow* out) {
+}  // namespace
+
+Result<bool> UnitIter::NextBatch(Chunk* out) {
+  out->Reset(0);
   if (done_) return false;
   done_ = true;
-  out->clear();
+  out->rows = 1;
   return true;
 }
 
@@ -80,13 +79,6 @@ Status ScanIter::Ensure() {
     rel_ = &builders_->result().structures[structure_id_];
   }
   return Status::OK();
-}
-
-Result<bool> ScanIter::Next(RefRow* out) {
-  PASCALR_RETURN_IF_ERROR(Ensure());
-  if (pos_ >= rel_->size()) return false;
-  *out = rel_->row(pos_++);
-  return true;
 }
 
 Result<bool> ScanIter::NextBatch(Chunk* out) {
@@ -116,7 +108,7 @@ Result<bool> ScanIter::NextBatch(Chunk* out) {
 
 // ------------------------------------------------------------- BaseScanIter
 
-Result<bool> BaseScanIter::Next(RefRow* out) {
+Result<bool> BaseScanIter::NextBatch(Chunk* out) {
   if (!prepared_) {
     prepared_ = true;
     PASCALR_RETURN_IF_ERROR(builders_->EnsureElementPrereqs(structure_id_));
@@ -124,17 +116,21 @@ Result<bool> BaseScanIter::Next(RefRow* out) {
                              builders_->StructureBaseRelation(structure_id_));
     refs_ = rel->AllRefs();
   }
-  while (true) {
+  out->Reset(builders_->result().structures[structure_id_].arity());
+  // The next element is evaluated only when the chunk still has room:
+  // demand, not the chunk grid, decides how much collection work runs.
+  while (!out->full()) {
     if (pending_pos_ < pending_.size()) {
-      *out = pending_[pending_pos_++];
-      return true;
+      out->AppendRow(pending_[pending_pos_++]);
+      continue;
     }
-    if (ref_pos_ >= refs_.size()) return false;
+    if (ref_pos_ >= refs_.size()) break;
     pending_.clear();
     pending_pos_ = 0;
     PASCALR_RETURN_IF_ERROR(
         builders_->EvalElement(structure_id_, refs_[ref_pos_++], &pending_));
   }
+  return out->rows > 0;
 }
 
 // ------------------------------------------------------------ ProbeJoinIter
@@ -185,15 +181,15 @@ ProbeJoinIter::ProbeJoinIter(RefIteratorPtr left, RefIteratorPtr right_source,
 
 Status ProbeJoinIter::Prepare() {
   // prepared_ is only set on success: a failed Prepare (lazy build error,
-  // bushy drain error) must re-run on the next Next, not probe
+  // bushy drain error) must re-run on the next pull, not probe
   // half-initialized state.
   if (builders_ != nullptr && key_probe_pos_ >= 0 &&
       !builders_->structure_built(right_structure_)) {
     // Lazy right side in keyed mode (the lowering decided the structure's
     // keyed column is part of the probe key): populate per requested join
     // key — an O(probe) element evaluation instead of an O(relation)
-    // build; KeyEquals still verifies the full (possibly multi-column)
-    // key below.
+    // build; the chain walk still verifies the full (possibly
+    // multi-column) key.
     keyed_mode_ = true;
     prepared_ = true;
     return Status::OK();
@@ -205,14 +201,8 @@ Status ProbeJoinIter::Prepare() {
   if (right_source_ != nullptr) {
     // Bushy build: the right subtree must be complete before the first
     // probe — the one genuinely blocking join input, peak-counted.
-    RefRow row;
-    while (true) {
-      PASCALR_ASSIGN_OR_RETURN(bool more, right_source_->Next(&row));
-      if (!more) break;
-      if (right_buf_.Add(std::move(row)) && tracker_ != nullptr) {
-        tracker_->Add(1);
-      }
-    }
+    PASCALR_RETURN_IF_ERROR(
+        DrainDistinct(right_source_.get(), &right_buf_, tracker_).status());
     right_source_.reset();
     right_ = &right_buf_;
   }
@@ -226,72 +216,7 @@ Status ProbeJoinIter::Prepare() {
   return Status::OK();
 }
 
-bool ProbeJoinIter::Emit(const RefRow& right_row, RefRow* out) {
-  *out = left_row_;
-  if (!semi_) {
-    out->reserve(out->size() + right_extras_.size());
-    for (int e : right_extras_) {
-      out->push_back(right_row[static_cast<size_t>(e)]);
-    }
-  }
-  if (stats_ != nullptr) ++stats_->combination_rows;
-  return true;
-}
-
-Result<bool> ProbeJoinIter::Next(RefRow* out) {
-  if (!prepared_) PASCALR_RETURN_IF_ERROR(Prepare());
-  while (true) {
-    if (!have_left_) {
-      PASCALR_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-      if (!more) return false;
-      have_left_ = true;
-      match_pos_ = 0;
-      if (keyed_mode_) {
-        PASCALR_ASSIGN_OR_RETURN(
-            keyed_rows_,
-            builders_->KeyedMatches(
-                right_structure_,
-                left_row_[static_cast<size_t>(key_probe_pos_)]));
-      } else if (!left_key_.empty()) {
-        auto it = table_.find(HashKey(left_row_, left_key_));
-        matches_ = it == table_.end() ? nullptr : &it->second;
-      }
-    }
-    if (keyed_mode_) {
-      while (keyed_rows_ != nullptr && match_pos_ < keyed_rows_->size()) {
-        const RefRow& candidate = (*keyed_rows_)[match_pos_++];
-        if (!KeyEquals(left_row_, left_key_, candidate, right_key_)) continue;
-        if (semi_) have_left_ = false;  // first match wins; next left row
-        return Emit(candidate, out);
-      }
-      have_left_ = false;
-      continue;
-    }
-    if (left_key_.empty()) {
-      // Cartesian step. Semi: the right side only needs to be non-empty.
-      if (semi_) {
-        have_left_ = false;
-        if (!right_->empty()) return Emit(right_->row(0), out);
-        continue;
-      }
-      if (match_pos_ < right_->size()) {
-        return Emit(right_->row(match_pos_++), out);
-      }
-      have_left_ = false;
-      continue;
-    }
-    // Keyed probe: walk the hash chain, verifying against collisions.
-    while (matches_ != nullptr && match_pos_ < matches_->size()) {
-      const RefRow& candidate = right_->row((*matches_)[match_pos_++]);
-      if (!KeyEquals(left_row_, left_key_, candidate, right_key_)) continue;
-      if (semi_) have_left_ = false;  // first match wins; next left row
-      return Emit(candidate, out);
-    }
-    have_left_ = false;
-  }
-}
-
-void ProbeJoinIter::EmitBatch(size_t l, const RefRow* right_row, Chunk* out) {
+void ProbeJoinIter::Emit(size_t l, const RefRow* right_row, Chunk* out) {
   const size_t left_arity = left_chunk_.arity();
   for (size_t c = 0; c < left_arity; ++c) {
     out->cols[c].push_back(left_chunk_.cols[c][l]);
@@ -308,72 +233,83 @@ void ProbeJoinIter::EmitBatch(size_t l, const RefRow* right_row, Chunk* out) {
 
 Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
   if (!prepared_) PASCALR_RETURN_IF_ERROR(Prepare());
-  if (keyed_mode_) {
-    // Lazy per-join-key population stays row-at-a-time (the builders'
-    // keyed cache is inherently per-probe); the bridge keeps it working.
-    return RefIterator::NextBatch(out);
-  }
+  const size_t extras = semi_ ? 0 : right_extras_.size();
   // The chunk contract requires a full overwrite on every pull: start
   // from an empty chunk so rows from the previous pull can never leak
   // into this one when the left child turns out to be exhausted.
-  out->Reset(out->arity());
   // `have_left_` marks a left row whose match chain is mid-emission
   // (the previous output chunk filled up); everything else restarts
   // from the left chunk cursor.
   bool sized = left_chunk_.rows > 0 || have_left_;
-  if (sized) {
-    out->Reset(left_chunk_.arity() +
-               (semi_ ? 0 : right_extras_.size()));
-  }
+  out->Reset(sized ? left_chunk_.arity() + extras : out->arity());
   while (!out->full()) {
     if (!have_left_) {
       if (left_pos_ >= left_chunk_.rows) {
-        left_chunk_.capacity = out->capacity;
+        // Keyed mode pulls its left input a row at a time: each left row
+        // is one unit of demand on the lazy right side, and a wider pull
+        // would run the left side's own demand-driven collection ahead
+        // of the output (visible as extra work on an early Close).
+        left_chunk_.capacity = keyed_mode_ ? 1 : out->capacity;
         PASCALR_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_chunk_));
         if (!more) break;
         left_pos_ = 0;
         if (!sized) {
           sized = true;
-          out->Reset(left_chunk_.arity() +
-                     (semi_ ? 0 : right_extras_.size()));
+          out->Reset(left_chunk_.arity() + extras);
         }
       }
-      have_left_ = true;
       match_pos_ = 0;
-      if (!left_key_.empty()) {
+      if (keyed_mode_) {
+        // Lazy per-join-key population: the candidates are the right
+        // structure's rows for this left row's key ref, evaluated at
+        // their first demand and cached by the builders for re-probes.
+        PASCALR_ASSIGN_OR_RETURN(
+            keyed_rows_,
+            builders_->KeyedMatches(
+                right_structure_,
+                left_chunk_.cols[static_cast<size_t>(key_probe_pos_)]
+                                [left_pos_]));
+      } else if (!left_key_.empty()) {
         auto it = table_.find(
             HashKeyChunk(left_chunk_, left_pos_, left_key_));
         matches_ = it == table_.end() ? nullptr : &it->second;
       }
+      have_left_ = true;
     }
     const size_t l = left_pos_;
     if (left_key_.empty()) {
       // Cartesian step. Semi: the right side only needs to be non-empty.
       if (semi_) {
-        if (!right_->empty()) EmitBatch(l, nullptr, out);
+        if (!right_->empty()) Emit(l, nullptr, out);
       } else {
         while (match_pos_ < right_->size() && !out->full()) {
-          EmitBatch(l, &right_->row(match_pos_++), out);
+          Emit(l, &right_->row(match_pos_++), out);
         }
         if (match_pos_ < right_->size()) continue;  // out full, row pending
       }
     } else {
+      // Walk the candidate chain — hash-chain indices into the right
+      // structure, or the keyed-partial rows — verifying the full key
+      // against hash collisions and keyed-partial extra columns.
+      const size_t chain = keyed_mode_          ? keyed_rows_->size()
+                           : matches_ != nullptr ? matches_->size()
+                                                 : 0;
       bool emitted_semi = false;
-      while (matches_ != nullptr && match_pos_ < matches_->size() &&
-             !out->full()) {
-        const RefRow& candidate = right_->row((*matches_)[match_pos_++]);
+      while (match_pos_ < chain && !out->full()) {
+        const size_t m = match_pos_++;
+        const RefRow& candidate =
+            keyed_mode_ ? (*keyed_rows_)[m] : right_->row((*matches_)[m]);
         if (!KeyEqualsChunk(left_chunk_, l, left_key_, candidate,
                             right_key_)) {
           continue;
         }
-        EmitBatch(l, &candidate, out);
+        Emit(l, &candidate, out);
         if (semi_) {
           emitted_semi = true;
           break;  // first match wins; next left row
         }
       }
-      if (!emitted_semi && matches_ != nullptr &&
-          match_pos_ < matches_->size()) {
+      if (!emitted_semi && match_pos_ < chain) {
         continue;  // out full mid-chain, left row stays pending
       }
     }
@@ -394,26 +330,6 @@ Status ExtendIter::EnsureRefs() {
   }
   refs_ = &it->second;
   return Status::OK();
-}
-
-Result<bool> ExtendIter::Next(RefRow* out) {
-  PASCALR_RETURN_IF_ERROR(EnsureRefs());
-  if (refs_->empty()) return false;  // product with an empty range
-  while (true) {
-    if (!have_) {
-      PASCALR_ASSIGN_OR_RETURN(bool more, child_->Next(&row_));
-      if (!more) return false;
-      have_ = true;
-      pos_ = 0;
-    }
-    if (pos_ < refs_->size()) {
-      *out = row_;
-      out->push_back((*refs_)[pos_++]);
-      if (stats_ != nullptr) ++stats_->combination_rows;
-      return true;
-    }
-    have_ = false;
-  }
 }
 
 Result<bool> ExtendIter::NextBatch(Chunk* out) {
@@ -478,12 +394,6 @@ Status RangeGuardIter::Check() {
   return Status::OK();
 }
 
-Result<bool> RangeGuardIter::Next(RefRow* out) {
-  PASCALR_RETURN_IF_ERROR(Check());
-  if (empty_) return false;
-  return child_->Next(out);
-}
-
 Result<bool> RangeGuardIter::NextBatch(Chunk* out) {
   PASCALR_RETURN_IF_ERROR(Check());
   if (empty_) {
@@ -494,44 +404,6 @@ Result<bool> RangeGuardIter::NextBatch(Chunk* out) {
 }
 
 // --------------------------------------------------------------- FilterIter
-
-bool FilterIter::Keeps(const Chunk& chunk, size_t row) {
-  if (member_of_ != nullptr) {
-    key_.resize(key_pos_.size());
-    for (size_t i = 0; i < key_pos_.size(); ++i) {
-      key_[i] = chunk.cols[static_cast<size_t>(key_pos_[i])][row];
-    }
-    return member_of_->Contains(key_);
-  }
-  bool same = chunk.cols[static_cast<size_t>(left_pos_)][row] ==
-              chunk.cols[static_cast<size_t>(right_pos_)][row];
-  return same == equal_;
-}
-
-Result<bool> FilterIter::Next(RefRow* out) {
-  while (true) {
-    PASCALR_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    if (stats_ != nullptr) ++stats_->comparisons;
-    if (member_of_ != nullptr) {
-      key_.resize(key_pos_.size());
-      for (size_t i = 0; i < key_pos_.size(); ++i) {
-        key_[i] = (*out)[static_cast<size_t>(key_pos_[i])];
-      }
-      if (member_of_->Contains(key_)) {
-        // Kept rows count as combination output, mirroring the semi
-        // probe-join this lowering replaces — combination_rows totals
-        // are invariant across the two lowerings.
-        if (stats_ != nullptr) ++stats_->combination_rows;
-        return true;
-      }
-      continue;
-    }
-    bool same = (*out)[static_cast<size_t>(left_pos_)] ==
-                (*out)[static_cast<size_t>(right_pos_)];
-    if (same == equal_) return true;
-  }
-}
 
 Result<bool> FilterIter::NextBatch(Chunk* out) {
   // The vectorized reference shape: evaluate the predicate over the
@@ -568,8 +440,12 @@ Result<bool> FilterIter::NextBatch(Chunk* out) {
         }
       }
     } else {
+      const std::vector<Ref>& a =
+          child_chunk_.cols[static_cast<size_t>(left_pos_)];
+      const std::vector<Ref>& b =
+          child_chunk_.cols[static_cast<size_t>(right_pos_)];
       for (size_t r = 0; r < child_chunk_.rows; ++r) {
-        if (Keeps(child_chunk_, r)) sel_.push_back(static_cast<uint32_t>(r));
+        if ((a[r] == b[r]) == equal_) sel_.push_back(static_cast<uint32_t>(r));
       }
     }
     if (stats_ != nullptr) {
@@ -601,24 +477,6 @@ ProjectIter::ProjectIter(RefIteratorPtr child, std::vector<int> positions,
       seen_(dedup ? RefRelation(std::move(columns)) : RefRelation()),
       stats_(stats),
       tracker_(tracker) {}
-
-Result<bool> ProjectIter::Next(RefRow* out) {
-  RefRow row;
-  while (true) {
-    PASCALR_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
-    if (!more) return false;
-    RefRow projected;
-    projected.reserve(positions_.size());
-    for (int p : positions_) projected.push_back(row[static_cast<size_t>(p)]);
-    if (dedup_) {
-      if (!seen_.Add(projected)) continue;  // duplicate row, suppressed
-      if (tracker_ != nullptr) tracker_->Add(1);
-    }
-    if (stats_ != nullptr) ++stats_->combination_rows;
-    *out = std::move(projected);
-    return true;
-  }
-}
 
 Result<bool> ProjectIter::NextBatch(Chunk* out) {
   if (!dedup_) {
@@ -677,16 +535,6 @@ Result<bool> ProjectIter::NextBatch(Chunk* out) {
 
 // --------------------------------------------------------------- ConcatIter
 
-Result<bool> ConcatIter::Next(RefRow* out) {
-  while (current_ < children_.size()) {
-    PASCALR_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(out));
-    if (more) return true;
-    children_[current_].reset();  // fully drained; release its state
-    ++current_;
-  }
-  return false;
-}
-
 Result<bool> ConcatIter::NextBatch(Chunk* out) {
   while (current_ < children_.size()) {
     PASCALR_ASSIGN_OR_RETURN(bool more, children_[current_]->NextBatch(out));
@@ -717,23 +565,11 @@ QuantifierTailIter::QuantifierTailIter(
 Status QuantifierTailIter::Materialize() {
   materialized_ = true;
   // Buffer the stream with set semantics: exactly the division input the
-  // materializing path arrives at after its inner-SOME projections. The
-  // child is drained in chunks so a vectorized subtree stays batched up
-  // to this blocking boundary.
+  // materializing path arrives at after its inner-SOME projections.
   RefRelation combined(columns_);
-  Chunk chunk;
-  RefRow row;
-  while (true) {
-    PASCALR_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&chunk));
-    if (!more) break;
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      chunk.RowAt(r, &row);
-      if (combined.Add(row)) {
-        if (tracker_ != nullptr) tracker_->Add(1);
-        if (stats_ != nullptr) ++stats_->combination_rows;
-      }
-    }
-  }
+  PASCALR_ASSIGN_OR_RETURN(uint64_t buffered,
+                           DrainDistinct(child_.get(), &combined, tracker_));
+  if (stats_ != nullptr) stats_->combination_rows += buffered;
   child_.reset();
 
   for (size_t i = tail_.size(); i-- > 0;) {
@@ -768,18 +604,6 @@ Status QuantifierTailIter::Materialize() {
     tracker_->Sub(combined.size());
   }
   return Status::OK();
-}
-
-Result<bool> QuantifierTailIter::Next(RefRow* out) {
-  if (!materialized_) PASCALR_RETURN_IF_ERROR(Materialize());
-  if (pos_ >= result_.size()) {
-    if (tracker_ != nullptr) tracker_->Sub(result_.size());
-    result_.Clear();
-    pos_ = 0;
-    return false;
-  }
-  *out = result_.row(pos_++);
-  return true;
 }
 
 Result<bool> QuantifierTailIter::NextBatch(Chunk* out) {

@@ -1,24 +1,23 @@
 // Volcano-style pull iterators over reference structures — the streamed
-// combination phase (paper §3.3 step 2, evaluated tuple-at-a-time in the
-// classic pipelined model surveyed by arXiv:0903.4305). Each operator
-// produces one RefRow per Next — or, on the vectorized path, one
-// column-major Chunk of ~batch-size rows per NextBatch (see chunk.h);
-// the cursor drives the whole tree either way, so an early Close skips
-// all unperformed join work. Both contracts coexist on every operator:
-// NextBatch has a row-bridging default, so batched plans run unchanged
-// while operators are vectorized one by one, and `SET BATCH 1;` recovers
-// the exact row-at-a-time execution for bit-identity oracles.
+// combination phase (paper §3.3 step 2, in the pipelined model surveyed
+// by arXiv:0903.4305, vectorized). Every operator has one pull,
+// NextBatch, which produces one column-major Chunk of up to
+// `capacity` rows (see chunk.h); the cursor drives the whole tree, so
+// an early Close skips all unperformed join work. Row access happens
+// only at the cursor boundary. `SET BATCH 1;` runs the same operators
+// over 1-row chunks.
 //
 // Under the demand-driven collection policy (CollectionPolicy::kLazy) the
 // leaves additionally pull the *collection* phase on demand: scans and
 // probe builds receive a CollectionBuilders handle instead of a finished
-// structure and populate it behind Next — fully at first use, per join
-// key, or streaming the base relation without materialising at all. An
-// early Close then also skips collection work, not just join work.
+// structure and populate it behind NextBatch — fully at first use, per
+// join key, or streaming the base relation without materialising at
+// all. An early Close then also skips collection work, not just join
+// work.
 //
 // Operator inventory:
 //   ScanIter        structure scan (a collection-phase RefRelation; with
-//                   a builders handle, EnsureStructure at the first Next)
+//                   a builders handle, EnsureStructure at the first pull)
 //   BaseScanIter    demand-driven single-producer scan: streams the base
 //                   relation element-at-a-time through the structure's
 //                   producers (gates, restriction, index probes) without
@@ -34,7 +33,7 @@
 //                   side's purely-existential columns.
 //   ExtendIter      Cartesian extension with a variable's materialised
 //                   range (§3.3's n-tuple invariant); with a builders
-//                   handle the range materialises at the first Next
+//                   handle the range materialises at the first pull
 //   RangeGuardIter  annihilates the stream when an (absent, purely
 //                   existential) variable's range is empty — the lazy
 //                   form of the compile-time empty-range check
@@ -44,8 +43,8 @@
 //                   compile.cc emits the membership form for covered
 //                   join-tree leaves — a structure that contributes no
 //                   new column is a predicate that outlived its
-//                   collection gate, not a join. The vectorized
-//                   selection-vector reference example.
+//                   collection gate, not a join. The selection-vector
+//                   reference example.
 //   ProjectIter     column drop/reorder; with dedup on, the sink that
 //                   suppresses duplicates (seen rows are peak-counted)
 //   ConcatIter      union of the disjunct streams (children share one
@@ -55,7 +54,7 @@
 //                   division / projection right-to-left, streams out
 //   UnitIter / EmptyIter  the arity-0 TRUE row / the empty stream
 //
-// Memory discipline: streaming operators hold O(1) rows plus index maps
+// Memory discipline: streaming operators hold one chunk plus index maps
 // of row *indices* over already-materialised structures; only blocking
 // buffers (dedup sinks, division input, bushy builds) register rows with
 // the PeakTracker. That is what keeps the pipelined
@@ -81,31 +80,28 @@ namespace pascalr {
 class RefIterator {
  public:
   virtual ~RefIterator() = default;
-  /// Produces the next row into `*out` (arity = the operator's column
-  /// layout). Returns false when the stream is exhausted.
-  virtual Result<bool> Next(RefRow* out) = 0;
   /// Produces up to `out->capacity` rows into `*out` (overwritten
-  /// completely). Returns false only on exhaustion with zero rows; a
-  /// short chunk does not signal exhaustion. The base implementation
-  /// bridges Next() row-at-a-time — the adapter that keeps
-  /// not-yet-vectorized operators (QuantifierTailIter's stream-out,
-  /// BaseScanIter, lazy keyed probes) working inside batched plans;
-  /// vectorized operators override it with tight column loops.
-  virtual Result<bool> NextBatch(Chunk* out);
+  /// completely; arity = the operator's column layout). Returns false
+  /// only on exhaustion with zero rows; a short chunk does not signal
+  /// exhaustion.
+  virtual Result<bool> NextBatch(Chunk* out) = 0;
 };
 
 using RefIteratorPtr = std::unique_ptr<RefIterator>;
 
 class EmptyIter : public RefIterator {
  public:
-  Result<bool> Next(RefRow*) override { return false; }
+  Result<bool> NextBatch(Chunk* out) override {
+    out->Reset(out->arity());
+    return false;
+  }
 };
 
 /// The arity-0 relation containing the empty row: TRUE (a conjunction
 /// with no combination inputs).
 class UnitIter : public RefIterator {
  public:
-  Result<bool> Next(RefRow* out) override;
+  Result<bool> NextBatch(Chunk* out) override;
 
  private:
   bool done_ = false;
@@ -114,11 +110,10 @@ class UnitIter : public RefIterator {
 class ScanIter : public RefIterator {
  public:
   explicit ScanIter(const RefRelation* rel) : rel_(rel) {}
-  /// Demand-driven: EnsureStructure(structure_id) at the first Next, then
-  /// scan the materialised rows.
+  /// Demand-driven: EnsureStructure(structure_id) at the first pull,
+  /// then scan the materialised rows.
   ScanIter(CollectionBuilders* builders, size_t structure_id)
       : builders_(builders), structure_id_(structure_id) {}
-  Result<bool> Next(RefRow* out) override;
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
@@ -134,12 +129,13 @@ class ScanIter : public RefIterator {
 /// a time through its producers — the structure itself never exists.
 /// Requires CollectionBuilders::KeyedColumn(structure_id) >= 0 (single
 /// scanned variable). Emits the same row set a materialised scan would,
-/// in the same (slot) order.
+/// in the same (slot) order. A pull evaluates elements only until the
+/// chunk is full; the rest of the last element's rows carry over.
 class BaseScanIter : public RefIterator {
  public:
   BaseScanIter(CollectionBuilders* builders, size_t structure_id)
       : builders_(builders), structure_id_(structure_id) {}
-  Result<bool> Next(RefRow* out) override;
+  Result<bool> NextBatch(Chunk* out) override;
 
  private:
   CollectionBuilders* builders_;
@@ -152,7 +148,7 @@ class BaseScanIter : public RefIterator {
 };
 
 /// Streaming join. Probes an index (join-key -> row indices) over the
-/// right side, built lazily at the first Next. With an empty key the join
+/// right side, built lazily at the first pull. With an empty key the join
 /// degenerates to the nested-loop Cartesian step. Output layout: left
 /// columns, then the right side's extra columns (none under semi).
 class ProbeJoinIter : public RefIterator {
@@ -174,22 +170,20 @@ class ProbeJoinIter : public RefIterator {
                 bool semi, ExecStats* stats, int keyed_probe_pos);
 
   /// Right side is a subtree (bushy trees): drained into an owned buffer
-  /// at the first Next — a blocking build registered with `tracker`.
+  /// at the first pull — a blocking build registered with `tracker`.
   ProbeJoinIter(RefIteratorPtr left, RefIteratorPtr right_source,
                 std::vector<std::string> right_columns,
                 std::vector<int> left_key, std::vector<int> right_key,
                 std::vector<int> right_extras, bool semi, ExecStats* stats,
                 PeakTracker* tracker);
 
-  Result<bool> Next(RefRow* out) override;
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
   Status Prepare();
-  bool Emit(const RefRow& right_row, RefRow* out);
   /// Appends left row `l` of `left_chunk_` (plus `right_row`'s extras
-  /// unless semi) to `out` — the batched Emit.
-  void EmitBatch(size_t l, const RefRow* right_row, Chunk* out);
+  /// unless semi) to `out`.
+  void Emit(size_t l, const RefRow* right_row, Chunk* out);
 
   RefIteratorPtr left_;
   const RefRelation* right_ = nullptr;
@@ -209,18 +203,18 @@ class ProbeJoinIter : public RefIterator {
   int key_probe_pos_ = -1;   ///< left column probed in keyed mode (-1: off)
   /// Join-key hash -> right row indices, in scan order.
   std::unordered_map<uint64_t, std::vector<size_t>> table_;
-  RefRow left_row_;
+  /// Left row `left_pos_` is mid-emission (its chain outlived a chunk).
   bool have_left_ = false;
-  const std::vector<size_t>* matches_ = nullptr;  ///< keyed probe chain
+  const std::vector<size_t>* matches_ = nullptr;  ///< hash chain in table_
   const std::vector<RefRow>* keyed_rows_ = nullptr;  ///< keyed-partial rows
-  size_t match_pos_ = 0;  ///< position in chain (keyed) or right rows (cross)
-  Chunk left_chunk_;      ///< batched path: current left batch
+  size_t match_pos_ = 0;  ///< position in chain or right rows (cross)
+  Chunk left_chunk_;      ///< current left batch
   size_t left_pos_ = 0;   ///< next unconsumed row of left_chunk_
 };
 
 /// Cartesian extension with a materialised range: each child row is
 /// emitted once per ref (the product step of §3.3's n-tuple invariant).
-/// With a builders handle, the range materialises at the first Next.
+/// With a builders handle, the range materialises at the first pull.
 class ExtendIter : public RefIterator {
  public:
   ExtendIter(RefIteratorPtr child, const std::vector<Ref>* refs,
@@ -232,7 +226,6 @@ class ExtendIter : public RefIterator {
         builders_(builders),
         var_(std::move(var)),
         stats_(stats) {}
-  Result<bool> Next(RefRow* out) override;
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
@@ -243,10 +236,8 @@ class ExtendIter : public RefIterator {
   CollectionBuilders* builders_ = nullptr;
   std::string var_;
   ExecStats* stats_;
-  RefRow row_;
-  size_t pos_ = 0;
-  bool have_ = false;
-  Chunk child_chunk_;     ///< batched path: current child batch
+  size_t pos_ = 0;        ///< next ref for the row being extended
+  Chunk child_chunk_;     ///< current child batch
   size_t child_pos_ = 0;  ///< row of child_chunk_ being extended
 };
 
@@ -255,15 +246,13 @@ class ExtendIter : public RefIterator {
 /// purely existential variable absent from every structure imposes: a
 /// non-empty range is the whole existence proof, an empty one zeroes the
 /// conjunct (exactly like the materializing path's product with an empty
-/// range). The range materialises at the first Next.
+/// range). The range materialises at the first pull; once the guard
+/// passes, the child's chunks are forwarded unchanged.
 class RangeGuardIter : public RefIterator {
  public:
   RangeGuardIter(RefIteratorPtr child, CollectionBuilders* builders,
                  std::string var)
       : child_(std::move(child)), builders_(builders), var_(std::move(var)) {}
-  Result<bool> Next(RefRow* out) override;
-  /// Forwards the child's batches once the guard passes, so the guard
-  /// never demotes a vectorized subtree to the row bridge.
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
@@ -287,9 +276,9 @@ class RangeGuardIter : public RefIterator {
 ///                    gate, and compile.cc lowers such covered leaves
 ///                    here instead of to a degenerate probe-join
 ///
-/// NextBatch is the pipeline's vectorized reference example: evaluate
-/// the predicate over the child chunk into a SelectionVector, then
-/// gather the survivors column-by-column. Each evaluation counts one
+/// NextBatch is the pipeline's selection-vector reference example:
+/// evaluate the predicate over the child chunk into a SelectionVector,
+/// then gather the survivors column-by-column. Each evaluation counts one
 /// ExecStats::comparisons.
 class FilterIter : public RefIterator {
  public:
@@ -309,12 +298,9 @@ class FilterIter : public RefIterator {
         member_of_(member_of),
         key_pos_(std::move(key_pos)),
         stats_(stats) {}
-  Result<bool> Next(RefRow* out) override;
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
-  bool Keeps(const Chunk& chunk, size_t row);
-
   RefIteratorPtr child_;
   int left_pos_ = -1;
   int right_pos_ = -1;
@@ -336,7 +322,6 @@ class ProjectIter : public RefIterator {
   ProjectIter(RefIteratorPtr child, std::vector<int> positions,
               std::vector<std::string> columns, bool dedup, ExecStats* stats,
               PeakTracker* tracker);
-  Result<bool> Next(RefRow* out) override;
   /// Non-dedup: one child chunk in, its columns gathered, one chunk out.
   /// Dedup (the sink): accumulates child chunks until the output chunk
   /// is full, so chunk boundaries at the cursor — and the
@@ -364,7 +349,6 @@ class ConcatIter : public RefIterator {
  public:
   explicit ConcatIter(std::vector<RefIteratorPtr> children)
       : children_(std::move(children)) {}
-  Result<bool> Next(RefRow* out) override;
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
@@ -389,10 +373,9 @@ class QuantifierTailIter : public RefIterator {
                      CollectionBuilders* builders,
                      DivisionAlgorithm division, ExecStats* stats,
                      PeakTracker* tracker);
-  Result<bool> Next(RefRow* out) override;
-  /// Streams the buffered result in chunks (the blocking tail itself —
-  /// division, projections — is not vectorized; the child stream is
-  /// drained through NextBatch so a vectorized subtree stays batched).
+  /// Streams the buffered result in chunks. The blocking tail itself —
+  /// division, projections — runs over the buffered relation at the
+  /// first pull.
   Result<bool> NextBatch(Chunk* out) override;
 
  private:

@@ -31,31 +31,53 @@ Ref R(RelationId rel, uint32_t slot) { return Ref{rel, slot, 1}; }
 
 // ------------------------------------------------------------ operator units
 
+// Drains `it` through NextBatch at `capacity` rows per pull and returns
+// the rows in order. Every pull before exhaustion must carry 1 to
+// `capacity` rows.
+std::vector<RefRow> DrainRows(RefIterator* it, size_t capacity) {
+  std::vector<RefRow> rows;
+  Chunk chunk;
+  RefRow row;
+  while (true) {
+    chunk.capacity = capacity;
+    auto more = it->NextBatch(&chunk);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !*more) break;
+    EXPECT_GT(chunk.rows, 0u);
+    EXPECT_LE(chunk.rows, capacity);
+    for (size_t r = 0; r < chunk.rows; ++r) {
+      chunk.RowAt(r, &row);
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+// The unit drains run at capacities 1 and 3, so chunk boundaries fall
+// inside match chains, extensions and dedup runs.
+constexpr size_t kUnitCapacities[] = {1, 3};
+
 TEST(PipelineIteratorTest, ScanAndProjectDedup) {
   RefRelation ij = RefRelation::IndirectJoin("a", "b");
   ij.Add({R(1, 0), R(2, 0)});
   ij.Add({R(1, 0), R(2, 1)});
   ij.Add({R(1, 1), R(2, 0)});
 
-  ExecStats stats;
-  PeakTracker tracker(&stats);
-  // Project onto "a" with dedup: 3 child rows collapse to 2.
-  auto project = std::make_unique<ProjectIter>(
-      std::make_unique<ScanIter>(&ij), std::vector<int>{0},
-      std::vector<std::string>{"a"}, /*dedup=*/true, &stats, &tracker);
-  RefRow row;
-  std::vector<RefRow> rows;
-  while (true) {
-    auto more = project->Next(&row);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    rows.push_back(row);
+  for (size_t capacity : kUnitCapacities) {
+    SCOPED_TRACE(capacity);
+    ExecStats stats;
+    PeakTracker tracker(&stats);
+    // Project onto "a" with dedup: 3 child rows collapse to 2.
+    ProjectIter project(std::make_unique<ScanIter>(&ij), std::vector<int>{0},
+                        std::vector<std::string>{"a"}, /*dedup=*/true, &stats,
+                        &tracker);
+    std::vector<RefRow> rows = DrainRows(&project, capacity);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0], (RefRow{R(1, 0)}));
+    EXPECT_EQ(rows[1], (RefRow{R(1, 1)}));
+    EXPECT_EQ(stats.combination_rows, 2u);
+    EXPECT_EQ(stats.peak_intermediate_rows, 2u);  // the dedup seen-set
   }
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (RefRow{R(1, 0)}));
-  EXPECT_EQ(rows[1], (RefRow{R(1, 1)}));
-  EXPECT_EQ(stats.combination_rows, 2u);
-  EXPECT_EQ(stats.peak_intermediate_rows, 2u);  // the dedup seen-set
 }
 
 TEST(PipelineIteratorTest, ProbeJoinKeyedSemiAndCross) {
@@ -68,88 +90,69 @@ TEST(PipelineIteratorTest, ProbeJoinKeyedSemiAndCross) {
   right.Add({R(4, 0), R(3, 1)});
   right.Add({R(4, 1), R(3, 0)});
 
-  auto drain = [](RefIterator* it) {
-    std::vector<RefRow> rows;
-    RefRow row;
-    while (true) {
-      auto more = it->Next(&row);
-      EXPECT_TRUE(more.ok());
-      if (!more.ok() || !*more) break;
-      rows.push_back(row);
-    }
-    return rows;
-  };
+  for (size_t capacity : kUnitCapacities) {
+    SCOPED_TRACE(capacity);
+    // Full join on t: (e,t) x (t,c) -> (e,t,c), 3 pairs in probe order.
+    ExecStats stats;
+    ProbeJoinIter join(std::make_unique<ScanIter>(&left), &right,
+                       /*left_key=*/{1}, /*right_key=*/{0},
+                       /*right_extras=*/{1}, /*semi=*/false, &stats);
+    std::vector<RefRow> joined = DrainRows(&join, capacity);
+    ASSERT_EQ(joined.size(), 3u);
+    EXPECT_EQ(joined[0], (RefRow{R(1, 0), R(4, 0), R(3, 0)}));
+    EXPECT_EQ(joined[1], (RefRow{R(1, 0), R(4, 0), R(3, 1)}));
+    EXPECT_EQ(joined[2], (RefRow{R(1, 1), R(4, 1), R(3, 0)}));
+    EXPECT_EQ(stats.combination_rows, 3u);
 
-  // Full join on t: (e,t) x (t,c) -> (e,t,c), 3 pairs.
-  ExecStats stats;
-  ProbeJoinIter join(std::make_unique<ScanIter>(&left), &right,
-                     /*left_key=*/{1}, /*right_key=*/{0},
-                     /*right_extras=*/{1}, /*semi=*/false, &stats);
-  EXPECT_EQ(drain(&join).size(), 3u);
-  EXPECT_EQ(stats.combination_rows, 3u);
+    // Semi join: one emission per matching left row, no extra columns.
+    ExecStats semi_stats;
+    ProbeJoinIter semi(std::make_unique<ScanIter>(&left), &right,
+                       /*left_key=*/{1}, /*right_key=*/{0},
+                       /*right_extras=*/{1}, /*semi=*/true, &semi_stats);
+    std::vector<RefRow> semi_rows = DrainRows(&semi, capacity);
+    ASSERT_EQ(semi_rows.size(), 2u);
+    EXPECT_EQ(semi_rows[0].size(), 2u);  // left columns only
+    EXPECT_LT(semi_stats.combination_rows, stats.combination_rows);
 
-  // Semi join: one emission per matching left row, no extra columns.
-  ExecStats semi_stats;
-  ProbeJoinIter semi(std::make_unique<ScanIter>(&left), &right,
-                     /*left_key=*/{1}, /*right_key=*/{0},
-                     /*right_extras=*/{1}, /*semi=*/true, &semi_stats);
-  std::vector<RefRow> semi_rows = drain(&semi);
-  ASSERT_EQ(semi_rows.size(), 2u);
-  EXPECT_EQ(semi_rows[0].size(), 2u);  // left columns only
-  EXPECT_LT(semi_stats.combination_rows, stats.combination_rows);
-
-  // Cross step (no shared key): |left| x |right| emissions.
-  ExecStats cross_stats;
-  ProbeJoinIter cross(std::make_unique<ScanIter>(&left), &right,
-                      /*left_key=*/{}, /*right_key=*/{},
-                      /*right_extras=*/{0, 1}, /*semi=*/false, &cross_stats);
-  EXPECT_EQ(drain(&cross).size(), 9u);
+    // Cross step (no shared key): |left| x |right| emissions.
+    ExecStats cross_stats;
+    ProbeJoinIter cross(std::make_unique<ScanIter>(&left), &right,
+                        /*left_key=*/{}, /*right_key=*/{},
+                        /*right_extras=*/{0, 1}, /*semi=*/false,
+                        &cross_stats);
+    EXPECT_EQ(DrainRows(&cross, capacity).size(), 9u);
+  }
 }
 
 TEST(PipelineIteratorTest, ExtendFilterConcatUnit) {
   std::vector<Ref> refs = {R(7, 0), R(7, 1), R(7, 2)};
-  ExecStats stats;
-  auto extend = std::make_unique<ExtendIter>(std::make_unique<UnitIter>(),
-                                             &refs, &stats);
-  RefRow row;
-  size_t n = 0;
-  while (true) {
-    auto more = extend->Next(&row);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    ASSERT_EQ(row.size(), 1u);
-    ++n;
-  }
-  EXPECT_EQ(n, 3u);
+  for (size_t capacity : kUnitCapacities) {
+    SCOPED_TRACE(capacity);
+    ExecStats stats;
+    ExtendIter extend(std::make_unique<UnitIter>(), &refs, &stats);
+    std::vector<RefRow> extended = DrainRows(&extend, capacity);
+    ASSERT_EQ(extended.size(), 3u);
+    for (size_t i = 0; i < extended.size(); ++i) {
+      EXPECT_EQ(extended[i], (RefRow{refs[i]}));
+    }
 
-  // Filter keeps rows whose two columns hold the same ref.
-  RefRelation pairs = RefRelation::IndirectJoin("x", "y");
-  pairs.Add({R(1, 0), R(1, 0)});
-  pairs.Add({R(1, 0), R(1, 1)});
-  FilterIter filter(std::make_unique<ScanIter>(&pairs), 0, 1, /*equal=*/true,
-                    &stats);
-  size_t kept = 0;
-  while (true) {
-    auto more = filter.Next(&row);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    ++kept;
-  }
-  EXPECT_EQ(kept, 1u);
+    // Filter keeps rows whose two columns hold the same ref.
+    RefRelation pairs = RefRelation::IndirectJoin("x", "y");
+    pairs.Add({R(1, 0), R(1, 0)});
+    pairs.Add({R(1, 0), R(1, 1)});
+    FilterIter filter(std::make_unique<ScanIter>(&pairs), 0, 1,
+                      /*equal=*/true, &stats);
+    EXPECT_EQ(DrainRows(&filter, capacity).size(), 1u);
 
-  std::vector<RefIteratorPtr> parts;
-  parts.push_back(std::make_unique<UnitIter>());
-  parts.push_back(std::make_unique<EmptyIter>());
-  parts.push_back(std::make_unique<UnitIter>());
-  ConcatIter concat(std::move(parts));
-  size_t units = 0;
-  while (true) {
-    auto more = concat.Next(&row);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    ++units;
+    std::vector<RefIteratorPtr> parts;
+    parts.push_back(std::make_unique<UnitIter>());
+    parts.push_back(std::make_unique<EmptyIter>());
+    parts.push_back(std::make_unique<UnitIter>());
+    ConcatIter concat(std::move(parts));
+    std::vector<RefRow> units = DrainRows(&concat, capacity);
+    ASSERT_EQ(units.size(), 2u);
+    EXPECT_TRUE(units[0].empty());  // the arity-0 TRUE row
   }
-  EXPECT_EQ(units, 2u);
 }
 
 TEST(PipelineShapeTest, ExistentialAndNeededSplit) {

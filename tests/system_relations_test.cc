@@ -259,6 +259,11 @@ TEST(SystemRelationsTest, SlowLogRecordsOnlyArmedAboveThreshold) {
   ASSERT_TRUE(session.ExecuteScript("SET SLOWLOG 999999999;").ok());
   ASSERT_TRUE(session.Query(kWorkloadQuery).ok());
   EXPECT_EQ(db->slow_log().recorded(), 1u);
+  // A threshold beyond 64 bits is a lexer error (the shell's `.slow N`
+  // forwards here), and the armed threshold stays as it was.
+  EXPECT_FALSE(
+      session.ExecuteScript("SET SLOWLOG 99999999999999999999999;").ok());
+  EXPECT_EQ(db->slow_log().threshold_us(), 999999999u);
   ASSERT_TRUE(session.ExecuteScript("SET SLOWLOG OFF;").ok());
   EXPECT_EQ(db->slow_log().threshold_us(), 0u);
 }

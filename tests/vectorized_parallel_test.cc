@@ -1,12 +1,12 @@
 // Vectorized batch-at-a-time execution (src/pipeline/chunk.h):
 //
-//  - NextBatch contract units (row bridge, the vectorized FilterIter
-//    reference shape) over hand-built structures;
+//  - NextBatch contract units (chunk boundaries, the FilterIter
+//    selection-vector shape) over hand-built structures;
 //  - a property sweep — collection policy x batch size x optimization
 //    level on random queries — set-equal to the naive evaluator oracle;
 //  - the determinism contract: SET BATCH 1024 drains emit the
-//    bit-identical tuple sequence AND work counters of the
-//    row-at-a-time oracle (SET BATCH 1);
+//    bit-identical tuple sequence AND work counters of the 1-row-chunk
+//    drain (SET BATCH 1), batches_emitted aside;
 //  - SET PARALLEL is gone: the executor is serial;
 //  - the covered-leaf residual-predicate lowering (FilterIter
 //    membership) and its EXPLAIN rendering;
@@ -60,37 +60,40 @@ TEST(ChunkTest, AppendRowFixesArityAndRoundTrips) {
   EXPECT_TRUE(chunk.full());
 }
 
-TEST(ChunkTest, RowBridgeBatchesMatchRowPulls) {
-  // The default NextBatch (RefIterator row bridge) must deliver exactly
-  // the Next() row sequence, split at capacity boundaries, and signal
-  // exhaustion only on an empty batch.
+TEST(ChunkTest, SmallBatchesConcatenateToTheSingleFullBatch) {
+  // The same scan pulled at capacity 3 and at capacity 1024: the small
+  // chunks concatenate to the one full chunk, and exhaustion is
+  // signalled only by a pull that returns no rows.
   RefRelation sl = RefRelation::SingleList("a");
   for (uint32_t i = 0; i < 10; ++i) sl.Add({R(1, i)});
-  ScanIter scan(&sl);
-  Chunk chunk;
-  std::vector<RefRow> batched;
-  size_t batches = 0;
-  while (true) {
-    chunk.capacity = 3;
-    auto more = scan.NextBatch(&chunk);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    ASSERT_GT(chunk.rows, 0u);
-    ++batches;
-    RefRow row;
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      chunk.RowAt(r, &row);
-      batched.push_back(row);
+  auto drain = [&](size_t capacity, size_t* batches) {
+    ScanIter scan(&sl);
+    Chunk chunk;
+    std::vector<Ref> refs;
+    *batches = 0;
+    while (true) {
+      chunk.capacity = capacity;
+      auto more = scan.NextBatch(&chunk);
+      EXPECT_TRUE(more.ok());
+      if (!more.ok() || !*more) {
+        EXPECT_EQ(chunk.rows, 0u);
+        break;
+      }
+      EXPECT_GT(chunk.rows, 0u);
+      ++*batches;
+      refs.insert(refs.end(), chunk.cols[0].begin(),
+                  chunk.cols[0].begin() + chunk.rows);
     }
-  }
-  EXPECT_EQ(batches, 4u);  // 3 + 3 + 3 + 1
-  ASSERT_EQ(batched.size(), 10u);
-  ScanIter rescan(&sl);
-  RefRow row;
-  for (size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(*rescan.Next(&row));
-    EXPECT_EQ(row, batched[i]) << "row " << i;
-  }
+    return refs;
+  };
+  size_t small_batches = 0;
+  size_t full_batches = 0;
+  std::vector<Ref> small = drain(3, &small_batches);
+  std::vector<Ref> full = drain(Chunk::kDefaultRows, &full_batches);
+  EXPECT_EQ(small_batches, 4u);  // 3 + 3 + 3 + 1
+  EXPECT_EQ(full_batches, 1u);
+  ASSERT_EQ(full.size(), 10u);
+  EXPECT_EQ(small, full);
 }
 
 TEST(FilterIterTest, MembershipModeKeepsExactlyContainedRows) {
@@ -204,7 +207,7 @@ TEST(VectorizedParallelDeterminismTest, BatchedDrainsAreBitIdentical) {
     ASSERT_TRUE(bound.ok());
 
     PlannerOptions oracle;
-    oracle.batch_size = 1;  // exact row-at-a-time serial oracle
+    oracle.batch_size = 1;  // 1-row chunks through the same operators
     ExecStats oracle_stats;
     std::vector<Tuple> oracle_rows =
         MustRunWith(*db, *bound, oracle, &oracle_stats);
@@ -221,8 +224,11 @@ TEST(VectorizedParallelDeterminismTest, BatchedDrainsAreBitIdentical) {
           << "seed=" << seed << " row " << i;
     }
     // Deterministic counters: everything except batches_emitted, which
-    // describes the drain shape rather than the work done (zero for a
-    // row-at-a-time drain, the chunk count otherwise).
+    // describes the drain shape rather than the work done (the sink's
+    // chunk count: one per sink row at BATCH 1, each tuple returned
+    // having come out of its own sink row).
+    EXPECT_GE(oracle_stats.batches_emitted, oracle_rows.size())
+        << "seed=" << seed;
     ExecStats normalized = stats;
     normalized.batches_emitted = 0;
     ExecStats oracle_normalized = oracle_stats;
