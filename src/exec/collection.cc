@@ -1,6 +1,7 @@
 #include "exec/collection.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "base/str_util.h"
 #include "exec/eval_util.h"
@@ -14,12 +15,13 @@ namespace pascalr {
 namespace {
 
 /// Applies one indirect-join emission for the element (ref, tuple) of the
-/// probe variable, feeding every matching pair to `sink`. Shared by the
-/// scan path (sink = structure Add) and the per-element lazy paths.
+/// probe variable, feeding every matching pair to `sink` as a RowView
+/// (valid for the call only). Shared by the scan path (sink = structure
+/// Add) and the per-element lazy paths.
+template <typename Sink>
 void ForEachIjPair(const IndirectJoinEmit& emit, const Ref& ref,
                    const Tuple& tuple, const CollectionResult& partial,
-                   ExecStats* stats,
-                   const std::function<void(RefRow)>& sink) {
+                   ExecStats* stats, Sink&& sink) {
   if (!EvalGates(emit.gates, tuple, stats)) return;
   // Mutual restriction (S2): every co-probe must find at least one match.
   for (const ProbeCheck& check : emit.corestrictions) {
@@ -33,10 +35,18 @@ void ForEachIjPair(const IndirectJoinEmit& emit, const Ref& ref,
   }
   if (stats != nullptr) ++stats->index_probes;
   const Value& x = tuple.at(static_cast<size_t>(emit.probe_component_pos));
+  // The pair under construction: the probe element fills its column
+  // once, each match the other. The visitor captures one pointer, so it
+  // stays inside std::function's small buffer — no allocation per probe.
+  struct Pair {
+    Ref row[2];
+    size_t build_col;
+    std::remove_reference_t<Sink>* sink;
+  } pair{{ref, ref}, emit.probe_column_first ? size_t{1} : size_t{0}, &sink};
   partial.indexes[emit.index_id]->Probe(
-      MirrorOp(emit.op), x, [&](const Ref& build_ref) {
-        sink(emit.probe_column_first ? RefRow{ref, build_ref}
-                                     : RefRow{build_ref, ref});
+      MirrorOp(emit.op), x, [&pair](const Ref& build_ref) {
+        pair.row[pair.build_col] = build_ref;
+        (*pair.sink)(RowView(pair.row, 2));
         return true;
       });
 }
@@ -152,8 +162,12 @@ CollectionBuilders::CollectionBuilders(const QueryPlan& plan,
         {Producer::Kind::kIndirectJoin, probe.var, kNoScan, nullptr,
          &probe.emit, nullptr});
   }
+  producer_var_.assign(plan.structures.size(), nullptr);
   keyed_column_.resize(plan.structures.size());
   for (size_t i = 0; i < plan.structures.size(); ++i) {
+    if (!producers_[i].empty()) {
+      producer_var_[i] = plan.sf.FindVar(producers_[i].front().var);
+    }
     keyed_column_[i] = StructureKeyedColumn(plan, i);
   }
 }
@@ -174,14 +188,23 @@ Status CollectionBuilders::RunScanFiltered(size_t scan_index,
   // by the restriction check, so any pass over the relation collects it).
   // Claims roll back on failure — a partially collected range must not
   // pass for complete on a retried pass.
-  std::vector<bool> collect_range(scan.actions.size(), false);
+  //
+  // Each action's range restriction (null unless extended) and range
+  // output (null unless collected here) are resolved once per pass, not
+  // per element. range_refs entries are stable: the scan adds no others.
+  std::vector<std::vector<Ref>*> range_out(scan.actions.size(), nullptr);
+  std::vector<const Formula*> restriction(scan.actions.size(), nullptr);
   std::vector<std::string> claimed;
   for (size_t a = 0; a < scan.actions.size(); ++a) {
-    collect_range[a] = range_built_.insert(scan.actions[a].var).second;
-    if (collect_range[a]) {
-      claimed.push_back(scan.actions[a].var);
+    const std::string& var = scan.actions[a].var;
+    const QuantifiedVar* qv = plan_.sf.FindVar(var);
+    if (qv != nullptr && qv->range.IsExtended()) {
+      restriction[a] = qv->range.restriction.get();
+    }
+    if (range_built_.insert(var).second) {
+      claimed.push_back(var);
       // Touch the entry so an all-filtered range still exists in the map.
-      result_.range_refs[scan.actions[a].var];
+      range_out[a] = &result_.range_refs[var];
     }
   }
   if (stats_ != nullptr) ++stats_->relations_read;
@@ -204,12 +227,11 @@ Status CollectionBuilders::RunScanFiltered(size_t scan_index,
     if (stats_ != nullptr) ++stats_->elements_scanned;
     for (size_t a = 0; a < scan.actions.size(); ++a) {
       const ScanAction& action = scan.actions[a];
-      const QuantifiedVar* qv = plan_.sf.FindVar(action.var);
-      if (qv != nullptr && qv->range.IsExtended() &&
-          !EvalRestriction(*qv->range.restriction, tuple, stats_)) {
+      if (restriction[a] != nullptr &&
+          !EvalRestriction(*restriction[a], tuple, stats_)) {
         continue;  // element outside the (extended) range of this var
       }
-      if (collect_range[a]) result_.range_refs[action.var].push_back(ref);
+      if (range_out[a] != nullptr) range_out[a]->push_back(ref);
 
       for (const SingleListEmit& emit : action.single_lists) {
         if (!want_structure(emit.structure_id)) continue;
@@ -258,8 +280,8 @@ Status CollectionBuilders::RunScanFiltered(size_t scan_index,
       for (const IndirectJoinEmit& emit : action.ij_emits) {
         if (!want_structure(emit.structure_id)) continue;
         RefRelation* out = &result_.structures[emit.structure_id];
-        ForEachIjPair(emit, ref, tuple, result_, stats_, [&](RefRow row) {
-          if (out->Add(std::move(row)) && stats_ != nullptr) {
+        ForEachIjPair(emit, ref, tuple, result_, stats_, [&](RowView row) {
+          if (out->Add(row) && stats_ != nullptr) {
             stats_->indirect_join_refs += 2;
             ++stats_->structure_elements_built;
           }
@@ -318,8 +340,8 @@ Status CollectionBuilders::RunPostProbe(const PostScanProbe& probe) {
   for (const Ref& ref : it->second) {
     PASCALR_ASSIGN_OR_RETURN(const Tuple* tuple, db_.Deref(ref));
     if (stats_ != nullptr) ++stats_->elements_scanned;
-    ForEachIjPair(probe.emit, ref, *tuple, result_, stats_, [&](RefRow row) {
-      if (out->Add(std::move(row)) && stats_ != nullptr) {
+    ForEachIjPair(probe.emit, ref, *tuple, result_, stats_, [&](RowView row) {
+      if (out->Add(row) && stats_ != nullptr) {
         stats_->indirect_join_refs += 2;
         ++stats_->structure_elements_built;
       }
@@ -505,7 +527,7 @@ Status CollectionBuilders::EnsureStructure(size_t structure_id) {
 }
 
 Status CollectionBuilders::EvalElement(size_t structure_id, const Ref& ref,
-                                       std::vector<RefRow>* out) {
+                                       std::vector<Ref>* out) {
   PASCALR_ASSIGN_OR_RETURN(const Tuple* tuple, db_.Deref(ref));
   if (stats_ != nullptr) ++stats_->elements_scanned;
   const std::vector<Producer>& producers = producers_[structure_id];
@@ -514,20 +536,27 @@ Status CollectionBuilders::EvalElement(size_t structure_id, const Ref& ref,
   // this); re-check its (possibly extended) range restriction — every ref
   // arriving as a join key already passed it, but streamed scans feed raw
   // relation elements through here.
-  const QuantifiedVar* qv = plan_.sf.FindVar(producers.front().var);
+  const QuantifiedVar* qv = producer_var_[structure_id];
   if (qv != nullptr && qv->range.IsExtended() &&
       !EvalRestriction(*qv->range.restriction, *tuple, stats_)) {
     return Status::OK();
   }
-  auto append_unique = [out](RefRow row) {
-    if (std::find(out->begin(), out->end(), row) == out->end()) {
-      out->push_back(std::move(row));
+  // Dedup against the rows this element appended (the set semantics the
+  // structure's Add would apply).
+  const size_t arity = result_.structures[structure_id].arity();
+  const size_t first = out->size();
+  auto append_unique = [out, arity, first](RowView row) {
+    for (size_t at = first; at < out->size(); at += arity) {
+      if (RowView(out->data() + at, arity) == row) return;
     }
+    out->insert(out->end(), row.begin(), row.end());
   };
   for (const Producer& p : producers) {
     switch (p.kind) {
       case Producer::Kind::kSingleList:
-        if (EvalGates(p.sl->gates, *tuple, stats_)) append_unique({ref});
+        if (EvalGates(p.sl->gates, *tuple, stats_)) {
+          append_unique(RowView(&ref, 1));
+        }
         break;
       case Producer::Kind::kIndirectJoin:
         ForEachIjPair(*p.ij, ref, *tuple, result_, stats_, append_unique);
@@ -543,7 +572,7 @@ Status CollectionBuilders::EvalElement(size_t structure_id, const Ref& ref,
             bool holds, p.qp->probe.quantifier == Quantifier::kSome
                             ? vl.SatisfiesSome(p.qp->probe.op, x)
                             : vl.SatisfiesAll(p.qp->probe.op, x));
-        if (holds) append_unique({ref});
+        if (holds) append_unique(RowView(&ref, 1));
         break;
       }
     }
@@ -557,7 +586,7 @@ Result<const Relation*> CollectionBuilders::StructureBaseRelation(
   if (producers.empty() || keyed_column_[structure_id] < 0) {
     return Status::Internal("structure has no per-element base relation");
   }
-  const QuantifiedVar* qv = plan_.sf.FindVar(producers.front().var);
+  const QuantifiedVar* qv = producer_var_[structure_id];
   if (qv == nullptr) {
     return Status::Internal("unknown producer variable '" +
                             producers.front().var + "'");
@@ -569,22 +598,25 @@ Result<const Relation*> CollectionBuilders::StructureBaseRelation(
   return rel;
 }
 
-Result<const std::vector<RefRow>*> CollectionBuilders::KeyedMatches(
-    size_t structure_id, const Ref& key) {
+Result<RowSpan> CollectionBuilders::KeyedMatches(size_t structure_id,
+                                                 const Ref& key) {
+  const size_t arity = result_.structures[structure_id].arity();
   auto& cache = keyed_cache_[structure_id];
   auto it = cache.find(key);
-  if (it != cache.end()) return &it->second;
+  if (it != cache.end()) {
+    return RowSpan(it->second.data(), it->second.size() / arity, arity);
+  }
   PASCALR_RETURN_IF_ERROR(EnsureElementPrereqs(structure_id));
-  std::vector<RefRow> rows;
-  PASCALR_RETURN_IF_ERROR(EvalElement(structure_id, key, &rows));
+  std::vector<Ref> refs;
+  PASCALR_RETURN_IF_ERROR(EvalElement(structure_id, key, &refs));
+  const size_t rows = refs.size() / arity;
   if (stats_ != nullptr) {
     // Keyed-partial rows ARE materialised (cached for re-probes): price
     // them like the eager build does, element by element. A structure
     // that is keyed-probed here and later built in full counts some
     // elements twice — deliberate: the counter measures work performed,
     // not distinct elements, and double-building is double work.
-    const size_t arity = result_.structures[structure_id].arity();
-    for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t i = 0; i < rows; ++i) {
       if (arity >= 2) {
         stats_->indirect_join_refs += 2;
       } else {
@@ -593,8 +625,9 @@ Result<const std::vector<RefRow>*> CollectionBuilders::KeyedMatches(
       ++stats_->structure_elements_built;
     }
   }
-  auto inserted = cache.emplace(key, std::move(rows));
-  return &inserted.first->second;
+  const std::vector<Ref>& kept =
+      cache.emplace(key, std::move(refs)).first->second;
+  return RowSpan(kept.data(), rows, arity);
 }
 
 Result<CollectionResult> ExecuteCollection(const QueryPlan& plan,

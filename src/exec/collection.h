@@ -24,11 +24,19 @@
 // one planned scan at different times scans the relation twice, where the
 // eager pass reads it once. Cursors that stop early win; full drains of
 // small relations can lose (see README "Demand-driven collection").
+//
+// Rows are flat throughout. A structure is a RefRelation (one
+// arity-strided Ref array plus a RowIdTable, refstruct/ref_relation.h);
+// the builders hand each emitted row to its Add as a RowView over refs
+// already in hand — the scanned ref for a single list, a two-ref pair on
+// the stack for an indirect join — so building allocates only when a
+// structure's arrays grow. EvalElement's output and the keyed-partial
+// cache are flat ref runs of the structure's arity too, read back as
+// RowViews / RowSpans.
 
 #ifndef PASCALR_EXEC_COLLECTION_H_
 #define PASCALR_EXEC_COLLECTION_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -105,10 +113,10 @@ class CollectionBuilders {
 
   /// Keyed-partial population (mode (b)): the structure's rows whose
   /// StructureKeyedColumn holds `key`, computed on first request and
-  /// cached. The structure itself is never marked built. Requires
-  /// StructureKeyedColumn(plan, id) >= 0.
-  Result<const std::vector<RefRow>*> KeyedMatches(size_t structure_id,
-                                                  const Ref& key);
+  /// cached as one flat run of refs per key. The span stays valid for the
+  /// builders' lifetime (later keys never move it). The structure itself
+  /// is never marked built. Requires StructureKeyedColumn(plan, id) >= 0.
+  Result<RowSpan> KeyedMatches(size_t structure_id, const Ref& key);
 
   /// Builds the indexes and value lists the producers of `structure_id`
   /// probe, without touching the structure itself — the prerequisite for
@@ -118,11 +126,12 @@ class CollectionBuilders {
   /// Evaluates all producers of `structure_id` against the single range
   /// element `ref` (mode (c), the streaming scan): dereferences, applies
   /// the variable's range restriction and the emission gates, probes the
-  /// supporting indexes, and appends the resulting rows (deduplicated).
-  /// Rows are NOT materialised into the structure and not counted as
-  /// built elements. EnsureElementPrereqs must have succeeded.
+  /// supporting indexes, and appends the resulting rows (deduplicated)
+  /// to `out` flat, arity-strided like a RefRelation's rows. Rows are NOT
+  /// materialised into the structure and not counted as built elements.
+  /// EnsureElementPrereqs must have succeeded.
   Status EvalElement(size_t structure_id, const Ref& ref,
-                     std::vector<RefRow>* out);
+                     std::vector<Ref>* out);
 
   /// The base relation the (per-element capable) structure's producers
   /// range over — the stream source for mode (c). Requires
@@ -172,6 +181,9 @@ class CollectionBuilders {
   CollectionResult result_;
 
   std::vector<std::vector<Producer>> producers_;  ///< by structure id
+  /// By structure id: the variable the producers scan, resolved once
+  /// (null without producers or when the standard form lacks it).
+  std::vector<const QuantifiedVar*> producer_var_;
   std::vector<int> keyed_column_;                 ///< by structure id
 
   std::vector<char> structure_built_;
@@ -182,8 +194,9 @@ class CollectionBuilders {
   std::set<std::string> range_built_;
   bool all_built_ = false;
 
-  /// Keyed-partial caches, by structure id: key ref -> matching rows.
-  std::vector<std::unordered_map<Ref, std::vector<RefRow>, RefHash>>
+  /// Keyed-partial caches, by structure id: key ref -> the matching
+  /// rows, flat (map nodes are stable, so KeyedMatches spans are too).
+  std::vector<std::unordered_map<Ref, std::vector<Ref>, RefHash>>
       keyed_cache_;
 };
 

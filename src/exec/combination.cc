@@ -36,7 +36,7 @@ EstRel ActualSummary(const RefRelation& rel) {
   out.rows = static_cast<double>(rel.size());
   for (size_t c = 0; c < rel.columns().size(); ++c) {
     std::unordered_set<uint64_t> seen;
-    for (const RefRow& row : rel.rows()) seen.insert(row[c].Hash());
+    for (const RowView row : rel.rows()) seen.insert(row[c].Hash());
     out.distinct[rel.columns()[c]] = static_cast<double>(seen.size());
   }
   return out;

@@ -29,7 +29,7 @@ Result<std::vector<int>> ResolveProjectionColumns(
   return column_of_var;
 }
 
-Result<Tuple> ConstructRow(const QueryPlan& plan, const RefRow& row,
+Result<Tuple> ConstructRow(const QueryPlan& plan, RowView row,
                            const std::vector<int>& column_of_var,
                            const Database& db, ExecStats* stats) {
   Tuple result;
@@ -51,7 +51,7 @@ Result<std::vector<Tuple>> ExecuteConstruction(const QueryPlan& plan,
                            ResolveProjectionColumns(plan, table));
   std::vector<Tuple> out;
   std::unordered_set<Tuple, TupleHash> seen;
-  for (const RefRow& row : table.rows()) {
+  for (const RowView row : table.rows()) {
     PASCALR_ASSIGN_OR_RETURN(
         Tuple result, ConstructRow(plan, row, column_of_var, db, stats));
     if (seen.insert(result).second) out.push_back(std::move(result));

@@ -29,7 +29,7 @@ Result<std::vector<int>> ResolveProjectionColumns(
 
 /// Dereferences one combination row and projects it onto the component
 /// selection (`column_of_var` from ResolveProjectionColumns).
-Result<Tuple> ConstructRow(const QueryPlan& plan, const RefRow& row,
+Result<Tuple> ConstructRow(const QueryPlan& plan, RowView row,
                            const std::vector<int>& column_of_var,
                            const Database& db, ExecStats* stats);
 

@@ -102,7 +102,7 @@ Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
       int mat = profile->Add("materialized-combination", -1.0, {});
       OpProfile* p = profile->prof(mat);
       p->open_calls = 1;
-      p->rows_out = run.combined.rows().size();
+      p->rows_out = run.combined.size();
       p->time_ns = MonotonicNowNs() - t0;
       run.root_prof = profile->Add("construct", -1.0, {mat});
       profile->SetRoot(run.root_prof);
@@ -169,11 +169,10 @@ Result<bool> Cursor::NextImpl(Tuple* out) {
       return true;
     }
   }
-  while (run.row < run.combined.rows().size()) {
-    const RefRow& row = run.combined.row(run.row++);
+  while (run.row < run.combined.size()) {
     PASCALR_ASSIGN_OR_RETURN(
-        Tuple tuple,
-        ConstructRow(*plan_, row, run.column_of_var, *db_, &run.stats));
+        Tuple tuple, ConstructRow(*plan_, run.combined[run.row++],
+                                  run.column_of_var, *db_, &run.stats));
     if (!run.seen.insert(tuple).second) continue;  // duplicate row
     *out = std::move(tuple);
     return true;

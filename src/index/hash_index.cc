@@ -42,6 +42,11 @@ void HashIndex::Probe(CompareOp op, const Value& probe,
   }
 }
 
+bool HashIndex::ProbeAny(CompareOp op, const Value& probe) const {
+  if (op == CompareOp::kEq) return map_.find(probe) != map_.end();
+  return ComponentIndex::ProbeAny(op, probe);
+}
+
 void HashIndex::ForEachEntry(
     const std::function<bool(const Value&, const Ref&)>& visit) const {
   for (const auto& [value, refs] : map_) {

@@ -24,6 +24,10 @@ class HashIndex : public ComponentIndex {
   void Probe(CompareOp op, const Value& probe,
              const std::function<bool(const Ref&)>& visit) const override;
 
+  /// Equality is one map lookup (value entries are never empty); other
+  /// operators take the generic visitor path.
+  bool ProbeAny(CompareOp op, const Value& probe) const override;
+
   void ForEachEntry(const std::function<bool(const Value&, const Ref&)>& visit)
       const override;
 

@@ -38,7 +38,8 @@ class ComponentIndex {
                      const std::function<bool(const Ref&)>& visit) const = 0;
 
   /// True if some stored value v satisfies `v op probe` (semi-join test).
-  bool ProbeAny(CompareOp op, const Value& probe) const {
+  /// Indexes with a cheaper direct answer override it.
+  virtual bool ProbeAny(CompareOp op, const Value& probe) const {
     bool found = false;
     Probe(op, probe, [&](const Ref&) {
       found = true;

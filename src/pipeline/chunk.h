@@ -58,7 +58,7 @@ struct Chunk {
   /// Row-at-a-time append for producers whose source is row-major per
   /// element (BaseScanIter). The first row of an empty chunk fixes the
   /// arity.
-  void AppendRow(const RefRow& row) {
+  void AppendRow(RowView row) {
     if (rows == 0 && cols.size() != row.size()) Reset(row.size());
     for (size_t c = 0; c < row.size(); ++c) cols[c].push_back(row[c]);
     ++rows;

@@ -11,7 +11,7 @@ namespace pascalr {
 
 namespace {
 
-uint64_t HashKey(const RefRow& row, const std::vector<int>& positions) {
+uint64_t HashKey(RowView row, const std::vector<int>& positions) {
   uint64_t h = 0x100001b3ULL;
   for (int p : positions) {
     h = HashCombine(h, row[static_cast<size_t>(p)].Hash());
@@ -29,7 +29,7 @@ uint64_t HashKeyChunk(const Chunk& chunk, size_t row,
 }
 
 bool KeyEqualsChunk(const Chunk& chunk, size_t row,
-                    const std::vector<int>& pa, const RefRow& b,
+                    const std::vector<int>& pa, RowView b,
                     const std::vector<int>& pb) {
   for (size_t i = 0; i < pa.size(); ++i) {
     if (chunk.cols[static_cast<size_t>(pa[i])][row] !=
@@ -62,6 +62,24 @@ Result<uint64_t> DrainDistinct(RefIterator* source, RefRelation* into,
   }
 }
 
+/// Writes rows [pos, pos + take) of `rows` into `out`'s columns (`out`
+/// already Reset to the span's arity): one pass over the flat rows, each
+/// source row read exactly once, no per-row allocation.
+void GatherRows(RowSpan rows, size_t pos, size_t take, Chunk* out) {
+  const size_t arity = rows.arity();
+  for (size_t c = 0; c < arity; ++c) out->cols[c].resize(take);
+  if (arity == 1) {
+    Ref* dst = out->cols[0].data();
+    for (size_t r = 0; r < take; ++r) dst[r] = rows[pos + r][0];
+  } else {
+    for (size_t r = 0; r < take; ++r) {
+      const RowView row = rows[pos + r];
+      for (size_t c = 0; c < arity; ++c) out->cols[c][r] = row[c];
+    }
+  }
+  out->rows = take;
+}
+
 }  // namespace
 
 Result<bool> UnitIter::NextBatch(Chunk* out) {
@@ -83,26 +101,11 @@ Status ScanIter::Ensure() {
 
 Result<bool> ScanIter::NextBatch(Chunk* out) {
   PASCALR_RETURN_IF_ERROR(Ensure());
-  const size_t arity = rel_->arity();
-  out->Reset(arity);
+  out->Reset(rel_->arity());
   const size_t take = std::min(out->capacity, rel_->size() - pos_);
   if (take == 0) return false;
-  // One pass over the row-major structure: each source row is chased
-  // exactly once and the columns are written through raw pointers — no
-  // per-row RefRow allocation, no per-element capacity check.
-  for (size_t c = 0; c < arity; ++c) out->cols[c].resize(take);
-  const RefRow* rows = rel_->rows().data() + pos_;
-  if (arity == 1) {
-    Ref* dst = out->cols[0].data();
-    for (size_t r = 0; r < take; ++r) dst[r] = rows[r][0];
-  } else {
-    for (size_t r = 0; r < take; ++r) {
-      const Ref* src = rows[r].data();
-      for (size_t c = 0; c < arity; ++c) out->cols[c][r] = src[c];
-    }
-  }
+  GatherRows(rel_->rows(), pos_, take, out);
   pos_ += take;
-  out->rows = take;
   return true;
 }
 
@@ -111,17 +114,19 @@ Result<bool> ScanIter::NextBatch(Chunk* out) {
 Result<bool> BaseScanIter::NextBatch(Chunk* out) {
   if (!prepared_) {
     prepared_ = true;
+    arity_ = builders_->result().structures[structure_id_].arity();
     PASCALR_RETURN_IF_ERROR(builders_->EnsureElementPrereqs(structure_id_));
     PASCALR_ASSIGN_OR_RETURN(const Relation* rel,
                              builders_->StructureBaseRelation(structure_id_));
     refs_ = rel->AllRefs();
   }
-  out->Reset(builders_->result().structures[structure_id_].arity());
+  out->Reset(arity_);
   // The next element is evaluated only when the chunk still has room:
   // demand, not the chunk grid, decides how much collection work runs.
   while (!out->full()) {
     if (pending_pos_ < pending_.size()) {
-      out->AppendRow(pending_[pending_pos_++]);
+      out->AppendRow(RowView(pending_.data() + pending_pos_, arity_));
+      pending_pos_ += arity_;
       continue;
     }
     if (ref_pos_ >= refs_.size()) break;
@@ -207,24 +212,24 @@ Status ProbeJoinIter::Prepare() {
     right_ = &right_buf_;
   }
   if (!left_key_.empty()) {
-    table_.reserve(right_->size());
-    for (size_t i = 0; i < right_->size(); ++i) {
-      table_[HashKey(right_->row(i), right_key_)].push_back(i);
+    table_.Reserve(right_->size());
+    for (const RowView row : right_->rows()) {
+      table_.Insert(HashKey(row, right_key_));
     }
   }
   prepared_ = true;
   return Status::OK();
 }
 
-void ProbeJoinIter::Emit(size_t l, const RefRow* right_row, Chunk* out) {
+void ProbeJoinIter::Emit(size_t l, RowView right_row, Chunk* out) {
   const size_t left_arity = left_chunk_.arity();
   for (size_t c = 0; c < left_arity; ++c) {
     out->cols[c].push_back(left_chunk_.cols[c][l]);
   }
-  if (!semi_ && right_row != nullptr) {
+  if (!semi_) {
     for (size_t e = 0; e < right_extras_.size(); ++e) {
       out->cols[left_arity + e].push_back(
-          (*right_row)[static_cast<size_t>(right_extras_[e])]);
+          right_row[static_cast<size_t>(right_extras_[e])]);
     }
   }
   ++out->rows;
@@ -270,9 +275,8 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
                 left_chunk_.cols[static_cast<size_t>(key_probe_pos_)]
                                 [left_pos_]));
       } else if (!left_key_.empty()) {
-        auto it = table_.find(
-            HashKeyChunk(left_chunk_, left_pos_, left_key_));
-        matches_ = it == table_.end() ? nullptr : &it->second;
+        match_row_ =
+            table_.Find(HashKeyChunk(left_chunk_, left_pos_, left_key_));
       }
       have_left_ = true;
     }
@@ -280,36 +284,41 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
     if (left_key_.empty()) {
       // Cartesian step. Semi: the right side only needs to be non-empty.
       if (semi_) {
-        if (!right_->empty()) Emit(l, nullptr, out);
+        if (!right_->empty()) Emit(l, RowView(), out);
       } else {
         while (match_pos_ < right_->size() && !out->full()) {
-          Emit(l, &right_->row(match_pos_++), out);
+          Emit(l, (*right_)[match_pos_++], out);
         }
         if (match_pos_ < right_->size()) continue;  // out full, row pending
       }
     } else {
-      // Walk the candidate chain — hash-chain indices into the right
-      // structure, or the keyed-partial rows — verifying the full key
-      // against hash collisions and keyed-partial extra columns.
-      const size_t chain = keyed_mode_          ? keyed_rows_->size()
-                           : matches_ != nullptr ? matches_->size()
-                                                 : 0;
+      // Walk the candidate chain — the probe hash's row-id chain in the
+      // right structure, or the keyed-partial rows — verifying the full
+      // key against hash collisions and keyed-partial extra columns.
+      auto chain_left = [this] {
+        return keyed_mode_ ? match_pos_ < keyed_rows_.size()
+                           : match_row_ != RowIdTable::kNone;
+      };
       bool emitted_semi = false;
-      while (match_pos_ < chain && !out->full()) {
-        const size_t m = match_pos_++;
-        const RefRow& candidate =
-            keyed_mode_ ? (*keyed_rows_)[m] : right_->row((*matches_)[m]);
+      while (chain_left() && !out->full()) {
+        RowView candidate;
+        if (keyed_mode_) {
+          candidate = keyed_rows_[match_pos_++];
+        } else {
+          candidate = (*right_)[match_row_];
+          match_row_ = table_.Next(match_row_);
+        }
         if (!KeyEqualsChunk(left_chunk_, l, left_key_, candidate,
                             right_key_)) {
           continue;
         }
-        Emit(l, &candidate, out);
+        Emit(l, candidate, out);
         if (semi_) {
           emitted_semi = true;
           break;  // first match wins; next left row
         }
       }
-      if (!emitted_semi && match_pos_ < chain) {
+      if (!emitted_semi && chain_left()) {
         continue;  // out full mid-chain, left row stays pending
       }
     }
@@ -617,12 +626,8 @@ Result<bool> QuantifierTailIter::NextBatch(Chunk* out) {
     return false;
   }
   const size_t take = std::min(out->capacity, result_.size() - pos_);
-  for (size_t c = 0; c < arity; ++c) {
-    std::vector<Ref>& col = out->cols[c];
-    for (size_t r = 0; r < take; ++r) col.push_back(result_.row(pos_ + r)[c]);
-  }
+  GatherRows(result_.rows(), pos_, take, out);
   pos_ += take;
-  out->rows = take;
   return true;
 }
 

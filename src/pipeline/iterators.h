@@ -59,13 +59,19 @@
 // buffers (dedup sinks, division input, bushy builds) register rows with
 // the PeakTracker. That is what keeps the pipelined
 // ExecStats::peak_intermediate_rows at or below the materializing path's.
+//
+// Rows of a structure are read in place as RowViews (a pointer into the
+// RefRelation's flat, arity-strided ref array plus the arity): scans
+// gather them straight into chunk columns, joins walk the RowIdTable's
+// row-id chains. Buffers of rows the pipeline produces itself (the
+// streamed element's rows, the blocking inputs) are flat too; no
+// operator allocates per row.
 
 #ifndef PASCALR_PIPELINE_ITERATORS_H_
 #define PASCALR_PIPELINE_ITERATORS_H_
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -141,14 +147,15 @@ class BaseScanIter : public RefIterator {
   CollectionBuilders* builders_;
   size_t structure_id_;
   bool prepared_ = false;
-  std::vector<Ref> refs_;        ///< live base-relation refs, slot order
+  std::vector<Ref> refs_;     ///< live base-relation refs, slot order
   size_t ref_pos_ = 0;
-  std::vector<RefRow> pending_;  ///< rows of the current element
-  size_t pending_pos_ = 0;
+  size_t arity_ = 0;          ///< the structure's arity
+  std::vector<Ref> pending_;  ///< rows of the current element, flat
+  size_t pending_pos_ = 0;    ///< first ref of the next pending row
 };
 
-/// Streaming join. Probes an index (join-key -> row indices) over the
-/// right side, built lazily at the first pull. With an empty key the join
+/// Streaming join. Probes a RowIdTable (join-key hash -> right row ids,
+/// in row order) over the right side, built lazily at the first pull. With an empty key the join
 /// degenerates to the nested-loop Cartesian step. Output layout: left
 /// columns, then the right side's extra columns (none under semi).
 class ProbeJoinIter : public RefIterator {
@@ -183,7 +190,7 @@ class ProbeJoinIter : public RefIterator {
   Status Prepare();
   /// Appends left row `l` of `left_chunk_` (plus `right_row`'s extras
   /// unless semi) to `out`.
-  void Emit(size_t l, const RefRow* right_row, Chunk* out);
+  void Emit(size_t l, RowView right_row, Chunk* out);
 
   RefIteratorPtr left_;
   const RefRelation* right_ = nullptr;
@@ -201,13 +208,13 @@ class ProbeJoinIter : public RefIterator {
   bool prepared_ = false;
   bool keyed_mode_ = false;  ///< per-join-key population of the right side
   int key_probe_pos_ = -1;   ///< left column probed in keyed mode (-1: off)
-  /// Join-key hash -> right row indices, in scan order.
-  std::unordered_map<uint64_t, std::vector<size_t>> table_;
+  /// Join-key hash -> right row ids, in scan order.
+  RowIdTable table_;
   /// Left row `left_pos_` is mid-emission (its chain outlived a chunk).
   bool have_left_ = false;
-  const std::vector<size_t>* matches_ = nullptr;  ///< hash chain in table_
-  const std::vector<RefRow>* keyed_rows_ = nullptr;  ///< keyed-partial rows
-  size_t match_pos_ = 0;  ///< position in chain or right rows (cross)
+  uint32_t match_row_ = RowIdTable::kNone;  ///< next row of the hash chain
+  RowSpan keyed_rows_;    ///< keyed-partial rows of the current key
+  size_t match_pos_ = 0;  ///< position in keyed rows or right rows (cross)
   Chunk left_chunk_;      ///< current left batch
   size_t left_pos_ = 0;   ///< next unconsumed row of left_chunk_
 };

@@ -1,6 +1,7 @@
 #include "refstruct/division.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,46 +20,57 @@ struct GroupKeyHash {
   }
 };
 
-Result<RefRelation> DivideHash(const RefRelation& table, int var_pos,
-                               const std::vector<Ref>& divisor,
-                               ExecStats* stats) {
+/// The output columns: every column of `table` but the divided one.
+std::vector<std::string> KeptColumns(const RefRelation& table, int var_pos) {
   std::vector<std::string> keep;
   for (size_t i = 0; i < table.columns().size(); ++i) {
     if (static_cast<int>(i) != var_pos) keep.push_back(table.columns()[i]);
   }
-  RefRelation out(keep);
+  return keep;
+}
 
-  std::unordered_set<Ref, RefHash> divisor_set(divisor.begin(), divisor.end());
-  if (divisor_set.empty()) {
-    // Vacuous truth: every projected row qualifies.
-    for (const RefRow& row : table.rows()) {
-      RefRow projected;
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (static_cast<int>(i) != var_pos) projected.push_back(row[i]);
-      }
-      out.Add(std::move(projected));
-    }
-    return out;
+/// Writes `row` minus its `var_pos` column into `*out` (a reused scratch).
+void ProjectAway(RowView row, int var_pos, RefRow* out) {
+  out->clear();
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (static_cast<int>(i) != var_pos) out->push_back(row[i]);
   }
+}
+
+/// Vacuous truth (an empty divisor): every projected row qualifies.
+RefRelation ProjectAll(const RefRelation& table, int var_pos) {
+  RefRelation out(KeptColumns(table, var_pos));
+  RefRow projected;
+  for (const RowView row : table.rows()) {
+    ProjectAway(row, var_pos, &projected);
+    out.Add(projected);
+  }
+  return out;
+}
+
+Result<RefRelation> DivideHash(const RefRelation& table, int var_pos,
+                               const std::vector<Ref>& divisor,
+                               ExecStats* stats) {
+  std::unordered_set<Ref, RefHash> divisor_set(divisor.begin(), divisor.end());
+  if (divisor_set.empty()) return ProjectAll(table, var_pos);
+  RefRelation out(KeptColumns(table, var_pos));
 
   // Group rows by the remaining columns; a group qualifies when it has
-  // matched |divisor| distinct divisor refs.
+  // matched |divisor| distinct divisor refs. The key is assembled in a
+  // scratch row and copied only when it opens a new group.
   std::unordered_map<RefRow, std::unordered_set<Ref, RefHash>, GroupKeyHash>
       groups;
-  for (const RefRow& row : table.rows()) {
+  RefRow key;
+  for (const RowView row : table.rows()) {
     if (stats != nullptr) ++stats->division_input_rows;
     const Ref& v = row[static_cast<size_t>(var_pos)];
     if (divisor_set.find(v) == divisor_set.end()) continue;
-    RefRow key;
-    key.reserve(row.size() - 1);
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (static_cast<int>(i) != var_pos) key.push_back(row[i]);
-    }
-    groups[std::move(key)].insert(v);
+    ProjectAway(row, var_pos, &key);
+    groups.try_emplace(key).first->second.insert(v);
   }
-  for (auto& [key, matched] : groups) {
+  for (auto& [group, matched] : groups) {
     if (matched.size() == divisor_set.size()) {
-      if (out.Add(key) && stats != nullptr) ++stats->combination_rows;
+      if (out.Add(group) && stats != nullptr) ++stats->combination_rows;
     }
   }
   return out;
@@ -67,56 +79,48 @@ Result<RefRelation> DivideHash(const RefRelation& table, int var_pos,
 Result<RefRelation> DivideSort(const RefRelation& table, int var_pos,
                                const std::vector<Ref>& divisor,
                                ExecStats* stats) {
-  std::vector<std::string> keep;
-  for (size_t i = 0; i < table.columns().size(); ++i) {
-    if (static_cast<int>(i) != var_pos) keep.push_back(table.columns()[i]);
-  }
-  RefRelation out(keep);
-
   std::vector<Ref> sorted_divisor = divisor;
   std::sort(sorted_divisor.begin(), sorted_divisor.end());
   sorted_divisor.erase(
       std::unique(sorted_divisor.begin(), sorted_divisor.end()),
       sorted_divisor.end());
-  if (sorted_divisor.empty()) {
-    for (const RefRow& row : table.rows()) {
-      RefRow projected;
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (static_cast<int>(i) != var_pos) projected.push_back(row[i]);
-      }
-      out.Add(std::move(projected));
-    }
-    return out;
-  }
+  if (sorted_divisor.empty()) return ProjectAll(table, var_pos);
+  RefRelation out(KeptColumns(table, var_pos));
 
-  // Sort rows by (remaining columns, var column) and verify each group by
-  // merging against the sorted divisor.
-  std::vector<RefRow> rows = table.rows();
-  auto cmp = [var_pos](const RefRow& a, const RefRow& b) {
+  // Sort row ids by (remaining columns, var column) — the rows stay in
+  // place — and verify each group by merging against the sorted divisor.
+  const size_t var = static_cast<size_t>(var_pos);
+  std::vector<uint32_t> order(table.size());
+  std::iota(order.begin(), order.end(), 0u);
+  auto cmp = [&table, var](uint32_t x, uint32_t y) {
+    const RowView a = table[x];
+    const RowView b = table[y];
     for (size_t i = 0; i < a.size(); ++i) {
-      if (static_cast<int>(i) == var_pos) continue;
+      if (i == var) continue;
       if (a[i] != b[i]) return a[i] < b[i];
     }
-    return a[static_cast<size_t>(var_pos)] < b[static_cast<size_t>(var_pos)];
+    return a[var] < b[var];
   };
-  std::sort(rows.begin(), rows.end(), cmp);
+  std::sort(order.begin(), order.end(), cmp);
 
-  auto same_group = [var_pos](const RefRow& a, const RefRow& b) {
+  auto same_group = [var](RowView a, RowView b) {
     for (size_t i = 0; i < a.size(); ++i) {
-      if (static_cast<int>(i) == var_pos) continue;
+      if (i == var) continue;
       if (a[i] != b[i]) return false;
     }
     return true;
   };
 
+  RefRow projected;
   size_t i = 0;
-  while (i < rows.size()) {
+  while (i < order.size()) {
+    const RowView first = table[order[i]];
     size_t j = i;
     size_t matched = 0;
     size_t d = 0;
-    while (j < rows.size() && same_group(rows[i], rows[j])) {
+    while (j < order.size() && same_group(first, table[order[j]])) {
       if (stats != nullptr) ++stats->division_input_rows;
-      const Ref& v = rows[j][static_cast<size_t>(var_pos)];
+      const Ref& v = table[order[j]][var];
       while (d < sorted_divisor.size() && sorted_divisor[d] < v) ++d;
       if (d < sorted_divisor.size() && sorted_divisor[d] == v) {
         ++matched;
@@ -125,13 +129,8 @@ Result<RefRelation> DivideSort(const RefRelation& table, int var_pos,
       ++j;
     }
     if (matched == sorted_divisor.size()) {
-      RefRow projected;
-      for (size_t k = 0; k < rows[i].size(); ++k) {
-        if (static_cast<int>(k) != var_pos) projected.push_back(rows[i][k]);
-      }
-      if (out.Add(std::move(projected)) && stats != nullptr) {
-        ++stats->combination_rows;
-      }
+      ProjectAway(first, var_pos, &projected);
+      if (out.Add(projected) && stats != nullptr) ++stats->combination_rows;
     }
     i = j;
   }

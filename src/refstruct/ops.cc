@@ -1,7 +1,5 @@
 #include "refstruct/ops.h"
 
-#include <unordered_map>
-
 #include "base/logging.h"
 #include "base/str_util.h"
 
@@ -9,13 +7,13 @@ namespace pascalr {
 
 namespace {
 
-uint64_t HashKey(const RefRow& row, const std::vector<int>& positions) {
+uint64_t HashKey(RowView row, const std::vector<int>& positions) {
   uint64_t h = 0x100001b3ULL;
   for (int p : positions) h = HashCombine(h, row[static_cast<size_t>(p)].Hash());
   return h;
 }
 
-bool KeyEquals(const RefRow& a, const std::vector<int>& pa, const RefRow& b,
+bool KeyEquals(RowView a, const std::vector<int>& pa, RowView b,
                const std::vector<int>& pb) {
   for (size_t i = 0; i < pa.size(); ++i) {
     if (a[static_cast<size_t>(pa[i])] != b[static_cast<size_t>(pb[i])]) {
@@ -54,25 +52,20 @@ RefRelation NaturalJoin(const RefRelation& a, const RefRelation& b,
   const std::vector<int>& build_key = build_a ? a_shared : b_shared;
   const std::vector<int>& probe_key = build_a ? b_shared : a_shared;
 
-  std::unordered_map<uint64_t, std::vector<size_t>> table;
-  for (size_t i = 0; i < build.size(); ++i) {
-    table[HashKey(build.row(i), build_key)].push_back(i);
-  }
-  for (size_t j = 0; j < probe.size(); ++j) {
-    const RefRow& pr = probe.row(j);
-    auto it = table.find(HashKey(pr, probe_key));
-    if (it == table.end()) continue;
-    for (size_t i : it->second) {
-      const RefRow& br = build.row(i);
+  RowIdTable table;
+  table.Reserve(build.size());
+  for (const RowView row : build.rows()) table.Insert(HashKey(row, build_key));
+  RefRow row;  // the output row under assembly
+  for (const RowView pr : probe.rows()) {
+    for (uint32_t i = table.Find(HashKey(pr, probe_key));
+         i != RowIdTable::kNone; i = table.Next(i)) {
+      const RowView br = build[i];
       if (!KeyEquals(br, build_key, pr, probe_key)) continue;
-      const RefRow& a_row = build_a ? br : pr;
-      const RefRow& b_row = build_a ? pr : br;
-      RefRow row = a_row;
-      row.reserve(row.size() + b_extra.size());
+      const RowView a_row = build_a ? br : pr;
+      const RowView b_row = build_a ? pr : br;
+      row.assign(a_row.begin(), a_row.end());
       for (int e : b_extra) row.push_back(b_row[static_cast<size_t>(e)]);
-      if (out.Add(std::move(row)) && stats != nullptr) {
-        ++stats->combination_rows;
-      }
+      if (out.Add(row) && stats != nullptr) ++stats->combination_rows;
     }
   }
   return out;
@@ -84,13 +77,13 @@ RefRelation ProductWithRefs(const RefRelation& a, const std::string& var,
   std::vector<std::string> out_columns = a.columns();
   out_columns.push_back(var);
   RefRelation out(std::move(out_columns));
-  for (const RefRow& base : a.rows()) {
+  RefRow row;
+  for (const RowView base : a.rows()) {
+    row.assign(base.begin(), base.end());
+    row.push_back(Ref());
     for (const Ref& r : refs) {
-      RefRow row = base;
-      row.push_back(r);
-      if (out.Add(std::move(row)) && stats != nullptr) {
-        ++stats->combination_rows;
-      }
+      row.back() = r;
+      if (out.Add(row) && stats != nullptr) ++stats->combination_rows;
     }
   }
   return out;
@@ -113,16 +106,14 @@ Result<RefRelation> UnionRows(const RefRelation& a, const RefRelation& b,
     realign.push_back(pos);
   }
   RefRelation out(a.columns());
-  for (const RefRow& row : a.rows()) {
+  for (const RowView row : a.rows()) {
     if (out.Add(row) && stats != nullptr) ++stats->combination_rows;
   }
-  for (const RefRow& row : b.rows()) {
-    RefRow aligned;
-    aligned.reserve(row.size());
+  RefRow aligned;
+  for (const RowView row : b.rows()) {
+    aligned.clear();
     for (int p : realign) aligned.push_back(row[static_cast<size_t>(p)]);
-    if (out.Add(std::move(aligned)) && stats != nullptr) {
-      ++stats->combination_rows;
-    }
+    if (out.Add(aligned) && stats != nullptr) ++stats->combination_rows;
   }
   return out;
 }
@@ -140,13 +131,11 @@ Result<RefRelation> Project(const RefRelation& a,
     positions.push_back(pos);
   }
   RefRelation out(keep);
-  for (const RefRow& row : a.rows()) {
-    RefRow projected;
-    projected.reserve(positions.size());
+  RefRow projected;
+  for (const RowView row : a.rows()) {
+    projected.clear();
     for (int p : positions) projected.push_back(row[static_cast<size_t>(p)]);
-    if (out.Add(std::move(projected)) && stats != nullptr) {
-      ++stats->combination_rows;
-    }
+    if (out.Add(projected) && stats != nullptr) ++stats->combination_rows;
   }
   return out;
 }

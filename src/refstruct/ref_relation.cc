@@ -1,6 +1,5 @@
 #include "refstruct/ref_relation.h"
 
-#include "base/logging.h"
 #include "base/str_util.h"
 
 namespace pascalr {
@@ -12,54 +11,51 @@ int RefRelation::ColumnIndex(const std::string& var) const {
   return -1;
 }
 
-uint64_t RefRelation::HashRow(const RefRow& row) {
+uint64_t RefRelation::HashRow(RowView row) {
   uint64_t h = kRowHashSeed;
   for (const Ref& r : row) h = HashCombine(h, r.Hash());
   return h;
 }
 
-bool RefRelation::Add(RefRow row) {
-  PASCALR_DCHECK(row.size() == columns_.size());
-  uint64_t h = HashRow(row);
-  auto it = index_.find(h);
-  if (it != index_.end()) {
-    for (size_t idx : it->second) {
-      if (rows_[idx] == row) return false;
-    }
+const RefRow& RefRelation::row(size_t r) const {
+  for (size_t i = row_copies_.size(); i < size(); ++i) {
+    row_copies_.push_back((*this)[i].ToRow());
   }
-  index_[h].push_back(rows_.size());
-  rows_.push_back(std::move(row));
-  return true;
+  return row_copies_[r];
 }
 
-bool RefRelation::Contains(const RefRow& row) const {
-  return ContainsPrehashed(HashRow(row), row);
+bool RefRelation::Add(RowView row) {
+  PASCALR_DCHECK(row.size() == columns_.size());
+  const bool added = table_.InsertUnique(
+      HashRow(row), [&](uint32_t r) { return RowEquals(r, row); });
+  if (added) refs_.insert(refs_.end(), row.begin(), row.end());
+  return added;
 }
 
-bool RefRelation::ContainsPrehashed(uint64_t hash, const RefRow& row) const {
-  auto it = index_.find(hash);
-  if (it == index_.end()) return false;
-  for (size_t idx : it->second) {
-    if (rows_[idx] == row) return true;
+bool RefRelation::ContainsPrehashed(uint64_t hash, RowView row) const {
+  for (uint32_t r = table_.Find(hash); r != RowIdTable::kNone;
+       r = table_.Next(r)) {
+    if (RowEquals(r, row)) return true;
   }
   return false;
 }
 
 void RefRelation::Clear() {
-  rows_.clear();
-  index_.clear();
+  refs_.clear();
+  table_.Clear();
+  row_copies_.clear();
 }
 
 std::string RefRelation::DebugString(size_t max_rows) const {
   std::string out = "(" + Join(columns_, ",") + ") {";
-  for (size_t i = 0; i < rows_.size() && i < max_rows; ++i) {
+  for (size_t i = 0; i < size() && i < max_rows; ++i) {
     if (i > 0) out += ", ";
     std::vector<std::string> parts;
-    for (const Ref& r : rows_[i]) parts.push_back(r.ToString());
+    for (const Ref& r : (*this)[i]) parts.push_back(r.ToString());
     out += "<" + Join(parts, ",") + ">";
   }
-  if (rows_.size() > max_rows) out += ", ...";
-  out += StrFormat("} %zu rows", rows_.size());
+  if (size() > max_rows) out += ", ...";
+  out += StrFormat("} %zu rows", size());
   return out;
 }
 

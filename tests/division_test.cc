@@ -115,7 +115,7 @@ TEST(DivisionTest, HashAndSortAgreeOnRandomTables) {
     ASSERT_TRUE(hash.ok());
     ASSERT_TRUE(sort.ok());
     ASSERT_EQ(hash->size(), sort->size()) << "trial " << trial;
-    for (const RefRow& row : hash->rows()) {
+    for (const RowView row : hash->rows()) {
       EXPECT_TRUE(sort->Contains(row)) << "trial " << trial;
     }
   }

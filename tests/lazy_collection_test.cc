@@ -73,7 +73,7 @@ TEST(CollectionBuildersTest, LazyEnsureStructureMatchesEagerOracle) {
       const RefRelation& got = builders.result().structures[i];
       const RefRelation& want = eager->structures[i];
       ASSERT_EQ(got.size(), want.size()) << "structure " << i;
-      for (const RefRow& row : want.rows()) {
+      for (const RowView row : want.rows()) {
         EXPECT_TRUE(got.Contains(row)) << "structure " << i;
       }
     }
@@ -103,16 +103,16 @@ TEST(CollectionBuildersTest, KeyedMatchesAgreeWithEagerRows) {
     // Probe every key the eager structure holds: the keyed rows must be
     // exactly the eager rows carrying that key.
     const RefRelation& want = eager->structures[i];
-    for (const RefRow& row : want.rows()) {
+    for (const RowView row : want.rows()) {
       const Ref& key = row[static_cast<size_t>(keyed)];
-      Result<const std::vector<RefRow>*> got = builders.KeyedMatches(i, key);
+      Result<RowSpan> got = builders.KeyedMatches(i, key);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       size_t want_count = 0;
-      for (const RefRow& w : want.rows()) {
+      for (const RowView w : want.rows()) {
         if (w[static_cast<size_t>(keyed)] == key) ++want_count;
       }
-      EXPECT_EQ((*got)->size(), want_count) << "structure " << i;
-      for (const RefRow& g : **got) {
+      EXPECT_EQ(got->size(), want_count) << "structure " << i;
+      for (const RowView g : *got) {
         EXPECT_TRUE(want.Contains(g)) << "structure " << i;
       }
     }

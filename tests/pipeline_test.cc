@@ -6,6 +6,7 @@
 
 #include "pipeline/compile.h"
 
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -121,6 +122,52 @@ TEST(PipelineIteratorTest, ProbeJoinKeyedSemiAndCross) {
                         /*right_extras=*/{0, 1}, /*semi=*/false,
                         &cross_stats);
     EXPECT_EQ(DrainRows(&cross, capacity).size(), 9u);
+  }
+}
+
+TEST(PipelineIteratorTest, ProbeJoinEmitsMatchesInRightRowOrder) {
+  // 300 join keys with 4 right rows each, added key-interleaved, so the
+  // join table's probe runs for different keys overlap and every key's
+  // rows sit far apart in the right structure. Each left row's matches
+  // must still come out in right-row (scan) order: the nested-loop order
+  // the materializing join produces.
+  RefRelation right = RefRelation::IndirectJoin("t", "c");
+  for (uint32_t c = 0; c < 4; ++c) {
+    for (uint32_t t = 0; t < 300; ++t) {
+      right.Add({R(4, t), R(3, c * 1000 + (t * 37) % 1000)});
+    }
+  }
+  RefRelation left = RefRelation::IndirectJoin("e", "t");
+  for (uint32_t e = 0; e < 600; ++e) {
+    left.Add({R(1, e), R(4, (e * 7) % 310)});  // t >= 300: no partner
+  }
+  std::vector<RefRow> want;
+  std::vector<RefRow> want_semi;
+  for (const RowView l : left.rows()) {
+    bool matched = false;
+    for (const RowView r : right.rows()) {
+      if (l[1] != r[0]) continue;
+      want.push_back({l[0], l[1], r[1]});
+      if (!matched) want_semi.push_back({l[0], l[1]});
+      matched = true;
+    }
+  }
+  ASSERT_GT(want.size(), Chunk::kDefaultRows);
+
+  for (size_t capacity : {size_t{1}, size_t{3}, Chunk::kDefaultRows}) {
+    SCOPED_TRACE(capacity);
+    ExecStats stats;
+    ProbeJoinIter join(std::make_unique<ScanIter>(&left), &right,
+                       /*left_key=*/{1}, /*right_key=*/{0},
+                       /*right_extras=*/{1}, /*semi=*/false, &stats);
+    EXPECT_EQ(DrainRows(&join, capacity), want);
+    EXPECT_EQ(stats.combination_rows, want.size());
+
+    ExecStats semi_stats;
+    ProbeJoinIter semi(std::make_unique<ScanIter>(&left), &right,
+                       /*left_key=*/{1}, /*right_key=*/{0},
+                       /*right_extras=*/{1}, /*semi=*/true, &semi_stats);
+    EXPECT_EQ(DrainRows(&semi, capacity), want_semi);
   }
 }
 
@@ -306,6 +353,33 @@ TEST(PipelineEquivalenceTest, DivisionPathIsIdenticalFromTheBufferOn) {
   EXPECT_EQ(pipelined.division_input_rows,
             reference->stats.division_input_rows);
   EXPECT_EQ(pipelined.dereferences, reference->stats.dereferences);
+}
+
+TEST(PipelineEquivalenceTest, HashAndSortDivisionAgreeBeyondOneChunk) {
+  // Example 2.1 on a synthetic database large enough that the quantifier
+  // tail buffers more than one chunk of division input: the hash and the
+  // sort division (which sorts row ids over the buffered relation) must
+  // give the same tuples.
+  auto db = MakeUniversityDb(/*populate=*/false);
+  UniversityScale scale;
+  scale.employees = 60;
+  scale.papers = 120;
+  scale.courses = 20;
+  scale.timetable = 180;
+  ASSERT_TRUE(PopulateSynthetic(db.get(), scale).ok());
+  std::vector<std::multiset<std::string>> results;
+  for (DivisionAlgorithm division :
+       {DivisionAlgorithm::kHash, DivisionAlgorithm::kSort}) {
+    Session session(db.get());
+    session.options().level = OptLevel::kOneStep;
+    session.options().division = division;
+    auto run = session.Query(Example21QuerySource());
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_GT(run->stats.division_input_rows, Chunk::kDefaultRows);
+    results.push_back(TupleStrings(run->tuples));
+  }
+  EXPECT_FALSE(results[0].empty());
+  EXPECT_EQ(results[0], results[1]);
 }
 
 // ---------------------------------------------------------- peak accounting

@@ -47,16 +47,16 @@ Ref R(RelationId rel, uint32_t slot) { return Ref{rel, slot, 1}; }
 TEST(ChunkTest, AppendRowFixesArityAndRoundTrips) {
   Chunk chunk;
   chunk.capacity = 4;
-  chunk.AppendRow({R(1, 0), R(2, 0)});
-  chunk.AppendRow({R(1, 1), R(2, 1)});
+  chunk.AppendRow(RefRow{R(1, 0), R(2, 0)});
+  chunk.AppendRow(RefRow{R(1, 1), R(2, 1)});
   EXPECT_EQ(chunk.arity(), 2u);
   EXPECT_EQ(chunk.rows, 2u);
   EXPECT_FALSE(chunk.full());
   RefRow row;
   chunk.RowAt(1, &row);
   EXPECT_EQ(row, (RefRow{R(1, 1), R(2, 1)}));
-  chunk.AppendRow({R(1, 2), R(2, 2)});
-  chunk.AppendRow({R(1, 3), R(2, 3)});
+  chunk.AppendRow(RefRow{R(1, 2), R(2, 2)});
+  chunk.AppendRow(RefRow{R(1, 3), R(2, 3)});
   EXPECT_TRUE(chunk.full());
 }
 
