@@ -6,7 +6,6 @@
 //   .help            this text
 //   .level N|auto    optimization level 0..4 or cost-based AUTO (default 4)
 //   .joinorder MODE  join ordering: dp (default), bushy, or greedy
-//   .pipeline on|off streamed combination (join iterators; default on)
 //   .collection MODE collection phase: eager (default) or lazy
 //                    (demand-driven structure builders behind Next)
 //   .stats           cumulative session statistics
@@ -58,7 +57,6 @@ void PrintHelp() {
       "  ANALYZE;            -- refresh catalog statistics\n"
       "  SET OPTLEVEL AUTO;  -- cost-based strategy selection\n"
       "  SET JOINORDER DP;   -- Selinger join ordering (or BUSHY, GREEDY)\n"
-      "  SET PIPELINE ON;    -- streamed combination (join iterators)\n"
       "  SET COLLECTION LAZY; -- demand-driven collection builders\n"
       "  SET TRACE ON;       -- per-query span traces (.trace FILE exports)\n"
       "  EXPLAIN ANALYZE [<x.s> OF EACH x IN r: x.a < 10];\n"
@@ -66,7 +64,7 @@ void PrintHelp() {
       "  SET SLOWLOG 1000;   -- record queries slower than 1000us (.slow)\n"
       "  out := [<s.fingerprint, s.calls> OF EACH s IN sys$statements: TRUE];\n"
       "                      -- the engine's own telemetry is queryable\n"
-      "meta: .help .level N|auto .joinorder dp|bushy|greedy .pipeline on|off "
+      "meta: .help .level N|auto .joinorder dp|bushy|greedy "
       ".collection eager|lazy .stats .metrics [prom] .slow [N|off] "
       ".trace on|off|FILE .dump .quit\n";
 }
@@ -189,16 +187,6 @@ int main(int argc, char** argv) {
                             : " (run ANALYZE; so the DP has statistics)\n");
         } else {
           std::cout << "join order must be dp, bushy, or greedy\n";
-        }
-      } else if (line.rfind(".pipeline", 0) == 0) {
-        std::string arg = pascalr::AsciiToLower(Trim(line.substr(9)));
-        if (arg == "on" || arg == "off") {
-          session.options().pipeline = arg == "on";
-          std::cout << "combination: "
-                    << (arg == "on" ? "pipelined (streamed join iterators)\n"
-                                    : "materialized\n");
-        } else {
-          std::cout << "pipeline must be on or off\n";
         }
       } else if (line.rfind(".collection", 0) == 0) {
         std::string arg = pascalr::AsciiToLower(Trim(line.substr(11)));

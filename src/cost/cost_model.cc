@@ -35,7 +35,6 @@ class CostWalker {
       Prepare();
     }
     WalkCombination();
-    WalkPipelined();
     return Finish();
   }
 
@@ -271,169 +270,14 @@ class CostWalker {
     return std::min(out, rows);
   }
 
-  /// Costs an explicit join tree: every internal node contributes its
-  /// JoinEstimate rows to combination_rows, exactly what the executor's
-  /// NaturalJoin would materialise running the same tree. `base_live` is
-  /// the modeled row count already held live outside the tree (the union
-  /// accumulator) — intermediate peaks note it.
-  EstRel WalkJoinTree(const JoinTree& tree, const std::vector<EstRel>& inputs,
-                      double base_live) {
-    std::vector<EstRel> node_est(tree.nodes.size());
-    for (size_t i = 0; i < tree.nodes.size(); ++i) {
-      const JoinTreeNode& node = tree.nodes[i];
-      if (node.leaf) {
-        node_est[i] = inputs[node.input];
-        continue;
-      }
-      const EstRel& l = node_est[static_cast<size_t>(node.left)];
-      node_est[i] = JoinEstimate(l, node_est[static_cast<size_t>(node.right)]);
-      combination_rows_ += node_est[i].rows;
-      // Mirror the executor's PeakTracker: collection structures (leaf
-      // children) are never tracked, joined intermediates are live until
-      // their parent consumes them.
-      double children_live = 0.0;
-      if (!tree.nodes[static_cast<size_t>(node.left)].leaf) {
-        children_live += l.rows;
-      }
-      if (!tree.nodes[static_cast<size_t>(node.right)].leaf) {
-        children_live += node_est[static_cast<size_t>(node.right)].rows;
-      }
-      NoteMatPeak(base_live + children_live + node_est[i].rows);
-    }
-    return node_est.back();
-  }
-
-  void NoteMatPeak(double live) {
-    mat_peak_ = std::max(mat_peak_, std::min(live, 1e18));
-  }
-
-  void WalkCombination() {
-    std::vector<QuantifiedVar> active;
-    for (const QuantifiedVar& qv : plan_.sf.prefix) {
-      if (!plan_.IsEliminated(qv.var)) active.push_back(qv.Clone());
-    }
-    std::vector<std::string> free_names;
-    for (const QuantifiedVar& qv : active) {
-      if (qv.quantifier == Quantifier::kFree) free_names.push_back(qv.var);
-    }
-
-    if (plan_.sf.matrix.IsFalse()) {
-      final_rows_ = 0.0;
-      return;
-    }
-
-    std::map<std::string, double> range_size;
-    double capacity = 1.0;
-    for (const QuantifiedVar& qv : active) {
-      range_size[qv.var] = sel_.RangeSize(qv.var);
-      capacity = std::min(1e18, capacity * std::max(1.0, range_size[qv.var]));
-    }
-
-    EstRel combined;  // starts empty with 0 rows
-    for (size_t c = 0; c < plan_.sf.matrix.disjuncts.size(); ++c) {
-      std::vector<EstRel> inputs;
-      for (size_t id : plan_.conj_inputs[c]) {
-        EstRel e;
-        e.rows = structure_rows_[id];
-        for (const std::string& col : plan_.structures[id].columns) {
-          e.distinct[col] = std::min(e.rows, range_size[col]);
-        }
-        inputs.push_back(std::move(e));
-      }
-      EstRel acc;
-      if (inputs.empty()) {
-        acc.rows = 1.0;  // arity-0 unit relation: TRUE
-      } else {
-        // The plan's join tree when the optimizer attached one, otherwise
-        // the executor's greedy smallest-first order.
-        const JoinTree* tree = nullptr;
-        if (c < plan_.join_trees.size() &&
-            plan_.join_trees[c].Matches(inputs.size())) {
-          tree = &plan_.join_trees[c];
-        }
-        JoinTree greedy;
-        if (tree == nullptr) {
-          greedy = GreedyJoinOrder(inputs);
-          tree = &greedy;
-        }
-        acc = WalkJoinTree(*tree, inputs, combined.rows);
-      }
-      // Extend to all active variables by Cartesian product.
-      for (const QuantifiedVar& qv : active) {
-        if (acc.HasCol(qv.var)) continue;
-        double before = acc.rows;
-        acc.rows *= std::max(0.0, range_size[qv.var]);
-        acc.distinct[qv.var] = std::min(range_size[qv.var], acc.rows);
-        for (auto& [col, dc] : acc.distinct) dc = std::min(dc, acc.rows);
-        combination_rows_ += acc.rows;
-        NoteMatPeak(combined.rows + before + acc.rows);
-      }
-      // Align-project onto the active columns (a permutation).
-      combination_rows_ += acc.rows;
-      NoteMatPeak(combined.rows + 2.0 * acc.rows);
-      // Union with the running result.
-      double union_rows = std::min(combined.rows + acc.rows, capacity);
-      combination_rows_ += union_rows;
-      NoteMatPeak(combined.rows + acc.rows + union_rows);
-      EstRel next;
-      next.rows = union_rows;
-      for (const QuantifiedVar& qv : active) {
-        double a = combined.HasCol(qv.var) ? combined.distinct[qv.var] : 0.0;
-        double b = acc.HasCol(qv.var) ? acc.distinct[qv.var] : 0.0;
-        next.distinct[qv.var] = std::min(union_rows, std::max(a, b));
-      }
-      combined = std::move(next);
-    }
-
-    // Quantifiers right to left.
-    for (size_t i = active.size(); i-- > 0;) {
-      const QuantifiedVar& qv = active[i];
-      if (qv.quantifier == Quantifier::kFree) break;
-      if (qv.quantifier == Quantifier::kSome) {
-        double domain = CappedProduct(combined, qv.var);
-        double rows_out = ProjectedRows(combined.rows, domain);
-        combination_rows_ += rows_out;
-        NoteMatPeak(combined.rows + rows_out);
-        combined.rows = rows_out;
-        combined.distinct.erase(qv.var);
-        for (auto& [col, dc] : combined.distinct) {
-          dc = std::min(dc, rows_out);
-        }
-      } else {
-        division_input_rows_ += combined.rows;
-        if (plan_.division == DivisionAlgorithm::kSort) {
-          extra_cost_ += combined.rows * 0.25 * Log2Of(combined.rows);
-        }
-        double divisor = std::max(1.0, range_size[qv.var]);
-        double groups =
-            ProjectedRows(combined.rows, CappedProduct(combined, qv.var));
-        double per_group = groups > 0.0 ? combined.rows / groups : 0.0;
-        double coverage = Clamp01(per_group / divisor);
-        double qualifying =
-            groups * std::pow(coverage, std::min(divisor, 32.0));
-        combination_rows_ += qualifying;
-        NoteMatPeak(combined.rows + qualifying);
-        combined.rows = qualifying;
-        combined.distinct.erase(qv.var);
-        for (auto& [col, dc] : combined.distinct) {
-          dc = std::min(dc, qualifying);
-        }
-      }
-    }
-
-    // Final projection onto the free variables (a permutation here).
-    combination_rows_ += combined.rows;
-    NoteMatPeak(2.0 * combined.rows);
-    final_rows_ = combined.rows;
-  }
-
   /// Prices the streamed combination (src/pipeline/): joins emit without
   /// materialising, purely existential probes run as semi-joins (at most
   /// one emission per outer row) or skip their extension entirely, and
   /// only blocking buffers — the division input, the dedup sink, bushy
   /// builds — hold rows. Mirrors the executor's compile.cc decisions via
-  /// the shared shape analysis.
-  void WalkPipelined() {
+  /// the shared shape analysis. Walks the plan's join tree when one is
+  /// attached, otherwise the executor's greedy smallest-first order.
+  void WalkCombination() {
     // Saved for the TTFT estimate: LazyConjunctionLeafModes reuses this
     // analysis instead of recomputing it per candidate.
     pipeline_shape_ = AnalyzePipelineShape(plan_);
@@ -556,6 +400,10 @@ class CostWalker {
           rows_out = ProjectedRows(cur.rows, CappedProduct(cur, qv.var));
         } else {
           division_in += cur.rows;
+          if (plan_.division == DivisionAlgorithm::kSort) {
+            // Sorting the division input is not an ExecStats counter.
+            extra_cost_ += cur.rows * 0.25 * Log2Of(cur.rows);
+          }
           double divisor = std::max(1.0, range_size[qv.var]);
           double groups =
               ProjectedRows(cur.rows, CappedProduct(cur, qv.var));
@@ -578,10 +426,10 @@ class CostWalker {
       pipe_peak = std::max(pipe_peak, buffers + sink.rows);
     }
 
-    pipelined_combination_rows_ = comb;
-    pipelined_division_rows_ = division_in;
-    pipe_peak_ = pipe_peak;
-    pipelined_final_rows_ = final_rows;
+    combination_rows_ = comb;
+    division_input_rows_ = division_in;
+    peak_ = pipe_peak;
+    final_rows_ = final_rows;
   }
 
   // --------------------------------------------------------------- finish
@@ -609,45 +457,32 @@ class CostWalker {
     est.predicted.comparisons = round(comparisons_);
     est.predicted.dereferences = round(dereferences_);
     est.predicted.permanent_index_hits = round(permanent_index_hits_);
-    double work = elements_scanned_ + index_probes_ + single_list_refs_ +
-                  indirect_join_refs_ + combination_rows_ +
-                  division_input_rows_ + quantifier_probes_ + comparisons_ +
-                  dereferences_;
-    est.weighted_cost = work + extra_cost_;
-    est.pipelined_combination_rows = pipelined_combination_rows_;
+    est.predicted.peak_intermediate_rows = round(peak_);
     // Per-batch drain term: one unit per root chunk refill. At the
     // default 1024-row chunks this is noise; SET BATCH 1's 1-row chunks
     // pay it once per row — the per-row pull overhead batching amortises.
     const double batch =
         static_cast<double>(plan_.batch_size > 0 ? plan_.batch_size : 1);
-    est.est_batches = std::ceil(pipelined_final_rows_ / batch);
-    est.pipelined_total_work =
-        work - combination_rows_ - division_input_rows_ - dereferences_ +
-        pipelined_combination_rows_ + pipelined_division_rows_ +
-        pipelined_final_rows_ *
-            static_cast<double>(plan_.sf.projection.size()) +
-        est.est_batches;
-    est.pipelined_weighted_cost = est.pipelined_total_work + extra_cost_;
-    est.est_peak_materialized = mat_peak_;
-    est.est_peak_pipelined = pipe_peak_;
-    est.est_time_to_first_tuple = EstimateTimeToFirstTuple(work, est);
+    est.est_batches = std::ceil(final_rows_ / batch);
+    const double work = elements_scanned_ + index_probes_ +
+                        single_list_refs_ + indirect_join_refs_ +
+                        combination_rows_ + division_input_rows_ +
+                        quantifier_probes_ + comparisons_ + dereferences_ +
+                        est.est_batches;
+    est.weighted_cost = work + extra_cost_;
+    est.est_time_to_first_tuple = EstimateTimeToFirstTuple(work);
     return est;
   }
 
-  /// Work before the first tuple, for the mode this plan executes. Coarse
-  /// by design — it ranks policies and feeds bench/EXPLAIN, it is not a
-  /// counter prediction.
-  double EstimateTimeToFirstTuple(double mat_work,
-                                  const CostEstimate& est) const {
+  /// Work before the first tuple under the plan's collection policy, out
+  /// of the run's `work`. Coarse by design — it ranks policies and feeds
+  /// bench/EXPLAIN, it is not a counter prediction.
+  double EstimateTimeToFirstTuple(double work) const {
     const double proj = static_cast<double>(plan_.sf.projection.size());
-    if (!plan_.pipeline) {
-      // Collection + combination complete before the first construction.
-      return std::max(0.0, mat_work - dereferences_) + proj;
-    }
     // A surviving ALL buffers the whole stream before the first row can
     // leave the tail: no policy streams past it.
     if (has_division_) {
-      return std::max(0.0, est.pipelined_total_work - dereferences_) + proj;
+      return std::max(0.0, work - dereferences_) + proj;
     }
     const double collection_work = elements_scanned_ + index_probes_ +
                                    single_list_refs_ + indirect_join_refs_ +
@@ -700,13 +535,9 @@ class CostWalker {
   double permanent_index_hits_ = 0.0;
   double extra_cost_ = 0.0;
   double final_rows_ = 0.0;
-  double mat_peak_ = 0.0;
-  double pipe_peak_ = 0.0;
+  double peak_ = 0.0;
   bool has_division_ = false;
   PipelineShape pipeline_shape_;
-  double pipelined_combination_rows_ = 0.0;
-  double pipelined_division_rows_ = 0.0;
-  double pipelined_final_rows_ = 0.0;
 
   std::vector<double> structure_rows_;
   std::vector<double> index_rows_;

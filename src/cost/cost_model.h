@@ -1,15 +1,16 @@
 // The cost model: walks a compiled QueryPlan and predicts the ExecStats
-// work counters the evaluator would produce, in the same units, so
+// work counters a Cursor drain of it would produce, in the same units, so
 // estimates and measurements are directly comparable (and the plan-search
-// driver can rank candidates by predicted TotalWork).
+// driver can rank candidates by one predicted price).
 //
 // The walk mirrors the three execution phases:
 //   collection   - per scan: elements visited, gate comparisons, index
 //                  builds/probes, value-list probes, structure sizes;
-//   combination  - walks the plan's join tree (src/joinorder/) when one
-//                  is attached, otherwise the executor's greedy
-//                  smallest-first order, on estimated structure sizes;
-//                  then product extension, union, projection, division;
+//   combination  - the streamed join-iterator pipeline (src/pipeline/)
+//                  over the plan's join tree (src/joinorder/) when one is
+//                  attached, otherwise the executor's greedy
+//                  smallest-first order, on estimated structure sizes:
+//                  semi-joins, extensions, the dedup sink, division;
 //   construction - dereferences per result row and output component.
 
 #ifndef PASCALR_COST_COST_MODEL_H_
@@ -26,46 +27,29 @@
 namespace pascalr {
 
 struct CostEstimate {
-  /// Predicted work counters (rounded from the model's real-valued walk).
+  /// Predicted work counters of a full Cursor drain (rounded from the
+  /// model's real-valued walk): no join intermediates, semi-joins that
+  /// stop at the first match for purely existential probes, skipped
+  /// Cartesian extensions. peak_intermediate_rows predicts the blocking
+  /// buffers (division input, dedup sink, bushy builds).
   ExecStats predicted;
-  /// Ranking score: predicted TotalWork plus structural nudges the
-  /// counters cannot see (ordered-index build/probe log factors, sort
-  /// division). Lower is better.
+  /// The ranking score: predicted TotalWork plus est_batches plus
+  /// structural nudges the counters cannot see (ordered-index build/probe
+  /// log factors, sort division). Lower is better.
   double weighted_cost = 0.0;
-
-  /// Pipelined-combination pricing (src/pipeline/): what the streaming
-  /// cursor does instead of the materializing path — no join
-  /// intermediates, semi-joins that stop at the first match for purely
-  /// existential probes (EXISTS-style early termination), skipped
-  /// Cartesian extensions. `predicted` / `weighted_cost` above always
-  /// price the materializing reference path (candidates are ranked and
-  /// validated against it); these fields price the pipelined mode.
-  double pipelined_combination_rows = 0.0;
-  double pipelined_total_work = 0.0;
-  /// Ranking score for sessions that execute pipelined: the pipelined
-  /// work plus the same structural nudges weighted_cost carries. The
-  /// kAuto search ranks on this when PlannerOptions::pipeline is on
-  /// (mode-aware ranking), and on weighted_cost otherwise.
-  double pipelined_weighted_cost = 0.0;
-  /// Predicted ExecStats::peak_intermediate_rows per combination mode.
-  double est_peak_materialized = 0.0;
-  double est_peak_pipelined = 0.0;
-  /// Predicted root chunk refills of a pipelined drain —
+  /// Predicted root chunk refills of the drain —
   /// ceil(final rows / QueryPlan::batch_size), the batches_emitted
-  /// counterpart. One work unit per refill is folded into the pipelined
-  /// prices: the per-pull overhead batching amortises (~0.1% of work at
-  /// the default 1024-row chunks; one pull per row with SET BATCH 1's
-  /// 1-row chunks).
+  /// counterpart. One work unit per refill is folded into weighted_cost:
+  /// the per-pull overhead batching amortises (~0.1% of work at the
+  /// default 1024-row chunks; one pull per row with SET BATCH 1).
   double est_batches = 0.0;
 
   /// Predicted work before the first result tuple reaches the caller, in
-  /// TotalWork units, for the mode the plan executes (pipeline flag +
-  /// collection policy). Materializing: everything except the remaining
-  /// rows' construction. Pipelined eager: the whole collection phase
-  /// plus one row's join/construction work. Pipelined lazy: only the
-  /// first conjunction's demanded builds — full builds for structures
-  /// that cannot populate per key, index builds, one element evaluation
-  /// per keyed probe. A blocking division tail forces the full pipelined
+  /// TotalWork units, under the plan's collection policy. Eager: the
+  /// whole collection phase plus one row's join/construction work. Lazy:
+  /// only the first conjunction's demanded builds — full builds for
+  /// structures that cannot populate per key, index builds, one element
+  /// evaluation per keyed probe. A blocking division tail forces the full
   /// run regardless of policy.
   double est_time_to_first_tuple = 0.0;
 

@@ -105,8 +105,7 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
                            StandardFormWithFolding(db, std::move(query)));
   std::vector<LevelForm> forms;
   for (int level = 0; level <= 3; ++level) {
-    forms.push_back(LevelFormFor(db, folded, static_cast<OptLevel>(level),
-                                 base.use_cnf_extensions));
+    forms.push_back(LevelFormFor(db, folded, static_cast<OptLevel>(level)));
   }
   forms.push_back(forms[3].Clone());
   std::string same_as_below[5];
@@ -132,23 +131,6 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
   Status last_error = Status::OK();
   std::string table;
 
-  // Mode-aware ranking: a session that executes the streamed combination
-  // should pay the streamed price, so candidates are ranked by the
-  // pipelined work estimate whenever the session will run pipelined; the
-  // materializing estimate stays the ranking for materializing sessions
-  // (and the reference both prices are validated against).
-  const bool rank_pipelined = base.pipeline;
-  auto rank = [rank_pipelined](const CostEstimate& est) {
-    return rank_pipelined ? est.pipelined_weighted_cost : est.weighted_cost;
-  };
-  // The label the materializing metric would have chosen, kept to log
-  // ranking flips in the candidate table. Same tie-break as the real
-  // ranking: equal costs go to the lowest level.
-  std::string best_mat_label;
-  double best_mat_cost = 0.0;
-  OptLevel best_mat_level = OptLevel::kAuto;
-  bool have_mat = false;
-
   // Search-space pruning: levels are visited from the strongest strategy
   // down, carrying the best weighted cost so far; a candidate whose scan
   // lower bound already exceeds it cannot win, so its compilation is
@@ -169,11 +151,10 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
       options.division = DivisionAlgorithm::kHash;
       options.use_permanent_indexes = perm;
 
-      // Sound under both rankings: the bound is a lower bound on
-      // elements_scanned, which is an addend of the materializing
-      // AND the pipelined work estimates.
+      // Sound: the bound is a lower bound on elements_scanned, an addend
+      // of the weighted cost.
       if (level == 0 && naive_bound > 0.0 && best.has_value() &&
-          naive_bound >= rank(best->estimate)) {
+          naive_bound >= best->estimate.weighted_cost) {
         ++pruned;
         continue;
       }
@@ -196,25 +177,16 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
           planned->collection_cost.valid ? &planned->collection_cost
                                          : nullptr);
       // Levels run 4 -> 0 but exact ties still choose the lowest level.
-      bool better = !best.has_value() ||
-                    rank(planned->estimate) < rank(best->estimate) ||
-                    (rank(planned->estimate) == rank(best->estimate) &&
+      const double cost = planned->estimate.weighted_cost;
+      bool better = !best.has_value() || cost < best->estimate.weighted_cost ||
+                    (cost == best->estimate.weighted_cost &&
                      options.level < best_options.level);
-      if (!have_mat || planned->estimate.weighted_cost < best_mat_cost ||
-          (planned->estimate.weighted_cost == best_mat_cost &&
-           options.level < best_mat_level)) {
-        have_mat = true;
-        best_mat_cost = planned->estimate.weighted_cost;
-        best_mat_level = options.level;
-        best_mat_label = LabelFor(options);
-      }
       table += StrFormat(
-          "  %-22s estimated work %llu (weighted %.0f, pipelined %.0f)\n",
+          "  %-22s estimated work %llu (weighted %.0f)\n",
           LabelFor(options).c_str(),
           static_cast<unsigned long long>(
               planned->estimate.predicted.TotalWork()),
-          planned->estimate.weighted_cost,
-          planned->estimate.pipelined_weighted_cost);
+          cost);
       if (better) {
         best = std::move(planned).value();
         best_options = options;
@@ -234,18 +206,6 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
         "  pruned %zu candidate(s): O0 scan lower bound %.0f exceeds the "
         "best cost\n",
         pruned, naive_bound);
-  }
-  if (rank_pipelined) {
-    table += "  ranking: pipelined work (session executes the streamed "
-             "combination)\n";
-    // "Among costed candidates": a pruned O0 candidate was never costed,
-    // so its materializing price is unknown by design.
-    if (have_mat && best_mat_label != LabelFor(best_options)) {
-      table += StrFormat(
-          "  ranking flip: materializing ranking (among costed candidates) "
-          "would choose %s\n",
-          best_mat_label.c_str());
-    }
   }
   best->cost_candidates =
       table + "  chosen: " + LabelFor(best_options) + "\n";

@@ -19,13 +19,10 @@
 // candidates whose scan lower bound already exceeds it are pruned before
 // compilation (the pruned count is logged in the EXPLAIN candidate table).
 //
-// The ranking is mode-aware: sessions that execute the streamed
-// combination (PlannerOptions::pipeline) rank candidates by
-// CostEstimate::pipelined_weighted_cost — the price of what the cursor
-// will actually run — while materializing sessions keep the materializing
-// ranking. Flips between the two rankings are logged in the candidate
-// table, and the regret sweep in auto_planner_test validates the
-// pipelined ranking against every fixed level in pipelined measured work.
+// Candidates are ranked by CostEstimate::weighted_cost, the price of the
+// Cursor drain that will actually run; the regret sweep in
+// auto_planner_test validates that ranking against every fixed level in
+// measured work.
 
 #ifndef PASCALR_COST_PLAN_SEARCH_H_
 #define PASCALR_COST_PLAN_SEARCH_H_
@@ -39,7 +36,7 @@ namespace pascalr {
 /// Plans `query` under every candidate configuration derived from `base`
 /// (level, division and permanent-index use overridden), costs each
 /// candidate, and returns the cheapest with its estimate and the
-/// candidate table filled in. `base.level`/`base.cost_based` are ignored —
+/// candidate table filled in. `base.level` is ignored —
 /// the caller (PlanQuery) has already decided to search.
 Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
                                     const PlannerOptions& base);

@@ -9,7 +9,7 @@
 //  - Eager (ExecuteCollection / EnsureAll): one pass over every planned
 //    scan builds everything before combination starts — the paper's
 //    phase-1/phase-2 split and the correctness oracle.
-//  - Demand-driven (CollectionPolicy::kLazy, pipelined cursors only):
+//  - Demand-driven (CollectionPolicy::kLazy, behind Cursor::Next):
 //    construction registers empty structures and the builders wait.
 //    Each structure can then (a) materialise fully at first use
 //    (EnsureStructure), (b) populate per requested join key

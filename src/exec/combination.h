@@ -15,7 +15,9 @@
 namespace pascalr {
 
 /// Returns the reference relation over the free variables that satisfies
-/// the whole selection expression.
+/// the whole selection expression. The engine never calls it: it stays as
+/// the paper's materialized phase-2 reference for combination_test,
+/// figure2_test and pipeline_test, and because bench_e2e/replay.cc does.
 Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
                                        const CollectionResult& coll,
                                        ExecStats* stats);
@@ -24,9 +26,8 @@ Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
 /// actual inputs (non-empty): the plan's attached tree when it matches
 /// and — recosted against actual structure sizes — still beats the greedy
 /// smallest-first order by the required margin, otherwise that greedy
-/// order reified as a left-deep JoinTree. Exposed so the materializing
-/// and pipelined (src/pipeline/) combination paths make the identical
-/// choice.
+/// order reified as a left-deep JoinTree. Exposed so the materialized
+/// reference and the pipeline (src/pipeline/) make the identical choice.
 JoinTree RuntimeJoinOrder(const QueryPlan& plan, size_t conj,
                           const std::vector<const RefRelation*>& inputs);
 

@@ -1,7 +1,5 @@
 #include "exec/construction.h"
 
-#include <unordered_set>
-
 namespace pascalr {
 
 Result<std::vector<int>> ResolveProjectionColumns(const QueryPlan& plan,
@@ -41,22 +39,6 @@ Result<Tuple> ConstructRow(const QueryPlan& plan, RowView row,
     result.Append(tuple->at(static_cast<size_t>(oc.component_pos)));
   }
   return result;
-}
-
-Result<std::vector<Tuple>> ExecuteConstruction(const QueryPlan& plan,
-                                               const RefRelation& table,
-                                               const Database& db,
-                                               ExecStats* stats) {
-  PASCALR_ASSIGN_OR_RETURN(std::vector<int> column_of_var,
-                           ResolveProjectionColumns(plan, table));
-  std::vector<Tuple> out;
-  std::unordered_set<Tuple, TupleHash> seen;
-  for (const RowView row : table.rows()) {
-    PASCALR_ASSIGN_OR_RETURN(
-        Tuple result, ConstructRow(plan, row, column_of_var, db, stats));
-    if (seen.insert(result).second) out.push_back(std::move(result));
-  }
-  return out;
 }
 
 }  // namespace pascalr

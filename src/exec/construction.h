@@ -1,8 +1,7 @@
 // The construction phase (paper §3.3, step 3): dereferences the reference
 // tuples delivered by the combination phase and projects them onto the
-// component selection. Used in two modes: ExecuteConstruction materialises
-// the whole (deduplicated) result, while the streaming Cursor
-// (exec/cursor.h) pulls one tuple at a time through the same helpers.
+// component selection. The Cursor (exec/cursor.h) constructs one tuple at
+// a time through these helpers and deduplicates above them.
 
 #ifndef PASCALR_EXEC_CONSTRUCTION_H_
 #define PASCALR_EXEC_CONSTRUCTION_H_
@@ -17,28 +16,21 @@
 
 namespace pascalr {
 
-/// Resolves the plan's projection against the combination result's
-/// columns: entry i is the RefRelation column of projection component i.
-Result<std::vector<int>> ResolveProjectionColumns(const QueryPlan& plan,
-                                                  const RefRelation& table);
-
-/// Same, against a bare column layout (the pipelined combination stream
-/// has no materialised RefRelation to resolve against).
+/// Resolves the plan's projection against the combination stream's
+/// column layout: entry i is the column of projection component i.
 Result<std::vector<int>> ResolveProjectionColumns(
     const QueryPlan& plan, const std::vector<std::string>& columns);
+
+/// Same, against a materialised RefRelation's columns. Kept only because
+/// bench_e2e/replay.cc calls it.
+Result<std::vector<int>> ResolveProjectionColumns(const QueryPlan& plan,
+                                                  const RefRelation& table);
 
 /// Dereferences one combination row and projects it onto the component
 /// selection (`column_of_var` from ResolveProjectionColumns).
 Result<Tuple> ConstructRow(const QueryPlan& plan, RowView row,
                            const std::vector<int>& column_of_var,
                            const Database& db, ExecStats* stats);
-
-/// Produces the (deduplicated) result tuples in the projection's component
-/// order.
-Result<std::vector<Tuple>> ExecuteConstruction(const QueryPlan& plan,
-                                               const RefRelation& table,
-                                               const Database& db,
-                                               ExecStats* stats);
 
 }  // namespace pascalr
 

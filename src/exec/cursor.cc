@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "exec/combination.h"
 #include "exec/construction.h"
 #include "obs/profile.h"
 #include "obs/span_names.h"
@@ -57,59 +56,26 @@ Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
   run.profile = profile;
   run.builders =
       std::make_unique<CollectionBuilders>(*c.plan_, db, &run.stats);
-  // Laziness only pays on the pipelined path: the materializing
-  // combination joins every structure at Open, so it forces a full build
-  // regardless of policy.
-  const bool lazy = c.plan_->pipeline &&
-                    c.plan_->collection == CollectionPolicy::kLazy;
-  if (!lazy) {
+  if (c.plan_->collection != CollectionPolicy::kLazy) {
     TraceSpanGuard span(spans::kCollection, &run.stats);
     PASCALR_RETURN_IF_ERROR(run.builders->EnsureAll());
   }
-  if (c.plan_->pipeline) {
-    // Streamed combination: compile the iterator tree now, join (and,
-    // under the lazy policy, collect) later — Next pulls rows on demand.
-    // A compile failure is an engine bug and fails the Open: there is
-    // no silent fallback to the materializing combination.
-    PASCALR_ASSIGN_OR_RETURN(
-        run.pipeline, CompilePipeline(*c.plan_, run.builders.get(),
-                                      &run.stats, &run.tracker, profile));
-    PASCALR_ASSIGN_OR_RETURN(
-        run.column_of_var,
-        ResolveProjectionColumns(*c.plan_, run.pipeline.columns));
-    if (profile != nullptr) {
-      // Construction (dereference + projection + dedup) runs in the
-      // cursor above the pipeline sink; a node of its own lets EXPLAIN
-      // ANALYZE attribute that per-tuple time too.
-      run.root_prof = profile->Add("construct", -1.0, {profile->root()});
-      profile->SetRoot(run.root_prof);
-    }
-    run.stats_at_open = run.stats;
-    c.open_ = true;
-    return c;
+  // Compile the iterator tree now, join (and, under the lazy policy,
+  // collect) later — Next pulls rows on demand. A compile failure is an
+  // engine bug and fails the Open.
+  PASCALR_ASSIGN_OR_RETURN(
+      run.pipeline, CompilePipeline(*c.plan_, run.builders.get(), &run.stats,
+                                    &run.tracker, profile));
+  PASCALR_ASSIGN_OR_RETURN(
+      run.column_of_var,
+      ResolveProjectionColumns(*c.plan_, run.pipeline.columns));
+  if (profile != nullptr) {
+    // Construction (dereference + projection + dedup) runs in the cursor
+    // above the pipeline sink; a node of its own lets EXPLAIN ANALYZE
+    // attribute that per-tuple time too.
+    run.root_prof = profile->Add("construct", -1.0, {profile->root()});
+    profile->SetRoot(run.root_prof);
   }
-  // Materializing combination (PIPELINE OFF): the collection above
-  // already ran in full.
-  {
-    TraceSpanGuard span(spans::kCombination, &run.stats);
-    const uint64_t t0 = profile != nullptr ? MonotonicNowNs() : 0;
-    PASCALR_ASSIGN_OR_RETURN(
-        run.combined,
-        ExecuteCombination(*c.plan_, run.builders->result(), &run.stats));
-    if (profile != nullptr) {
-      // No iterator tree to instrument here: one phase-level node carries
-      // the whole blocking combination.
-      int mat = profile->Add("materialized-combination", -1.0, {});
-      OpProfile* p = profile->prof(mat);
-      p->open_calls = 1;
-      p->rows_out = run.combined.size();
-      p->time_ns = MonotonicNowNs() - t0;
-      run.root_prof = profile->Add("construct", -1.0, {mat});
-      profile->SetRoot(run.root_prof);
-    }
-  }
-  PASCALR_ASSIGN_OR_RETURN(run.column_of_var,
-                           ResolveProjectionColumns(*c.plan_, run.combined));
   run.stats_at_open = run.stats;
   c.open_ = true;
   return c;
@@ -146,38 +112,27 @@ Result<bool> Cursor::Next(Tuple* out) {
 
 Result<bool> Cursor::NextImpl(Tuple* out) {
   RunState& run = *run_;
-  if (run.pipeline.ok()) {
-    // Refill a column-major chunk from the sink, then construct tuples
-    // row-by-row out of it. The sink accumulates full chunks, so
-    // batches_emitted is ceil(rows / batch) for a full drain regardless
-    // of upstream chunking.
-    while (true) {
-      if (run.chunk_pos >= run.chunk.rows) {
-        run.chunk.capacity = plan_->batch_size;
-        PASCALR_ASSIGN_OR_RETURN(bool more,
-                                 run.pipeline.root->NextBatch(&run.chunk));
-        if (!more) return false;
-        run.chunk_pos = 0;
-        ++run.stats.batches_emitted;
-      }
-      run.chunk.RowAt(run.chunk_pos++, &run.scratch);
-      PASCALR_ASSIGN_OR_RETURN(
-          Tuple tuple, ConstructRow(*plan_, run.scratch, run.column_of_var,
-                                    *db_, &run.stats));
-      if (!run.seen.insert(tuple).second) continue;  // duplicate row
-      *out = std::move(tuple);
-      return true;
+  // Refill a column-major chunk from the sink, then construct tuples
+  // row-by-row out of it. The sink accumulates full chunks, so
+  // batches_emitted is ceil(rows / batch) for a full drain regardless of
+  // upstream chunking.
+  while (true) {
+    if (run.chunk_pos >= run.chunk.rows) {
+      run.chunk.capacity = plan_->batch_size;
+      PASCALR_ASSIGN_OR_RETURN(bool more,
+                               run.pipeline.root->NextBatch(&run.chunk));
+      if (!more) return false;
+      run.chunk_pos = 0;
+      ++run.stats.batches_emitted;
     }
-  }
-  while (run.row < run.combined.size()) {
+    run.chunk.RowAt(run.chunk_pos++, &run.scratch);
     PASCALR_ASSIGN_OR_RETURN(
-        Tuple tuple, ConstructRow(*plan_, run.combined[run.row++],
-                                  run.column_of_var, *db_, &run.stats));
+        Tuple tuple, ConstructRow(*plan_, run.scratch, run.column_of_var,
+                                  *db_, &run.stats));
     if (!run.seen.insert(tuple).second) continue;  // duplicate row
     *out = std::move(tuple);
     return true;
   }
-  return false;
 }
 
 void Cursor::Close() {
@@ -198,9 +153,9 @@ void Cursor::Close() {
     run_->pipeline.root.reset();
     if (sink_ != nullptr) sink_->Merge(run_->stats);
     if (close_hook_) {
-      // seen's size is exactly the emitted-tuple count on both execution
-      // paths (every emitted tuple passes dedup), unlike rows_emitted
-      // which only counts when a tracer is attached.
+      // seen's size is exactly the emitted-tuple count (every emitted
+      // tuple passes dedup), unlike rows_emitted which only counts when a
+      // tracer is attached.
       close_hook_(run_->stats, run_->seen.size());
     }
   }

@@ -1,29 +1,22 @@
-// Pull-based result cursor over a compiled plan.
+// Pull-based result cursor over a compiled plan: the one way the engine
+// executes a statement.
 //
-// Pipelined mode (QueryPlan::pipeline, the default): Open compiles the
-// combination phase into a join-iterator tree (src/pipeline/). Next
-// constructs one tuple at a time — dereference + projection + duplicate
-// elimination on demand — out of a chunk of combination rows, pulling
-// the next chunk (QueryPlan::batch_size rows) through the tree only when
-// the current one is used up. Under the eager collection policy Open still
-// runs the whole collection phase (paper §3.3 step 1) first; under
-// CollectionPolicy::kLazy Open only *registers* per-structure builders
-// and every piece of collection work — structure builds, index builds,
-// range materialisation — happens behind Next, on demand. No combination
-// intermediate is materialised (blocking buffers — division input, dedup
-// sinks — excepted), and closing (or dropping) a partially drained
-// cursor skips the remaining join work, the remaining dereferences, and
-// (lazy) the never-demanded collection structures — visible through
-// ExecStats::structures_built / structure_elements_built.
-//
-// Materializing mode (PIPELINE OFF): Open runs collection + combination
-// as before and Next streams construction over the materialised
-// combination result. A pipelined plan whose compilation fails fails
-// the Open; it never falls back to this mode.
-//
-// Both modes produce the same tuple multiset after dedup; row order may
-// differ between them (pipelined joins emit probe-side-major in stream
-// order). A given mode is deterministic.
+// Open compiles the combination phase into a join-iterator tree
+// (src/pipeline/). Next constructs one tuple at a time — dereference +
+// projection + duplicate elimination on demand — out of a chunk of
+// combination rows, pulling the next chunk (QueryPlan::batch_size rows)
+// through the tree only when the current one is used up. Under the eager
+// collection policy Open still runs the whole collection phase (paper
+// §3.3 step 1) first; under CollectionPolicy::kLazy Open only *registers*
+// per-structure builders and every piece of collection work — structure
+// builds, index builds, range materialisation — happens behind Next, on
+// demand. No combination intermediate is materialised (blocking buffers —
+// division input, dedup sinks — excepted), and closing (or dropping) a
+// partially drained cursor skips the remaining join work, the remaining
+// dereferences, and (lazy) the never-demanded collection structures —
+// visible through ExecStats::structures_built / structure_elements_built.
+// A compile failure fails the Open. The emitted tuple order is
+// deterministic.
 
 #ifndef PASCALR_EXEC_CURSOR_H_
 #define PASCALR_EXEC_CURSOR_H_
@@ -55,19 +48,17 @@ class Cursor {
   Cursor& operator=(Cursor&& other) noexcept;
   ~Cursor() { Close(); }
 
-  /// Compiles the execution state for the plan. Eager policy (or
-  /// PIPELINE OFF): runs the collection phase — and, when not
-  /// pipelined, the combination phase — before returning. Lazy policy on
-  /// a pipelined plan: only registers collection builders; all collection
-  /// work happens behind Next. The cursor shares ownership of the plan,
-  /// so it stays valid even if the caller's plan cache replans meanwhile.
+  /// Compiles the execution state for the plan. Eager policy: runs the
+  /// collection phase before returning. Lazy policy: only registers
+  /// collection builders; all collection work happens behind Next. The
+  /// cursor shares ownership of the plan, so it stays valid even if the
+  /// caller's plan cache replans meanwhile.
   /// `sink` (optional) receives this run's ExecStats exactly once, when
   /// the cursor is closed or destroyed; it must outlive the cursor.
   /// `profile` (optional, EXPLAIN ANALYZE) receives one profiled node per
-  /// pipeline operator plus a construction/dedup root — or a single
-  /// phase-level combination node in materializing mode, which
-  /// has no iterator tree to instrument. It must outlive the cursor.
-  /// When null (every normal query) no instrumentation is inserted.
+  /// pipeline operator plus a construction/dedup root. It must outlive
+  /// the cursor. When null (every normal query) no instrumentation is
+  /// inserted.
   static Result<Cursor> Open(std::shared_ptr<const QueryPlan> plan,
                              const Database& db, ExecStats* sink = nullptr,
                              PipelineProfile* profile = nullptr);
@@ -91,10 +82,6 @@ class Cursor {
   void set_close_hook(std::function<void(const ExecStats&, uint64_t)> hook) {
     close_hook_ = std::move(hook);
   }
-
-  /// True when this cursor streams the combination phase through the
-  /// join-iterator pipeline (false: PIPELINE OFF).
-  bool pipelined() const { return run_ != nullptr && run_->pipeline.ok(); }
 
   /// Work counters of this cursor's run so far (collection at Open under
   /// the eager policy, then join/construction — and lazy collection —
@@ -126,12 +113,10 @@ class Cursor {
     ExecStats stats;
     PeakTracker tracker{&stats};
     std::unique_ptr<CollectionBuilders> builders;
-    CompiledPipeline pipeline;  ///< root null on the materializing path
-    Chunk chunk;                ///< current sink chunk
-    size_t chunk_pos = 0;       ///< next unconstructed row of `chunk`
-    RefRow scratch;             ///< reused per-row construction input
-    RefRelation combined;       ///< materializing path only
-    size_t row = 0;
+    CompiledPipeline pipeline;
+    Chunk chunk;           ///< current sink chunk
+    size_t chunk_pos = 0;  ///< next unconstructed row of `chunk`
+    RefRow scratch;        ///< reused per-row construction input
     std::vector<int> column_of_var;
     std::unordered_set<Tuple, TupleHash> seen;
 
@@ -145,8 +130,7 @@ class Cursor {
     uint64_t drain_ns = 0;
     uint64_t rows_emitted = 0;
     PipelineProfile* profile = nullptr;
-    int root_prof = -1;  ///< construct/dedup node (pipelined) or
-                         ///< combination node (materializing)
+    int root_prof = -1;  ///< construct/dedup node
   };
 
   std::shared_ptr<const QueryPlan> plan_;

@@ -59,11 +59,10 @@ std::string_view OptLevelToString(OptLevel level);
 ///  - kLazy: Cursor::Open only compiles per-structure builders; population
 ///    happens behind Next, on demand — full materialisation at first use,
 ///    per-join-key population for probe-side structures, or streaming the
-///    base relation without ever building the structure. Only the
-///    pipelined combination mode can exploit laziness (the materializing
-///    path joins everything at Open and forces a full build anyway).
+///    base relation without ever building the structure.
 enum class CollectionPolicy : uint8_t {
   kEager = 0,
+  /// Kept (with SET COLLECTION) while bench_e2e/replay.cc reads it.
   kLazy = 1,
 };
 
@@ -291,16 +290,11 @@ struct QueryPlan {
 
   DivisionAlgorithm division = DivisionAlgorithm::kHash;
 
-  /// Stream the combination phase through the join-iterator pipeline
-  /// (src/pipeline/): Cursor::Open runs only the collection phase and
-  /// every Next pulls one n-tuple through the iterator tree. When off the
-  /// cursor runs the materializing combination path. Both modes produce
-  /// the same tuple multiset after dedup.
+  /// Always true and set by no one; kept only because
+  /// bench_e2e/replay.cc reads it.
   bool pipeline = true;
 
-  /// Collection-phase population policy (see CollectionPolicy). Only
-  /// consulted on the pipelined cursor path; the materializing paths
-  /// always build eagerly.
+  /// Collection-phase population policy (see CollectionPolicy).
   CollectionPolicy collection = CollectionPolicy::kEager;
 
   /// Rows per pipeline chunk (`SET BATCH <n>;`): the capacity of every

@@ -37,8 +37,8 @@ struct ExecStats {
   /// Structure rows are already priced in single_list_refs /
   /// indirect_join_refs, so this stays out of TotalWork() too.
   uint64_t structure_elements_built = 0;
-  /// Chunks the pipelined cursor drain pulled from the pipeline sink —
-  /// one per sink row at `SET BATCH 1;`, 0 on materializing runs. The
+  /// Chunks the cursor drain pulled from the pipeline sink — one per
+  /// sink row at `SET BATCH 1;`, 0 under ExecuteCombination. The
   /// sink accumulates full chunks, so for a full drain this is
   /// ceil(sink rows / batch size): deterministic for a given plan and
   /// batch size. An event count, not work: stays out of TotalWork() —
@@ -51,10 +51,10 @@ struct ExecStats {
   /// go in the next change to the benchmark. Stays out of TotalWork().
   uint64_t morsels_dispatched = 0;
   /// High-water mark of combination-phase rows held live at once:
-  /// intermediate join/union/projection relations on the materializing
-  /// path, blocking buffers (division input, dedup sinks, bushy builds)
-  /// on the pipelined path. Collection structures are excluded — both
-  /// paths share them. A memory measure, not work: stays out of
+  /// blocking buffers (division input, dedup sinks, bushy builds) on the
+  /// pipeline, every intermediate join/union/projection relation under
+  /// ExecuteCombination. Collection structures are excluded — both share
+  /// them. A memory measure, not work: stays out of
   /// TotalWork() and accumulates by maximum, not sum.
   uint64_t peak_intermediate_rows = 0;
 

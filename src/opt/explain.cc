@@ -101,33 +101,28 @@ std::vector<bool> CoveredFilterNodes(const QueryPlan& plan, size_t conj,
 
 /// Renders one join-tree node (and its children) at `depth`, leaves named
 /// after their structure, internal nodes showing the join columns and the
-/// optimizer's estimated output cardinality. Under the pipelined mode the
-/// nodes are the iterator tree itself: internal nodes print as streamed
-/// probe-joins, with EXISTS-style first-match probes marked `semi` and
-/// covered leaves (residual predicates) printed as membership filters.
+/// optimizer's estimated output cardinality. The nodes are the iterator
+/// tree itself: internal nodes print as streamed probe-joins, with
+/// EXISTS-style first-match probes marked `semi` and covered leaves
+/// (residual predicates) printed as membership filters.
 void RenderJoinTree(const QueryPlan& plan, size_t conj, const JoinTree& tree,
-                    const std::vector<bool>* semi,
-                    const std::vector<bool>* filter, size_t node_id,
+                    const std::vector<bool>& semi,
+                    const std::vector<bool>& filter, size_t node_id,
                     int depth, std::string* out, bool membership_leaf) {
   const JoinTreeNode& node = tree.nodes[node_id];
   *out += std::string(6 + 2 * static_cast<size_t>(depth), ' ');
   if (node.leaf) {
     size_t structure_id = plan.conj_inputs[conj][node.input];
-    const char* kind =
-        semi != nullptr ? (membership_leaf ? "membership-probe " : "scan ")
-                        : "";
-    *out += StrFormat("%s%s ~%.0f rows\n", kind,
+    *out += StrFormat("%s%s ~%.0f rows\n",
+                      membership_leaf ? "membership-probe " : "scan ",
                       plan.structures[structure_id].debug_name.c_str(),
                       node.est_rows);
     return;
   }
-  const bool as_filter = filter != nullptr && (*filter)[node_id];
-  const char* op =
-      as_filter ? "filter" : (semi != nullptr ? "probe-join" : "join");
-  const char* mark =
-      as_filter ? " (membership)"
-                : (semi != nullptr && (*semi)[node_id] ? " (semi: first match)"
-                                                       : "");
+  const bool as_filter = filter[node_id];
+  const char* op = as_filter ? "filter" : "probe-join";
+  const char* mark = as_filter ? " (membership)"
+                               : (semi[node_id] ? " (semi: first match)" : "");
   if (node.join_columns.empty()) {
     *out += StrFormat("cross %s%s ~%.0f rows\n", op, mark, node.est_rows);
   } else {
@@ -159,8 +154,7 @@ std::string ExplainPlan(const PlannedQuery& planned) {
   out += "strategy 3:\n" + planned.range_extension.ToString();
   out += "strategy 4:\n" + planned.quant_pushdown_summary.ToString();
 
-  const bool lazy_collection = plan.pipeline &&
-                               plan.collection == CollectionPolicy::kLazy;
+  const bool lazy_collection = plan.collection == CollectionPolicy::kLazy;
   // One shape analysis serves the lazy build-mode table here and the
   // combination-phase rendering below.
   PipelineShape shape = AnalyzePipelineShape(plan);
@@ -263,17 +257,12 @@ std::string ExplainPlan(const PlannedQuery& planned) {
   }
 
   out += "combination phase:\n";
-  if (plan.pipeline) {
-    out += "  mode: pipelined (streamed join iterators; Cursor::Next pulls "
-           "a chunk at a time)\n";
-    out += StrFormat("  vectorized: %zu-row chunks\n", plan.batch_size);
-    if (!shape.existential.empty()) {
-      out += "  existential-only vars (semi-join probes, no extension): " +
-             Join(shape.existential, ", ") + "\n";
-    }
-  } else {
-    out += "  mode: materialized (reference relations built per "
-           "operation)\n";
+  out += "  mode: pipelined (streamed join iterators; Cursor::Next pulls "
+         "a chunk at a time)\n";
+  out += StrFormat("  vectorized: %zu-row chunks\n", plan.batch_size);
+  if (!shape.existential.empty()) {
+    out += "  existential-only vars (semi-join probes, no extension): " +
+           Join(shape.existential, ", ") + "\n";
   }
   for (size_t c = 0; c < plan.conj_inputs.size(); ++c) {
     std::vector<std::string> names;
@@ -285,34 +274,26 @@ std::string ExplainPlan(const PlannedQuery& planned) {
     if (c < plan.join_trees.size() &&
         plan.join_trees[c].Matches(plan.conj_inputs[c].size())) {
       const JoinTree& tree = plan.join_trees[c];
-      std::vector<bool> semi;
-      std::vector<bool> filter;
-      if (plan.pipeline) {
-        std::vector<std::vector<std::string>> input_cols;
-        for (size_t id : plan.conj_inputs[c]) {
-          input_cols.push_back(plan.structures[id].columns);
-        }
-        semi = SemiJoinEligible(tree, input_cols, shape);
-        filter = CoveredFilterNodes(plan, c, tree, semi);
+      std::vector<std::vector<std::string>> input_cols;
+      for (size_t id : plan.conj_inputs[c]) {
+        input_cols.push_back(plan.structures[id].columns);
       }
+      std::vector<bool> semi = SemiJoinEligible(tree, input_cols, shape);
+      std::vector<bool> filter = CoveredFilterNodes(plan, c, tree, semi);
       out += StrFormat(
-          "    %s (%s):\n",
-          plan.pipeline ? "iterator tree" : "join order",
+          "    iterator tree (%s):\n",
           std::string(JoinOrderSourceToString(tree.source)).c_str());
-      RenderJoinTree(plan, c, tree, plan.pipeline ? &semi : nullptr,
-                     plan.pipeline ? &filter : nullptr, tree.nodes.size() - 1,
-                     0, &out, false);
+      RenderJoinTree(plan, c, tree, semi, filter, tree.nodes.size() - 1, 0,
+                     &out, false);
     } else if (plan.conj_inputs[c].size() > 1) {
       out += "    join order: greedy smallest-first at execution\n";
     }
   }
-  if (plan.pipeline) {
-    out += shape.has_division
-               ? "  pipelined sink: disjunct streams buffered for division "
-                 "(blocking), then streamed\n"
-               : "  pipelined sink: streaming dedup, straight into "
-                 "construction\n";
-  }
+  out += shape.has_division
+             ? "  pipelined sink: disjunct streams buffered for division "
+               "(blocking), then streamed\n"
+             : "  pipelined sink: streaming dedup, straight into "
+               "construction\n";
   out += "  union of all conjunctions, then quantifiers right-to-left:\n";
   for (size_t i = plan.sf.prefix.size(); i-- > 0;) {
     const QuantifiedVar& qv = plan.sf.prefix[i];
@@ -352,29 +333,12 @@ std::string ExplainEstimatedVsActual(const PlannedQuery& planned,
   row("comparisons", est.comparisons, actual.comparisons);
   row("dereferences", est.dereferences, actual.dereferences);
   row("total_work", est.TotalWork(), actual.TotalWork());
-  // The estimated-vs-actual run executes the materializing reference
-  // path, so the peak row prices that mode; the pipelined price follows
-  // for comparison.
-  row("peak_intermediate_rows",
-      static_cast<uint64_t>(
-          std::min(std::max(0.0, planned.estimate.est_peak_materialized),
-                   9.0e18)),
+  row("peak_intermediate_rows", est.peak_intermediate_rows,
       actual.peak_intermediate_rows);
   out += StrFormat(
-      "  pipelined pricing: combination_rows %.0f, total_work %.0f, "
-      "peak %.0f\n",
-      planned.estimate.pipelined_combination_rows,
-      planned.estimate.pipelined_total_work,
-      planned.estimate.est_peak_pipelined);
-  std::string ttft_mode =
-      planned.plan.pipeline
-          ? "pipelined, " +
-                std::string(CollectionPolicyToString(planned.plan.collection)) +
-                " collection"
-          : std::string("materializing");
-  out += StrFormat("  est time-to-first-tuple (%s): %.0f\n",
-                   ttft_mode.c_str(),
-                   planned.estimate.est_time_to_first_tuple);
+      "  est time-to-first-tuple (%s collection): %.0f\n",
+      std::string(CollectionPolicyToString(planned.plan.collection)).c_str(),
+      planned.estimate.est_time_to_first_tuple);
   return out;
 }
 

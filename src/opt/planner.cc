@@ -1,7 +1,10 @@
 #include "opt/planner.h"
 
+#include <memory>
+
 #include "base/counters.h"
 #include "cost/plan_search.h"
+#include "exec/cursor.h"
 #include "exec/eval_util.h"
 #include "joinorder/attach.h"
 #include "normalize/fold_empty.h"
@@ -50,7 +53,6 @@ QueryPlan CloneQueryPlan(const QueryPlan& plan) {
   out.join_trees = plan.join_trees;
   out.eliminated_vars = plan.eliminated_vars;
   out.division = plan.division;
-  out.pipeline = plan.pipeline;
   out.collection = plan.collection;
   out.batch_size = plan.batch_size;
   return out;
@@ -98,11 +100,11 @@ Result<LevelForm> StandardFormWithFolding(const Database& db,
 }
 
 LevelForm LevelFormFor(const Database& db, const LevelForm& folded,
-                       OptLevel level, bool use_cnf_extensions) {
+                       OptLevel level) {
   LevelForm form = folded.Clone();
   form.level = level;
   if (level >= OptLevel::kRangeExt) {
-    form.range_extension = ApplyRangeExtension(&form.sf, use_cnf_extensions);
+    form.range_extension = ApplyRangeExtension(&form.sf, /*use_cnf=*/true);
     // Adaptation rule 2: a strategy-3 extension denoting an empty range
     // invalidates the factoring; abandon the extensions.
     bool extension_empty = false;
@@ -145,7 +147,6 @@ Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
   if (!plan.ok()) return plan.status();
   out.plan = std::move(plan).value();
   out.plan.division = options.division;
-  out.plan.pipeline = options.pipeline;
   out.plan.collection = options.collection;
   out.plan.batch_size = options.batch_size;
   if (options.use_permanent_indexes) {
@@ -163,7 +164,6 @@ Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
     // collection-phase walk (when the DP needed one) rides along on the
     // PlannedQuery so the plan-search driver can reuse it.
     JoinOrderOptions join_options;
-    join_options.dp_max_inputs = options.join_dp_max_inputs;
     join_options.bushy = options.join_dp_bushy;
     AttachJoinOrders(&out.plan, db, join_options, &out.collection_cost);
   }
@@ -177,29 +177,45 @@ Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
         "selection has unbound $parameters; prepare it with "
         "Session::Prepare and Execute it with parameter values");
   }
-  if (options.level == OptLevel::kAuto || options.cost_based) {
+  if (options.level == OptLevel::kAuto) {
     // Cost-based selection: src/cost/plan_search.cc plans each concrete
     // level from one shared folded form and keeps the cheapest.
     return SearchBestPlan(db, std::move(query), options);
   }
   PASCALR_ASSIGN_OR_RETURN(LevelForm folded,
                            StandardFormWithFolding(db, std::move(query)));
-  return PlanLevelForm(
-      db,
-      LevelFormFor(db, folded, options.level, options.use_cnf_extensions),
-      options);
+  return PlanLevelForm(db, LevelFormFor(db, folded, options.level), options);
+}
+
+Result<QueryRun> RunPlanned(const Database& db, PlannedQuery planned) {
+  QueryRun run;
+  // The cursor shares the plan through an aliasing pointer; once it is
+  // closed the PlannedQuery is ours again and moves into the run.
+  auto shared = std::make_shared<PlannedQuery>(std::move(planned));
+  {
+    PASCALR_ASSIGN_OR_RETURN(
+        Cursor cursor,
+        Cursor::Open(std::shared_ptr<const QueryPlan>(shared, &shared->plan),
+                     db));
+    Tuple tuple;
+    while (true) {
+      PASCALR_ASSIGN_OR_RETURN(bool more, cursor.Next(&tuple));
+      if (!more) break;
+      run.tuples.push_back(std::move(tuple));
+    }
+    run.stats = cursor.stats();
+    run.collection = cursor.ReleaseCollection();
+  }
+  run.planned = std::move(*shared);
+  return run;
 }
 
 Result<QueryRun> RunQuery(const Database& db, BoundQuery query,
                           const PlannerOptions& options) {
-  QueryRun run;
-  PASCALR_ASSIGN_OR_RETURN(run.planned,
+  PASCALR_ASSIGN_OR_RETURN(PlannedQuery planned,
                            PlanQuery(db, std::move(query), options));
+  PASCALR_ASSIGN_OR_RETURN(QueryRun run, RunPlanned(db, std::move(planned)));
   run.stats.replans = run.planned.replans;
-  PASCALR_ASSIGN_OR_RETURN(ExecOutcome outcome,
-                           ExecutePlan(run.planned.plan, db, &run.stats));
-  run.tuples = std::move(outcome.tuples);
-  run.collection = std::move(outcome.collection);
   return run;
 }
 

@@ -21,7 +21,7 @@
 #include "base/status.h"
 #include "catalog/database.h"
 #include "cost/cost_model.h"
-#include "exec/evaluator.h"
+#include "exec/collection.h"
 #include "exec/plan.h"
 #include "opt/quant_pushdown.h"
 #include "opt/range_extension.h"
@@ -35,34 +35,15 @@ struct PlannerOptions {
   /// Consult the catalog for fresh permanent indexes before building
   /// transient ones (paper §3.2). Ungated index specs only.
   bool use_permanent_indexes = false;
-  /// Enable the paper's §4.3 closing suggestion: conjunctive-normal-form
-  /// range extensions (disjunctive restrictions). Applies at level >= 3.
-  bool use_cnf_extensions = true;
-  /// Cost-based plan selection (same as level = OptLevel::kAuto): the
-  /// plan-search driver plans strategy levels 0-4 with and without
-  /// permanent-index use, costs each candidate against catalog
-  /// statistics, and plans the cheapest. Run ANALYZE (Database::Analyze)
-  /// for accurate estimates.
-  bool cost_based = false;
   /// Selinger-style join ordering (src/joinorder/) over each
   /// conjunction's combination inputs: when every relation a conjunction
-  /// ranges over has fresh statistics and its input count is within
-  /// join_dp_max_inputs, a dynamic program picks the join tree; the
+  /// ranges over has fresh statistics and its input count is within the
+  /// DP's input limit, a dynamic program picks the join tree; the
   /// executor keeps its greedy smallest-first heuristic otherwise (and
   /// whenever the DP predicts no strict improvement over greedy).
   bool join_order_dp = true;
-  /// Conjunctions with more inputs than this skip the DP (2^n table).
-  size_t join_dp_max_inputs = 12;
   /// Let the DP consider bushy join trees, not just left-deep ones.
   bool join_dp_bushy = false;
-  /// Stream the combination phase through the join-iterator pipeline
-  /// (src/pipeline/) when executing via Cursor: Open runs only the
-  /// collection phase, Next pulls combination rows a chunk at a time, and an
-  /// early Close skips unperformed join work. Off forces the
-  /// materializing combination path everywhere. Both modes yield the same
-  /// tuple multiset after dedup (asserted by the pipeline property
-  /// tests); default on.
-  bool pipeline = true;
   /// Collection-phase population policy (`SET COLLECTION EAGER|LAZY;`).
   /// kEager builds every structure at Cursor::Open (the paper's phase
   /// split and the oracle); kLazy defers all collection work behind Next
@@ -70,7 +51,7 @@ struct PlannerOptions {
   /// per requested join key, or stream without materialising. Same tuple
   /// multiset either way (lazy property sweep); lazy wins when cursors
   /// stop early and can lose on full drains of small relations (repeat
-  /// scans). Only the pipelined path can exploit it.
+  /// scans).
   CollectionPolicy collection = CollectionPolicy::kEager;
   /// Rows per pipeline chunk on the pipelined cursor drain
   /// (`SET BATCH <n>;`); 1 pulls 1-row chunks.
@@ -82,10 +63,8 @@ struct PlannerOptions {
 inline bool operator==(const PlannerOptions& a, const PlannerOptions& b) {
   return a.level == b.level && a.division == b.division &&
          a.use_permanent_indexes == b.use_permanent_indexes &&
-         a.use_cnf_extensions == b.use_cnf_extensions &&
-         a.cost_based == b.cost_based && a.join_order_dp == b.join_order_dp &&
-         a.join_dp_max_inputs == b.join_dp_max_inputs &&
-         a.join_dp_bushy == b.join_dp_bushy && a.pipeline == b.pipeline &&
+         a.join_order_dp == b.join_order_dp &&
+         a.join_dp_bushy == b.join_dp_bushy &&
          a.collection == b.collection && a.batch_size == b.batch_size;
 }
 inline bool operator!=(const PlannerOptions& a, const PlannerOptions& b) {
@@ -100,7 +79,7 @@ struct PlannedQuery {
   std::string adaptation_notes;  ///< runtime adaptations that fired
   uint64_t replans = 0;
 
-  /// Cost-based selection trail (OptLevel::kAuto / cost_based): the
+  /// Cost-based selection trail (OptLevel::kAuto): the
   /// chosen plan's estimate and one line per candidate considered.
   bool cost_based = false;
   CostEstimate estimate;
@@ -148,7 +127,7 @@ struct LevelForm {
 Result<LevelForm> StandardFormWithFolding(const Database& db,
                                           BoundQuery query);
 LevelForm LevelFormFor(const Database& db, const LevelForm& folded,
-                       OptLevel level, bool use_cnf_extensions);
+                       OptLevel level);
 
 /// Compiles `form` and applies the physical knobs and join ordering of
 /// `options` (whose level only labels the trace span).
@@ -159,7 +138,11 @@ Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
 Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
                                const PlannerOptions& options);
 
-/// PlanQuery + ExecutePlan.
+/// Drains a Cursor over `planned`'s plan to the end. The PlannedQuery and
+/// the cursor's collection structures move into the QueryRun.
+Result<QueryRun> RunPlanned(const Database& db, PlannedQuery planned);
+
+/// PlanQuery + RunPlanned; the run's stats carry the plan's replans.
 Result<QueryRun> RunQuery(const Database& db, BoundQuery query,
                           const PlannerOptions& options);
 

@@ -22,9 +22,9 @@ const Schema kEmptySchema;
 
 /// One line for the slow-query log: what kind of plan ran this.
 std::string PlanSummary(const QueryPlan& plan, bool cache_hit) {
-  return StrFormat("level=%s pipeline=%s cache=%s",
+  return StrFormat("level=%s cache=%s",
                    std::string(OptLevelToString(plan.level)).c_str(),
-                   plan.pipeline ? "on" : "off", cache_hit ? "hit" : "miss");
+                   cache_hit ? "hit" : "miss");
 }
 
 }  // namespace

@@ -122,15 +122,8 @@ Status Session::ApplyOption(const std::string& name,
     return Status::InvalidArgument("SET PERMINDEXES expects ON or OFF, got '" +
                                    value + "'");
   }
-  if (name == "pipeline") {
-    if (value == "on" || value == "off") {
-      options_.pipeline = value == "on";
-      return Status::OK();
-    }
-    return Status::InvalidArgument("SET PIPELINE expects ON or OFF, got '" +
-                                   value + "'");
-  }
   if (name == "collection") {
+    // Kept while bench_e2e/replay.cc reads CollectionPolicy::kLazy.
     if (value == "eager" || value == "lazy") {
       options_.collection = value == "lazy" ? CollectionPolicy::kLazy
                                             : CollectionPolicy::kEager;
@@ -202,8 +195,8 @@ Status Session::ApplyOption(const std::string& name,
   }
   return Status::InvalidArgument("unknown option '" + name +
                                  "' (expected OPTLEVEL, DIVISION, "
-                                 "PERMINDEXES, JOINORDER, PIPELINE, "
-                                 "COLLECTION, BATCH, TRACE, or SLOWLOG)");
+                                 "PERMINDEXES, JOINORDER, COLLECTION, "
+                                 "BATCH, TRACE, or SLOWLOG)");
 }
 
 Status Session::RunAssign(const AssignStmt& stmt) {
@@ -225,11 +218,12 @@ Status Session::RunAssign(const AssignStmt& stmt) {
               .count()),
       run.tuples.size(), run.stats, /*plan_cache_hit=*/false,
       /*max_qerror=*/0.0,
-      StrFormat("level=%s pipeline=%s cache=off",
-                std::string(OptLevelToString(run.planned.plan.level)).c_str(),
-                run.planned.plan.pipeline ? "on" : "off"));
+      StrFormat("level=%s cache=off",
+                std::string(OptLevelToString(run.planned.plan.level)).c_str()));
 
-  // Create or replace the target relation.
+  // Create or replace the target relation. RunQuery drained and closed
+  // its cursor above, so a selection over the target itself has read the
+  // old contents before they are dropped.
   if (db_->FindRelation(stmt.target) != nullptr) {
     PASCALR_RETURN_IF_ERROR(db_->DropRelation(stmt.target));
   }
@@ -479,14 +473,12 @@ Status Session::ExecuteStatementImpl(const Statement& stmt) {
                              PlanQuery(*db_, std::move(bound), options_));
     Emit(ExplainPlan(planned));
     if (planned.cost_based) {
-      // EXPLAIN under cost-based mode also executes the chosen plan, so
-      // the estimated counters can be judged against reality.
-      ExecStats stats;
-      PASCALR_ASSIGN_OR_RETURN(ExecOutcome outcome,
-                               ExecutePlan(planned.plan, *db_, &stats));
-      (void)outcome;
-      total_stats_.Merge(stats);
-      Emit(ExplainEstimatedVsActual(planned, stats));
+      // EXPLAIN under cost-based mode also drains the chosen plan, so the
+      // estimated counters can be judged against reality.
+      PASCALR_ASSIGN_OR_RETURN(QueryRun run,
+                               RunPlanned(*db_, std::move(planned)));
+      total_stats_.Merge(run.stats);
+      Emit(ExplainEstimatedVsActual(run.planned, run.stats));
     }
     return Status::OK();
   }
@@ -778,9 +770,8 @@ Result<std::string> Session::ExplainAnalyzeSelection(SelectionExpr selection) {
   FoldStatementStats(
       fingerprint, wall_ns / 1000, result_tuples, stats,
       /*plan_cache_hit=*/false, MaxQError(profile),
-      StrFormat("level=%s pipeline=%s cache=miss",
-                std::string(OptLevelToString(shared->plan.level)).c_str(),
-                shared->plan.pipeline ? "on" : "off"));
+      StrFormat("level=%s cache=miss",
+                std::string(OptLevelToString(shared->plan.level)).c_str()));
 
   std::string report = ExplainPlan(*shared);
   report +=

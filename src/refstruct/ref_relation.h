@@ -144,7 +144,8 @@ class RefRelation {
 
   /// Row r as an owned copy, for callers that need a `const RefRow&`.
   /// The copies are made on first use and stay valid until the next Add
-  /// or Clear; not for concurrent callers. The engine reads views.
+  /// or Clear; not for concurrent callers. The engine reads views; this
+  /// stays only because bench_e2e/replay.cc binds it.
   const RefRow& row(size_t r) const;
 
   /// Inserts a row (arity must match); duplicate rows are ignored.

@@ -52,10 +52,6 @@ Result<QueryRun> RunAuto(const Database& db, const SelectionExpr& sel) {
   PASCALR_ASSIGN_OR_RETURN(BoundQuery bound, binder.Bind(sel.Clone()));
   PlannerOptions options;
   options.level = OptLevel::kAuto;
-  // RunQuery executes the materializing path, so rank candidates in the
-  // mode this regret sweep measures. The pipelined ranking has its own
-  // sweep below, measured in pipelined work through the cursor.
-  options.pipeline = false;
   return RunQuery(db, std::move(bound), options);
 }
 
@@ -201,11 +197,9 @@ TEST(AutoPlannerTest, PruningNeverDiscardsAWinningNaiveCandidate) {
 }
 
 // ----------------------------------------------------------------------
-// Mode-aware ranking (the ROADMAP item): sessions that execute the
-// streamed combination rank kAuto candidates by the pipelined work
-// estimate. The regret sweep measures in *pipelined actual work* — every
-// run below goes through the prepared cursor with pipeline on — against
-// the best fixed level executed the same way.
+// The same regret bound through the session surface: every run below goes
+// through a prepared query's cursor, against the best fixed level executed
+// the same way.
 
 struct PipelinedRun {
   OptLevel level = OptLevel::kNaive;
@@ -213,13 +207,12 @@ struct PipelinedRun {
   std::string candidates;  ///< kAuto only
 };
 
-/// Drains `sel` through the pipelined cursor at the given level and
+/// Drains `sel` through a prepared query's cursor at the given level and
 /// returns the measured work.
 Result<PipelinedRun> RunPipelined(Database* db, const SelectionExpr& sel,
                                   OptLevel level) {
   Session session(db);
   session.options().level = level;
-  session.options().pipeline = true;
   PASCALR_ASSIGN_OR_RETURN(PreparedQuery prepared,
                            session.PrepareSelection(sel.Clone()));
   PASCALR_ASSIGN_OR_RETURN(PreparedExecution exec, prepared.Execute());
@@ -259,11 +252,6 @@ void ExpectPipelinedAutoWithinRegret(Database* db, const SelectionExpr& sel,
   Result<PipelinedRun> auto_run = RunPipelined(db, sel, OptLevel::kAuto);
   ASSERT_TRUE(auto_run.ok()) << what << ": "
                              << auto_run.status().ToString();
-  EXPECT_NE(auto_run->candidates.find("ranking: pipelined work"),
-            std::string::npos)
-      << what << ": kAuto under a pipelined session must rank by the "
-      << "pipelined estimate\n"
-      << auto_run->candidates;
   double bound = kRegretBound * static_cast<double>(best.work);
   EXPECT_LE(static_cast<double>(auto_run->work), bound)
       << what << ": pipelined auto chose "
@@ -305,40 +293,6 @@ TEST(AutoPlannerTest, PipelinedRankingGeneratedQueriesWithinRegretBound) {
         "pipelined generated seed " + std::to_string(seed));
   }
   EXPECT_GE(checked, 32u);
-}
-
-TEST(AutoPlannerTest, MaterializingSessionKeepsMaterializingRanking) {
-  auto db = MakeUniversityDb();
-  ASSERT_TRUE(db->AnalyzeAll().ok());
-  Binder binder(db.get());
-  Result<BoundQuery> bound =
-      binder.Bind(ParseSelection(Example21QuerySource()).Clone());
-  ASSERT_TRUE(bound.ok());
-  PlannerOptions options;
-  options.level = OptLevel::kAuto;
-  options.pipeline = false;
-  Result<PlannedQuery> planned =
-      PlanQuery(*db, std::move(bound).value(), options);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  EXPECT_EQ(planned->cost_candidates.find("ranking: pipelined work"),
-            std::string::npos)
-      << planned->cost_candidates;
-}
-
-TEST(AutoPlannerTest, CostBasedFlagEquivalentToAutoLevel) {
-  auto db = MakeUniversityDb();
-  ASSERT_TRUE(db->AnalyzeAll().ok());
-  Binder binder(db.get());
-  Result<BoundQuery> bound =
-      binder.Bind(ParseSelection(Example21QuerySource()).Clone());
-  ASSERT_TRUE(bound.ok());
-  PlannerOptions options;
-  options.level = OptLevel::kOneStep;  // concrete level, but...
-  options.cost_based = true;           // ...the flag forces the search
-  Result<PlannedQuery> planned =
-      PlanQuery(*db, std::move(bound).value(), options);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  EXPECT_TRUE(planned->cost_based);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
 #include "opt/planner.h"
 #include "pascalr/sample_db.h"
 #include "tests/test_util.h"
@@ -148,8 +147,10 @@ TEST(CombinationTest, EliminatedVariablesSkipDivision) {
       PlanQuery(*db, MustBind(*db, Example21QuerySource()), options);
   ASSERT_TRUE(planned.ok());
   ASSERT_FALSE(planned->plan.eliminated_vars.empty());
-  Result<ExecOutcome> outcome = ExecutePlan(planned->plan, *db, &stats);
-  ASSERT_TRUE(outcome.ok());
+  Result<CollectionResult> coll =
+      ExecuteCollection(planned->plan, *db, &stats);
+  ASSERT_TRUE(coll.ok());
+  ASSERT_TRUE(ExecuteCombination(planned->plan, *coll, &stats).ok());
   EXPECT_EQ(stats.division_input_rows, 0u);
 }
 

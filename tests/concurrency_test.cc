@@ -316,7 +316,7 @@ TEST(ConcurrencyTest, SharedCacheKeySeparatesPlannerOptions) {
   SessionManager manager(db.get());
   auto first = manager.CreateSession();
   auto second = manager.CreateSession();
-  second->options().pipeline = false;  // different plan-relevant option
+  second->options().join_order_dp = false;  // different plan-relevant option
 
   auto r1 = first->Query(kJoinQuery);
   ASSERT_TRUE(r1.ok());

@@ -198,13 +198,10 @@ TEST(ExplainCostTest, EstimatedVsActualCountersRender) {
   ASSERT_TRUE(db->AnalyzeAll().ok());
   PlannerOptions options;
   options.level = OptLevel::kAuto;
-  Result<PlannedQuery> planned =
-      PlanQuery(*db, MustBind(*db, Example21QuerySource()), options);
-  ASSERT_TRUE(planned.ok());
-  ExecStats stats;
-  Result<ExecOutcome> outcome = ExecutePlan(planned->plan, *db, &stats);
-  ASSERT_TRUE(outcome.ok());
-  std::string text = ExplainEstimatedVsActual(*planned, stats);
+  Result<QueryRun> run =
+      RunQuery(*db, MustBind(*db, Example21QuerySource()), options);
+  ASSERT_TRUE(run.ok());
+  std::string text = ExplainEstimatedVsActual(run->planned, run->stats);
   EXPECT_NE(text.find("estimated vs actual"), std::string::npos);
   for (const char* counter :
        {"elements_scanned", "index_probes", "single_list_refs",

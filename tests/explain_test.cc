@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/evaluator.h"
 #include "pascalr/sample_db.h"
 #include "tests/test_util.h"
 
@@ -81,13 +80,10 @@ TEST(ExplainTest, CollectionExhibitListsFigure2Structures) {
   auto db = MakeUniversityDb();
   PlannerOptions options;
   options.level = OptLevel::kOneStep;
-  Result<PlannedQuery> planned =
-      PlanQuery(*db, MustBind(*db, Example21QuerySource()), options);
-  ASSERT_TRUE(planned.ok());
-  ExecStats stats;
-  Result<ExecOutcome> outcome = ExecutePlan(planned->plan, *db, &stats);
-  ASSERT_TRUE(outcome.ok());
-  std::string text = ExplainCollection(planned->plan, outcome->collection);
+  Result<QueryRun> run =
+      RunQuery(*db, MustBind(*db, Example21QuerySource()), options);
+  ASSERT_TRUE(run.ok());
+  std::string text = ExplainCollection(run->planned.plan, run->collection);
   EXPECT_NE(text.find("rows"), std::string::npos);
   EXPECT_NE(text.find("range(e): 6 refs"), std::string::npos);
   EXPECT_NE(text.find("ind_"), std::string::npos);

@@ -384,23 +384,11 @@ TEST(JoinOrderAcceptanceTest, ExplainShowsTheTreeWithCardinalities) {
     ASSERT_TRUE(planned.ok());
     if (planned->plan.join_trees.empty()) continue;
     found = true;
-    // Pipelined mode (the default) renders the tree as the iterator
-    // chain; the materialized fallback keeps the join-order rendering.
+    // The tree renders as the iterator chain the cursor runs.
     std::string text = ExplainPlan(*planned);
     EXPECT_NE(text.find("iterator tree (dp)"), std::string::npos) << text;
     EXPECT_NE(text.find("probe-join on ["), std::string::npos) << text;
     EXPECT_NE(text.find(" rows"), std::string::npos) << text;
-    PlannerOptions materialized = options;
-    materialized.pipeline = false;
-    Result<BoundQuery> rebound = binder.Bind(sel.Clone());
-    ASSERT_TRUE(rebound.ok());
-    Result<PlannedQuery> planned_mat =
-        PlanQuery(*db, std::move(rebound).value(), materialized);
-    ASSERT_TRUE(planned_mat.ok());
-    std::string text_mat = ExplainPlan(*planned_mat);
-    EXPECT_NE(text_mat.find("join order (dp)"), std::string::npos)
-        << text_mat;
-    EXPECT_NE(text_mat.find("join on ["), std::string::npos) << text_mat;
   }
   EXPECT_TRUE(found)
       << "no generated query attached a DP tree within 60 seeds";

@@ -8,3 +8,7 @@ bool ScanIterator::Next(Row* out) {
   PASCALR_LOG_FATAL << "invariant";
   return false;
 }
+Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
+  PASCALR_LOG_FATAL << "invariant";
+  return false;
+}

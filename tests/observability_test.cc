@@ -1,8 +1,8 @@
 // Observability layer (src/obs/): metrics registry and latency
 // percentiles, query-trace span trees (well-formed nesting, per-stage
 // spans, lazy build spans), EXPLAIN ANALYZE (result identity between
-// instrumented and uninstrumented runs across paper examples x pipeline
-// on/off x eager/lazy, q-error rendering), zero counter drift when
+// instrumented and uninstrumented runs across paper examples x
+// eager/lazy, q-error rendering), zero counter drift when
 // tracing is off, and Chrome trace-event export.
 
 #include <cstdio>
@@ -215,14 +215,12 @@ TEST(TraceTest, ChromeExportIsValidTraceEventJson) {
 /// Runs `source` once uninstrumented and once under a PipelineProfile,
 /// asserting identical result tuples and identical deterministic work
 /// counters — the profiled decorators must observe, never perturb.
-void CheckResultIdentity(const std::string& source, bool pipeline,
+void CheckResultIdentity(const std::string& source,
                          CollectionPolicy collection) {
-  SCOPED_TRACE(source + (pipeline ? " [pipelined]" : " [materialized]") +
-               (collection == CollectionPolicy::kLazy ? " [lazy]"
-                                                      : " [eager]"));
+  SCOPED_TRACE(source + (collection == CollectionPolicy::kLazy ? " [lazy]"
+                                                               : " [eager]"));
   auto db = MakeUniversityDb();
   PlannerOptions options;
-  options.pipeline = pipeline;
   options.collection = collection;
   Result<PlannedQuery> planned =
       PlanQuery(*db, MustBind(*db, source), options);
@@ -274,11 +272,9 @@ TEST(ExplainAnalyzeTest, InstrumentedRunsMatchUninstrumentedOnes) {
       "[<e.ename> OF EACH e IN employees: e.enr < 5]",
   };
   for (const std::string& q : queries) {
-    for (bool pipeline : {true, false}) {
-      for (CollectionPolicy collection :
-           {CollectionPolicy::kEager, CollectionPolicy::kLazy}) {
-        CheckResultIdentity(q, pipeline, collection);
-      }
+    for (CollectionPolicy collection :
+         {CollectionPolicy::kEager, CollectionPolicy::kLazy}) {
+      CheckResultIdentity(q, collection);
     }
   }
 }
@@ -342,7 +338,7 @@ TEST(ObservabilityTest, TracingOffLeavesEveryCounterUntouched) {
     ASSERT_TRUE(session.Query(Example21QuerySource()).ok());
     session.options().collection = CollectionPolicy::kLazy;
     ASSERT_TRUE(session.Query(Example21QuerySource()).ok());
-    session.options().pipeline = false;
+    session.options().batch_size = 1;
     ASSERT_TRUE(session.Query(Example21QuerySource()).ok());
     *stats = session.total_stats();
     CompileCounters after = GlobalCompileCounters();

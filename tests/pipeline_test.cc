@@ -1,8 +1,9 @@
 // The pipelined combination subsystem (src/pipeline/): operator units,
-// pipelined-vs-materialized tuple identity across the paper examples and
-// planner levels, peak-intermediate-row accounting (pipelined <=
-// materialized, strictly lower on >=3-input conjunctions), early-Close
-// join-work skipping, and the SET PIPELINE / EXPLAIN surface.
+// tuple identity against the paper's materialized reference
+// (tests/materialized_reference.h) across the paper examples and planner
+// levels, peak-intermediate-row accounting (pipelined <= materialized,
+// strictly lower on >=3-input conjunctions), early-Close join-work
+// skipping, and the EXPLAIN surface.
 
 #include "pipeline/compile.h"
 
@@ -18,6 +19,7 @@
 #include "pascalr/session.h"
 #include "pipeline/iterators.h"
 #include "pipeline/shape.h"
+#include "tests/materialized_reference.h"
 #include "tests/query_gen.h"
 #include "tests/test_util.h"
 
@@ -25,6 +27,7 @@ namespace pascalr {
 namespace {
 
 using testing_util::MakeUniversityDb;
+using testing_util::MaterializedRun;
 using testing_util::QueryGenerator;
 using testing_util::TupleStrings;
 
@@ -255,22 +258,35 @@ const char* kThreeInputConjunction =
     " SOME c IN courses SOME t IN timetable"
     " ((c.clevel <= sophomore) AND (c.cnr = t.tcnr) AND (e.enr = t.tenr))]";
 
-TEST(PipelineEquivalenceTest, PaperExamplesAcrossLevelsAndModes) {
+/// Plans `bound` under `options` and runs the materialized reference.
+MaterializedRun MustRunMaterialized(const Database& db, BoundQuery bound,
+                                    const PlannerOptions& options) {
+  Result<PlannedQuery> planned = PlanQuery(db, std::move(bound), options);
+  EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+  if (!planned.ok()) return {};
+  Result<MaterializedRun> run =
+      testing_util::RunMaterialized(planned->plan, db);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  return run.ok() ? std::move(run).value() : MaterializedRun();
+}
+
+MaterializedRun MustRunMaterialized(const Database& db, const std::string& src,
+                                    const PlannerOptions& options) {
+  return MustRunMaterialized(db, testing_util::MustBind(db, src), options);
+}
+
+TEST(PipelineEquivalenceTest, PaperExamplesAcrossLevels) {
   for (int level = 0; level <= 5; ++level) {
     auto db = MakeUniversityDb();
     ASSERT_TRUE(db->AnalyzeAll().ok());
     for (const char* src : kPaperExamples) {
-      Session on(db.get());
-      on.options().level = static_cast<OptLevel>(level);
-      on.options().pipeline = true;
-      Session off(db.get());
-      off.options().level = static_cast<OptLevel>(level);
-      off.options().pipeline = false;
-      auto run_on = on.Query(src);
-      auto run_off = off.Query(src);
-      ASSERT_TRUE(run_on.ok()) << run_on.status().ToString();
-      ASSERT_TRUE(run_off.ok()) << run_off.status().ToString();
-      EXPECT_EQ(TupleStrings(run_on->tuples), TupleStrings(run_off->tuples))
+      Session session(db.get());
+      session.options().level = static_cast<OptLevel>(level);
+      auto run = session.Query(src);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      MaterializedRun reference =
+          MustRunMaterialized(*db, src, session.options());
+      EXPECT_EQ(TupleStrings(run->tuples), TupleStrings(reference.tuples))
           << "level " << level << "\n" << src;
     }
   }
@@ -284,7 +300,6 @@ TEST(PipelineEquivalenceTest, CursorActuallyStreamsAndMatches) {
     ASSERT_TRUE(prepared.ok());
     auto cursor = prepared->OpenCursor();
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-    EXPECT_TRUE(cursor->pipelined()) << src;
     // Open ran only the collection phase: no combination row exists yet.
     EXPECT_EQ(cursor->stats().combination_rows, 0u) << src;
     std::vector<Tuple> streamed;
@@ -297,12 +312,9 @@ TEST(PipelineEquivalenceTest, CursorActuallyStreamsAndMatches) {
     }
     cursor->Close();
 
-    PlannerOptions materialized = session.options();
-    materialized.pipeline = false;
-    auto reference =
-        RunQuery(*db, testing_util::MustBind(*db, src), materialized);
-    ASSERT_TRUE(reference.ok());
-    EXPECT_EQ(TupleStrings(streamed), TupleStrings(reference->tuples)) << src;
+    MaterializedRun reference =
+        MustRunMaterialized(*db, src, session.options());
+    EXPECT_EQ(TupleStrings(streamed), TupleStrings(reference.tuples)) << src;
   }
 }
 
@@ -313,7 +325,6 @@ TEST(PipelineEquivalenceTest, CompileFailureFailsTheOpen) {
   Result<PlannedQuery> planned = PlanQuery(
       *db, testing_util::MustBind(*db, kPaperExamples[0]), PlannerOptions());
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  ASSERT_TRUE(planned->plan.pipeline);
   planned->plan.conj_inputs.clear();  // out of sync with the disjuncts
   Result<Cursor> cursor = Cursor::Open(
       std::make_shared<const QueryPlan>(std::move(planned->plan)), *db);
@@ -332,7 +343,6 @@ TEST(PipelineEquivalenceTest, DivisionPathIsIdenticalFromTheBufferOn) {
   ASSERT_TRUE(prepared.ok());
   auto cursor = prepared->OpenCursor();
   ASSERT_TRUE(cursor.ok());
-  ASSERT_TRUE(cursor->pipelined());
   Tuple t;
   std::vector<Tuple> streamed;
   while (true) {
@@ -344,15 +354,11 @@ TEST(PipelineEquivalenceTest, DivisionPathIsIdenticalFromTheBufferOn) {
   ExecStats pipelined = cursor->stats();
   cursor->Close();
 
-  PlannerOptions materialized = session.options();
-  materialized.pipeline = false;
-  auto reference = RunQuery(
-      *db, testing_util::MustBind(*db, Example21QuerySource()), materialized);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(TupleStrings(streamed), TupleStrings(reference->tuples));
-  EXPECT_EQ(pipelined.division_input_rows,
-            reference->stats.division_input_rows);
-  EXPECT_EQ(pipelined.dereferences, reference->stats.dereferences);
+  MaterializedRun reference =
+      MustRunMaterialized(*db, Example21QuerySource(), session.options());
+  EXPECT_EQ(TupleStrings(streamed), TupleStrings(reference.tuples));
+  EXPECT_EQ(pipelined.division_input_rows, reference.stats.division_input_rows);
+  EXPECT_EQ(pipelined.dereferences, reference.stats.dereferences);
 }
 
 TEST(PipelineEquivalenceTest, HashAndSortDivisionAgreeBeyondOneChunk) {
@@ -389,14 +395,23 @@ struct ModeStats {
   size_t tuples = 0;
 };
 
+/// `src` at `level` through the Cursor (pipeline) or the materialized
+/// reference.
 ModeStats RunMode(Database* db, const std::string& src, OptLevel level,
                   bool pipeline) {
+  ModeStats out;
+  if (!pipeline) {
+    PlannerOptions options;
+    options.level = level;
+    MaterializedRun run = MustRunMaterialized(*db, src, options);
+    out.stats = run.stats;
+    out.tuples = run.tuples.size();
+    return out;
+  }
   Session session(db);
   session.options().level = level;
-  session.options().pipeline = pipeline;
   auto run = session.Query(src);
   EXPECT_TRUE(run.ok()) << run.status().ToString() << "\n" << src;
-  ModeStats out;
   if (run.ok()) {
     out.stats = run->stats;
     out.tuples = run->tuples.size();
@@ -451,30 +466,24 @@ TEST(PipelinePeakTest, StrictlyLowerOnThreeInputConjunctions) {
   for (int i = 0; i < 8; ++i) {
     SelectionExpr sel = gen.RandomChainSelection(3, 0.3);
     Binder binder(db.get());
-    auto bound_on = binder.Bind(sel.Clone());
-    auto bound_off = binder.Bind(sel.Clone());
-    ASSERT_TRUE(bound_on.ok() && bound_off.ok());
-    PlannerOptions on, off;
-    on.level = off.level = OptLevel::kParallel;
-    on.pipeline = true;
-    off.pipeline = false;
-    auto run_off = RunQuery(*db, std::move(bound_off).value(), off);
-    ASSERT_TRUE(run_off.ok());
-    // The pipelined side goes through the cursor (RunQuery always
-    // materializes); Session::Query uses the cursor.
+    auto bound = binder.Bind(sel.Clone());
+    ASSERT_TRUE(bound.ok());
+    PlannerOptions options;
+    options.level = OptLevel::kParallel;
+    MaterializedRun reference =
+        MustRunMaterialized(*db, std::move(bound).value(), options);
     Session session(db.get());
-    session.options() = on;
-    Binder rebinder(db.get());
+    session.options() = options;
     auto prepared = session.PrepareSelection(std::move(sel));
     ASSERT_TRUE(prepared.ok());
     auto exec = prepared->Execute();
     ASSERT_TRUE(exec.ok());
-    EXPECT_EQ(TupleStrings(exec->tuples), TupleStrings(run_off->tuples));
+    EXPECT_EQ(TupleStrings(exec->tuples), TupleStrings(reference.tuples));
     ++total;
     EXPECT_LE(exec->stats.peak_intermediate_rows,
-              run_off->stats.peak_intermediate_rows);
+              reference.stats.peak_intermediate_rows);
     if (exec->stats.peak_intermediate_rows <
-        run_off->stats.peak_intermediate_rows) {
+        reference.stats.peak_intermediate_rows) {
       ++strict;
     }
   }
@@ -507,7 +516,6 @@ TEST(PipelineEarlyCloseTest, CloseAfterOneTupleSkipsJoinWork) {
 
   auto full = prepared->OpenCursor();
   ASSERT_TRUE(full.ok());
-  ASSERT_TRUE(full->pipelined());
   Tuple t;
   size_t results = 0;
   while (true) {
@@ -536,45 +544,17 @@ TEST(PipelineEarlyCloseTest, CloseAfterOneTupleSkipsJoinWork) {
 
 // ------------------------------------------------------------ SQL / EXPLAIN
 
-TEST(PipelineSurfaceTest, SetPipelineStatementAndExplainMode) {
-  auto db = MakeUniversityDb();
-  std::ostringstream out;
-  Session session(db.get(), &out);
-  EXPECT_TRUE(session.options().pipeline);
-
-  ASSERT_TRUE(session.ExecuteScript("SET PIPELINE OFF;").ok());
-  EXPECT_FALSE(session.options().pipeline);
-  auto text_off = session.Explain(kPaperExamples[1]);
-  ASSERT_TRUE(text_off.ok());
-  EXPECT_NE(text_off->find("mode: materialized"), std::string::npos)
-      << *text_off;
-
-  ASSERT_TRUE(session.ExecuteScript("SET PIPELINE ON;").ok());
-  EXPECT_TRUE(session.options().pipeline);
-  auto text_on = session.Explain(kPaperExamples[1]);
-  ASSERT_TRUE(text_on.ok());
-  EXPECT_NE(text_on->find("mode: pipelined"), std::string::npos) << *text_on;
-
-  EXPECT_FALSE(session.ExecuteScript("SET PIPELINE MAYBE;").ok());
-}
-
-TEST(PipelineSurfaceTest, TogglingPipelineInvalidatesCachedPlans) {
+TEST(PipelineSurfaceTest, SetPipelineIsAnUnknownOption) {
+  // The pipeline is the only execution mode: there is nothing to switch.
   auto db = MakeUniversityDb();
   Session session(db.get());
-  auto prepared = session.Prepare(kPaperExamples[1]);
-  ASSERT_TRUE(prepared.ok());
-  auto first = prepared->Execute();
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->plan_cache_hit);
-  auto second = prepared->Execute();
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->plan_cache_hit);
-
-  session.options().pipeline = false;  // options changed -> replan
-  auto third = prepared->Execute();
-  ASSERT_TRUE(third.ok());
-  EXPECT_FALSE(third->plan_cache_hit);
-  EXPECT_EQ(TupleStrings(third->tuples), TupleStrings(first->tuples));
+  for (const char* stmt : {"SET PIPELINE ON;", "SET PIPELINE OFF;"}) {
+    Status status = session.ExecuteScript(stmt);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << stmt;
+  }
+  auto text = session.Explain(kPaperExamples[1]);
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("mode: pipelined"), std::string::npos) << *text;
 }
 
 TEST(PipelineSurfaceTest, ExplainRendersIteratorTreeWithCardinalities) {

@@ -286,7 +286,6 @@ TEST(PlanCacheTest, SharedCollectionWalkPerAutoCandidate) {
   // equals costing from scratch, on a deterministic fixed-level plan.
   PlannerOptions fixed = session.options();
   fixed.level = OptLevel::kOneStep;
-  fixed.cost_based = false;
   auto bound = session.Bind(src);
   ASSERT_TRUE(bound.ok());
   auto planned = PlanQuery(*db, std::move(bound).value(), fixed);

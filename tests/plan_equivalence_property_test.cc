@@ -336,15 +336,13 @@ TEST(PlanEquivalenceTest, MutationsBetweenRunsAreObserved) {
   }
 }
 
-// The pipelined-combination acceptance property: sweeping pipeline on/off
-// across every planner level, the streamed cursor (src/pipeline/) returns
-// exactly the oracle's multiset — on random databases (including empty
-// relations) and random queries. The pipelined side runs through the
-// prepared-cursor path (the only streaming entry point); the materialized
-// side through RunQuery.
+// The pipelined-combination acceptance property: at every planner level,
+// the streamed cursor (src/pipeline/) returns exactly the oracle's
+// multiset — on random databases (including empty relations) and random
+// queries, through the prepared-cursor path.
 class PipelineSweepTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(PipelineSweepTest, PipelineOnOffMatchesOracleAtEveryLevel) {
+TEST_P(PipelineSweepTest, PipelineMatchesOracleAtEveryLevel) {
   const int base_seed = GetParam();
   for (int i = 0; i < 10; ++i) {
     uint64_t seed = static_cast<uint64_t>(40000 + base_seed * 1000 + i);
@@ -363,22 +361,18 @@ TEST_P(PipelineSweepTest, PipelineOnOffMatchesOracleAtEveryLevel) {
     auto expected = TupleStrings(*oracle);
 
     for (int level = 0; level <= 4; ++level) {
-      for (bool pipeline : {true, false}) {
-        Session session(db.get());
-        session.options().level = static_cast<OptLevel>(level);
-        session.options().pipeline = pipeline;
-        auto prepared = session.PrepareSelection(sel.Clone());
-        ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-        auto exec = prepared->Execute();
-        ASSERT_TRUE(exec.ok())
-            << "seed " << seed << " level " << level << " pipeline "
-            << pipeline << ": " << exec.status().ToString() << "\n"
-            << rendered;
-        EXPECT_EQ(TupleStrings(exec->tuples), expected)
-            << "seed " << seed << " level " << level << " pipeline "
-            << pipeline << "\n"
-            << rendered;
-      }
+      Session session(db.get());
+      session.options().level = static_cast<OptLevel>(level);
+      auto prepared = session.PrepareSelection(sel.Clone());
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      auto exec = prepared->Execute();
+      ASSERT_TRUE(exec.ok())
+          << "seed " << seed << " level " << level << ": "
+          << exec.status().ToString() << "\n"
+          << rendered;
+      EXPECT_EQ(TupleStrings(exec->tuples), expected)
+          << "seed " << seed << " level " << level << "\n"
+          << rendered;
     }
   }
 }
@@ -387,14 +381,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSweepTest, ::testing::Range(0, 6));
 
 // The demand-driven collection acceptance property: the lazy policy —
 // structures materialising fully on demand, per join key, or streaming
-// off the base relation — returns exactly the oracle's multiset across
-// collection policy x pipeline on/off x every planner level, on random
-// databases (including empty relations) and random queries. pipeline=off
-// exercises the degradation path (the materializing combination forces a
-// full build regardless of policy).
+// off the base relation — returns exactly the oracle's multiset at every
+// planner level, on random databases (including empty relations) and
+// random queries.
 class LazyCollectionSweepTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(LazyCollectionSweepTest, LazyMatchesOracleAtEveryLevelAndMode) {
+TEST_P(LazyCollectionSweepTest, LazyMatchesOracleAtEveryLevel) {
   const int base_seed = GetParam();
   for (int i = 0; i < 8; ++i) {
     uint64_t seed = static_cast<uint64_t>(70000 + base_seed * 1000 + i);
@@ -413,23 +405,19 @@ TEST_P(LazyCollectionSweepTest, LazyMatchesOracleAtEveryLevelAndMode) {
     auto expected = TupleStrings(*oracle);
 
     for (int level = 0; level <= 4; ++level) {
-      for (bool pipeline : {true, false}) {
-        Session session(db.get());
-        session.options().level = static_cast<OptLevel>(level);
-        session.options().pipeline = pipeline;
-        session.options().collection = CollectionPolicy::kLazy;
-        auto prepared = session.PrepareSelection(sel.Clone());
-        ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-        auto exec = prepared->Execute();
-        ASSERT_TRUE(exec.ok())
-            << "seed " << seed << " level " << level << " pipeline "
-            << pipeline << " lazy: " << exec.status().ToString() << "\n"
-            << rendered;
-        EXPECT_EQ(TupleStrings(exec->tuples), expected)
-            << "seed " << seed << " level " << level << " pipeline "
-            << pipeline << " lazy\n"
-            << rendered;
-      }
+      Session session(db.get());
+      session.options().level = static_cast<OptLevel>(level);
+      session.options().collection = CollectionPolicy::kLazy;
+      auto prepared = session.PrepareSelection(sel.Clone());
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      auto exec = prepared->Execute();
+      ASSERT_TRUE(exec.ok())
+          << "seed " << seed << " level " << level
+          << " lazy: " << exec.status().ToString() << "\n"
+          << rendered;
+      EXPECT_EQ(TupleStrings(exec->tuples), expected)
+          << "seed " << seed << " level " << level << " lazy\n"
+          << rendered;
     }
   }
 }

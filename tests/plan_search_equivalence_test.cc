@@ -42,10 +42,6 @@ struct GridChoice {
   DivisionAlgorithm division = DivisionAlgorithm::kHash;
 };
 
-double Rank(const CostEstimate& est, bool pipelined) {
-  return pipelined ? est.pipelined_weighted_cost : est.weighted_cost;
-}
-
 /// The exhaustive grid the search used to enumerate, with its visiting
 /// order and tie-break: levels 4 -> 0, then permanent-index reuse, ordered
 /// indexes and division; exact ties go to the lowest level, then to the
@@ -83,7 +79,7 @@ std::optional<GridChoice> ExhaustiveGrid(const Database& db,
           }
           plan.division = division;
           CostEstimate est = EstimatePlanCost(plan, db);
-          const double rank = Rank(est, base.pipeline);
+          const double rank = est.weighted_cost;
           const bool hash_cell =
               !ordered && division == DivisionAlgorithm::kHash;
           if (hash_cell) {
@@ -96,8 +92,8 @@ std::optional<GridChoice> ExhaustiveGrid(const Database& db,
                 << " is strictly cheaper than its hash, unordered cell";
           }
           if (best.has_value() &&
-              !(rank < Rank(best->estimate, base.pipeline) ||
-                (rank == Rank(best->estimate, base.pipeline) &&
+              !(rank < best->estimate.weighted_cost ||
+                (rank == best->estimate.weighted_cost &&
                  level < best->level))) {
             continue;
           }
@@ -112,16 +108,13 @@ std::optional<GridChoice> ExhaustiveGrid(const Database& db,
 
 /// Runs the search and the grid on `sel` and expects the same choice.
 void ExpectSearchMatchesGrid(const Database& db, const SelectionExpr& sel,
-                             bool pipeline, const std::string& what) {
+                             const std::string& what) {
   Binder binder(&db);
   Result<BoundQuery> bound = binder.Bind(sel.Clone());
   ASSERT_TRUE(bound.ok()) << what << ": " << bound.status().ToString();
   PlannerOptions base;
   base.level = OptLevel::kAuto;
-  base.pipeline = pipeline;
-  const std::string context = what +
-                              (pipeline ? " pipeline" : " materializing") +
-                              "\n" + FormatSelection(sel);
+  const std::string context = what + "\n" + FormatSelection(sel);
 
   CompileCounters before = GlobalCompileCounters();
   Result<PlannedQuery> searched =
@@ -145,9 +138,6 @@ void ExpectSearchMatchesGrid(const Database& db, const SelectionExpr& sel,
   EXPECT_NE(searched->cost_candidates.find(chosen), std::string::npos)
       << context << "\nexpected" << chosen << searched->cost_candidates;
   EXPECT_EQ(searched->estimate.weighted_cost, grid->estimate.weighted_cost)
-      << context;
-  EXPECT_EQ(searched->estimate.pipelined_weighted_cost,
-            grid->estimate.pipelined_weighted_cost)
       << context;
   EXPECT_EQ(searched->estimate.predicted.TotalWork(),
             grid->estimate.predicted.TotalWork())
@@ -208,12 +198,10 @@ TEST_P(PlanSearchEquivalenceTest, SearchChoosesTheExhaustiveGridsPlan) {
   }
   ASSERT_TRUE(db->AnalyzeAll().ok());
   for (const auto& [name, sel] : Corpus()) {
-    for (bool pipeline : {true, false}) {
-      ExpectSearchMatchesGrid(
-          *db, sel, pipeline,
-          StrFormat("n=%zu%s %s", n, permanent_index ? " +index" : "",
-                    name.c_str()));
-    }
+    ExpectSearchMatchesGrid(
+        *db, sel,
+        StrFormat("n=%zu%s %s", n, permanent_index ? " +index" : "",
+                  name.c_str()));
   }
 }
 

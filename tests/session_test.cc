@@ -114,6 +114,39 @@ TEST(SessionTest, QueryResultsCanBeQueried) {
             (std::set<std::string>{"Alice", "Bob", "Carol", "Frank"}));
 }
 
+TEST(SessionTest, AssignmentReadsItsOwnTargetsOldContents) {
+  // `:=` drains its selection to the end before it drops the target, so
+  // a selection over the target itself sees the previous contents.
+  Database db;
+  Session session(&db);
+  ASSERT_TRUE(CreateUniversitySchema(&db).ok());
+  ASSERT_TRUE(PopulateSmallExample(&db).ok());
+  ASSERT_TRUE(session
+                  .ExecuteScript(
+                      "profs := [<e.enr, e.ename> OF EACH e IN employees: "
+                      "e.estatus = professor];")
+                  .ok());
+  std::set<std::string> expected;
+  size_t before = 0;
+  db.FindRelation("profs")->Scan([&](const Ref&, const Tuple& tuple) {
+    ++before;
+    if (tuple.at(0).AsInt() < 3) expected.insert(tuple.ToString());
+    return true;
+  });
+  ASSERT_FALSE(expected.empty());
+  ASSERT_LT(expected.size(), before);
+
+  Status st = session.ExecuteScript(
+      "profs := [<p.enr, p.ename> OF EACH p IN profs: p.enr < 3];");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  std::set<std::string> got;
+  db.FindRelation("profs")->Scan([&](const Ref&, const Tuple& tuple) {
+    got.insert(tuple.ToString());
+    return true;
+  });
+  EXPECT_EQ(got, expected);
+}
+
 TEST(SessionTest, PrintWritesToStream) {
   Database db;
   std::ostringstream out;

@@ -39,10 +39,11 @@ each been broken (or nearly broken) by ordinary drift:
                         type, const, or covered by a
                         `lint: thread-compatible(...)` class marker /
                         `lint: unguarded(...)` member marker
-  hot-path-log          no PASCALR_LOG_INFO/WARNING/ERROR inside
-                        ::Next() bodies of the row-at-a-time hot paths
-                        (logging in a per-row loop is an accidental
-                        O(rows) slowdown); PASCALR_LOG_FATAL stays legal
+  hot-path-log          no PASCALR_LOG_INFO/WARNING/ERROR inside the
+                        ::Next(), ::NextBatch() and ::NextImpl() bodies
+                        of the per-row / per-chunk hot paths (logging in
+                        a pull loop is an accidental O(rows) slowdown);
+                        PASCALR_LOG_FATAL stays legal
   memory-order-relaxed  the bare token is banned outside src/base/ and
                         src/obs/ — relaxed operations go through the named
                         helpers in base/atomic_util.h
@@ -504,7 +505,8 @@ def check_hot_path_logs(root, findings):
         if not os.path.exists(path):
             continue
         text = read(path)
-        for m in re.finditer(r"[\w>]+::Next\s*\([^)]*\)[^;{]*\{", text):
+        for m in re.finditer(
+                r"[\w>]+::(Next(?:Batch|Impl)?)\s*\([^)]*\)[^;{]*\{", text):
             brace = text.find("{", m.start())
             body = extract_body(text, brace)
             body_line0 = text[:brace].count("\n") + 1
@@ -513,10 +515,10 @@ def check_hot_path_logs(root, findings):
                 line = body_line0 + body[:lm.start()].count("\n")
                 findings.append(Finding(
                     "hot-path-log", hot, line,
-                    "PASCALR_LOG_%s inside a ::Next() body — this runs "
-                    "once per row; log at Open/Close or use "
+                    "PASCALR_LOG_%s inside a ::%s() body — this runs "
+                    "once per pull; log at Open/Close or use "
                     "PASCALR_LOG_FATAL for invariant failures"
-                    % lm.group(1)))
+                    % (lm.group(1), m.group(1))))
 
 
 # ---- memory-order-relaxed ---------------------------------------------
