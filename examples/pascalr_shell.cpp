@@ -5,7 +5,6 @@
 // Meta commands (one per line):
 //   .help            this text
 //   .level N|auto    optimization level 0..4 or cost-based AUTO (default 4)
-//   .joinorder MODE  join ordering: dp (default), bushy, or greedy
 //   .collection MODE collection phase: eager (default) or lazy
 //                    (demand-driven structure builders behind Next)
 //   .stats           cumulative session statistics
@@ -24,7 +23,8 @@
 // Everything else is PASCAL/R: TYPE/VAR declarations, `rel :+ [<...>];`
 // inserts, `name := [<...> OF EACH ... : wff];` queries, PRINT, EXPLAIN,
 // PREPARE name AS [...$p...] / EXECUTE name WITH $p = lit, INDEX rel
-// comp [ORDERED], ANALYZE [rel], and SET OPTLEVEL/DIVISION/PERMINDEXES.
+// comp [ORDERED], ANALYZE [rel], and SET OPTLEVEL/DIVISION/PERMINDEXES/
+// COLLECTION/BATCH/TRACE/SLOWLOG.
 
 #include <iostream>
 #include <string>
@@ -55,17 +55,18 @@ void PrintHelp() {
       "  EXECUTE q WITH $top = 10;   -- re-runs reuse the cached plan\n"
       "  INDEX r a;                  -- permanent index (add ORDERED for B+tree)\n"
       "  ANALYZE;            -- refresh catalog statistics\n"
-      "  SET OPTLEVEL AUTO;  -- cost-based strategy selection\n"
-      "  SET JOINORDER DP;   -- Selinger join ordering (or BUSHY, GREEDY)\n"
-      "  SET COLLECTION LAZY; -- demand-driven collection builders\n"
+      "  SET OPTLEVEL AUTO;  -- cost-based strategy selection (or 0..4)\n"
+      "  SET DIVISION SORT;  -- division algorithm (or HASH)\n"
+      "  SET PERMINDEXES ON; -- reuse fresh permanent indexes (or OFF)\n"
+      "  SET COLLECTION LAZY; -- demand-driven collection builders (or EAGER)\n"
+      "  SET BATCH 64;       -- rows per pipeline chunk (1..65536)\n"
       "  SET TRACE ON;       -- per-query span traces (.trace FILE exports)\n"
       "  EXPLAIN ANALYZE [<x.s> OF EACH x IN r: x.a < 10];\n"
       "  METRICS;            -- session metrics (same as .metrics)\n"
       "  SET SLOWLOG 1000;   -- record queries slower than 1000us (.slow)\n"
       "  out := [<s.fingerprint, s.calls> OF EACH s IN sys$statements: TRUE];\n"
       "                      -- the engine's own telemetry is queryable\n"
-      "meta: .help .level N|auto .joinorder dp|bushy|greedy "
-      ".collection eager|lazy .stats .metrics [prom] .slow [N|off] "
+      "meta: .help .level N|auto .collection eager|lazy .stats .metrics [prom] .slow [N|off] "
       ".trace on|off|FILE .dump .quit\n";
 }
 
@@ -175,18 +176,6 @@ int main(int argc, char** argv) {
                     << "\n";
         } else {
           std::cout << "level must be 0..4 or auto\n";
-        }
-      } else if (line.rfind(".joinorder", 0) == 0) {
-        std::string arg = pascalr::AsciiToLower(Trim(line.substr(10)));
-        if (arg == "dp" || arg == "bushy" || arg == "greedy") {
-          session.options().join_order_dp = arg != "greedy";
-          session.options().join_dp_bushy = arg == "bushy";
-          std::cout << "join ordering: " << arg
-                    << (arg == "greedy"
-                            ? " (executor smallest-first heuristic)\n"
-                            : " (run ANALYZE; so the DP has statistics)\n");
-        } else {
-          std::cout << "join order must be dp, bushy, or greedy\n";
         }
       } else if (line.rfind(".collection", 0) == 0) {
         std::string arg = pascalr::AsciiToLower(Trim(line.substr(11)));

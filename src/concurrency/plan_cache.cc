@@ -9,10 +9,10 @@
 namespace pascalr {
 
 std::string EncodePlannerOptions(const PlannerOptions& o) {
-  return StrFormat("level=%d div=%d permidx=%d dp=%d bushy=%d coll=%d",
+  return StrFormat("level=%d div=%d permidx=%d coll=%d batch=%zu",
                    static_cast<int>(o.level), static_cast<int>(o.division),
-                   o.use_permanent_indexes ? 1 : 0, o.join_order_dp ? 1 : 0,
-                   o.join_dp_bushy ? 1 : 0, static_cast<int>(o.collection));
+                   o.use_permanent_indexes ? 1 : 0,
+                   static_cast<int>(o.collection), o.batch_size);
 }
 
 bool SharedPlanCache::Lookup(const std::string& key,

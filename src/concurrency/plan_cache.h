@@ -38,8 +38,9 @@ namespace pascalr {
 struct PlannedQuery;   // opt/planner.h
 struct PlannerOptions;  // opt/planner.h
 
-/// Stable textual encoding of every PlannerOptions field that
-/// participates in plan choice — the options half of the cache key.
+/// Stable textual encoding of every PlannerOptions field — the options
+/// half of the cache key. A field left out lets sessions with different
+/// options adopt each other's plans (tools/lint_invariants.py checks).
 std::string EncodePlannerOptions(const PlannerOptions& options);
 
 /// lint: thread-compatible(a value type — Lookup hands out copies made

@@ -25,77 +25,13 @@ class CostWalker {
   CostWalker(const QueryPlan& plan, const Database& db)
       : plan_(plan), db_(db), sel_(db, plan.sf) {}
 
-  CostEstimate Run(const CollectionCost* reuse = nullptr) {
-    if (reuse != nullptr && reuse->valid &&
-        reuse->structure_rows.size() == plan_.structures.size() &&
-        reuse->index_rows.size() == plan_.indexes.size() &&
-        reuse->vl_count.size() == plan_.value_lists.size()) {
-      LoadCollection(*reuse);
-    } else {
-      Prepare();
-    }
+  CostEstimate Run() {
+    Prepare();
     WalkCombination();
     return Finish();
   }
 
-  /// Collection-phase walk only: the per-structure estimates the
-  /// join-order optimizer plans over. When `save` is non-null the walk
-  /// state is stored for a later Run(reuse) to resume from.
-  std::vector<EstRel> StructureEstimates(CollectionCost* save = nullptr) {
-    Prepare();
-    std::vector<EstRel> out(plan_.structures.size());
-    for (size_t i = 0; i < plan_.structures.size(); ++i) {
-      out[i].rows = structure_rows_[i];
-      for (const std::string& col : plan_.structures[i].columns) {
-        out[i].distinct[col] =
-            std::min(out[i].rows, std::max(0.0, sel_.RangeSize(col)));
-      }
-    }
-    if (save != nullptr) {
-      SaveCollection(save);
-      save->structures = out;
-    }
-    return out;
-  }
-
  private:
-  void LoadCollection(const CollectionCost& saved) {
-    structure_rows_ = saved.structure_rows;
-    index_rows_ = saved.index_rows;
-    index_distinct_ = saved.index_distinct;
-    vl_count_ = saved.vl_count;
-    vl_distinct_ = saved.vl_distinct;
-    borrowed_.assign(saved.borrowed.begin(), saved.borrowed.end());
-    relations_read_ = saved.relations_read;
-    elements_scanned_ = saved.elements_scanned;
-    index_probes_ = saved.index_probes;
-    single_list_refs_ = saved.single_list_refs;
-    indirect_join_refs_ = saved.indirect_join_refs;
-    quantifier_probes_ = saved.quantifier_probes;
-    comparisons_ = saved.comparisons;
-    permanent_index_hits_ = saved.permanent_index_hits;
-    extra_cost_ = saved.extra_cost;
-  }
-
-  void SaveCollection(CollectionCost* out) const {
-    out->valid = true;
-    out->structure_rows = structure_rows_;
-    out->index_rows = index_rows_;
-    out->index_distinct = index_distinct_;
-    out->vl_count = vl_count_;
-    out->vl_distinct = vl_distinct_;
-    out->borrowed.assign(borrowed_.begin(), borrowed_.end());
-    out->relations_read = relations_read_;
-    out->elements_scanned = elements_scanned_;
-    out->index_probes = index_probes_;
-    out->single_list_refs = single_list_refs_;
-    out->indirect_join_refs = indirect_join_refs_;
-    out->quantifier_probes = quantifier_probes_;
-    out->comparisons = comparisons_;
-    out->permanent_index_hits = permanent_index_hits_;
-    out->extra_cost = extra_cost_;
-  }
-
   void Prepare() {
     ++GlobalCompileCounters().collection_walks;
     structure_rows_.assign(plan_.structures.size(), 0.0);
@@ -273,10 +209,9 @@ class CostWalker {
   /// Prices the streamed combination (src/pipeline/): joins emit without
   /// materialising, purely existential probes run as semi-joins (at most
   /// one emission per outer row) or skip their extension entirely, and
-  /// only blocking buffers — the division input, the dedup sink, bushy
-  /// builds — hold rows. Mirrors the executor's compile.cc decisions via
-  /// the shared shape analysis. Walks the plan's join tree when one is
-  /// attached, otherwise the executor's greedy smallest-first order.
+  /// only blocking buffers — the division input and the dedup sink — hold
+  /// rows. Mirrors the executor's compile.cc decisions via the shared
+  /// shape analysis, over the executor's greedy smallest-first order.
   void WalkCombination() {
     // Saved for the TTFT estimate: LazyConjunctionLeafModes reuses this
     // analysis instead of recomputing it per candidate.
@@ -292,7 +227,6 @@ class CostWalker {
 
     double comb = 0.0;           // streamed combination_rows
     double division_in = 0.0;    // pipelined division input rows
-    double buffers = 0.0;        // bushy-build rows held live
     double rows_to_sink = 0.0;   // pre-dedup rows reaching the sink/buffer
     EstRel sink;                 // distinct-count view of the sink columns
     for (const std::string& col : shape.needed) sink.distinct[col] = 0.0;
@@ -315,44 +249,25 @@ class CostWalker {
       if (inputs.empty()) {
         acc.rows = 1.0;
       } else {
-        const JoinTree* tree = nullptr;
-        if (c < plan_.join_trees.size() &&
-            plan_.join_trees[c].Matches(inputs.size())) {
-          tree = &plan_.join_trees[c];
-        }
-        JoinTree greedy;
-        if (tree == nullptr) {
-          greedy = GreedyJoinOrder(inputs);
-          tree = &greedy;
-        }
-        std::vector<bool> semi = SemiJoinEligible(*tree, input_cols, shape);
-        std::vector<EstRel> node_est(tree->nodes.size());
-        for (size_t i = 0; i < tree->nodes.size(); ++i) {
-          const JoinTreeNode& node = tree->nodes[i];
-          if (node.leaf) {
-            node_est[i] = inputs[node.input];
-            continue;
-          }
-          const EstRel& l = node_est[static_cast<size_t>(node.left)];
-          const EstRel& r = node_est[static_cast<size_t>(node.right)];
-          if (!tree->nodes[static_cast<size_t>(node.right)].leaf) {
-            buffers += r.rows;  // bushy build: blocking, buffered
-          }
-          EstRel est = JoinEstimate(l, r);
-          if (semi[i]) {
+        JoinOrder order = GreedyJoinOrder(inputs);
+        std::vector<bool> semi = SemiJoinEligible(order, input_cols, shape);
+        acc = inputs[order[0].input];
+        for (size_t k = 1; k < order.size(); ++k) {
+          const EstRel& r = inputs[order[k].input];
+          EstRel est = JoinEstimate(acc, r);
+          if (semi[k]) {
             // EXISTS-style probe: at most one emission per outer row, and
             // the right side's existential columns are dropped.
-            est.rows = std::min(est.rows, l.rows);
+            est.rows = std::min(est.rows, acc.rows);
             for (const auto& [col, dc] : r.distinct) {
               (void)dc;
-              if (!l.HasCol(col)) est.distinct.erase(col);
+              if (!acc.HasCol(col)) est.distinct.erase(col);
             }
             for (auto& [col, dc] : est.distinct) dc = std::min(dc, est.rows);
           }
           comb += est.rows;
-          node_est[i] = std::move(est);
+          acc = std::move(est);
         }
-        acc = node_est.back();
       }
       // Extension: needed variables only; purely existential ones are
       // witnessed by semi-joins or a non-empty range instead.
@@ -386,7 +301,7 @@ class CostWalker {
     }
 
     sink.rows = ProjectedRows(rows_to_sink, CappedProduct(sink));
-    double pipe_peak = buffers;
+    double pipe_peak = 0.0;
     double final_rows = sink.rows;
     if (shape.has_division) {
       comb += sink.rows;  // buffer Adds (set semantics)
@@ -412,18 +327,18 @@ class CostWalker {
           rows_out = groups * std::pow(coverage, std::min(divisor, 32.0));
         }
         comb += rows_out;
-        pipe_peak = std::max(pipe_peak, buffers + cur.rows + rows_out);
+        pipe_peak = std::max(pipe_peak, cur.rows + rows_out);
         cur.rows = rows_out;
         cur.distinct.erase(qv.var);
         for (auto& [col, dc] : cur.distinct) dc = std::min(dc, rows_out);
         live = rows_out;
       }
       comb += live;  // final projection onto the free variables
-      pipe_peak = std::max(pipe_peak, buffers + 2.0 * live);
+      pipe_peak = std::max(pipe_peak, 2.0 * live);
       final_rows = live;
     } else {
       comb += sink.rows;  // dedup-sink emissions
-      pipe_peak = std::max(pipe_peak, buffers + sink.rows);
+      pipe_peak = std::max(pipe_peak, sink.rows);
     }
 
     combination_rows_ = comb;
@@ -573,17 +488,8 @@ std::string CostEstimate::ToString() const {
                    weighted_cost, predicted.ToString().c_str());
 }
 
-CostEstimate EstimatePlanCost(const QueryPlan& plan, const Database& db,
-                              const CollectionCost* reuse) {
-  CostWalker walker(plan, db);
-  return walker.Run(reuse);
-}
-
-std::vector<EstRel> EstimateStructureSizes(const QueryPlan& plan,
-                                           const Database& db,
-                                           CollectionCost* save) {
-  CostWalker walker(plan, db);
-  return walker.StructureEstimates(save);
+CostEstimate EstimatePlanCost(const QueryPlan& plan, const Database& db) {
+  return CostWalker(plan, db).Run();
 }
 
 }  // namespace pascalr

@@ -7,9 +7,8 @@
 //   collection   - per scan: elements visited, gate comparisons, index
 //                  builds/probes, value-list probes, structure sizes;
 //   combination  - the streamed join-iterator pipeline (src/pipeline/)
-//                  over the plan's join tree (src/joinorder/) when one is
-//                  attached, otherwise the executor's greedy
-//                  smallest-first order, on estimated structure sizes:
+//                  over the executor's greedy smallest-first join order
+//                  (src/joinorder/), ranked on estimated structure sizes:
 //                  semi-joins, extensions, the dedup sink, division;
 //   construction - dereferences per result row and output component.
 
@@ -17,12 +16,10 @@
 #define PASCALR_COST_COST_MODEL_H_
 
 #include <string>
-#include <vector>
 
 #include "catalog/database.h"
 #include "exec/plan.h"
 #include "exec/stats.h"
-#include "joinorder/join_graph.h"
 
 namespace pascalr {
 
@@ -31,7 +28,7 @@ struct CostEstimate {
   /// model's real-valued walk): no join intermediates, semi-joins that
   /// stop at the first match for purely existential probes, skipped
   /// Cartesian extensions. peak_intermediate_rows predicts the blocking
-  /// buffers (division input, dedup sink, bushy builds).
+  /// buffers (division input, dedup sink).
   ExecStats predicted;
   /// The ranking score: predicted TotalWork plus est_batches plus
   /// structural nudges the counters cannot see (ordered-index build/probe
@@ -56,54 +53,10 @@ struct CostEstimate {
   std::string ToString() const;
 };
 
-/// The saved output of one collection-phase cost walk over a plan: the
-/// per-structure estimates the join-order optimizer plans over plus the
-/// accumulator state the combination walk resumes from. Computed by
-/// EstimateStructureSizes (via AttachJoinOrders) and replayed by
-/// EstimatePlanCost, so each kAuto candidate walks its collection phase
-/// once instead of twice. Valid only for the exact (plan, db) pair it was
-/// computed from — join trees attached *after* the walk are fine (they
-/// only change the combination phase), any other plan or catalog change
-/// is not.
-struct CollectionCost {
-  bool valid = false;
-  std::vector<EstRel> structures;  ///< index [i] matches plan.structures[i]
-
-  // Resumable walk state (collection-phase accumulators).
-  std::vector<double> structure_rows;
-  std::vector<double> index_rows;
-  std::vector<double> index_distinct;
-  std::vector<double> vl_count;
-  std::vector<double> vl_distinct;
-  std::vector<char> borrowed;
-  double relations_read = 0.0;
-  double elements_scanned = 0.0;
-  double index_probes = 0.0;
-  double single_list_refs = 0.0;
-  double indirect_join_refs = 0.0;
-  double quantifier_probes = 0.0;
-  double comparisons = 0.0;
-  double permanent_index_hits = 0.0;
-  double extra_cost = 0.0;
-};
-
 /// Costs `plan` against the catalog statistics of `db` (run ANALYZE for
 /// accurate estimates; unanalyzed relations fall back to live cardinality
-/// and textbook selectivities). When `reuse` holds a valid CollectionCost
-/// for this plan, the collection phase is replayed from it instead of
-/// walked again.
-CostEstimate EstimatePlanCost(const QueryPlan& plan, const Database& db,
-                              const CollectionCost* reuse = nullptr);
-
-/// Estimated row counts and per-column distinct counts of every
-/// collection-phase structure of `plan`, by walking the collection phase
-/// only — the leaf cardinalities the join-order optimizer
-/// (src/joinorder/) plans over. Index [i] matches plan.structures[i].
-/// When `save` is non-null the full walk state is stored there for a
-/// later EstimatePlanCost to resume from.
-std::vector<EstRel> EstimateStructureSizes(const QueryPlan& plan,
-                                           const Database& db,
-                                           CollectionCost* save = nullptr);
+/// and textbook selectivities). Walks the collection phase once.
+CostEstimate EstimatePlanCost(const QueryPlan& plan, const Database& db);
 
 /// True when the evaluator would reuse a fresh permanent catalog index
 /// for `spec` instead of building a transient one (the same rule

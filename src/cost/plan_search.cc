@@ -169,13 +169,7 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
                  ": failed: " + planned.status().ToString() + "\n";
         continue;
       }
-      // Reuse the collection-phase walk the join-order optimizer already
-      // did for this candidate (one walk per candidate, not two — see
-      // CollectionCost).
-      planned->estimate = EstimatePlanCost(
-          planned->plan, db,
-          planned->collection_cost.valid ? &planned->collection_cost
-                                         : nullptr);
+      planned->estimate = EstimatePlanCost(planned->plan, db);
       // Levels run 4 -> 0 but exact ties still choose the lowest level.
       const double cost = planned->estimate.weighted_cost;
       bool better = !best.has_value() || cost < best->estimate.weighted_cost ||

@@ -12,9 +12,9 @@
 // a non-negative cost nudge to the hash variant, so neither can win. kAuto
 // plans hash division; SET DIVISION applies at fixed levels.
 //
-// Join order is folded into the search: every candidate is planned with
-// the join-order optimizer (src/joinorder/) enabled per the base options,
-// so a candidate's cost reflects the DP-chosen tree for its conjunctions.
+// Join order is not a search dimension: each candidate is priced over the
+// executor's greedy smallest-first order (src/joinorder/) on its
+// estimated structure sizes, with one collection-phase walk.
 // Levels are visited strongest-first carrying the best cost so far, and
 // candidates whose scan lower bound already exceeds it are pruned before
 // compilation (the pruned count is logged in the EXPLAIN candidate table).

@@ -1,9 +1,5 @@
 #include "exec/combination.h"
 
-#include <algorithm>
-#include <unordered_set>
-
-#include "joinorder/heuristics.h"
 #include "refstruct/division.h"
 #include "refstruct/ops.h"
 
@@ -11,10 +7,37 @@ namespace pascalr {
 
 namespace {
 
-/// Size-only summaries of actual structures: the signal the greedy order
-/// needs (row counts decide the picks, columns decide connectivity).
-std::vector<EstRel> SizeOnlySummaries(
-    const std::vector<const RefRelation*>& inputs) {
+/// Executes a left-deep join order: the first input, then a NaturalJoin
+/// with each next input. On return the result's rows are registered with
+/// `tracker` (intermediates have been released and unregistered).
+RefRelation ExecuteJoinOrder(const JoinOrder& order,
+                             const std::vector<const RefRelation*>& inputs,
+                             ExecStats* stats, PeakTracker* tracker) {
+  if (order.size() == 1) {  // single input: a copy of the structure
+    RefRelation out = *inputs[order[0].input];
+    tracker->Add(out.size());
+    return out;
+  }
+  // The first input is consumed in place; only join results are
+  // materialised, and each is dropped as soon as the next join consumed
+  // it — peak memory stays at an accumulator plus one.
+  RefRelation acc =
+      NaturalJoin(*inputs[order[0].input], *inputs[order[1].input], stats);
+  tracker->Add(acc.size());
+  for (size_t k = 2; k < order.size(); ++k) {
+    RefRelation next = NaturalJoin(acc, *inputs[order[k].input], stats);
+    tracker->Add(next.size());
+    tracker->Sub(acc.size());
+    acc = std::move(next);
+  }
+  return acc;
+}
+
+}  // namespace
+
+JoinOrder RuntimeJoinOrder(const std::vector<const RefRelation*>& inputs) {
+  // Row counts decide the picks and columns decide connectivity, so a
+  // size-only summary is all the greedy order needs.
   std::vector<EstRel> actual;
   actual.reserve(inputs.size());
   for (const RefRelation* rel : inputs) {
@@ -23,119 +46,7 @@ std::vector<EstRel> SizeOnlySummaries(
     for (const std::string& col : rel->columns()) e.distinct[col] = e.rows;
     actual.push_back(std::move(e));
   }
-  return actual;
-}
-
-/// Exact summary of a materialised structure: actual row count and exact
-/// per-column distinct counts. The collection phase has already run, so
-/// unlike the planner the executor need not estimate its leaves. Costs
-/// one hash pass over the structure's refs — bounded by the work the
-/// collection phase already spent materialising them.
-EstRel ActualSummary(const RefRelation& rel) {
-  EstRel out;
-  out.rows = static_cast<double>(rel.size());
-  for (size_t c = 0; c < rel.columns().size(); ++c) {
-    std::unordered_set<uint64_t> seen;
-    for (const RowView row : rel.rows()) seen.insert(row[c].Hash());
-    out.distinct[rel.columns()[c]] = static_cast<double>(seen.size());
-  }
-  return out;
-}
-
-/// Same join order, node for node.
-bool SameTreeShape(const JoinTree& a, const JoinTree& b) {
-  if (a.nodes.size() != b.nodes.size()) return false;
-  for (size_t i = 0; i < a.nodes.size(); ++i) {
-    const JoinTreeNode& x = a.nodes[i];
-    const JoinTreeNode& y = b.nodes[i];
-    if (x.leaf != y.leaf) return false;
-    if (x.leaf ? x.input != y.input
-               : x.left != y.left || x.right != y.right) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Runtime adaptation for an attached join tree (the same spirit as the
-/// Lemma 1 empty-range adaptation): recost the planner's tree and the
-/// greedy order against *actual* structure sizes and distinct counts, and
-/// only keep the planner's tree if it still predicts substantially fewer
-/// materialised rows. The bar is deliberately high — greedy re-ranks the
-/// remaining inputs on real intermediate sizes after every join, an
-/// adaptivity a precomputed tree lacks, so thin static margins lose to it
-/// in practice.
-bool TreeStillBeatsGreedy(const JoinTree& tree,
-                          const std::vector<const RefRelation*>& inputs) {
-  constexpr double kRequiredGain = 0.2;
-  // First cut from sizes alone (the only signal greedy's order needs):
-  // when the planner's tree IS the greedy order, executing it is the
-  // fallback, so skip the per-column distinct pass entirely.
-  std::vector<EstRel> actual = SizeOnlySummaries(inputs);
-  JoinTree greedy = GreedyJoinOrder(actual);
-  if (SameTreeShape(tree, greedy)) return true;
-  // The orders differ: summarise exactly and compare. Penalty-free — at
-  // this point every materialised row counts the same, Cartesian or not.
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    actual[i] = ActualSummary(*inputs[i]);
-  }
-  return JoinTreeCost(tree, actual, /*cross_penalty=*/1.0) <
-         (1.0 - kRequiredGain) *
-             JoinTreeCost(greedy, actual, /*cross_penalty=*/1.0);
-}
-
-/// Executes an explicit join tree bottom-up: NaturalJoin at every
-/// internal node, children before parents by construction. On return the
-/// result's rows are registered with `tracker` (intermediates have been
-/// released and unregistered).
-RefRelation ExecuteJoinTree(const JoinTree& tree,
-                            const std::vector<const RefRelation*>& inputs,
-                            ExecStats* stats, PeakTracker* tracker) {
-  if (tree.nodes.back().leaf) {  // single input: a copy of the structure
-    RefRelation out = *inputs[tree.nodes.back().input];
-    tracker->Add(out.size());
-    return out;
-  }
-  // Leaves are consumed in place — only join results are materialised.
-  std::vector<RefRelation> joined(tree.nodes.size());
-  std::vector<const RefRelation*> node_rels(tree.nodes.size(), nullptr);
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    if (node.leaf) {
-      node_rels[i] = inputs[node.input];
-    } else {
-      size_t left = static_cast<size_t>(node.left);
-      size_t right = static_cast<size_t>(node.right);
-      joined[i] = NaturalJoin(*node_rels[left], *node_rels[right], stats);
-      tracker->Add(joined[i].size());
-      node_rels[i] = &joined[i];
-      // Each node feeds exactly one parent (Matches), so consumed
-      // intermediates can be dropped immediately — peak memory stays at
-      // the greedy path's accumulator-plus-one profile.
-      tracker->Sub(joined[left].size());
-      tracker->Sub(joined[right].size());
-      joined[left] = RefRelation();
-      joined[right] = RefRelation();
-      node_rels[left] = nullptr;
-      node_rels[right] = nullptr;
-    }
-  }
-  return std::move(joined.back());
-}
-
-}  // namespace
-
-JoinTree RuntimeJoinOrder(const QueryPlan& plan, size_t conj,
-                          const std::vector<const RefRelation*>& inputs) {
-  // Execute the optimizer's join tree when one is attached (and matches
-  // these inputs, and still wins once actual structure sizes are in);
-  // otherwise the greedy smallest-first heuristic on actual sizes.
-  if (conj < plan.join_trees.size() &&
-      plan.join_trees[conj].Matches(inputs.size()) &&
-      TreeStillBeatsGreedy(plan.join_trees[conj], inputs)) {
-    return plan.join_trees[conj];
-  }
-  return GreedyJoinOrder(SizeOnlySummaries(inputs));
+  return GreedyJoinOrder(actual);
 }
 
 Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
@@ -174,8 +85,8 @@ Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
       conj_result.Add({});  // arity-0 relation containing the empty row: TRUE
       tracker.Add(1);
     } else {
-      JoinTree tree = RuntimeJoinOrder(plan, c, inputs);
-      conj_result = ExecuteJoinTree(tree, inputs, stats, &tracker);
+      conj_result = ExecuteJoinOrder(RuntimeJoinOrder(inputs), inputs,
+                                     stats, &tracker);
     }
     // Extend to all active variables (the n-tuple invariant of §3.3).
     for (const QuantifiedVar& qv : active) {

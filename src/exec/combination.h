@@ -11,6 +11,7 @@
 #include "exec/collection.h"
 #include "exec/plan.h"
 #include "exec/stats.h"
+#include "joinorder/heuristics.h"
 
 namespace pascalr {
 
@@ -22,14 +23,11 @@ Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
                                        const CollectionResult& coll,
                                        ExecStats* stats);
 
-/// The executor's runtime join-order decision for one conjunction's
-/// actual inputs (non-empty): the plan's attached tree when it matches
-/// and — recosted against actual structure sizes — still beats the greedy
-/// smallest-first order by the required margin, otherwise that greedy
-/// order reified as a left-deep JoinTree. Exposed so the materialized
-/// reference and the pipeline (src/pipeline/) make the identical choice.
-JoinTree RuntimeJoinOrder(const QueryPlan& plan, size_t conj,
-                          const std::vector<const RefRelation*>& inputs);
+/// The executor's join order for one conjunction's actual inputs
+/// (non-empty): greedy smallest-first on the structures' actual sizes.
+/// Shared by the materialized reference and the pipeline
+/// (src/pipeline/), so both run the same order.
+JoinOrder RuntimeJoinOrder(const std::vector<const RefRelation*>& inputs);
 
 }  // namespace pascalr
 

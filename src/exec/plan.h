@@ -20,7 +20,9 @@
 // The combination phase consumes `conj_inputs`: for every conjunction of
 // the matrix, the structure ids to join; variables of the prefix missing
 // from a conjunction are supplied by Cartesian product with the variable's
-// materialised range, exactly as §3.3 prescribes.
+// materialised range, exactly as §3.3 prescribes. The plan fixes no join
+// order: the executor joins greedily smallest-first on the actual sizes
+// of the structures collection built (exec/combination.h).
 
 #ifndef PASCALR_EXEC_PLAN_H_
 #define PASCALR_EXEC_PLAN_H_
@@ -169,90 +171,6 @@ struct RelationScan {
   std::string debug_label;
 };
 
-/// One node of a per-conjunction join tree. Leaves name positions within
-/// the conjunction's `conj_inputs` entry; internal nodes join two earlier
-/// nodes. Nodes are stored children-before-parents, so the last node is
-/// the root. Trees are built by the join-order optimizer (src/joinorder/)
-/// and executed bottom-up by the combination phase.
-struct JoinTreeNode {
-  bool leaf = false;
-  size_t input = 0;  ///< leaf: position within conj_inputs[c]
-  int left = -1;     ///< internal: child node ids (indices into nodes)
-  int right = -1;
-  /// Internal: columns the two children share (empty = Cartesian step).
-  std::vector<std::string> join_columns;
-  double est_rows = 0.0;  ///< estimated output cardinality (EXPLAIN, cost)
-};
-
-/// How a join tree was chosen (src/joinorder/).
-enum class JoinOrderSource : uint8_t {
-  kGreedy,   ///< smallest-first heuristic over estimated sizes
-  kDp,       ///< Selinger dynamic program, left-deep trees
-  kDpBushy,  ///< Selinger dynamic program, bushy trees admitted
-};
-
-inline std::string_view JoinOrderSourceToString(JoinOrderSource source) {
-  switch (source) {
-    case JoinOrderSource::kGreedy:
-      return "greedy";
-    case JoinOrderSource::kDp:
-      return "dp";
-    case JoinOrderSource::kDpBushy:
-      return "dp-bushy";
-  }
-  return "?";
-}
-
-struct JoinTree {
-  JoinOrderSource source = JoinOrderSource::kGreedy;
-  std::vector<JoinTreeNode> nodes;  ///< children before parents; back = root
-
-  bool empty() const { return nodes.empty(); }
-
-  size_t LeafCount() const {
-    size_t n = 0;
-    for (const JoinTreeNode& node : nodes) {
-      if (node.leaf) ++n;
-    }
-    return n;
-  }
-
-  /// True when this is a well-formed binary tree over exactly
-  /// `num_inputs` leaves: children precede parents, every input appears
-  /// on exactly one leaf, and every node except the root feeds exactly
-  /// one parent (a node consumed twice — or never — would silently drop
-  /// or duplicate a structure's constraint). Everything that walks a
-  /// tree (executor, cost model, EXPLAIN) must check this first; plans
-  /// assembled outside the optimizer fail it and fall back to greedy.
-  bool Matches(size_t num_inputs) const {
-    if (nodes.empty() || nodes.size() != 2 * num_inputs - 1) return false;
-    std::vector<bool> seen(num_inputs, false);
-    std::vector<int> child_refs(nodes.size(), 0);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      const JoinTreeNode& node = nodes[i];
-      if (node.leaf) {
-        if (node.input >= num_inputs || seen[node.input]) return false;
-        seen[node.input] = true;
-      } else {
-        if (node.left < 0 || node.right < 0 || node.left == node.right ||
-            static_cast<size_t>(node.left) >= i ||
-            static_cast<size_t>(node.right) >= i) {
-          return false;
-        }
-        ++child_refs[static_cast<size_t>(node.left)];
-        ++child_refs[static_cast<size_t>(node.right)];
-      }
-    }
-    for (bool s : seen) {
-      if (!s) return false;
-    }
-    for (size_t i = 0; i + 1 < nodes.size(); ++i) {
-      if (child_refs[i] != 1) return false;
-    }
-    return child_refs.back() == 0;
-  }
-};
-
 /// An indirect-join emission that cannot run during its variable's scan
 /// (the index is built by the same scan, e.g. a self join); it runs after
 /// all scans by iterating the variable's materialised range.
@@ -275,14 +193,6 @@ struct QueryPlan {
   /// Per matrix conjunction: the structure ids whose join (extended to all
   /// prefix variables) realises it.
   std::vector<std::vector<size_t>> conj_inputs;
-
-  /// Per matrix conjunction: an explicit join tree over `conj_inputs[c]`,
-  /// attached by the join-order optimizer (src/joinorder/) when fresh
-  /// statistics let it pick an order cheaper than the executor's greedy
-  /// heuristic. Empty (or holding an empty tree for a conjunction) means
-  /// the combination phase falls back to greedy smallest-first on actual
-  /// structure sizes, exactly as before the optimizer existed.
-  std::vector<JoinTree> join_trees;
 
   /// Prefix variables eliminated by strategy 4 (they no longer take part
   /// in combination: no product extension, no projection/division).

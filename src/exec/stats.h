@@ -51,8 +51,8 @@ struct ExecStats {
   /// go in the next change to the benchmark. Stays out of TotalWork().
   uint64_t morsels_dispatched = 0;
   /// High-water mark of combination-phase rows held live at once:
-  /// blocking buffers (division input, dedup sinks, bushy builds) on the
-  /// pipeline, every intermediate join/union/projection relation under
+  /// blocking buffers (division input, dedup sinks) on the pipeline,
+  /// every intermediate join/union/projection relation under
   /// ExecuteCombination. Collection structures are excluded — both share
   /// them. A memory measure, not work: stays out of
   /// TotalWork() and accumulates by maximum, not sum.

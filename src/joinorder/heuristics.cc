@@ -1,25 +1,48 @@
 #include "joinorder/heuristics.h"
 
+#include <algorithm>
+
 namespace pascalr {
 
-JoinTree GreedyJoinOrder(const std::vector<EstRel>& inputs) {
-  JoinTree tree;
-  tree.source = JoinOrderSource::kGreedy;
-  if (inputs.empty()) return tree;
+EstRel JoinEstimate(const EstRel& a, const EstRel& b) {
+  EstRel out;
+  out.rows = a.rows * b.rows;
+  for (const auto& [col, dc] : b.distinct) {
+    auto it = a.distinct.find(col);
+    if (it != a.distinct.end()) {
+      out.rows /= std::max(1.0, std::max(it->second, dc));
+    }
+  }
+  out.distinct = a.distinct;
+  for (const auto& [col, dc] : b.distinct) {
+    auto it = out.distinct.find(col);
+    if (it == out.distinct.end()) {
+      out.distinct[col] = dc;
+    } else {
+      it->second = std::min(it->second, dc);
+    }
+  }
+  for (auto& [col, dc] : out.distinct) dc = std::min(dc, out.rows);
+  return out;
+}
 
-  // `remaining` holds input positions in original order; erasing preserves
-  // relative order, exactly like the executor's vector-of-pointers loop.
+std::vector<std::string> SharedColumns(const EstRel& a, const EstRel& b) {
+  std::vector<std::string> shared;
+  for (const auto& [col, dc] : b.distinct) {
+    if (a.HasCol(col)) shared.push_back(col);
+  }
+  return shared;
+}
+
+JoinOrder GreedyJoinOrder(const std::vector<EstRel>& inputs) {
+  JoinOrder order;
+  if (inputs.empty()) return order;
+  order.reserve(inputs.size());
+
+  // `remaining` holds input positions in original order; erasing keeps
+  // their relative order, which is what makes first-wins ties stable.
   std::vector<size_t> remaining;
   for (size_t i = 0; i < inputs.size(); ++i) remaining.push_back(i);
-
-  auto add_leaf = [&](size_t input) {
-    JoinTreeNode node;
-    node.leaf = true;
-    node.input = input;
-    node.est_rows = inputs[input].rows;
-    tree.nodes.push_back(std::move(node));
-    return static_cast<int>(tree.nodes.size() - 1);
-  };
 
   size_t smallest = 0;
   for (size_t i = 1; i < remaining.size(); ++i) {
@@ -28,7 +51,7 @@ JoinTree GreedyJoinOrder(const std::vector<EstRel>& inputs) {
     }
   }
   EstRel acc = inputs[remaining[smallest]];
-  int acc_node = add_leaf(remaining[smallest]);
+  order.push_back({remaining[smallest], {}, acc.rows});
   remaining.erase(remaining.begin() + static_cast<long>(smallest));
 
   while (!remaining.empty()) {
@@ -47,37 +70,16 @@ JoinTree GreedyJoinOrder(const std::vector<EstRel>& inputs) {
       }
     }
     size_t pick = best_connected != remaining.size() ? best_connected : best;
-    int right_node = add_leaf(remaining[pick]);
-    JoinTreeNode join;
-    join.left = acc_node;
-    join.right = right_node;
-    join.join_columns = SharedColumns(acc, inputs[remaining[pick]]);
-    acc = JoinEstimate(acc, inputs[remaining[pick]]);
-    join.est_rows = acc.rows;
-    tree.nodes.push_back(std::move(join));
-    acc_node = static_cast<int>(tree.nodes.size() - 1);
+    const EstRel& next = inputs[remaining[pick]];
+    JoinStep step;
+    step.input = remaining[pick];
+    step.join_columns = SharedColumns(acc, next);
+    acc = JoinEstimate(acc, next);
+    step.est_rows = acc.rows;
+    order.push_back(std::move(step));
     remaining.erase(remaining.begin() + static_cast<long>(pick));
   }
-  return tree;
-}
-
-double JoinTreeCost(const JoinTree& tree, const std::vector<EstRel>& inputs,
-                    double cross_penalty) {
-  std::vector<EstRel> node_est(tree.nodes.size());
-  double cost = 0.0;
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    if (node.leaf) {
-      node_est[i] = inputs[node.input];
-      continue;
-    }
-    const EstRel& l = node_est[static_cast<size_t>(node.left)];
-    const EstRel& r = node_est[static_cast<size_t>(node.right)];
-    bool cross = SharedColumns(l, r).empty();
-    node_est[i] = JoinEstimate(l, r);
-    cost += node_est[i].rows * (cross ? cross_penalty : 1.0);
-  }
-  return cost;
+  return order;
 }
 
 }  // namespace pascalr

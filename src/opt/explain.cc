@@ -1,7 +1,5 @@
 #include "opt/explain.h"
 
-#include <algorithm>
-
 #include "base/str_util.h"
 #include "obs/profile.h"
 #include "pipeline/compile.h"
@@ -50,92 +48,6 @@ const char* ModeName(ValueList::Mode mode) {
   return "?";
 }
 
-int IndexOfCol(const std::vector<std::string>& cols,
-               const std::string& name) {
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (cols[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-/// Which internal nodes the eager pipelined lowering runs as membership
-/// filters (compile.cc NodePlan::filter): right child a leaf whose
-/// columns are ALL already bound upstream. Replays the lowering's
-/// column accumulation so the printed operator is the executed one.
-std::vector<bool> CoveredFilterNodes(const QueryPlan& plan, size_t conj,
-                                     const JoinTree& tree,
-                                     const std::vector<bool>& semi) {
-  std::vector<bool> filter(tree.nodes.size(), false);
-  if (plan.collection == CollectionPolicy::kLazy) return filter;
-  std::vector<std::vector<std::string>> cols(tree.nodes.size());
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    if (node.leaf) {
-      cols[i] = plan.structures[plan.conj_inputs[conj][node.input]].columns;
-      continue;
-    }
-    const std::vector<std::string>& left =
-        cols[static_cast<size_t>(node.left)];
-    const std::vector<std::string>& right =
-        cols[static_cast<size_t>(node.right)];
-    bool any_key = false;
-    bool all_covered = true;
-    std::vector<std::string> extras;
-    for (const std::string& col : right) {
-      if (IndexOfCol(left, col) >= 0) {
-        any_key = true;
-      } else {
-        all_covered = false;
-        extras.push_back(col);
-      }
-    }
-    filter[i] = tree.nodes[static_cast<size_t>(node.right)].leaf &&
-                any_key && all_covered;
-    cols[i] = left;
-    if (!semi[i]) {
-      cols[i].insert(cols[i].end(), extras.begin(), extras.end());
-    }
-  }
-  return filter;
-}
-
-/// Renders one join-tree node (and its children) at `depth`, leaves named
-/// after their structure, internal nodes showing the join columns and the
-/// optimizer's estimated output cardinality. The nodes are the iterator
-/// tree itself: internal nodes print as streamed probe-joins, with
-/// EXISTS-style first-match probes marked `semi` and covered leaves
-/// (residual predicates) printed as membership filters.
-void RenderJoinTree(const QueryPlan& plan, size_t conj, const JoinTree& tree,
-                    const std::vector<bool>& semi,
-                    const std::vector<bool>& filter, size_t node_id,
-                    int depth, std::string* out, bool membership_leaf) {
-  const JoinTreeNode& node = tree.nodes[node_id];
-  *out += std::string(6 + 2 * static_cast<size_t>(depth), ' ');
-  if (node.leaf) {
-    size_t structure_id = plan.conj_inputs[conj][node.input];
-    *out += StrFormat("%s%s ~%.0f rows\n",
-                      membership_leaf ? "membership-probe " : "scan ",
-                      plan.structures[structure_id].debug_name.c_str(),
-                      node.est_rows);
-    return;
-  }
-  const bool as_filter = filter[node_id];
-  const char* op = as_filter ? "filter" : "probe-join";
-  const char* mark = as_filter ? " (membership)"
-                               : (semi[node_id] ? " (semi: first match)" : "");
-  if (node.join_columns.empty()) {
-    *out += StrFormat("cross %s%s ~%.0f rows\n", op, mark, node.est_rows);
-  } else {
-    *out += StrFormat("%s on [%s]%s ~%.0f rows\n", op,
-                      Join(node.join_columns, ", ").c_str(), mark,
-                      node.est_rows);
-  }
-  RenderJoinTree(plan, conj, tree, semi, filter,
-                 static_cast<size_t>(node.left), depth + 1, out, false);
-  RenderJoinTree(plan, conj, tree, semi, filter,
-                 static_cast<size_t>(node.right), depth + 1, out, as_filter);
-}
-
 }  // namespace
 
 std::string ExplainPlan(const PlannedQuery& planned) {
@@ -156,7 +68,7 @@ std::string ExplainPlan(const PlannedQuery& planned) {
 
   const bool lazy_collection = plan.collection == CollectionPolicy::kLazy;
   // One shape analysis serves the lazy build-mode table here and the
-  // combination-phase rendering below.
+  // combination-phase summary below.
   PipelineShape shape = AnalyzePipelineShape(plan);
   out += StrFormat("collection phase (policy: %s%s):\n",
                    std::string(CollectionPolicyToString(plan.collection))
@@ -167,7 +79,7 @@ std::string ExplainPlan(const PlannedQuery& planned) {
   if (lazy_collection) {
     // Per-conjunction build modes: how the lazy lowering will populate
     // each input structure when (and if) the pipeline demands it.
-    // LazyConjunctionLeafModes replays the lowering's tree choice and
+    // LazyConjunctionLeafModes replays the lowering's join order and
     // join-key computation, so the printed mode is the executed mode.
     for (size_t c = 0; c < plan.conj_inputs.size(); ++c) {
       if (plan.conj_inputs[c].empty()) continue;
@@ -271,21 +183,7 @@ std::string ExplainPlan(const PlannedQuery& planned) {
     }
     out += StrFormat("  conjunction %zu: join {%s}\n", c,
                      Join(names, ", ").c_str());
-    if (c < plan.join_trees.size() &&
-        plan.join_trees[c].Matches(plan.conj_inputs[c].size())) {
-      const JoinTree& tree = plan.join_trees[c];
-      std::vector<std::vector<std::string>> input_cols;
-      for (size_t id : plan.conj_inputs[c]) {
-        input_cols.push_back(plan.structures[id].columns);
-      }
-      std::vector<bool> semi = SemiJoinEligible(tree, input_cols, shape);
-      std::vector<bool> filter = CoveredFilterNodes(plan, c, tree, semi);
-      out += StrFormat(
-          "    iterator tree (%s):\n",
-          std::string(JoinOrderSourceToString(tree.source)).c_str());
-      RenderJoinTree(plan, c, tree, semi, filter, tree.nodes.size() - 1, 0,
-                     &out, false);
-    } else if (plan.conj_inputs[c].size() > 1) {
+    if (plan.conj_inputs[c].size() > 1) {
       out += "    join order: greedy smallest-first at execution\n";
     }
   }

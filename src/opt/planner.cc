@@ -6,7 +6,6 @@
 #include "cost/plan_search.h"
 #include "exec/cursor.h"
 #include "exec/eval_util.h"
-#include "joinorder/attach.h"
 #include "normalize/fold_empty.h"
 #include "normalize/standard_form.h"
 #include "obs/span_names.h"
@@ -50,7 +49,6 @@ QueryPlan CloneQueryPlan(const QueryPlan& plan) {
   out.structures = plan.structures;
   out.post_probes = plan.post_probes;
   out.conj_inputs = plan.conj_inputs;
-  out.join_trees = plan.join_trees;
   out.eliminated_vars = plan.eliminated_vars;
   out.division = plan.division;
   out.collection = plan.collection;
@@ -68,7 +66,6 @@ PlannedQuery ClonePlannedQuery(const PlannedQuery& planned) {
   out.cost_based = planned.cost_based;
   out.estimate = planned.estimate;
   out.cost_candidates = planned.cost_candidates;
-  out.collection_cost = planned.collection_cost;
   return out;
 }
 
@@ -157,15 +154,6 @@ Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
       spec.try_permanent = spec.gates.empty() && qv != nullptr &&
                            !qv->range.IsExtended();
     }
-  }
-  if (options.join_order_dp) {
-    // After the physical knobs: permanent-index borrowing changes the
-    // structure-size estimates the join-order DP plans over. The
-    // collection-phase walk (when the DP needed one) rides along on the
-    // PlannedQuery so the plan-search driver can reuse it.
-    JoinOrderOptions join_options;
-    join_options.bushy = options.join_dp_bushy;
-    AttachJoinOrders(&out.plan, db, join_options, &out.collection_cost);
   }
   return out;
 }

@@ -35,15 +35,6 @@ struct PlannerOptions {
   /// Consult the catalog for fresh permanent indexes before building
   /// transient ones (paper §3.2). Ungated index specs only.
   bool use_permanent_indexes = false;
-  /// Selinger-style join ordering (src/joinorder/) over each
-  /// conjunction's combination inputs: when every relation a conjunction
-  /// ranges over has fresh statistics and its input count is within the
-  /// DP's input limit, a dynamic program picks the join tree; the
-  /// executor keeps its greedy smallest-first heuristic otherwise (and
-  /// whenever the DP predicts no strict improvement over greedy).
-  bool join_order_dp = true;
-  /// Let the DP consider bushy join trees, not just left-deep ones.
-  bool join_dp_bushy = false;
   /// Collection-phase population policy (`SET COLLECTION EAGER|LAZY;`).
   /// kEager builds every structure at Cursor::Open (the paper's phase
   /// split and the oracle); kLazy defers all collection work behind Next
@@ -59,12 +50,12 @@ struct PlannerOptions {
 };
 
 /// Field-wise equality — the prepared-query plan cache uses it to detect
-/// that the session's options changed between executions.
+/// that the session's options changed between executions. Every field
+/// must appear here and in EncodePlannerOptions (concurrency/plan_cache.h);
+/// tools/lint_invariants.py checks both.
 inline bool operator==(const PlannerOptions& a, const PlannerOptions& b) {
   return a.level == b.level && a.division == b.division &&
          a.use_permanent_indexes == b.use_permanent_indexes &&
-         a.join_order_dp == b.join_order_dp &&
-         a.join_dp_bushy == b.join_dp_bushy &&
          a.collection == b.collection && a.batch_size == b.batch_size;
 }
 inline bool operator!=(const PlannerOptions& a, const PlannerOptions& b) {
@@ -84,11 +75,6 @@ struct PlannedQuery {
   bool cost_based = false;
   CostEstimate estimate;
   std::string cost_candidates;
-
-  /// Saved collection-phase cost walk (filled when the join-order
-  /// optimizer needed structure estimates), so the plan-search driver can
-  /// cost this candidate without a second collection walk.
-  CollectionCost collection_cost;
 };
 
 /// The result of running a query end to end.
@@ -129,8 +115,8 @@ Result<LevelForm> StandardFormWithFolding(const Database& db,
 LevelForm LevelFormFor(const Database& db, const LevelForm& folded,
                        OptLevel level);
 
-/// Compiles `form` and applies the physical knobs and join ordering of
-/// `options` (whose level only labels the trace span).
+/// Compiles `form` and applies the physical knobs of `options` (whose
+/// level only labels the trace span).
 Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
                                    const PlannerOptions& options);
 

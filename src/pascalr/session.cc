@@ -175,28 +175,10 @@ Status Session::ApplyOption(const std::string& name,
         "SET BATCH expects a chunk size in rows (1..65536), got '" + value +
         "'");
   }
-  if (name == "joinorder") {
-    if (value == "dp") {
-      options_.join_order_dp = true;
-      options_.join_dp_bushy = false;
-      return Status::OK();
-    }
-    if (value == "bushy") {
-      options_.join_order_dp = true;
-      options_.join_dp_bushy = true;
-      return Status::OK();
-    }
-    if (value == "greedy") {
-      options_.join_order_dp = false;
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        "SET JOINORDER expects DP, BUSHY, or GREEDY, got '" + value + "'");
-  }
   return Status::InvalidArgument("unknown option '" + name +
                                  "' (expected OPTLEVEL, DIVISION, "
-                                 "PERMINDEXES, JOINORDER, COLLECTION, "
-                                 "BATCH, TRACE, or SLOWLOG)");
+                                 "PERMINDEXES, COLLECTION, BATCH, TRACE, "
+                                 "or SLOWLOG)");
 }
 
 Status Session::RunAssign(const AssignStmt& stmt) {

@@ -135,11 +135,12 @@ class Session {
   /// (Database::SeedStats) without a relation scan.
   Status RunStatsSeed(const StatsStmt& stmt);
   /// `SET name value;` — planner option assignment: OPTLEVEL 0-4 | AUTO,
-  /// DIVISION HASH | SORT, PERMINDEXES ON | OFF,
-  /// JOINORDER DP | BUSHY | GREEDY, PIPELINE ON | OFF,
-  /// COLLECTION EAGER | LAZY — plus the session-level TRACE ON | OFF
-  /// (deliberately NOT a PlannerOptions member: tracing must not perturb
-  /// the plan-cache key or any planning decision).
+  /// DIVISION HASH | SORT, PERMINDEXES ON | OFF, COLLECTION EAGER | LAZY,
+  /// BATCH <rows 1..65536> — plus the session-level TRACE ON | OFF and
+  /// the database-wide SLOWLOG <us> | OFF (deliberately NOT
+  /// PlannerOptions members: observability must not perturb the
+  /// plan-cache key or any planning decision). Any other name is
+  /// kInvalidArgument.
   Status ApplyOption(const std::string& name, const std::string& value);
   void Emit(const std::string& text);
 

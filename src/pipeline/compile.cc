@@ -37,59 +37,31 @@ int IndexOf(const std::vector<std::string>& cols, const std::string& name) {
   return -1;
 }
 
-/// Left-deep chain over the inputs in declaration order — the lazy
-/// fallback when no optimizer tree is attached: actual structure sizes
-/// are unknown by design (nothing is built yet), so there is no signal
-/// for the greedy smallest-first order to rank on.
-JoinTree LeftDeepChain(size_t num_inputs) {
-  JoinTree tree;
-  tree.source = JoinOrderSource::kGreedy;
-  JoinTreeNode leaf;
-  leaf.leaf = true;
-  leaf.input = 0;
-  tree.nodes.push_back(leaf);
-  int root = 0;
-  for (size_t i = 1; i < num_inputs; ++i) {
-    JoinTreeNode next_leaf;
-    next_leaf.leaf = true;
-    next_leaf.input = i;
-    tree.nodes.push_back(next_leaf);
-    JoinTreeNode join;
-    join.left = root;
-    join.right = static_cast<int>(tree.nodes.size()) - 1;
-    tree.nodes.push_back(join);
-    root = static_cast<int>(tree.nodes.size()) - 1;
-  }
-  return tree;
+/// The lazy policy's join order: the inputs in declaration order. Actual
+/// structure sizes are unknown by design (nothing is built yet), so there
+/// is no signal for the greedy smallest-first order to rank on.
+JoinOrder DeclarationOrder(size_t num_inputs) {
+  JoinOrder order(num_inputs);
+  for (size_t i = 0; i < num_inputs; ++i) order[i].input = i;
+  return order;
 }
 
-/// The lazy policy's join-tree choice: the optimizer's attached tree,
-/// trusted as planned (re-validating against actual structure sizes
-/// would force the very builds laziness defers), else a left-deep chain.
-JoinTree LazyJoinTree(const QueryPlan& plan, size_t conj, size_t num_inputs) {
-  if (conj < plan.join_trees.size() &&
-      plan.join_trees[conj].Matches(num_inputs)) {
-    return plan.join_trees[conj];
-  }
-  return LeftDeepChain(num_inputs);
-}
-
-/// One tree node's lowering decisions (keys, output columns, keyed-probe
-/// position). Leaves carry only `cols`.
-struct NodePlan {
+/// One join step's lowering decisions (keys, output columns, keyed-probe
+/// position). The first step carries only `cols`.
+struct StepPlan {
   std::vector<int> left_key;
   std::vector<int> right_key;
   std::vector<int> right_extras;
-  std::vector<std::string> cols;  ///< the node's output column layout
-  /// Right-leaf joins only: the left column whose ref keys the lazy
-  /// per-join-key population of the right structure, or -1 when keyed
-  /// population does not apply (capability column not in the probe key).
+  std::vector<std::string> cols;  ///< the step's output column layout
+  /// The left column whose ref keys the lazy per-join-key population of
+  /// the step's structure, or -1 when keyed population does not apply
+  /// (capability column not in the probe key).
   int keyed_probe_pos = -1;
-  /// Covered right leaf under eager collection: every right column is
-  /// already bound upstream (right_extras empty), so the "join" is a
-  /// residual predicate — lowered to FilterIter membership probes
-  /// instead of a probe-join (same rows in the same order: covered
-  /// leaves are always semi-eligible, one emission per surviving row).
+  /// Covered input under eager collection: every column of the step's
+  /// structure is already bound upstream (right_extras empty), so the
+  /// "join" is a residual predicate — lowered to FilterIter membership
+  /// probes instead of a probe-join (same rows in the same order: covered
+  /// inputs are always semi-eligible, one emission per surviving row).
   bool filter = false;
 };
 
@@ -98,90 +70,70 @@ struct NodePlan {
 /// the single source of truth that keeps printed/priced build modes
 /// equal to executed ones.
 struct ConjunctionLowering {
-  JoinTree tree;
-  std::vector<bool> semi;
-  std::vector<NodePlan> nodes;           ///< indexed like tree.nodes
+  JoinOrder order;
+  std::vector<bool> semi;                ///< indexed like order
+  std::vector<StepPlan> steps;           ///< indexed like order
   std::vector<LazyLeafMode> leaf_modes;  ///< indexed like conj_inputs[conj]
 };
 
 ConjunctionLowering PlanConjunctionLowering(const QueryPlan& plan,
-                                            size_t conj, JoinTree tree,
+                                            size_t conj, JoinOrder order,
                                             const PipelineShape& shape) {
   const std::vector<size_t>& ids = plan.conj_inputs[conj];
   ConjunctionLowering low;
-  low.tree = std::move(tree);
+  low.order = std::move(order);
   low.leaf_modes.assign(ids.size(), LazyLeafMode::kDeferred);
   std::vector<std::vector<std::string>> input_cols;
   for (size_t id : ids) input_cols.push_back(plan.structures[id].columns);
-  low.semi = SemiJoinEligible(low.tree, input_cols, shape);
-  low.nodes.resize(low.tree.nodes.size());
+  low.semi = SemiJoinEligible(low.order, input_cols, shape);
+  low.steps.resize(low.order.size());
 
-  auto scan_mode = [&](size_t input) {
-    return StructureKeyedColumn(plan, ids[input]) >= 0
-               ? LazyLeafMode::kStreamed
-               : LazyLeafMode::kDeferred;
-  };
-  for (size_t i = 0; i < low.tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = low.tree.nodes[i];
-    NodePlan& np = low.nodes[i];
-    if (node.leaf) {
-      np.cols = input_cols[node.input];
-      continue;
-    }
-    const JoinTreeNode& lnode = low.tree.nodes[static_cast<size_t>(node.left)];
-    const JoinTreeNode& rnode =
-        low.tree.nodes[static_cast<size_t>(node.right)];
-    const NodePlan& left = low.nodes[static_cast<size_t>(node.left)];
-    const NodePlan& right = low.nodes[static_cast<size_t>(node.right)];
+  // The first input is the driving stream.
+  const size_t first = low.order[0].input;
+  low.leaf_modes[first] = StructureKeyedColumn(plan, ids[first]) >= 0
+                              ? LazyLeafMode::kStreamed
+                              : LazyLeafMode::kDeferred;
+  low.steps[0].cols = input_cols[first];
+  for (size_t k = 1; k < low.order.size(); ++k) {
+    const size_t input = low.order[k].input;
+    const std::vector<std::string>& left_cols = low.steps[k - 1].cols;
+    const std::vector<std::string>& right_cols = input_cols[input];
+    StepPlan& sp = low.steps[k];
     std::vector<std::string> extra_names;
-    for (size_t r = 0; r < right.cols.size(); ++r) {
-      int pos = IndexOf(left.cols, right.cols[r]);
+    for (size_t r = 0; r < right_cols.size(); ++r) {
+      int pos = IndexOf(left_cols, right_cols[r]);
       if (pos >= 0) {
-        np.left_key.push_back(pos);
-        np.right_key.push_back(static_cast<int>(r));
+        sp.left_key.push_back(pos);
+        sp.right_key.push_back(static_cast<int>(r));
       } else {
-        np.right_extras.push_back(static_cast<int>(r));
-        extra_names.push_back(right.cols[r]);
+        sp.right_extras.push_back(static_cast<int>(r));
+        extra_names.push_back(right_cols[r]);
       }
     }
-    if (lnode.leaf) {
-      // Consumed as this join's driving stream.
-      low.leaf_modes[lnode.input] = scan_mode(lnode.input);
-    }
-    if (rnode.leaf) {
-      int keyed_col = StructureKeyedColumn(plan, ids[rnode.input]);
-      for (size_t k = 0; k < np.right_key.size(); ++k) {
-        if (np.right_key[k] == keyed_col) {
-          np.keyed_probe_pos = np.left_key[k];
-          break;
-        }
-      }
-      low.leaf_modes[rnode.input] = np.keyed_probe_pos >= 0
-                                        ? LazyLeafMode::kKeyed
-                                        : LazyLeafMode::kDeferred;
-      // Residual-predicate lowering: a covered leaf (no new columns)
-      // under eager collection runs as a membership filter over the
-      // prebuilt structure — no hash table, no match chains. Lazy keeps
-      // the probe-join so keyed/deferred demand-builds stay in play.
-      if (!np.left_key.empty() && np.right_extras.empty() &&
-          plan.collection != CollectionPolicy::kLazy) {
-        np.filter = true;
+    int keyed_col = StructureKeyedColumn(plan, ids[input]);
+    for (size_t i = 0; i < sp.right_key.size(); ++i) {
+      if (sp.right_key[i] == keyed_col) {
+        sp.keyed_probe_pos = sp.left_key[i];
+        break;
       }
     }
-    np.cols = left.cols;
-    if (!low.semi[i]) {
-      np.cols.insert(np.cols.end(), extra_names.begin(), extra_names.end());
+    low.leaf_modes[input] = sp.keyed_probe_pos >= 0 ? LazyLeafMode::kKeyed
+                                                    : LazyLeafMode::kDeferred;
+    // Residual-predicate lowering: a covered input (no new columns)
+    // under eager collection runs as a membership filter over the
+    // prebuilt structure — no hash table, no match chains. Lazy keeps
+    // the probe-join so keyed/deferred demand-builds stay in play.
+    sp.filter = !sp.left_key.empty() && sp.right_extras.empty() &&
+                plan.collection != CollectionPolicy::kLazy;
+    sp.cols = left_cols;
+    if (!low.semi[k]) {
+      sp.cols.insert(sp.cols.end(), extra_names.begin(), extra_names.end());
     }
-  }
-  if (low.tree.nodes.back().leaf) {
-    // Single-input conjunction: the structure is scanned directly.
-    low.leaf_modes[low.tree.nodes.back().input] =
-        scan_mode(low.tree.nodes.back().input);
   }
   return low;
 }
 
-/// Lowers one conjunction's join tree + extension + projection-to-needed
+/// Lowers one conjunction's join order + extension + projection-to-needed
 /// into an iterator chain emitting rows in `shape.needed` layout.
 /// `*root_node` receives the chain root's profile node id (-1 unprofiled).
 Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
@@ -204,111 +156,75 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
     chain = ProfileWrap(profile, std::make_unique<UnitIter>(), "unit", -1.0,
                         {}, &chain_node);
   } else {
-    JoinTree tree;
+    JoinOrder order;
     if (lazy) {
-      tree = LazyJoinTree(plan, conj, ids.size());
+      order = DeclarationOrder(ids.size());
     } else {
       std::vector<const RefRelation*> inputs;
       for (size_t id : ids) inputs.push_back(&coll.structures[id]);
-      tree = RuntimeJoinOrder(plan, conj, inputs);
-    }
-    if (!tree.Matches(ids.size())) {
-      return Status::Internal("pipeline: malformed runtime join tree");
+      order = RuntimeJoinOrder(inputs);
     }
     ConjunctionLowering low =
-        PlanConjunctionLowering(plan, conj, std::move(tree), shape);
+        PlanConjunctionLowering(plan, conj, std::move(order), shape);
 
-    std::vector<RefIteratorPtr> node_iters(low.tree.nodes.size());
-    std::vector<int> node_profs(low.tree.nodes.size(), -1);
-    // A leaf as a stream: lazy leaves stream straight off the base
-    // relation when the lowering says so (collection mode (c) — the
+    // The first input as a stream: lazy inputs stream straight off the
+    // base relation when the lowering says so (collection mode (c) — the
     // structure is never materialised) and defer a full build to the
     // first pull otherwise.
-    auto leaf_stream = [&](size_t node_idx) -> RefIteratorPtr {
-      size_t input = low.tree.nodes[node_idx].input;
-      size_t id = ids[input];
-      double est = low.tree.nodes[node_idx].est_rows > 0.0
-                       ? low.tree.nodes[node_idx].est_rows
-                       : -1.0;
-      const std::string& name = plan.structures[id].debug_name;
-      RefIteratorPtr leaf;
+    {
+      const JoinStep& step = low.order[0];
+      size_t id = ids[step.input];
       const char* kind = "scan";
       if (lazy && !builders->structure_built(id)) {
-        if (low.leaf_modes[input] == LazyLeafMode::kStreamed) {
-          leaf = std::make_unique<BaseScanIter>(builders, id);
+        if (low.leaf_modes[step.input] == LazyLeafMode::kStreamed) {
+          chain = std::make_unique<BaseScanIter>(builders, id);
           kind = "base-scan";
         } else {
-          leaf = std::make_unique<ScanIter>(builders, id);
+          chain = std::make_unique<ScanIter>(builders, id);
         }
       } else {
-        leaf = std::make_unique<ScanIter>(&coll.structures[id]);
+        chain = std::make_unique<ScanIter>(&coll.structures[id]);
       }
-      return ProfileWrap(profile, std::move(leaf),
-                         StrFormat("%s %s", kind, name.c_str()), est, {},
-                         &node_profs[node_idx]);
-    };
-    auto as_iterator = [&](int node_idx) -> RefIteratorPtr {
-      size_t idx = static_cast<size_t>(node_idx);
-      if (low.tree.nodes[idx].leaf) return leaf_stream(idx);
-      return std::move(node_iters[idx]);
-    };
+      chain = ProfileWrap(
+          profile, std::move(chain),
+          StrFormat("%s %s", kind, plan.structures[id].debug_name.c_str()),
+          step.est_rows > 0.0 ? step.est_rows : -1.0, {}, &chain_node);
+    }
 
-    for (size_t i = 0; i < low.tree.nodes.size(); ++i) {
-      const JoinTreeNode& node = low.tree.nodes[i];
-      if (node.leaf) continue;
-      NodePlan& np = low.nodes[i];
-      RefIteratorPtr left_iter = as_iterator(node.left);
-      int left_prof = node_profs[static_cast<size_t>(node.left)];
-      double est = node.est_rows > 0.0 ? node.est_rows : -1.0;
-      const char* join_kind = low.semi[i] ? "semi-join" : "probe-join";
-      const JoinTreeNode& rnode =
-          low.tree.nodes[static_cast<size_t>(node.right)];
+    for (size_t k = 1; k < low.order.size(); ++k) {
+      StepPlan& sp = low.steps[k];
+      size_t right_id = ids[low.order[k].input];
+      const std::string& right_name = plan.structures[right_id].debug_name;
       RefIteratorPtr join;
       std::string join_label;
-      std::vector<int> join_children = {left_prof};
-      if (rnode.leaf && np.filter) {
-        // Covered leaf: residual predicate, vectorized selection-vector
-        // filter against the prebuilt structure (see NodePlan::filter).
-        size_t right_id = ids[rnode.input];
-        join_label = StrFormat("filter %s",
-                               plan.structures[right_id].debug_name.c_str());
-        join = std::make_unique<FilterIter>(std::move(left_iter),
+      if (sp.filter) {
+        // Covered input: residual predicate, vectorized selection-vector
+        // filter against the prebuilt structure (see StepPlan::filter).
+        join_label = StrFormat("filter %s", right_name.c_str());
+        join = std::make_unique<FilterIter>(std::move(chain),
                                             &coll.structures[right_id],
-                                            std::move(np.left_key), stats);
-      } else if (rnode.leaf) {
-        size_t right_id = ids[rnode.input];
-        join_label = StrFormat("%s %s", join_kind,
-                               plan.structures[right_id].debug_name.c_str());
+                                            std::move(sp.left_key), stats);
+      } else {
+        join_label =
+            StrFormat("%s %s", low.semi[k] ? "semi-join" : "probe-join",
+                      right_name.c_str());
         if (lazy && !builders->structure_built(right_id)) {
           join = std::make_unique<ProbeJoinIter>(
-              std::move(left_iter), builders, right_id,
-              std::move(np.left_key), std::move(np.right_key),
-              std::move(np.right_extras), low.semi[i], stats,
-              np.keyed_probe_pos);
+              std::move(chain), builders, right_id, std::move(sp.left_key),
+              std::move(sp.right_key), std::move(sp.right_extras),
+              low.semi[k], stats, sp.keyed_probe_pos);
         } else {
           join = std::make_unique<ProbeJoinIter>(
-              std::move(left_iter), &coll.structures[right_id],
-              std::move(np.left_key), std::move(np.right_key),
-              std::move(np.right_extras), low.semi[i], stats);
+              std::move(chain), &coll.structures[right_id],
+              std::move(sp.left_key), std::move(sp.right_key),
+              std::move(sp.right_extras), low.semi[k], stats);
         }
-      } else {
-        // Bushy right subtree: blocking build, drained at first pull.
-        join_label = StrFormat("%s (bushy build)", join_kind);
-        join_children.push_back(node_profs[static_cast<size_t>(node.right)]);
-        join = std::make_unique<ProbeJoinIter>(
-            std::move(left_iter),
-            std::move(node_iters[static_cast<size_t>(node.right)]),
-            low.nodes[static_cast<size_t>(node.right)].cols,
-            std::move(np.left_key), std::move(np.right_key),
-            std::move(np.right_extras), low.semi[i], stats, tracker);
       }
-      node_iters[i] = ProfileWrap(profile, std::move(join),
-                                  std::move(join_label), est,
-                                  std::move(join_children), &node_profs[i]);
+      double est = low.order[k].est_rows;
+      chain = ProfileWrap(profile, std::move(join), std::move(join_label),
+                          est > 0.0 ? est : -1.0, {chain_node}, &chain_node);
     }
-    chain = as_iterator(static_cast<int>(low.tree.nodes.size()) - 1);
-    chain_node = node_profs.back();
-    cols = std::move(low.nodes.back().cols);
+    cols = std::move(low.steps.back().cols);
   }
 
   // Extend to the active variables the conjunction does not bind. Purely
@@ -395,11 +311,7 @@ std::vector<LazyLeafMode> LazyConjunctionLeafModes(
     const QueryPlan& plan, size_t conj, const PipelineShape& shape) {
   const size_t n = plan.conj_inputs[conj].size();
   if (n == 0) return {};
-  JoinTree tree = LazyJoinTree(plan, conj, n);
-  if (!tree.Matches(n)) {
-    return std::vector<LazyLeafMode>(n, LazyLeafMode::kDeferred);
-  }
-  return PlanConjunctionLowering(plan, conj, std::move(tree), shape)
+  return PlanConjunctionLowering(plan, conj, DeclarationOrder(n), shape)
       .leaf_modes;
 }
 

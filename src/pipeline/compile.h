@@ -5,25 +5,23 @@
 // *set* the materializing ExecuteCombination produces, without
 // materialising join intermediates.
 //
-// Per conjunction: the runtime join order (the optimizer's attached tree
-// when it survives re-validation against actual structure sizes, greedy
-// smallest-first otherwise) becomes a chain of ProbeJoinIters; purely
-// existential variables run as semi-joins (EXISTS-style first-match
-// probes) or skip their Cartesian extension entirely; remaining prefix
-// variables are extended from the materialised ranges. The disjunct
-// streams concatenate, then either feed the blocking quantifier tail
-// (plans with a surviving ALL — division is inherently blocking) or a
-// streaming dedup sink.
+// Per conjunction: the runtime join order (greedy smallest-first on the
+// actual structure sizes, exec/combination.h) becomes a left-deep chain of
+// ProbeJoinIters; purely existential variables run as semi-joins
+// (EXISTS-style first-match probes) or skip their Cartesian extension
+// entirely; remaining prefix variables are extended from the materialised
+// ranges. The disjunct streams concatenate, then either feed the blocking
+// quantifier tail (plans with a surviving ALL — division is inherently
+// blocking) or a streaming dedup sink.
 //
 // The compiler consumes CollectionBuilders, not a finished collection.
 // Under CollectionPolicy::kEager the cursor ran EnsureAll() before
-// compiling, structures are real, and the lowering is exactly the
-// pre-demand-driven one (runtime join-order re-validation included).
-// Under kLazy nothing is built yet: leaves lower to demand-driven scans
-// (streamed off the base relation when the structure supports per-element
-// evaluation), probe sides populate per join key or at first use, ranges
-// materialise behind Extend/guard/tail iterators — and the attached join
-// tree is trusted as planned, since re-validating against actual sizes
+// compiling, structures are real, and the greedy order ranks on their
+// actual sizes. Under kLazy nothing is built yet: leaves lower to
+// demand-driven scans (streamed off the base relation when the structure
+// supports per-element evaluation), probe sides populate per join key or
+// at first use, ranges materialise behind Extend/guard/tail iterators —
+// and the inputs join in declaration order, since ranking on actual sizes
 // would force the very builds laziness defers.
 
 #ifndef PASCALR_PIPELINE_COMPILE_H_
@@ -60,7 +58,7 @@ enum class LazyLeafMode : uint8_t {
 
 /// The population mode the lazy lowering will use for each leaf of
 /// conjunction `conj` (indexed like plan.conj_inputs[conj]). Shares
-/// CompileConjunction's lowering walk — same tree choice, same join-key
+/// CompileConjunction's lowering walk — same join order, same join-key
 /// computation, same semi-join column dropping — so EXPLAIN and the
 /// cost model describe the modes the executor actually runs. `shape`
 /// is the caller's AnalyzePipelineShape(plan) (callers always have one

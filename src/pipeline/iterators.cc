@@ -42,8 +42,7 @@ bool KeyEqualsChunk(const Chunk& chunk, size_t row,
 
 /// Drains `source` to exhaustion into `*into` (set semantics) and
 /// registers the distinct rows with `tracker`; returns how many there
-/// were. The blocking inputs — bushy build sides and the quantifier
-/// tail's division input — are buffered this way.
+/// were. The quantifier tail buffers its division input this way.
 Result<uint64_t> DrainDistinct(RefIterator* source, RefRelation* into,
                                PeakTracker* tracker) {
   Chunk chunk;
@@ -168,26 +167,9 @@ ProbeJoinIter::ProbeJoinIter(RefIteratorPtr left, CollectionBuilders* builders,
       stats_(stats),
       key_probe_pos_(keyed_probe_pos) {}
 
-ProbeJoinIter::ProbeJoinIter(RefIteratorPtr left, RefIteratorPtr right_source,
-                             std::vector<std::string> right_columns,
-                             std::vector<int> left_key,
-                             std::vector<int> right_key,
-                             std::vector<int> right_extras, bool semi,
-                             ExecStats* stats, PeakTracker* tracker)
-    : left_(std::move(left)),
-      right_source_(std::move(right_source)),
-      right_buf_(std::move(right_columns)),
-      left_key_(std::move(left_key)),
-      right_key_(std::move(right_key)),
-      right_extras_(std::move(right_extras)),
-      semi_(semi),
-      stats_(stats),
-      tracker_(tracker) {}
-
 Status ProbeJoinIter::Prepare() {
-  // prepared_ is only set on success: a failed Prepare (lazy build error,
-  // bushy drain error) must re-run on the next pull, not probe
-  // half-initialized state.
+  // prepared_ is only set on success: a failed Prepare (lazy build error)
+  // must re-run on the next pull, not probe half-initialized state.
   if (builders_ != nullptr && key_probe_pos_ >= 0 &&
       !builders_->structure_built(right_structure_)) {
     // Lazy right side in keyed mode (the lowering decided the structure's
@@ -202,14 +184,6 @@ Status ProbeJoinIter::Prepare() {
   if (builders_ != nullptr) {
     PASCALR_RETURN_IF_ERROR(builders_->EnsureStructure(right_structure_));
     right_ = &builders_->result().structures[right_structure_];
-  }
-  if (right_source_ != nullptr) {
-    // Bushy build: the right subtree must be complete before the first
-    // probe — the one genuinely blocking join input, peak-counted.
-    PASCALR_RETURN_IF_ERROR(
-        DrainDistinct(right_source_.get(), &right_buf_, tracker_).status());
-    right_source_.reset();
-    right_ = &right_buf_;
   }
   if (!left_key_.empty()) {
     table_.Reserve(right_->size());

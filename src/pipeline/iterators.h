@@ -27,10 +27,9 @@
 //                   structure (zero-copy), a builders handle (lazy:
 //                   keyed-partial per-join-key population when the
 //                   structure supports it, full build at first probe
-//                   otherwise), or a drained subtree (bushy trees — a
-//                   genuine blocking build, peak-counted). A semi-join
-//                   flag stops at the first match and drops the right
-//                   side's purely-existential columns.
+//                   otherwise). A semi-join flag stops at the first
+//                   match and drops the right side's purely-existential
+//                   columns.
 //   ExtendIter      Cartesian extension with a variable's materialised
 //                   range (§3.3's n-tuple invariant); with a builders
 //                   handle the range materialises at the first pull
@@ -41,7 +40,7 @@
 //                   column comparisons, or membership in a structure
 //                   every column of which the stream already binds).
 //                   compile.cc emits the membership form for covered
-//                   join-tree leaves — a structure that contributes no
+//                   join inputs — a structure that contributes no
 //                   new column is a predicate that outlived its
 //                   collection gate, not a join. The selection-vector
 //                   reference example.
@@ -56,7 +55,7 @@
 //
 // Memory discipline: streaming operators hold one chunk plus index maps
 // of row *indices* over already-materialised structures; only blocking
-// buffers (dedup sinks, division input, bushy builds) register rows with
+// buffers (dedup sinks, division input) register rows with
 // the PeakTracker. That is what keeps the pipelined
 // ExecStats::peak_intermediate_rows at or below the materializing path's.
 //
@@ -176,14 +175,6 @@ class ProbeJoinIter : public RefIterator {
                 std::vector<int> right_key, std::vector<int> right_extras,
                 bool semi, ExecStats* stats, int keyed_probe_pos);
 
-  /// Right side is a subtree (bushy trees): drained into an owned buffer
-  /// at the first pull — a blocking build registered with `tracker`.
-  ProbeJoinIter(RefIteratorPtr left, RefIteratorPtr right_source,
-                std::vector<std::string> right_columns,
-                std::vector<int> left_key, std::vector<int> right_key,
-                std::vector<int> right_extras, bool semi, ExecStats* stats,
-                PeakTracker* tracker);
-
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
@@ -194,8 +185,6 @@ class ProbeJoinIter : public RefIterator {
 
   RefIteratorPtr left_;
   const RefRelation* right_ = nullptr;
-  RefIteratorPtr right_source_;  ///< non-null until drained
-  RefRelation right_buf_;
   CollectionBuilders* builders_ = nullptr;  ///< lazy right side
   size_t right_structure_ = 0;
   std::vector<int> left_key_;
@@ -203,7 +192,6 @@ class ProbeJoinIter : public RefIterator {
   std::vector<int> right_extras_;
   bool semi_;
   ExecStats* stats_;
-  PeakTracker* tracker_ = nullptr;
 
   bool prepared_ = false;
   bool keyed_mode_ = false;  ///< per-join-key population of the right side

@@ -39,64 +39,45 @@ PipelineShape AnalyzePipelineShape(const QueryPlan& plan) {
 }
 
 std::vector<bool> SemiJoinEligible(
-    const JoinTree& tree,
+    const JoinOrder& order,
     const std::vector<std::vector<std::string>>& input_cols,
     const PipelineShape& shape) {
-  std::vector<bool> semi(tree.nodes.size(), false);
-  if (tree.nodes.empty()) return semi;
+  std::vector<bool> semi(order.size(), false);
+  if (order.empty()) return semi;
 
-  // Column sets bottom-up (pre-semi unions — conservative: a column the
-  // other side would itself have semi-dropped still blocks, which only
-  // costs a missed optimisation, never correctness).
-  std::vector<std::set<std::string>> cols(tree.nodes.size());
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    if (node.leaf) {
-      cols[i].insert(input_cols[node.input].begin(),
-                     input_cols[node.input].end());
-    } else {
-      cols[i] = cols[static_cast<size_t>(node.left)];
-      cols[i].insert(cols[static_cast<size_t>(node.right)].begin(),
-                     cols[static_cast<size_t>(node.right)].end());
-    }
-  }
-
-  // Columns required above each node, top-down: the conjunction's output
-  // needs `shape.needed`; below a join, each side additionally needs
-  // whatever the other side joins on (any shared column).
-  std::vector<std::set<std::string>> required(tree.nodes.size());
+  // Columns required above each step's result: the conjunction's output
+  // needs `shape.needed`, and every later step joins on whatever it
+  // shares with the result — conservatively, all of its columns (a
+  // column the later step would itself have semi-dropped still blocks,
+  // which only costs a missed optimisation, never correctness).
+  std::vector<std::set<std::string>> required(order.size());
   required.back().insert(shape.needed.begin(), shape.needed.end());
-  for (size_t i = tree.nodes.size(); i-- > 0;) {
-    const JoinTreeNode& node = tree.nodes[i];
-    if (node.leaf) continue;
-    size_t left = static_cast<size_t>(node.left);
-    size_t right = static_cast<size_t>(node.right);
-    required[left] = required[i];
-    required[left].insert(cols[right].begin(), cols[right].end());
-    required[right] = required[i];
-    required[right].insert(cols[left].begin(), cols[left].end());
+  for (size_t k = order.size() - 1; k-- > 0;) {
+    const std::vector<std::string>& later = input_cols[order[k + 1].input];
+    required[k] = required[k + 1];
+    required[k].insert(later.begin(), later.end());
   }
 
-  for (size_t i = 0; i < tree.nodes.size(); ++i) {
-    const JoinTreeNode& node = tree.nodes[i];
-    if (node.leaf) continue;
-    size_t left = static_cast<size_t>(node.left);
-    size_t right = static_cast<size_t>(node.right);
+  std::set<std::string> bound(input_cols[order[0].input].begin(),
+                              input_cols[order[0].input].end());
+  for (size_t k = 1; k < order.size(); ++k) {
+    const std::vector<std::string>& cols = input_cols[order[k].input];
     bool eligible = true;
     bool any_extra = false;
-    for (const std::string& col : cols[right]) {
-      if (cols[left].count(col) > 0) continue;  // join column, kept
+    for (const std::string& col : cols) {
+      if (bound.count(col) > 0) continue;  // join column, kept
       any_extra = true;
-      if (!shape.IsExistential(col) || required[i].count(col) > 0) {
+      if (!shape.IsExistential(col) || required[k].count(col) > 0) {
         eligible = false;
         break;
       }
     }
     // With no extra columns the join is already a pure existence filter
-    // (the probe key covers every right column, so at most one match per
-    // left row); the semi flag is redundant but harmless — keep it off so
-    // EXPLAIN only marks genuine column-dropping probes.
-    semi[i] = eligible && any_extra;
+    // (the probe key covers every column of the input, so at most one
+    // match per left row); the semi flag is redundant but harmless — keep
+    // it off so EXPLAIN ANALYZE only marks genuine column-dropping probes.
+    semi[k] = eligible && any_extra;
+    bound.insert(cols.begin(), cols.end());
   }
   return semi;
 }

@@ -3,7 +3,7 @@
 // blocking tail, which are *purely existential* — SOME-quantified inner
 // to the outermost ALL, so their columns never reach a division and their
 // joins may stop at the first match (EXISTS-style probes) — and which
-// join-tree nodes qualify for that semi-join early termination.
+// join steps qualify for that semi-join early termination.
 //
 // The compiler (compile.h), the cost model (src/cost/) and EXPLAIN
 // (src/opt/explain.cc) all consume the same analysis, so executed,
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "exec/plan.h"
+#include "joinorder/heuristics.h"
 
 namespace pascalr {
 
@@ -51,14 +52,14 @@ struct PipelineShape {
 
 PipelineShape AnalyzePipelineShape(const QueryPlan& plan);
 
-/// Per-node semi-join eligibility for `tree` joining inputs with the
-/// given column sets (input_cols[i] matches leaf input i). An internal
-/// node may emit each left row once at the first match — and drop the
-/// right side's extra columns entirely — when every such column is
-/// purely existential and no ancestor join needs it. Indexed like
-/// tree.nodes; leaves are false.
+/// Per-step semi-join eligibility for `order` joining inputs with the
+/// given column sets (input_cols[i] belongs to input i). A join step may
+/// emit each left row once at the first match — and drop the input's
+/// extra columns entirely — when every such column is purely existential
+/// and no later step or the output needs it. Indexed like `order`; the
+/// first step is false.
 std::vector<bool> SemiJoinEligible(
-    const JoinTree& tree,
+    const JoinOrder& order,
     const std::vector<std::vector<std::string>>& input_cols,
     const PipelineShape& shape);
 

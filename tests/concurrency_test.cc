@@ -316,7 +316,9 @@ TEST(ConcurrencyTest, SharedCacheKeySeparatesPlannerOptions) {
   SessionManager manager(db.get());
   auto first = manager.CreateSession();
   auto second = manager.CreateSession();
-  second->options().join_order_dp = false;  // different plan-relevant option
+  // A different chunk size is a different plan: adopting the first
+  // session's plan would drain it in 1024-row chunks.
+  ASSERT_TRUE(second->ExecuteScript("SET BATCH 1;").ok());
 
   auto r1 = first->Query(kJoinQuery);
   ASSERT_TRUE(r1.ok());
@@ -328,6 +330,10 @@ TEST(ConcurrencyTest, SharedCacheKeySeparatesPlannerOptions) {
   EXPECT_EQ(v1.shared_plan_hits, v0.shared_plan_hits)
       << "different options must never share a plan";
   EXPECT_EQ(TupleStrings(r1->tuples), TupleStrings(r2->tuples));
+  ASSERT_GT(r2->tuples.size(), 1u);
+  EXPECT_EQ(r2->planned.plan.batch_size, 1u);
+  EXPECT_EQ(r2->stats.batches_emitted, r2->tuples.size())
+      << "SET BATCH 1 drains one row per chunk";
 }
 
 // ---- legacy mode unaffected -----------------------------------------

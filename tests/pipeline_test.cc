@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/str_util.h"
 #include "exec/cursor.h"
 #include "opt/explain.h"
 #include "opt/planner.h"
@@ -491,6 +492,63 @@ TEST(PipelinePeakTest, StrictlyLowerOnThreeInputConjunctions) {
                                   "on most 3-join chains";
 }
 
+// ------------------------------------------------------------- join order
+
+TEST(PipelineJoinOrderTest, ExecutedOrderFollowsActualSizesNotStaleStats) {
+  // The combination phase joins greedily smallest-first on the sizes of
+  // the structures collection actually built. ANALYZE records 13
+  // courses, so sl_c (sophomore courses) is the smallest input; growing
+  // courses 10x with courses nobody teaches makes it the largest, while
+  // the statistics still describe the old relation.
+  UniversityScale scale;
+  scale.employees = 24;
+  scale.papers = 40;
+  scale.courses = 13;
+  scale.timetable = 72;
+  scale.seed = 11;
+  auto db = MakeUniversityDb(/*populate=*/false);
+  ASSERT_TRUE(PopulateSynthetic(db.get(), scale).ok());
+  ASSERT_TRUE(db->AnalyzeAll().ok());
+  std::ostringstream out;
+  Session session(db.get(), &out);
+  ASSERT_TRUE(session.ExecuteScript("SET OPTLEVEL 1;").ok());
+  const std::string explain =
+      std::string("EXPLAIN ANALYZE ") + kThreeInputConjunction + ";";
+
+  ASSERT_TRUE(session.ExecuteScript(explain).ok()) << out.str();
+  std::string before = out.str();
+  EXPECT_NE(before.find("scan sl_c  (rows=4 "), std::string::npos) << before;
+
+  std::string grow;
+  for (int i = 0; i < 117; ++i) {
+    grow += StrFormat("courses :+ [<%d, freshman, 'X%d'>];", 1000 + i, i);
+  }
+  ASSERT_TRUE(session.ExecuteScript(grow).ok());
+  ASSERT_EQ(db->FindRelation("courses")->cardinality(), 130u);
+  ASSERT_EQ(db->FindFreshStats("courses"), nullptr);
+
+  out.str("");
+  ASSERT_TRUE(session.ExecuteScript(explain).ok()) << out.str();
+  std::string after = out.str();
+  // sl_c comes first in declaration order, but ij_c_t (72 rows) is now
+  // the smallest input: it drives, ij_t_e probes, and sl_c (121 rows)
+  // is left as a membership filter.
+  EXPECT_NE(after.find("conjunction 0: join {sl_c, ij_c_t, ij_t_e}"),
+            std::string::npos)
+      << after;
+  EXPECT_NE(after.find("scan ij_c_t  (rows=72 "), std::string::npos) << after;
+  EXPECT_NE(after.find("probe-join ij_t_e  (rows=72 "), std::string::npos)
+      << after;
+  EXPECT_NE(after.find("filter sl_c  (rows=18 "), std::string::npos) << after;
+  EXPECT_EQ(after.find("scan sl_c"), std::string::npos) << after;
+
+  // 72 probe-join rows + 18 filtered + 18 projected + 12 through the sink.
+  auto run = session.Query(kThreeInputConjunction);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->tuples.size(), 12u);
+  EXPECT_EQ(run->stats.combination_rows, 120u);
+}
+
 // ------------------------------------------------------------- early close
 
 TEST(PipelineEarlyCloseTest, CloseAfterOneTupleSkipsJoinWork) {
@@ -544,11 +602,14 @@ TEST(PipelineEarlyCloseTest, CloseAfterOneTupleSkipsJoinWork) {
 
 // ------------------------------------------------------------ SQL / EXPLAIN
 
-TEST(PipelineSurfaceTest, SetPipelineIsAnUnknownOption) {
-  // The pipeline is the only execution mode: there is nothing to switch.
+TEST(PipelineSurfaceTest, DeletedOptionsAreUnknown) {
+  // The pipeline is the only execution mode and the greedy order the only
+  // join order: there is nothing to switch.
   auto db = MakeUniversityDb();
   Session session(db.get());
-  for (const char* stmt : {"SET PIPELINE ON;", "SET PIPELINE OFF;"}) {
+  for (const char* stmt :
+       {"SET PIPELINE ON;", "SET PIPELINE OFF;", "SET JOINORDER DP;",
+        "SET JOINORDER BUSHY;", "SET JOINORDER GREEDY;"}) {
     Status status = session.ExecuteScript(stmt);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << stmt;
   }
@@ -557,19 +618,23 @@ TEST(PipelineSurfaceTest, SetPipelineIsAnUnknownOption) {
   EXPECT_NE(text->find("mode: pipelined"), std::string::npos) << *text;
 }
 
-TEST(PipelineSurfaceTest, ExplainRendersIteratorTreeWithCardinalities) {
+TEST(PipelineSurfaceTest, ExplainDescribesThePipelinedCombination) {
   auto db = MakeUniversityDb();
   ASSERT_TRUE(db->AnalyzeAll().ok());
   std::ostringstream out;
   Session session(db.get(), &out);
-  // The 3-input conjunction at level 2 with fresh stats attaches a tree;
-  // pipelined EXPLAIN renders it as the iterator chain.
+  // The 3-input conjunction at level 2: EXPLAIN describes the pipelined
+  // combination and names the greedy join order.
   ASSERT_TRUE(session.ExecuteScript("SET OPTLEVEL 2;").ok());
   auto text = session.Explain(kThreeInputConjunction);
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("mode: pipelined"), std::string::npos) << *text;
   EXPECT_NE(text->find("existential-only vars"), std::string::npos) << *text;
   EXPECT_NE(text->find("pipelined sink"), std::string::npos) << *text;
+  EXPECT_NE(text->find("join order: greedy smallest-first at execution"),
+            std::string::npos)
+      << *text;
+  EXPECT_EQ(text->find("iterator tree"), std::string::npos) << *text;
 }
 
 }  // namespace

@@ -259,15 +259,14 @@ TEST(PlanCacheTest, StaleCacheNeverReturnsWrongTuplesUnderChurn) {
   }
 }
 
-TEST(PlanCacheTest, SharedCollectionWalkPerAutoCandidate) {
+TEST(PlanCacheTest, OneCollectionWalkPerAutoCandidate) {
   auto db = MakeUniversityDb();
   ASSERT_TRUE(db->AnalyzeAll().ok());
   Session session(db.get());
   session.options().level = OptLevel::kAuto;
 
-  // A 3-input conjunction: the join-order DP needs structure estimates,
-  // so each kAuto candidate walks the collection phase — the walk must be
-  // shared with EstimatePlanCost (one walk per candidate, not two).
+  // A 3-input conjunction: each kAuto candidate is costed by exactly one
+  // collection-phase walk.
   const std::string src =
       "[<e.ename> OF EACH e IN employees:"
       " SOME t IN timetable SOME c IN courses"
@@ -279,25 +278,8 @@ TEST(PlanCacheTest, SharedCollectionWalkPerAutoCandidate) {
   uint64_t candidates = now.plans - before.plans;
   uint64_t walks = now.collection_walks - before.collection_walks;
   ASSERT_GT(candidates, 0u);
-  EXPECT_LE(walks, candidates) << "each candidate should walk the "
-                                  "collection phase at most once";
-
-  // Sharing must not change the estimate: costing with a saved walk
-  // equals costing from scratch, on a deterministic fixed-level plan.
-  PlannerOptions fixed = session.options();
-  fixed.level = OptLevel::kOneStep;
-  auto bound = session.Bind(src);
-  ASSERT_TRUE(bound.ok());
-  auto planned = PlanQuery(*db, std::move(bound).value(), fixed);
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  CollectionCost saved;
-  EstimateStructureSizes(planned->plan, *db, &saved);
-  ASSERT_TRUE(saved.valid);
-  CostEstimate with_reuse = EstimatePlanCost(planned->plan, *db, &saved);
-  CostEstimate from_scratch = EstimatePlanCost(planned->plan, *db);
-  EXPECT_EQ(with_reuse.weighted_cost, from_scratch.weighted_cost);
-  EXPECT_EQ(with_reuse.predicted.TotalWork(),
-            from_scratch.predicted.TotalWork());
+  EXPECT_EQ(walks, candidates)
+      << "each candidate should walk the collection phase exactly once";
 }
 
 TEST(PlanCacheTest, InterleavedWritesFromAnotherSessionInvalidate) {

@@ -224,18 +224,22 @@ TEST(PlanEquivalenceTest, BothDivisionAlgorithmsAgree) {
   }
 }
 
-TEST(PlanEquivalenceTest, DpJoinOrdersMatchGreedyResults) {
-  // With fresh statistics the planner may attach DP join trees; the
-  // result set must be identical to greedy execution (and the oracle)
-  // for every level, across random databases and queries.
-  for (uint64_t seed = 500; seed < 520; ++seed) {
+TEST(PlanEquivalenceTest, GreedyJoinOrderMatchesOracleWithFreshStats) {
+  // With fresh statistics, across random databases and queries (chains of
+  // up to five joins among them), the executor's greedy join order
+  // returns exactly the oracle's set: seeds 500-519 at every level 1-4,
+  // seeds 600-609 (four-join chains) at level 2.
+  for (uint64_t seed = 500; seed < 610; ++seed) {
+    if (seed == 520) seed = 600;
+    const bool chain4 = seed >= 600;
     auto db = MakeUniversityDb(false);
     QueryGenerator gen(seed);
-    gen.RandomDatabase(db.get(), /*empty_prob=*/0.1);
+    gen.RandomDatabase(db.get(), /*empty_prob=*/chain4 ? 0.05 : 0.1);
     ASSERT_TRUE(db->AnalyzeAll().ok());
-    SelectionExpr sel = seed % 2 == 0
-                            ? gen.RandomSelection(3)
-                            : gen.RandomChainSelection(3 + seed % 3, 0.5);
+    SelectionExpr sel = chain4            ? gen.RandomChainSelection(4, 0.5)
+                        : seed % 2 == 0 ? gen.RandomSelection(3)
+                                        : gen.RandomChainSelection(
+                                              3 + seed % 3, 0.5);
 
     Binder binder(db.get());
     Result<BoundQuery> bound = binder.Bind(std::move(sel));
@@ -246,47 +250,15 @@ TEST(PlanEquivalenceTest, DpJoinOrdersMatchGreedyResults) {
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
     auto expected = TupleStrings(*oracle);
 
-    for (int level = 1; level <= 4; ++level) {
-      for (bool dp : {true, false}) {
-        PlannerOptions options;
-        options.level = static_cast<OptLevel>(level);
-        options.join_order_dp = dp;
-        Result<QueryRun> run =
-            RunQuery(*db, CloneBoundQuery(*bound), options);
-        ASSERT_TRUE(run.ok()) << "seed " << seed << " level " << level
-                              << (dp ? " dp" : " greedy") << ": "
-                              << run.status().ToString();
-        EXPECT_EQ(TupleStrings(run->tuples), expected)
-            << "seed " << seed << " level " << level
-            << (dp ? " dp" : " greedy");
-      }
+    for (int level = chain4 ? 2 : 1; level <= (chain4 ? 2 : 4); ++level) {
+      PlannerOptions options;
+      options.level = static_cast<OptLevel>(level);
+      Result<QueryRun> run = RunQuery(*db, CloneBoundQuery(*bound), options);
+      ASSERT_TRUE(run.ok()) << "seed " << seed << " level " << level << ": "
+                            << run.status().ToString();
+      EXPECT_EQ(TupleStrings(run->tuples), expected)
+          << "seed " << seed << " level " << level;
     }
-  }
-}
-
-TEST(PlanEquivalenceTest, BushyDpJoinOrdersMatchGreedyResults) {
-  for (uint64_t seed = 600; seed < 610; ++seed) {
-    auto db = MakeUniversityDb(false);
-    QueryGenerator gen(seed);
-    gen.RandomDatabase(db.get(), /*empty_prob=*/0.05);
-    ASSERT_TRUE(db->AnalyzeAll().ok());
-    SelectionExpr sel = gen.RandomChainSelection(4, 0.5);
-
-    Binder binder(db.get());
-    Result<BoundQuery> bound = binder.Bind(std::move(sel));
-    ASSERT_TRUE(bound.ok());
-
-    NaiveEvaluator naive(db.get());
-    Result<std::vector<Tuple>> oracle = naive.Evaluate(*bound);
-    ASSERT_TRUE(oracle.ok());
-    auto expected = TupleStrings(*oracle);
-
-    PlannerOptions options;
-    options.level = OptLevel::kOneStep;
-    options.join_dp_bushy = true;
-    Result<QueryRun> run = RunQuery(*db, CloneBoundQuery(*bound), options);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(TupleStrings(run->tuples), expected) << "seed " << seed;
   }
 }
 

@@ -9,8 +9,9 @@
 // ever strictly cheaper than its hash, unordered sibling.
 //
 // The forced-btree cells are emulated on the compiled plan (every
-// IndexBuildSpec flipped to ordered, then re-costed): ordering does not
-// feed the join-order optimizer, so this is the plan the grid compiled.
+// IndexBuildSpec flipped to ordered, then re-costed): ordering changes
+// nothing else in the compiled plan, so this is the plan the grid
+// compiled.
 
 #include <gtest/gtest.h>
 

@@ -95,7 +95,7 @@ class QueryGenerator {
   /// to a randomly chosen earlier variable (a random chain/star over the
   /// schema's comparable integer components), plus occasional monadic
   /// filters. At strategy levels >= 1 the single conjunction compiles to
-  /// one multi-input combination join — the join-order optimizer's
+  /// one multi-input combination join — the greedy join order's
   /// workload.
   SelectionExpr RandomChainSelection(size_t joins, double filter_prob = 0.5) {
     SelectionExpr sel;

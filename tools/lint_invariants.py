@@ -47,6 +47,12 @@ each been broken (or nearly broken) by ordinary drift:
   memory-order-relaxed  the bare token is banned outside src/base/ and
                         src/obs/ — relaxed operations go through the named
                         helpers in base/atomic_util.h
+  planner-options-key   every PlannerOptions field (src/opt/planner.h)
+                        appears in its operator== and in
+                        EncodePlannerOptions (src/concurrency/
+                        plan_cache.cc) — a field missing from the key lets
+                        sessions with different options adopt each
+                        other's plans
 
 Usage:
   lint_invariants.py --root <repo-root>          lint the tree
@@ -540,6 +546,67 @@ def check_relaxed_tokens(root, findings):
                     "release stay allowed everywhere)"))
 
 
+# ---- planner-options-key ----------------------------------------------
+
+
+def check_planner_options_key(root, findings):
+    planner_path = os.path.join(root, "src/opt/planner.h")
+    if not os.path.exists(planner_path):
+        return  # fixture tree without the planner surface
+    planner = strip_comments(read(planner_path))
+    struct_m = re.search(r"struct\s+PlannerOptions\s*\{", planner)
+    if not struct_m:
+        return
+    body_start = planner.find("{", struct_m.start())
+    body = extract_body(planner, body_start)
+    body_line0 = planner[:body_start].count("\n") + 1
+    fields = []
+    for i, line in enumerate(body.split("\n")):
+        m = re.match(r"\s*[\w:<>]+\s+(\w+)\s*(?:=[^;]*)?;", line)
+        if m:
+            fields.append((m.group(1), body_line0 + i))
+    rp = rel(root, planner_path)
+
+    eq_body = find_function_body(
+        planner, r"operator==\s*\(\s*const\s+PlannerOptions\s*&")
+    if eq_body is None:
+        findings.append(Finding(
+            "planner-options-key", rp, 1,
+            "no operator==(const PlannerOptions&, ...) — the prepared-"
+            "query plan cache cannot see option changes"))
+        eq_body = ""
+    else:
+        for name, line in fields:
+            if not re.search(r"\.%s\b" % re.escape(name), eq_body):
+                findings.append(Finding(
+                    "planner-options-key", rp, line,
+                    "PlannerOptions::%s is not compared in operator== — "
+                    "a prepared query keeps its plan when the option "
+                    "changes" % name))
+
+    cache_path = os.path.join(root, "src/concurrency/plan_cache.cc")
+    cache = strip_comments(read(cache_path)) if os.path.exists(
+        cache_path) else ""
+    sig = re.search(r"EncodePlannerOptions\s*\(\s*const\s+PlannerOptions\s*&"
+                    r"\s*(\w+)\s*\)\s*\{", cache)
+    if sig is None:
+        findings.append(Finding(
+            "planner-options-key", "src/concurrency/plan_cache.cc", 1,
+            "no EncodePlannerOptions(const PlannerOptions&) definition — "
+            "the shared plan cache key cannot encode the options"))
+        return
+    encode_body = extract_body(cache, cache.find("{", sig.end() - 1))
+    param = sig.group(1)
+    for name, line in fields:
+        if not re.search(r"\b%s\.%s\b" % (re.escape(param), re.escape(name)),
+                         encode_body):
+            findings.append(Finding(
+                "planner-options-key", rp, line,
+                "PlannerOptions::%s is not encoded by EncodePlannerOptions "
+                "(src/concurrency/plan_cache.cc) — sessions that differ "
+                "only in it share one cached plan" % name))
+
+
 # ---- driver -----------------------------------------------------------
 
 ALL_CHECKS = (
@@ -550,6 +617,7 @@ ALL_CHECKS = (
     check_concurrency_members,
     check_hot_path_logs,
     check_relaxed_tokens,
+    check_planner_options_key,
 )
 
 
