@@ -90,8 +90,6 @@ inline void ExportStats(benchmark::State& state, const ExecStats& stats,
       static_cast<double>(stats.permanent_index_hits);
   state.counters["peak_rows"] =
       static_cast<double>(stats.peak_intermediate_rows);
-  state.counters["structures_built"] =
-      static_cast<double>(stats.structures_built);
   state.counters["structure_elements"] =
       static_cast<double>(stats.structure_elements_built);
   state.counters["batches_emitted"] =

@@ -5,8 +5,6 @@
 // Meta commands (one per line):
 //   .help            this text
 //   .level N|auto    optimization level 0..4 or cost-based AUTO (default 4)
-//   .collection MODE collection phase: eager (default) or lazy
-//                    (demand-driven structure builders behind Next)
 //   .stats           cumulative session statistics
 //   .metrics         session metrics (latency percentiles, plan cache, ...)
 //   .metrics prom    server-wide metrics in Prometheus text format
@@ -24,7 +22,7 @@
 // inserts, `name := [<...> OF EACH ... : wff];` queries, PRINT, EXPLAIN,
 // PREPARE name AS [...$p...] / EXECUTE name WITH $p = lit, INDEX rel
 // comp [ORDERED], ANALYZE [rel], and SET OPTLEVEL/DIVISION/PERMINDEXES/
-// COLLECTION/BATCH/TRACE/SLOWLOG.
+// BATCH/TRACE/SLOWLOG.
 
 #include <iostream>
 #include <string>
@@ -58,7 +56,6 @@ void PrintHelp() {
       "  SET OPTLEVEL AUTO;  -- cost-based strategy selection (or 0..4)\n"
       "  SET DIVISION SORT;  -- division algorithm (or HASH)\n"
       "  SET PERMINDEXES ON; -- reuse fresh permanent indexes (or OFF)\n"
-      "  SET COLLECTION LAZY; -- demand-driven collection builders (or EAGER)\n"
       "  SET BATCH 64;       -- rows per pipeline chunk (1..65536)\n"
       "  SET TRACE ON;       -- per-query span traces (.trace FILE exports)\n"
       "  EXPLAIN ANALYZE [<x.s> OF EACH x IN r: x.a < 10];\n"
@@ -66,7 +63,7 @@ void PrintHelp() {
       "  SET SLOWLOG 1000;   -- record queries slower than 1000us (.slow)\n"
       "  out := [<s.fingerprint, s.calls> OF EACH s IN sys$statements: TRUE];\n"
       "                      -- the engine's own telemetry is queryable\n"
-      "meta: .help .level N|auto .collection eager|lazy .stats .metrics [prom] .slow [N|off] "
+      "meta: .help .level N|auto .stats .metrics [prom] .slow [N|off] "
       ".trace on|off|FILE .dump .quit\n";
 }
 
@@ -176,19 +173,6 @@ int main(int argc, char** argv) {
                     << "\n";
         } else {
           std::cout << "level must be 0..4 or auto\n";
-        }
-      } else if (line.rfind(".collection", 0) == 0) {
-        std::string arg = pascalr::AsciiToLower(Trim(line.substr(11)));
-        if (arg == "eager" || arg == "lazy") {
-          session.options().collection =
-              arg == "lazy" ? pascalr::CollectionPolicy::kLazy
-                            : pascalr::CollectionPolicy::kEager;
-          std::cout << "collection: "
-                    << (arg == "lazy"
-                            ? "lazy (demand-driven builders behind Next)\n"
-                            : "eager (built at Open)\n");
-        } else {
-          std::cout << "collection must be eager or lazy\n";
         }
       } else {
         std::cout << "unknown meta command; .help for help\n";

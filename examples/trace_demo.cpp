@@ -35,14 +35,6 @@ int main(int argc, char** argv) {
   std::cout << "=== result ===\n";
   for (const pascalr::Tuple& t : run->tuples) std::cout << "  " << t.ToString() << "\n";
 
-  // The same query again under the lazy collection policy, so the trace
-  // shows demand-driven build-structure spans inside the drain.
-  session.options().collection = pascalr::CollectionPolicy::kLazy;
-  if (auto lazy = session.Query(pascalr::Example21QuerySource()); !lazy.ok()) {
-    return Fail(lazy.status());
-  }
-  session.options().collection = pascalr::CollectionPolicy::kEager;
-
   std::cout << "\n=== query traces ===\n";
   for (const pascalr::QueryTrace& trace : session.traces()) {
     std::cout << trace.ToString();

@@ -9,10 +9,9 @@
 namespace pascalr {
 
 std::string EncodePlannerOptions(const PlannerOptions& o) {
-  return StrFormat("level=%d div=%d permidx=%d coll=%d batch=%zu",
+  return StrFormat("level=%d div=%d permidx=%d batch=%zu",
                    static_cast<int>(o.level), static_cast<int>(o.division),
-                   o.use_permanent_indexes ? 1 : 0,
-                   static_cast<int>(o.collection), o.batch_size);
+                   o.use_permanent_indexes ? 1 : 0, o.batch_size);
 }
 
 bool SharedPlanCache::Lookup(const std::string& key,

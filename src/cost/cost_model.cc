@@ -10,7 +10,6 @@
 #include "base/str_util.h"
 #include "cost/selectivity.h"
 #include "exec/collection.h"
-#include "pipeline/compile.h"
 #include "joinorder/heuristics.h"
 #include "pipeline/shape.h"
 
@@ -213,10 +212,7 @@ class CostWalker {
   /// rows. Mirrors the executor's compile.cc decisions via the shared
   /// shape analysis, over the executor's greedy smallest-first order.
   void WalkCombination() {
-    // Saved for the TTFT estimate: LazyConjunctionLeafModes reuses this
-    // analysis instead of recomputing it per candidate.
-    pipeline_shape_ = AnalyzePipelineShape(plan_);
-    const PipelineShape& shape = pipeline_shape_;
+    const PipelineShape shape = AnalyzePipelineShape(plan_);
     has_division_ = shape.has_division;
     if (plan_.sf.matrix.IsFalse()) return;
 
@@ -389,13 +385,13 @@ class CostWalker {
     return est;
   }
 
-  /// Work before the first tuple under the plan's collection policy, out
-  /// of the run's `work`. Coarse by design — it ranks policies and feeds
-  /// bench/EXPLAIN, it is not a counter prediction.
+  /// Work before the first tuple, out of the run's `work`: the whole
+  /// collection phase plus one row's join/construction work. Coarse by
+  /// design — it feeds bench/EXPLAIN, it is not a counter prediction.
   double EstimateTimeToFirstTuple(double work) const {
     const double proj = static_cast<double>(plan_.sf.projection.size());
     // A surviving ALL buffers the whole stream before the first row can
-    // leave the tail: no policy streams past it.
+    // leave the tail.
     if (has_division_) {
       return std::max(0.0, work - dereferences_) + proj;
     }
@@ -405,32 +401,7 @@ class CostWalker {
     const double inputs0 = plan_.conj_inputs.empty()
                                ? 0.0
                                : static_cast<double>(plan_.conj_inputs[0].size());
-    if (plan_.collection == CollectionPolicy::kEager) {
-      return collection_work + inputs0 + 1.0 + proj;
-    }
-    // Lazy: the first conjunction demands its builds only — keyed /
-    // streamed leaves pay one element evaluation per probe, deferred
-    // ones their full build; supporting indexes always build in full.
-    // LazyConjunctionLeafModes mirrors the lowering, so a keyed-capable
-    // structure the join cannot actually probe on its keyed column is
-    // priced at its full build, not the per-key shortcut.
-    double lazy_work = 0.0;
-    if (!plan_.conj_inputs.empty()) {
-      std::vector<LazyLeafMode> leaf_modes =
-          LazyConjunctionLeafModes(plan_, 0, pipeline_shape_);
-      for (size_t k = 0; k < plan_.conj_inputs[0].size(); ++k) {
-        if (leaf_modes[k] == LazyLeafMode::kDeferred) {
-          lazy_work += structure_rows_[plan_.conj_inputs[0][k]];
-        } else {
-          lazy_work += 2.0;  // deref + gates for the first element/key
-        }
-      }
-    }
-    for (size_t i = 0; i < index_rows_.size(); ++i) {
-      if (!borrowed_[i]) lazy_work += index_rows_[i];
-    }
-    for (double rows : vl_count_) lazy_work += rows;
-    return lazy_work + inputs0 + 1.0 + proj;
+    return collection_work + inputs0 + 1.0 + proj;
   }
 
   const QueryPlan& plan_;
@@ -452,7 +423,6 @@ class CostWalker {
   double final_rows_ = 0.0;
   double peak_ = 0.0;
   bool has_division_ = false;
-  PipelineShape pipeline_shape_;
 
   std::vector<double> structure_rows_;
   std::vector<double> index_rows_;

@@ -42,12 +42,9 @@ struct CostEstimate {
   double est_batches = 0.0;
 
   /// Predicted work before the first result tuple reaches the caller, in
-  /// TotalWork units, under the plan's collection policy. Eager: the
-  /// whole collection phase plus one row's join/construction work. Lazy:
-  /// only the first conjunction's demanded builds — full builds for
-  /// structures that cannot populate per key, index builds, one element
-  /// evaluation per keyed probe. A blocking division tail forces the full
-  /// run regardless of policy.
+  /// TotalWork units: the whole collection phase plus one row's
+  /// join/construction work. A blocking division tail forces the full
+  /// run.
   double est_time_to_first_tuple = 0.0;
 
   std::string ToString() const;

@@ -56,13 +56,12 @@ Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
   run.profile = profile;
   run.builders =
       std::make_unique<CollectionBuilders>(*c.plan_, db, &run.stats);
-  if (c.plan_->collection != CollectionPolicy::kLazy) {
+  {
     TraceSpanGuard span(spans::kCollection, &run.stats);
     PASCALR_RETURN_IF_ERROR(run.builders->EnsureAll());
   }
-  // Compile the iterator tree now, join (and, under the lazy policy,
-  // collect) later — Next pulls rows on demand. A compile failure is an
-  // engine bug and fails the Open.
+  // Compile the iterator tree now, join later — Next pulls rows on
+  // demand. A compile failure is an engine bug and fails the Open.
   PASCALR_ASSIGN_OR_RETURN(
       run.pipeline, CompilePipeline(*c.plan_, run.builders.get(), &run.stats,
                                     &run.tracker, profile));
@@ -175,8 +174,8 @@ const CollectionResult& Cursor::collection() const {
 
 CollectionResult Cursor::ReleaseCollection() {
   if (run_ == nullptr || run_->builders == nullptr) return CollectionResult();
-  // The iterators populate and probe the structures in place; a released
-  // collection must not be touched again.
+  // The iterators probe the structures in place; a released collection
+  // must not be touched again.
   run_->pipeline.root.reset();
   return run_->builders->Release();
 }

@@ -5,17 +5,12 @@
 // (src/pipeline/). Next constructs one tuple at a time — dereference +
 // projection + duplicate elimination on demand — out of a chunk of
 // combination rows, pulling the next chunk (QueryPlan::batch_size rows)
-// through the tree only when the current one is used up. Under the eager
-// collection policy Open still runs the whole collection phase (paper
-// §3.3 step 1) first; under CollectionPolicy::kLazy Open only *registers*
-// per-structure builders and every piece of collection work — structure
-// builds, index builds, range materialisation — happens behind Next, on
-// demand. No combination intermediate is materialised (blocking buffers —
-// division input, dedup sinks — excepted), and closing (or dropping) a
-// partially drained cursor skips the remaining join work, the remaining
-// dereferences, and (lazy) the never-demanded collection structures —
-// visible through ExecStats::structures_built / structure_elements_built.
-// A compile failure fails the Open. The emitted tuple order is
+// through the tree only when the current one is used up. Open runs the
+// whole collection phase (paper §3.3 step 1) first, in one eager pass. No
+// combination intermediate is materialised (blocking buffers — division
+// input, dedup sinks — excepted), and closing (or dropping) a partially
+// drained cursor skips the remaining join work and the remaining
+// dereferences. A collection or compile failure fails the Open. The emitted tuple order is
 // deterministic.
 
 #ifndef PASCALR_EXEC_CURSOR_H_
@@ -48,10 +43,8 @@ class Cursor {
   Cursor& operator=(Cursor&& other) noexcept;
   ~Cursor() { Close(); }
 
-  /// Compiles the execution state for the plan. Eager policy: runs the
-  /// collection phase before returning. Lazy policy: only registers
-  /// collection builders; all collection work happens behind Next. The
-  /// cursor shares ownership of the plan, so it stays valid even if the
+  /// Runs the collection phase and compiles the pipeline over its
+  /// structures. The cursor shares ownership of the plan, so it stays valid even if the
   /// caller's plan cache replans meanwhile.
   /// `sink` (optional) receives this run's ExecStats exactly once, when
   /// the cursor is closed or destroyed; it must outlive the cursor.
@@ -68,7 +61,7 @@ class Cursor {
   Result<bool> Next(Tuple* out);
 
   /// Flushes stats to the sink, tears down the iterator tree (skipping
-  /// unperformed join and collection work) and releases the plan.
+  /// unperformed join work) and releases the plan.
   /// Idempotent.
   void Close();
 
@@ -83,13 +76,12 @@ class Cursor {
     close_hook_ = std::move(hook);
   }
 
-  /// Work counters of this cursor's run so far (collection at Open under
-  /// the eager policy, then join/construction — and lazy collection —
-  /// work as Next is called).
+  /// Work counters of this cursor's run so far (collection at Open, then
+  /// join/construction work as Next is called).
   const ExecStats& stats() const;
 
-  /// Collection-phase structures as materialised so far (Figure 2
-  /// exhibits; complete under the eager policy, partial under lazy).
+  /// Collection-phase structures, complete once Open succeeded (Figure 2
+  /// exhibits).
   const CollectionResult& collection() const;
 
   /// Moves the collection structures out (e.g. into a QueryRun after the

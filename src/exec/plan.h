@@ -54,23 +54,12 @@ enum class OptLevel : int {
 
 std::string_view OptLevelToString(OptLevel level);
 
-/// How the collection phase materialises its structures (exec/collection):
-///  - kEager: every structure, index, value list and range is built before
-///    combination starts (the paper's phase-1/phase-2 split, and the
-///    correctness oracle);
-///  - kLazy: Cursor::Open only compiles per-structure builders; population
-///    happens behind Next, on demand — full materialisation at first use,
-///    per-join-key population for probe-side structures, or streaming the
-///    base relation without ever building the structure.
+/// Collection always runs eagerly (exec/collection.h); the enum has no
+/// effect. Kept only because bench_e2e/replay.cc reads kLazy.
 enum class CollectionPolicy : uint8_t {
   kEager = 0,
-  /// Kept (with SET COLLECTION) while bench_e2e/replay.cc reads it.
   kLazy = 1,
 };
-
-inline std::string_view CollectionPolicyToString(CollectionPolicy policy) {
-  return policy == CollectionPolicy::kLazy ? "lazy" : "eager";
-}
 
 /// A transient (or permanent) index to build: `var`'s range on one
 /// component, restricted by monadic gates (S2).
@@ -204,7 +193,8 @@ struct QueryPlan {
   /// bench_e2e/replay.cc reads it.
   bool pipeline = true;
 
-  /// Collection-phase population policy (see CollectionPolicy).
+  /// Always kEager and set by no one; kept only because
+  /// bench_e2e/replay.cc reads it.
   CollectionPolicy collection = CollectionPolicy::kEager;
 
   /// Rows per pipeline chunk (`SET BATCH <n>;`): the capacity of every

@@ -17,7 +17,6 @@ void ExecStats::Merge(const ExecStats& o) {
   dereferences += o.dereferences;
   replans += o.replans;
   permanent_index_hits += o.permanent_index_hits;
-  structures_built += o.structures_built;
   structure_elements_built += o.structure_elements_built;
   batches_emitted += o.batches_emitted;
   morsels_dispatched += o.morsels_dispatched;
@@ -34,7 +33,7 @@ std::string ExecStats::ToString() const {
       "single_list_refs=%llu indirect_join_refs=%llu combination_rows=%llu "
       "division_input_rows=%llu quantifier_probes=%llu comparisons=%llu "
       "dereferences=%llu replans=%llu permanent_index_hits=%llu "
-      "structures_built=%llu structure_elements_built=%llu "
+      "structure_elements_built=%llu "
       "batches_emitted=%llu morsels_dispatched=%llu "
       "peak_intermediate_rows=%llu",
       static_cast<unsigned long long>(relations_read),
@@ -49,7 +48,6 @@ std::string ExecStats::ToString() const {
       static_cast<unsigned long long>(dereferences),
       static_cast<unsigned long long>(replans),
       static_cast<unsigned long long>(permanent_index_hits),
-      static_cast<unsigned long long>(structures_built),
       static_cast<unsigned long long>(structure_elements_built),
       static_cast<unsigned long long>(batches_emitted),
       static_cast<unsigned long long>(morsels_dispatched),

@@ -24,18 +24,10 @@ struct ExecStats {
   uint64_t dereferences = 0;       ///< construction-phase dereferences
   uint64_t replans = 0;            ///< runtime adaptations (empty ranges)
   uint64_t permanent_index_hits = 0;  ///< transient index builds skipped
-  /// Collection structures (single lists / indirect joins) *fully*
-  /// materialised. Under the lazy collection policy this stays strictly
-  /// below the plan's structure count whenever a cursor closes before
-  /// every structure was demanded; keyed-partial and streamed structures
-  /// never count. Event count, not work: stays out of TotalWork().
-  uint64_t structures_built = 0;
-  /// Elements materialised into collection structures: structure rows
-  /// (keyed-partial cache rows included), index entries, and value-list
-  /// additions. The demand-driven acceptance measure — lazy runs that
-  /// stop early build strictly fewer elements than the eager oracle.
-  /// Structure rows are already priced in single_list_refs /
-  /// indirect_join_refs, so this stays out of TotalWork() too.
+  /// Elements materialised into collection structures: structure rows,
+  /// index entries, and value-list additions. Structure rows are already
+  /// priced in single_list_refs / indirect_join_refs, so this stays out
+  /// of TotalWork().
   uint64_t structure_elements_built = 0;
   /// Chunks the cursor drain pulled from the pipeline sink — one per
   /// sink row at `SET BATCH 1;`, 0 under ExecuteCombination. The
@@ -82,9 +74,9 @@ struct ExecStats {
   /// + comparisons           (join-term comparisons evaluated)
   /// + dereferences          (construction-phase dereferences)
   /// so collection-phase materialisation is visible alongside scan and
-  /// combination work. relations_read, replans, permanent_index_hits and
-  /// the structure-build counters are event counts, not work, and stay
-  /// out of the sum.
+  /// combination work. relations_read, replans and permanent_index_hits
+  /// are event counts, and structure_elements_built re-counts work
+  /// already priced; both stay out of the sum.
   uint64_t TotalWork() const {
     return elements_scanned + index_probes + single_list_refs +
            indirect_join_refs + combination_rows + division_input_rows +

@@ -1,7 +1,7 @@
 // Engine metrics surface: named counters, gauges, and latency histograms
 // with percentile readout. One MetricsRegistry lives on each Session and
 // is fed by the query path (query latency, plan-cache hits/misses,
-// replans, lazy-build events); the `METRICS;` statement and the shell's
+// replans, collection elements built); the `METRICS;` statement and the shell's
 // `.metrics` dump it, and bench_util exports the latency percentiles into
 // BENCH_*.json.
 //

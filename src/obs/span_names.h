@@ -34,18 +34,15 @@ inline constexpr char kPlanSearch[] = "plan-search";
 inline constexpr char kCollection[] = "collection";
 inline constexpr char kCombination[] = "combination";
 inline constexpr char kScan[] = "scan";
-inline constexpr char kBuildIndex[] = "build-index";
-inline constexpr char kBuildValueList[] = "build-value-list";
-inline constexpr char kBuildStructure[] = "build-structure";
 inline constexpr char kDrain[] = "drain";
 
 /// Every registered name, for validation code that wants to iterate the
 /// vocabulary (the linter parses this header textually instead).
 inline constexpr const char* kAllSpanNames[] = {
-    kQuery,      kPrepare,     kExecute,        kExplainAnalyze,
-    kParse,      kBind,        kNormalize,      kPlan,
-    kPlanSearch, kCollection,  kCombination,    kScan,
-    kBuildIndex, kBuildValueList, kBuildStructure, kDrain,
+    kQuery,      kPrepare,    kExecute,     kExplainAnalyze,
+    kParse,      kBind,       kNormalize,   kPlan,
+    kPlanSearch, kCollection, kCombination, kScan,
+    kDrain,
 };
 
 }  // namespace spans

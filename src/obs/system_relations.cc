@@ -45,10 +45,9 @@ Result<Schema> StatementsSchema() {
        IntCol("indirect_join_refs"), IntCol("combination_rows"),
        IntCol("division_input_rows"), IntCol("quantifier_probes"),
        IntCol("comparisons"), IntCol("dereferences"), IntCol("replans"),
-       IntCol("permanent_index_hits"), IntCol("structures_built"),
-       IntCol("structure_elements_built"), IntCol("batches_emitted"),
-       IntCol("morsels_dispatched"), IntCol("peak_intermediate_rows"),
-       IntCol("total_work")},
+       IntCol("permanent_index_hits"), IntCol("structure_elements_built"),
+       IntCol("batches_emitted"), IntCol("morsels_dispatched"),
+       IntCol("peak_intermediate_rows"), IntCol("total_work")},
       {"fingerprint"});
 }
 
@@ -79,7 +78,6 @@ Status FillStatements(Database* db, Relation* rel) {
     t.Append(V(s.counters.dereferences));
     t.Append(V(s.counters.replans));
     t.Append(V(s.counters.permanent_index_hits));
-    t.Append(V(s.counters.structures_built));
     t.Append(V(s.counters.structure_elements_built));
     t.Append(V(s.counters.batches_emitted));
     t.Append(V(s.counters.morsels_dispatched));

@@ -46,8 +46,6 @@ std::vector<std::pair<std::string, uint64_t>> ExecStatsDelta(
   AppendDelta(&out, "replans", base.replans, now.replans);
   AppendDelta(&out, "permanent_index_hits", base.permanent_index_hits,
               now.permanent_index_hits);
-  AppendDelta(&out, "structures_built", base.structures_built,
-              now.structures_built);
   AppendDelta(&out, "structure_elements_built", base.structure_elements_built,
               now.structure_elements_built);
   AppendDelta(&out, "peak_intermediate_rows", base.peak_intermediate_rows,

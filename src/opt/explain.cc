@@ -2,7 +2,6 @@
 
 #include "base/str_util.h"
 #include "obs/profile.h"
-#include "pipeline/compile.h"
 #include "pipeline/shape.h"
 
 namespace pascalr {
@@ -66,49 +65,7 @@ std::string ExplainPlan(const PlannedQuery& planned) {
   out += "strategy 3:\n" + planned.range_extension.ToString();
   out += "strategy 4:\n" + planned.quant_pushdown_summary.ToString();
 
-  const bool lazy_collection = plan.collection == CollectionPolicy::kLazy;
-  // One shape analysis serves the lazy build-mode table here and the
-  // combination-phase summary below.
-  PipelineShape shape = AnalyzePipelineShape(plan);
-  out += StrFormat("collection phase (policy: %s%s):\n",
-                   std::string(CollectionPolicyToString(plan.collection))
-                       .c_str(),
-                   lazy_collection
-                       ? ", demand-driven builders behind Cursor::Next"
-                       : "");
-  if (lazy_collection) {
-    // Per-conjunction build modes: how the lazy lowering will populate
-    // each input structure when (and if) the pipeline demands it.
-    // LazyConjunctionLeafModes replays the lowering's join order and
-    // join-key computation, so the printed mode is the executed mode.
-    for (size_t c = 0; c < plan.conj_inputs.size(); ++c) {
-      if (plan.conj_inputs[c].empty()) continue;
-      std::vector<LazyLeafMode> modes =
-          LazyConjunctionLeafModes(plan, c, shape);
-      std::vector<std::string> parts;
-      for (size_t k = 0; k < plan.conj_inputs[c].size(); ++k) {
-        size_t id = plan.conj_inputs[c][k];
-        const StructureDef& def = plan.structures[id];
-        switch (modes[k]) {
-          case LazyLeafMode::kStreamed:
-            parts.push_back(def.debug_name + ": streamed (never built)");
-            break;
-          case LazyLeafMode::kKeyed: {
-            int keyed = StructureKeyedColumn(plan, id);
-            parts.push_back(
-                def.debug_name + ": keyed on " +
-                def.columns[static_cast<size_t>(keyed < 0 ? 0 : keyed)]);
-            break;
-          }
-          case LazyLeafMode::kDeferred:
-            parts.push_back(def.debug_name + ": full build at first use");
-            break;
-        }
-      }
-      out += StrFormat("  conjunction %zu on demand: %s\n", c,
-                       Join(parts, "; ").c_str());
-    }
-  }
+  out += "collection phase:\n";
   for (const RelationScan& scan : plan.scans) {
     out += "  scan " + scan.relation;
     if (!scan.debug_label.empty() && scan.debug_label != "scan " + scan.relation) {
@@ -168,6 +125,7 @@ std::string ExplainPlan(const PlannedQuery& planned) {
            plan.structures[p.emit.structure_id].debug_name + "\n";
   }
 
+  const PipelineShape shape = AnalyzePipelineShape(plan);
   out += "combination phase:\n";
   out += "  mode: pipelined (streamed join iterators; Cursor::Next pulls "
          "a chunk at a time)\n";
@@ -233,10 +191,8 @@ std::string ExplainEstimatedVsActual(const PlannedQuery& planned,
   row("total_work", est.TotalWork(), actual.TotalWork());
   row("peak_intermediate_rows", est.peak_intermediate_rows,
       actual.peak_intermediate_rows);
-  out += StrFormat(
-      "  est time-to-first-tuple (%s collection): %.0f\n",
-      std::string(CollectionPolicyToString(planned.plan.collection)).c_str(),
-      planned.estimate.est_time_to_first_tuple);
+  out += StrFormat("  est time-to-first-tuple: %.0f\n",
+                   planned.estimate.est_time_to_first_tuple);
   return out;
 }
 

@@ -51,7 +51,6 @@ QueryPlan CloneQueryPlan(const QueryPlan& plan) {
   out.conj_inputs = plan.conj_inputs;
   out.eliminated_vars = plan.eliminated_vars;
   out.division = plan.division;
-  out.collection = plan.collection;
   out.batch_size = plan.batch_size;
   return out;
 }
@@ -144,7 +143,6 @@ Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
   if (!plan.ok()) return plan.status();
   out.plan = std::move(plan).value();
   out.plan.division = options.division;
-  out.plan.collection = options.collection;
   out.plan.batch_size = options.batch_size;
   if (options.use_permanent_indexes) {
     for (IndexBuildSpec& spec : out.plan.indexes) {

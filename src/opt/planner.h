@@ -35,15 +35,6 @@ struct PlannerOptions {
   /// Consult the catalog for fresh permanent indexes before building
   /// transient ones (paper §3.2). Ungated index specs only.
   bool use_permanent_indexes = false;
-  /// Collection-phase population policy (`SET COLLECTION EAGER|LAZY;`).
-  /// kEager builds every structure at Cursor::Open (the paper's phase
-  /// split and the oracle); kLazy defers all collection work behind Next
-  /// on pipelined cursors — structures materialise fully on first use,
-  /// per requested join key, or stream without materialising. Same tuple
-  /// multiset either way (lazy property sweep); lazy wins when cursors
-  /// stop early and can lose on full drains of small relations (repeat
-  /// scans).
-  CollectionPolicy collection = CollectionPolicy::kEager;
   /// Rows per pipeline chunk on the pipelined cursor drain
   /// (`SET BATCH <n>;`); 1 pulls 1-row chunks.
   size_t batch_size = 1024;
@@ -56,7 +47,7 @@ struct PlannerOptions {
 inline bool operator==(const PlannerOptions& a, const PlannerOptions& b) {
   return a.level == b.level && a.division == b.division &&
          a.use_permanent_indexes == b.use_permanent_indexes &&
-         a.collection == b.collection && a.batch_size == b.batch_size;
+         a.batch_size == b.batch_size;
 }
 inline bool operator!=(const PlannerOptions& a, const PlannerOptions& b) {
   return !(a == b);

@@ -317,9 +317,9 @@ Result<PreparedExecution> PreparedQuery::Execute(const ParamBindings& params) {
   out.collection = cursor.ReleaseCollection();
   cursor.Close();
   session_->total_stats_.Merge(out.stats);
-  // Metrics feed: every executed query records its latency; the work
-  // counters that vary with the collection policy ride along so METRICS
-  // shows lazy-build savings without a trace.
+  // Metrics feed: every executed query records its latency; the
+  // collection's built-element count rides along so METRICS shows it
+  // without a trace.
   MetricsRegistry& metrics = session_->metrics_;
   metrics.counter("query.count").Inc();
   const uint64_t latency_us = static_cast<uint64_t>(
@@ -336,10 +336,6 @@ Result<PreparedExecution> PreparedQuery::Execute(const ParamBindings& params) {
                                PlanSummary(state_->planned->plan, cache_hit));
   if (out.stats.replans > 0) {
     metrics.counter("query.replans").Inc(out.stats.replans);
-  }
-  if (out.stats.structures_built > 0) {
-    metrics.counter("collection.structures_built")
-        .Inc(out.stats.structures_built);
   }
   if (out.stats.structure_elements_built > 0) {
     metrics.counter("collection.elements_built")

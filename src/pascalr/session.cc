@@ -122,16 +122,6 @@ Status Session::ApplyOption(const std::string& name,
     return Status::InvalidArgument("SET PERMINDEXES expects ON or OFF, got '" +
                                    value + "'");
   }
-  if (name == "collection") {
-    // Kept while bench_e2e/replay.cc reads CollectionPolicy::kLazy.
-    if (value == "eager" || value == "lazy") {
-      options_.collection = value == "lazy" ? CollectionPolicy::kLazy
-                                            : CollectionPolicy::kEager;
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        "SET COLLECTION expects EAGER or LAZY, got '" + value + "'");
-  }
   if (name == "trace") {
     // Session-level, NOT a PlannerOptions member: flipping tracing must
     // not invalidate cached plans or alter any planning decision.
@@ -177,8 +167,7 @@ Status Session::ApplyOption(const std::string& name,
   }
   return Status::InvalidArgument("unknown option '" + name +
                                  "' (expected OPTLEVEL, DIVISION, "
-                                 "PERMINDEXES, COLLECTION, BATCH, TRACE, "
-                                 "or SLOWLOG)");
+                                 "PERMINDEXES, BATCH, TRACE, or SLOWLOG)");
 }
 
 Status Session::RunAssign(const AssignStmt& stmt) {

@@ -98,8 +98,8 @@ class Session {
   /// Cumulative statistics across all queries run by this session.
   const ExecStats& total_stats() const { return total_stats_; }
 
-  /// Session metrics (query latency, plan-cache hits/misses, lazy-build
-  /// events); dumped by the `METRICS;` statement and the shell's
+  /// Session metrics (query latency, plan-cache hits/misses, collection
+  /// elements built); dumped by the `METRICS;` statement and the shell's
   /// `.metrics`.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -135,8 +135,8 @@ class Session {
   /// (Database::SeedStats) without a relation scan.
   Status RunStatsSeed(const StatsStmt& stmt);
   /// `SET name value;` — planner option assignment: OPTLEVEL 0-4 | AUTO,
-  /// DIVISION HASH | SORT, PERMINDEXES ON | OFF, COLLECTION EAGER | LAZY,
-  /// BATCH <rows 1..65536> — plus the session-level TRACE ON | OFF and
+  /// DIVISION HASH | SORT, PERMINDEXES ON | OFF, BATCH <rows 1..65536> —
+  /// plus the session-level TRACE ON | OFF and
   /// the database-wide SLOWLOG <us> | OFF (deliberately NOT
   /// PlannerOptions members: observability must not perturb the
   /// plan-cache key or any planning decision). Any other name is

@@ -55,15 +55,6 @@ struct Chunk {
     rows = 0;
   }
 
-  /// Row-at-a-time append for producers whose source is row-major per
-  /// element (BaseScanIter). The first row of an empty chunk fixes the
-  /// arity.
-  void AppendRow(RowView row) {
-    if (rows == 0 && cols.size() != row.size()) Reset(row.size());
-    for (size_t c = 0; c < row.size(); ++c) cols[c].push_back(row[c]);
-    ++rows;
-  }
-
   /// Copies row r into `*out` (sized to the chunk's arity).
   void RowAt(size_t r, RefRow* out) const {
     out->resize(cols.size());

@@ -37,43 +37,26 @@ int IndexOf(const std::vector<std::string>& cols, const std::string& name) {
   return -1;
 }
 
-/// The lazy policy's join order: the inputs in declaration order. Actual
-/// structure sizes are unknown by design (nothing is built yet), so there
-/// is no signal for the greedy smallest-first order to rank on.
-JoinOrder DeclarationOrder(size_t num_inputs) {
-  JoinOrder order(num_inputs);
-  for (size_t i = 0; i < num_inputs; ++i) order[i].input = i;
-  return order;
-}
-
-/// One join step's lowering decisions (keys, output columns, keyed-probe
-/// position). The first step carries only `cols`.
+/// One join step's lowering decisions (keys, output columns). The first
+/// step carries only `cols`.
 struct StepPlan {
   std::vector<int> left_key;
   std::vector<int> right_key;
   std::vector<int> right_extras;
   std::vector<std::string> cols;  ///< the step's output column layout
-  /// The left column whose ref keys the lazy per-join-key population of
-  /// the step's structure, or -1 when keyed population does not apply
-  /// (capability column not in the probe key).
-  int keyed_probe_pos = -1;
-  /// Covered input under eager collection: every column of the step's
-  /// structure is already bound upstream (right_extras empty), so the
-  /// "join" is a residual predicate — lowered to FilterIter membership
-  /// probes instead of a probe-join (same rows in the same order: covered
-  /// inputs are always semi-eligible, one emission per surviving row).
+  /// Covered input: every column of the step's structure is already
+  /// bound upstream (right_extras empty), so the "join" is a residual
+  /// predicate — lowered to FilterIter membership probes instead of a
+  /// probe-join (same rows in the same order: covered inputs are always
+  /// semi-eligible, one emission per surviving row).
   bool filter = false;
 };
 
-/// Everything the lowering of one conjunction decides, computed in ONE
-/// walk shared by the iterator compiler, EXPLAIN, and the cost model —
-/// the single source of truth that keeps printed/priced build modes
-/// equal to executed ones.
+/// Everything the lowering of one conjunction decides.
 struct ConjunctionLowering {
   JoinOrder order;
-  std::vector<bool> semi;                ///< indexed like order
-  std::vector<StepPlan> steps;           ///< indexed like order
-  std::vector<LazyLeafMode> leaf_modes;  ///< indexed like conj_inputs[conj]
+  std::vector<bool> semi;       ///< indexed like order
+  std::vector<StepPlan> steps;  ///< indexed like order
 };
 
 ConjunctionLowering PlanConjunctionLowering(const QueryPlan& plan,
@@ -82,18 +65,13 @@ ConjunctionLowering PlanConjunctionLowering(const QueryPlan& plan,
   const std::vector<size_t>& ids = plan.conj_inputs[conj];
   ConjunctionLowering low;
   low.order = std::move(order);
-  low.leaf_modes.assign(ids.size(), LazyLeafMode::kDeferred);
   std::vector<std::vector<std::string>> input_cols;
   for (size_t id : ids) input_cols.push_back(plan.structures[id].columns);
   low.semi = SemiJoinEligible(low.order, input_cols, shape);
   low.steps.resize(low.order.size());
 
   // The first input is the driving stream.
-  const size_t first = low.order[0].input;
-  low.leaf_modes[first] = StructureKeyedColumn(plan, ids[first]) >= 0
-                              ? LazyLeafMode::kStreamed
-                              : LazyLeafMode::kDeferred;
-  low.steps[0].cols = input_cols[first];
+  low.steps[0].cols = input_cols[low.order[0].input];
   for (size_t k = 1; k < low.order.size(); ++k) {
     const size_t input = low.order[k].input;
     const std::vector<std::string>& left_cols = low.steps[k - 1].cols;
@@ -110,21 +88,10 @@ ConjunctionLowering PlanConjunctionLowering(const QueryPlan& plan,
         extra_names.push_back(right_cols[r]);
       }
     }
-    int keyed_col = StructureKeyedColumn(plan, ids[input]);
-    for (size_t i = 0; i < sp.right_key.size(); ++i) {
-      if (sp.right_key[i] == keyed_col) {
-        sp.keyed_probe_pos = sp.left_key[i];
-        break;
-      }
-    }
-    low.leaf_modes[input] = sp.keyed_probe_pos >= 0 ? LazyLeafMode::kKeyed
-                                                    : LazyLeafMode::kDeferred;
-    // Residual-predicate lowering: a covered input (no new columns)
-    // under eager collection runs as a membership filter over the
-    // prebuilt structure — no hash table, no match chains. Lazy keeps
-    // the probe-join so keyed/deferred demand-builds stay in play.
-    sp.filter = !sp.left_key.empty() && sp.right_extras.empty() &&
-                plan.collection != CollectionPolicy::kLazy;
+    // Residual-predicate lowering: a covered input (no new columns) runs
+    // as a membership filter over the prebuilt structure — no hash
+    // table, no match chains.
+    sp.filter = !sp.left_key.empty() && sp.right_extras.empty();
     sp.cols = left_cols;
     if (!low.semi[k]) {
       sp.cols.insert(sp.cols.end(), extra_names.begin(), extra_names.end());
@@ -137,14 +104,12 @@ ConjunctionLowering PlanConjunctionLowering(const QueryPlan& plan,
 /// into an iterator chain emitting rows in `shape.needed` layout.
 /// `*root_node` receives the chain root's profile node id (-1 unprofiled).
 Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
-                                          CollectionBuilders* builders,
+                                          const CollectionResult& coll,
                                           const PipelineShape& shape,
                                           ExecStats* stats,
                                           PeakTracker* tracker,
                                           PipelineProfile* profile,
                                           int* root_node) {
-  const bool lazy = plan.collection == CollectionPolicy::kLazy;
-  const CollectionResult& coll = builders->result();
   const std::vector<size_t>& ids = plan.conj_inputs[conj];
 
   RefIteratorPtr chain;
@@ -156,38 +121,18 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
     chain = ProfileWrap(profile, std::make_unique<UnitIter>(), "unit", -1.0,
                         {}, &chain_node);
   } else {
-    JoinOrder order;
-    if (lazy) {
-      order = DeclarationOrder(ids.size());
-    } else {
-      std::vector<const RefRelation*> inputs;
-      for (size_t id : ids) inputs.push_back(&coll.structures[id]);
-      order = RuntimeJoinOrder(inputs);
-    }
+    std::vector<const RefRelation*> inputs;
+    for (size_t id : ids) inputs.push_back(&coll.structures[id]);
     ConjunctionLowering low =
-        PlanConjunctionLowering(plan, conj, std::move(order), shape);
+        PlanConjunctionLowering(plan, conj, RuntimeJoinOrder(inputs), shape);
 
-    // The first input as a stream: lazy inputs stream straight off the
-    // base relation when the lowering says so (collection mode (c) — the
-    // structure is never materialised) and defer a full build to the
-    // first pull otherwise.
+    // The first input is the driving stream.
     {
       const JoinStep& step = low.order[0];
       size_t id = ids[step.input];
-      const char* kind = "scan";
-      if (lazy && !builders->structure_built(id)) {
-        if (low.leaf_modes[step.input] == LazyLeafMode::kStreamed) {
-          chain = std::make_unique<BaseScanIter>(builders, id);
-          kind = "base-scan";
-        } else {
-          chain = std::make_unique<ScanIter>(builders, id);
-        }
-      } else {
-        chain = std::make_unique<ScanIter>(&coll.structures[id]);
-      }
       chain = ProfileWrap(
-          profile, std::move(chain),
-          StrFormat("%s %s", kind, plan.structures[id].debug_name.c_str()),
+          profile, std::make_unique<ScanIter>(&coll.structures[id]),
+          "scan " + plan.structures[id].debug_name,
           step.est_rows > 0.0 ? step.est_rows : -1.0, {}, &chain_node);
     }
 
@@ -208,17 +153,10 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
         join_label =
             StrFormat("%s %s", low.semi[k] ? "semi-join" : "probe-join",
                       right_name.c_str());
-        if (lazy && !builders->structure_built(right_id)) {
-          join = std::make_unique<ProbeJoinIter>(
-              std::move(chain), builders, right_id, std::move(sp.left_key),
-              std::move(sp.right_key), std::move(sp.right_extras),
-              low.semi[k], stats, sp.keyed_probe_pos);
-        } else {
-          join = std::make_unique<ProbeJoinIter>(
-              std::move(chain), &coll.structures[right_id],
-              std::move(sp.left_key), std::move(sp.right_key),
-              std::move(sp.right_extras), low.semi[k], stats);
-        }
+        join = std::make_unique<ProbeJoinIter>(
+            std::move(chain), &coll.structures[right_id],
+            std::move(sp.left_key), std::move(sp.right_key),
+            std::move(sp.right_extras), low.semi[k], stats);
       }
       double est = low.order[k].est_rows;
       chain = ProfileWrap(profile, std::move(join), std::move(join_label),
@@ -243,16 +181,6 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
         }
       }
       if (in_structures) continue;  // semi-dropped: already witnessed
-      if (lazy) {
-        // The emptiness check must not force the range at compile time;
-        // the guard materialises it at the first pull instead.
-        chain = ProfileWrap(
-            profile,
-            std::make_unique<RangeGuardIter>(std::move(chain), builders,
-                                             qv.var),
-            "range-guard " + qv.var, -1.0, {chain_node}, &chain_node);
-        continue;
-      }
       auto it = coll.range_refs.find(qv.var);
       if (it == coll.range_refs.end()) {
         return Status::Internal("no materialised range for '" + qv.var + "'");
@@ -263,20 +191,14 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
       }
       continue;
     }
-    RefIteratorPtr extended;
-    if (lazy) {
-      extended = std::make_unique<ExtendIter>(std::move(chain), builders,
-                                              qv.var, stats);
-    } else {
-      auto it = coll.range_refs.find(qv.var);
-      if (it == coll.range_refs.end()) {
-        return Status::Internal("no materialised range for '" + qv.var + "'");
-      }
-      extended =
-          std::make_unique<ExtendIter>(std::move(chain), &it->second, stats);
+    auto it = coll.range_refs.find(qv.var);
+    if (it == coll.range_refs.end()) {
+      return Status::Internal("no materialised range for '" + qv.var + "'");
     }
-    chain = ProfileWrap(profile, std::move(extended), "extend " + qv.var,
-                        -1.0, {chain_node}, &chain_node);
+    chain = ProfileWrap(
+        profile,
+        std::make_unique<ExtendIter>(std::move(chain), &it->second, stats),
+        "extend " + qv.var, -1.0, {chain_node}, &chain_node);
     cols.push_back(qv.var);
   }
 
@@ -307,19 +229,12 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
 
 }  // namespace
 
-std::vector<LazyLeafMode> LazyConjunctionLeafModes(
-    const QueryPlan& plan, size_t conj, const PipelineShape& shape) {
-  const size_t n = plan.conj_inputs[conj].size();
-  if (n == 0) return {};
-  return PlanConjunctionLowering(plan, conj, DeclarationOrder(n), shape)
-      .leaf_modes;
-}
-
 Result<CompiledPipeline> CompilePipeline(const QueryPlan& plan,
                                          CollectionBuilders* builders,
                                          ExecStats* stats,
                                          PeakTracker* tracker,
                                          PipelineProfile* profile) {
+  const CollectionResult& coll = builders->result();
   PipelineShape shape = AnalyzePipelineShape(plan);
   CompiledPipeline out;
   out.columns = shape.free_names;
@@ -340,9 +255,9 @@ Result<CompiledPipeline> CompilePipeline(const QueryPlan& plan,
   for (size_t c = 0; c < plan.sf.matrix.disjuncts.size(); ++c) {
     int node = -1;
     PASCALR_ASSIGN_OR_RETURN(
-        RefIteratorPtr one, CompileConjunction(plan, c, builders, shape,
-                                               stats, tracker, profile,
-                                               &node));
+        RefIteratorPtr one,
+        CompileConjunction(plan, c, coll, shape, stats, tracker, profile,
+                           &node));
     disjuncts.push_back(std::move(one));
     disjunct_nodes.push_back(node);
   }
@@ -365,7 +280,7 @@ Result<CompiledPipeline> CompilePipeline(const QueryPlan& plan,
         profile,
         RefIteratorPtr(new QuantifierTailIter(
             std::move(stream), std::move(shape.tail), shape.needed,
-            shape.free_names, builders, plan.division, stats, tracker)),
+            shape.free_names, &coll, plan.division, stats, tracker)),
         "quantifier-tail", -1.0, {stream_node}, &root_node);
     if (profile != nullptr) profile->SetRoot(root_node);
     return out;

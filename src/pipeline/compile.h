@@ -14,15 +14,10 @@
 // quantifier tail (plans with a surviving ALL — division is inherently
 // blocking) or a streaming dedup sink.
 //
-// The compiler consumes CollectionBuilders, not a finished collection.
-// Under CollectionPolicy::kEager the cursor ran EnsureAll() before
-// compiling, structures are real, and the greedy order ranks on their
-// actual sizes. Under kLazy nothing is built yet: leaves lower to
-// demand-driven scans (streamed off the base relation when the structure
-// supports per-element evaluation), probe sides populate per join key or
-// at first use, ranges materialise behind Extend/guard/tail iterators —
-// and the inputs join in declaration order, since ranking on actual sizes
-// would force the very builds laziness defers.
+// The compiler runs over a finished collection: the cursor ran
+// CollectionBuilders::EnsureAll() before compiling, so the greedy order
+// ranks on the structures' actual sizes and every operator reads
+// structures and ranges in place.
 
 #ifndef PASCALR_PIPELINE_COMPILE_H_
 #define PASCALR_PIPELINE_COMPILE_H_
@@ -49,30 +44,13 @@ struct CompiledPipeline {
   bool ok() const { return root != nullptr; }
 };
 
-/// How the lazy lowering populates one conjunction-input structure.
-enum class LazyLeafMode : uint8_t {
-  kStreamed,  ///< scanned straight off the base relation, never built
-  kKeyed,     ///< populated per requested join key on probe
-  kDeferred,  ///< materialised in full at first use
-};
-
-/// The population mode the lazy lowering will use for each leaf of
-/// conjunction `conj` (indexed like plan.conj_inputs[conj]). Shares
-/// CompileConjunction's lowering walk — same join order, same join-key
-/// computation, same semi-join column dropping — so EXPLAIN and the
-/// cost model describe the modes the executor actually runs. `shape`
-/// is the caller's AnalyzePipelineShape(plan) (callers always have one
-/// in hand; recomputing it per conjunction is the expensive part). Only
-/// meaningful for plans with CollectionPolicy::kLazy.
-std::vector<LazyLeafMode> LazyConjunctionLeafModes(const QueryPlan& plan,
-                                                   size_t conj,
-                                                   const PipelineShape& shape);
-
-/// Builds the iterator tree for `plan` over the collection builders.
-/// `stats` receives the per-operator work counters as rows are pulled;
-/// blocking buffers register with `tracker`. Both must outlive the
-/// pipeline, as must `plan` and `builders` (the iterators populate and
-/// probe the structures in place).
+/// Builds the iterator tree for `plan` over the finished collection in
+/// `builders` (EnsureAll must have succeeded; the builders handle rather
+/// than its result is the parameter because bench_e2e/replay.cc passes
+/// one). `stats` receives the per-operator work counters as rows are
+/// pulled; blocking buffers register with `tracker`. Both must outlive
+/// the pipeline, as must `plan` and `builders` (the iterators probe the
+/// structures in place).
 ///
 /// `profile` (optional, EXPLAIN ANALYZE) registers one OpNode per emitted
 /// operator and wraps each in a counting/timing ProfiledIter; it must

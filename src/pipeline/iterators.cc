@@ -5,7 +5,6 @@
 #include "base/str_util.h"
 #include "refstruct/division.h"
 #include "refstruct/ops.h"
-#include "storage/relation.h"
 
 namespace pascalr {
 
@@ -89,52 +88,13 @@ Result<bool> UnitIter::NextBatch(Chunk* out) {
   return true;
 }
 
-Status ScanIter::Ensure() {
-  if (rel_ == nullptr) {
-    // Demand-driven: the structure materialises at the first pull.
-    PASCALR_RETURN_IF_ERROR(builders_->EnsureStructure(structure_id_));
-    rel_ = &builders_->result().structures[structure_id_];
-  }
-  return Status::OK();
-}
-
 Result<bool> ScanIter::NextBatch(Chunk* out) {
-  PASCALR_RETURN_IF_ERROR(Ensure());
   out->Reset(rel_->arity());
   const size_t take = std::min(out->capacity, rel_->size() - pos_);
   if (take == 0) return false;
   GatherRows(rel_->rows(), pos_, take, out);
   pos_ += take;
   return true;
-}
-
-// ------------------------------------------------------------- BaseScanIter
-
-Result<bool> BaseScanIter::NextBatch(Chunk* out) {
-  if (!prepared_) {
-    prepared_ = true;
-    arity_ = builders_->result().structures[structure_id_].arity();
-    PASCALR_RETURN_IF_ERROR(builders_->EnsureElementPrereqs(structure_id_));
-    PASCALR_ASSIGN_OR_RETURN(const Relation* rel,
-                             builders_->StructureBaseRelation(structure_id_));
-    refs_ = rel->AllRefs();
-  }
-  out->Reset(arity_);
-  // The next element is evaluated only when the chunk still has room:
-  // demand, not the chunk grid, decides how much collection work runs.
-  while (!out->full()) {
-    if (pending_pos_ < pending_.size()) {
-      out->AppendRow(RowView(pending_.data() + pending_pos_, arity_));
-      pending_pos_ += arity_;
-      continue;
-    }
-    if (ref_pos_ >= refs_.size()) break;
-    pending_.clear();
-    pending_pos_ = 0;
-    PASCALR_RETURN_IF_ERROR(
-        builders_->EvalElement(structure_id_, refs_[ref_pos_++], &pending_));
-  }
-  return out->rows > 0;
 }
 
 // ------------------------------------------------------------ ProbeJoinIter
@@ -152,39 +112,7 @@ ProbeJoinIter::ProbeJoinIter(RefIteratorPtr left, const RefRelation* right,
       semi_(semi),
       stats_(stats) {}
 
-ProbeJoinIter::ProbeJoinIter(RefIteratorPtr left, CollectionBuilders* builders,
-                             size_t right_structure, std::vector<int> left_key,
-                             std::vector<int> right_key,
-                             std::vector<int> right_extras, bool semi,
-                             ExecStats* stats, int keyed_probe_pos)
-    : left_(std::move(left)),
-      builders_(builders),
-      right_structure_(right_structure),
-      left_key_(std::move(left_key)),
-      right_key_(std::move(right_key)),
-      right_extras_(std::move(right_extras)),
-      semi_(semi),
-      stats_(stats),
-      key_probe_pos_(keyed_probe_pos) {}
-
-Status ProbeJoinIter::Prepare() {
-  // prepared_ is only set on success: a failed Prepare (lazy build error)
-  // must re-run on the next pull, not probe half-initialized state.
-  if (builders_ != nullptr && key_probe_pos_ >= 0 &&
-      !builders_->structure_built(right_structure_)) {
-    // Lazy right side in keyed mode (the lowering decided the structure's
-    // keyed column is part of the probe key): populate per requested join
-    // key — an O(probe) element evaluation instead of an O(relation)
-    // build; the chain walk still verifies the full (possibly
-    // multi-column) key.
-    keyed_mode_ = true;
-    prepared_ = true;
-    return Status::OK();
-  }
-  if (builders_ != nullptr) {
-    PASCALR_RETURN_IF_ERROR(builders_->EnsureStructure(right_structure_));
-    right_ = &builders_->result().structures[right_structure_];
-  }
+void ProbeJoinIter::Prepare() {
   if (!left_key_.empty()) {
     table_.Reserve(right_->size());
     for (const RowView row : right_->rows()) {
@@ -192,7 +120,6 @@ Status ProbeJoinIter::Prepare() {
     }
   }
   prepared_ = true;
-  return Status::OK();
 }
 
 void ProbeJoinIter::Emit(size_t l, RowView right_row, Chunk* out) {
@@ -211,7 +138,7 @@ void ProbeJoinIter::Emit(size_t l, RowView right_row, Chunk* out) {
 }
 
 Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
-  if (!prepared_) PASCALR_RETURN_IF_ERROR(Prepare());
+  if (!prepared_) Prepare();
   const size_t extras = semi_ ? 0 : right_extras_.size();
   // The chunk contract requires a full overwrite on every pull: start
   // from an empty chunk so rows from the previous pull can never leak
@@ -224,11 +151,7 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
   while (!out->full()) {
     if (!have_left_) {
       if (left_pos_ >= left_chunk_.rows) {
-        // Keyed mode pulls its left input a row at a time: each left row
-        // is one unit of demand on the lazy right side, and a wider pull
-        // would run the left side's own demand-driven collection ahead
-        // of the output (visible as extra work on an early Close).
-        left_chunk_.capacity = keyed_mode_ ? 1 : out->capacity;
+        left_chunk_.capacity = out->capacity;
         PASCALR_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_chunk_));
         if (!more) break;
         left_pos_ = 0;
@@ -238,17 +161,7 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
         }
       }
       match_pos_ = 0;
-      if (keyed_mode_) {
-        // Lazy per-join-key population: the candidates are the right
-        // structure's rows for this left row's key ref, evaluated at
-        // their first demand and cached by the builders for re-probes.
-        PASCALR_ASSIGN_OR_RETURN(
-            keyed_rows_,
-            builders_->KeyedMatches(
-                right_structure_,
-                left_chunk_.cols[static_cast<size_t>(key_probe_pos_)]
-                                [left_pos_]));
-      } else if (!left_key_.empty()) {
+      if (!left_key_.empty()) {
         match_row_ =
             table_.Find(HashKeyChunk(left_chunk_, left_pos_, left_key_));
       }
@@ -266,22 +179,12 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
         if (match_pos_ < right_->size()) continue;  // out full, row pending
       }
     } else {
-      // Walk the candidate chain — the probe hash's row-id chain in the
-      // right structure, or the keyed-partial rows — verifying the full
-      // key against hash collisions and keyed-partial extra columns.
-      auto chain_left = [this] {
-        return keyed_mode_ ? match_pos_ < keyed_rows_.size()
-                           : match_row_ != RowIdTable::kNone;
-      };
+      // Walk the probe hash's row-id chain in the right structure,
+      // verifying the full key against hash collisions.
       bool emitted_semi = false;
-      while (chain_left() && !out->full()) {
-        RowView candidate;
-        if (keyed_mode_) {
-          candidate = keyed_rows_[match_pos_++];
-        } else {
-          candidate = (*right_)[match_row_];
-          match_row_ = table_.Next(match_row_);
-        }
+      while (match_row_ != RowIdTable::kNone && !out->full()) {
+        const RowView candidate = (*right_)[match_row_];
+        match_row_ = table_.Next(match_row_);
         if (!KeyEqualsChunk(left_chunk_, l, left_key_, candidate,
                             right_key_)) {
           continue;
@@ -292,7 +195,7 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
           break;  // first match wins; next left row
         }
       }
-      if (!emitted_semi && chain_left()) {
+      if (!emitted_semi && match_row_ != RowIdTable::kNone) {
         continue;  // out full mid-chain, left row stays pending
       }
     }
@@ -304,19 +207,7 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
 
 // --------------------------------------------------------------- ExtendIter
 
-Status ExtendIter::EnsureRefs() {
-  if (refs_ != nullptr) return Status::OK();
-  PASCALR_RETURN_IF_ERROR(builders_->EnsureRange(var_));
-  auto it = builders_->result().range_refs.find(var_);
-  if (it == builders_->result().range_refs.end()) {
-    return Status::Internal("no materialised range for '" + var_ + "'");
-  }
-  refs_ = &it->second;
-  return Status::OK();
-}
-
 Result<bool> ExtendIter::NextBatch(Chunk* out) {
-  PASCALR_RETURN_IF_ERROR(EnsureRefs());
   const std::vector<Ref>& refs = *refs_;
   if (refs.empty()) {
     out->Reset(out->arity());
@@ -364,26 +255,6 @@ Result<bool> ExtendIter::NextBatch(Chunk* out) {
     }
   }
   return out->rows > 0;
-}
-
-// ------------------------------------------------------------ RangeGuardIter
-
-Status RangeGuardIter::Check() {
-  if (checked_) return Status::OK();
-  checked_ = true;
-  PASCALR_RETURN_IF_ERROR(builders_->EnsureRange(var_));
-  auto it = builders_->result().range_refs.find(var_);
-  empty_ = it == builders_->result().range_refs.end() || it->second.empty();
-  return Status::OK();
-}
-
-Result<bool> RangeGuardIter::NextBatch(Chunk* out) {
-  PASCALR_RETURN_IF_ERROR(Check());
-  if (empty_) {
-    out->Reset(out->arity());
-    return false;
-  }
-  return child_->NextBatch(out);
 }
 
 // --------------------------------------------------------------- FilterIter
@@ -534,13 +405,13 @@ Result<bool> ConcatIter::NextBatch(Chunk* out) {
 QuantifierTailIter::QuantifierTailIter(
     RefIteratorPtr child, std::vector<QuantifiedVar> tail,
     std::vector<std::string> columns, std::vector<std::string> free_names,
-    CollectionBuilders* builders, DivisionAlgorithm division,
+    const CollectionResult* collection, DivisionAlgorithm division,
     ExecStats* stats, PeakTracker* tracker)
     : child_(std::move(child)),
       tail_(std::move(tail)),
       columns_(std::move(columns)),
       free_names_(std::move(free_names)),
-      builders_(builders),
+      collection_(collection),
       division_(division),
       stats_(stats),
       tracker_(tracker) {}
@@ -566,9 +437,8 @@ Status QuantifierTailIter::Materialize() {
       }
       PASCALR_ASSIGN_OR_RETURN(next, Project(combined, keep, stats_));
     } else {
-      PASCALR_RETURN_IF_ERROR(builders_->EnsureRange(qv.var));
-      auto it = builders_->result().range_refs.find(qv.var);
-      if (it == builders_->result().range_refs.end()) {
+      auto it = collection_->range_refs.find(qv.var);
+      if (it == collection_->range_refs.end()) {
         return Status::Internal("no materialised range for '" + qv.var + "'");
       }
       PASCALR_ASSIGN_OR_RETURN(

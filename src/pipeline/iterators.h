@@ -7,35 +7,18 @@
 // only at the cursor boundary. `SET BATCH 1;` runs the same operators
 // over 1-row chunks.
 //
-// Under the demand-driven collection policy (CollectionPolicy::kLazy) the
-// leaves additionally pull the *collection* phase on demand: scans and
-// probe builds receive a CollectionBuilders handle instead of a finished
-// structure and populate it behind NextBatch — fully at first use, per
-// join key, or streaming the base relation without materialising at
-// all. An early Close then also skips collection work, not just join
-// work.
+// The operators run over the finished structures of the collection
+// phase, which Cursor::Open completes before compiling the pipeline.
 //
 // Operator inventory:
-//   ScanIter        structure scan (a collection-phase RefRelation; with
-//                   a builders handle, EnsureStructure at the first pull)
-//   BaseScanIter    demand-driven single-producer scan: streams the base
-//                   relation element-at-a-time through the structure's
-//                   producers (gates, restriction, index probes) without
-//                   ever materialising the structure — collection mode (c)
+//   ScanIter        structure scan (a collection-phase RefRelation)
 //   ProbeJoinIter   hash/nested-loop join: streams the left child, probes
-//                   an index over the right side; the right side is a
-//                   structure (zero-copy), a builders handle (lazy:
-//                   keyed-partial per-join-key population when the
-//                   structure supports it, full build at first probe
-//                   otherwise). A semi-join flag stops at the first
-//                   match and drops the right side's purely-existential
-//                   columns.
+//                   an index over the right side, a structure read in
+//                   place (zero-copy). A semi-join flag stops at the
+//                   first match and drops the right side's
+//                   purely-existential columns.
 //   ExtendIter      Cartesian extension with a variable's materialised
-//                   range (§3.3's n-tuple invariant); with a builders
-//                   handle the range materialises at the first pull
-//   RangeGuardIter  annihilates the stream when an (absent, purely
-//                   existential) variable's range is empty — the lazy
-//                   form of the compile-time empty-range check
+//                   range (§3.3's n-tuple invariant)
 //   FilterIter      residual predicate over the stream (reference-level
 //                   column comparisons, or membership in a structure
 //                   every column of which the stream already binds).
@@ -63,8 +46,7 @@
 // RefRelation's flat, arity-strided ref array plus the arity): scans
 // gather them straight into chunk columns, joins walk the RowIdTable's
 // row-id chains. Buffers of rows the pipeline produces itself (the
-// streamed element's rows, the blocking inputs) are flat too; no
-// operator allocates per row.
+// blocking inputs) are flat too; no operator allocates per row.
 
 #ifndef PASCALR_PIPELINE_ITERATORS_H_
 #define PASCALR_PIPELINE_ITERATORS_H_
@@ -115,78 +97,36 @@ class UnitIter : public RefIterator {
 class ScanIter : public RefIterator {
  public:
   explicit ScanIter(const RefRelation* rel) : rel_(rel) {}
-  /// Demand-driven: EnsureStructure(structure_id) at the first pull,
-  /// then scan the materialised rows.
-  ScanIter(CollectionBuilders* builders, size_t structure_id)
-      : builders_(builders), structure_id_(structure_id) {}
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
-  Status Ensure();
-
-  const RefRelation* rel_ = nullptr;
-  CollectionBuilders* builders_ = nullptr;
-  size_t structure_id_ = 0;
+  const RefRelation* rel_;
   size_t pos_ = 0;
 };
 
-/// Collection mode (c): streams the structure's base relation element at
-/// a time through its producers — the structure itself never exists.
-/// Requires CollectionBuilders::KeyedColumn(structure_id) >= 0 (single
-/// scanned variable). Emits the same row set a materialised scan would,
-/// in the same (slot) order. A pull evaluates elements only until the
-/// chunk is full; the rest of the last element's rows carry over.
-class BaseScanIter : public RefIterator {
- public:
-  BaseScanIter(CollectionBuilders* builders, size_t structure_id)
-      : builders_(builders), structure_id_(structure_id) {}
-  Result<bool> NextBatch(Chunk* out) override;
-
- private:
-  CollectionBuilders* builders_;
-  size_t structure_id_;
-  bool prepared_ = false;
-  std::vector<Ref> refs_;     ///< live base-relation refs, slot order
-  size_t ref_pos_ = 0;
-  size_t arity_ = 0;          ///< the structure's arity
-  std::vector<Ref> pending_;  ///< rows of the current element, flat
-  size_t pending_pos_ = 0;    ///< first ref of the next pending row
-};
-
 /// Streaming join. Probes a RowIdTable (join-key hash -> right row ids,
-/// in row order) over the right side, built lazily at the first pull. With an empty key the join
+/// in row order) over the right side, built at the first pull. With an
+/// empty key the join
 /// degenerates to the nested-loop Cartesian step. Output layout: left
 /// columns, then the right side's extra columns (none under semi).
 class ProbeJoinIter : public RefIterator {
  public:
-  /// Right side is an existing structure: the index stores row indices
-  /// into it — no row copies, nothing peak-counted.
+  /// The index stores row indices into the right structure — no row
+  /// copies, nothing peak-counted.
   ProbeJoinIter(RefIteratorPtr left, const RefRelation* right,
                 std::vector<int> left_key, std::vector<int> right_key,
                 std::vector<int> right_extras, bool semi, ExecStats* stats);
 
-  /// Right side is an unbuilt structure (lazy collection). The lowering
-  /// (PlanConjunctionLowering) already decided whether keyed-partial
-  /// population applies: `keyed_probe_pos` >= 0 names the left column
-  /// whose ref keys each per-join-key demand, -1 forces a full
-  /// on-demand build at the first probe.
-  ProbeJoinIter(RefIteratorPtr left, CollectionBuilders* builders,
-                size_t right_structure, std::vector<int> left_key,
-                std::vector<int> right_key, std::vector<int> right_extras,
-                bool semi, ExecStats* stats, int keyed_probe_pos);
-
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
-  Status Prepare();
+  void Prepare();
   /// Appends left row `l` of `left_chunk_` (plus `right_row`'s extras
   /// unless semi) to `out`.
   void Emit(size_t l, RowView right_row, Chunk* out);
 
   RefIteratorPtr left_;
-  const RefRelation* right_ = nullptr;
-  CollectionBuilders* builders_ = nullptr;  ///< lazy right side
-  size_t right_structure_ = 0;
+  const RefRelation* right_;
   std::vector<int> left_key_;
   std::vector<int> right_key_;
   std::vector<int> right_extras_;
@@ -194,70 +134,32 @@ class ProbeJoinIter : public RefIterator {
   ExecStats* stats_;
 
   bool prepared_ = false;
-  bool keyed_mode_ = false;  ///< per-join-key population of the right side
-  int key_probe_pos_ = -1;   ///< left column probed in keyed mode (-1: off)
   /// Join-key hash -> right row ids, in scan order.
   RowIdTable table_;
   /// Left row `left_pos_` is mid-emission (its chain outlived a chunk).
   bool have_left_ = false;
   uint32_t match_row_ = RowIdTable::kNone;  ///< next row of the hash chain
-  RowSpan keyed_rows_;    ///< keyed-partial rows of the current key
-  size_t match_pos_ = 0;  ///< position in keyed rows or right rows (cross)
+  size_t match_pos_ = 0;  ///< next right row of the Cartesian step
   Chunk left_chunk_;      ///< current left batch
   size_t left_pos_ = 0;   ///< next unconsumed row of left_chunk_
 };
 
 /// Cartesian extension with a materialised range: each child row is
 /// emitted once per ref (the product step of §3.3's n-tuple invariant).
-/// With a builders handle, the range materialises at the first pull.
 class ExtendIter : public RefIterator {
  public:
   ExtendIter(RefIteratorPtr child, const std::vector<Ref>* refs,
              ExecStats* stats)
       : child_(std::move(child)), refs_(refs), stats_(stats) {}
-  ExtendIter(RefIteratorPtr child, CollectionBuilders* builders,
-             std::string var, ExecStats* stats)
-      : child_(std::move(child)),
-        builders_(builders),
-        var_(std::move(var)),
-        stats_(stats) {}
   Result<bool> NextBatch(Chunk* out) override;
 
  private:
-  Status EnsureRefs();
-
   RefIteratorPtr child_;
-  const std::vector<Ref>* refs_ = nullptr;
-  CollectionBuilders* builders_ = nullptr;
-  std::string var_;
+  const std::vector<Ref>* refs_;
   ExecStats* stats_;
   size_t pos_ = 0;        ///< next ref for the row being extended
   Chunk child_chunk_;     ///< current child batch
   size_t child_pos_ = 0;  ///< row of child_chunk_ being extended
-};
-
-/// Annihilates the stream when `var`'s range is empty, passing rows
-/// through unchanged otherwise. The demand-driven form of the semantics a
-/// purely existential variable absent from every structure imposes: a
-/// non-empty range is the whole existence proof, an empty one zeroes the
-/// conjunct (exactly like the materializing path's product with an empty
-/// range). The range materialises at the first pull; once the guard
-/// passes, the child's chunks are forwarded unchanged.
-class RangeGuardIter : public RefIterator {
- public:
-  RangeGuardIter(RefIteratorPtr child, CollectionBuilders* builders,
-                 std::string var)
-      : child_(std::move(child)), builders_(builders), var_(std::move(var)) {}
-  Result<bool> NextBatch(Chunk* out) override;
-
- private:
-  Status Check();
-
-  RefIteratorPtr child_;
-  CollectionBuilders* builders_;
-  std::string var_;
-  bool checked_ = false;
-  bool empty_ = false;
 };
 
 /// Residual predicate over the stream, in one of two forms:
@@ -357,15 +259,14 @@ class ConcatIter : public RefIterator {
 /// evaluates the tail quantifiers right-to-left (projection for SOME,
 /// relational division for ALL), projects onto the free variables, and
 /// streams the result. Buffered rows are registered with the tracker.
-/// Divisor ranges come from the builders, materialised on demand (a
-/// no-op under the eager policy).
+/// Divisor ranges come from the finished collection.
 class QuantifierTailIter : public RefIterator {
  public:
   QuantifierTailIter(RefIteratorPtr child,
                      std::vector<QuantifiedVar> tail,
                      std::vector<std::string> columns,
                      std::vector<std::string> free_names,
-                     CollectionBuilders* builders,
+                     const CollectionResult* collection,
                      DivisionAlgorithm division, ExecStats* stats,
                      PeakTracker* tracker);
   /// Streams the buffered result in chunks. The blocking tail itself —
@@ -380,7 +281,7 @@ class QuantifierTailIter : public RefIterator {
   std::vector<QuantifiedVar> tail_;
   std::vector<std::string> columns_;
   std::vector<std::string> free_names_;
-  CollectionBuilders* builders_;
+  const CollectionResult* collection_;
   DivisionAlgorithm division_;
   ExecStats* stats_;
   PeakTracker* tracker_;

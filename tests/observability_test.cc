@@ -1,9 +1,8 @@
 // Observability layer (src/obs/): metrics registry and latency
 // percentiles, query-trace span trees (well-formed nesting, per-stage
-// spans, lazy build spans), EXPLAIN ANALYZE (result identity between
-// instrumented and uninstrumented runs across paper examples x
-// eager/lazy, q-error rendering), zero counter drift when
-// tracing is off, and Chrome trace-event export.
+// spans), EXPLAIN ANALYZE (result identity between instrumented and
+// uninstrumented runs across paper examples, q-error rendering), zero
+// counter drift when tracing is off, and Chrome trace-event export.
 
 #include <cstdio>
 #include <sstream>
@@ -138,27 +137,6 @@ TEST(TraceTest, QuerySpanTreeIsWellFormedAndCoversTheStages) {
   }
 }
 
-TEST(TraceTest, LazyCollectionBuildsShowUpBehindTheDrain) {
-  auto db = MakeUniversityDb();
-  Session session(db.get());
-  session.options().collection = CollectionPolicy::kLazy;
-  session.set_tracing(true);
-  ASSERT_TRUE(session.Query(Example21QuerySource()).ok());
-  ASSERT_EQ(session.traces().size(), 1u);
-  const QueryTrace& trace = session.traces()[0];
-  CheckWellFormed(trace);
-  // Under the lazy policy there is no up-front "collection" span; the
-  // structure builds happen on demand during the drain instead.
-  bool any_build = false;
-  for (const TraceSpan& span : trace.spans) {
-    if (span.name == "build-structure" || span.name == "build-index" ||
-        span.name == "build-value-list" || span.name == "scan") {
-      any_build = true;
-    }
-  }
-  EXPECT_TRUE(any_build) << trace.ToString();
-}
-
 TEST(TraceTest, TracesAccumulateAndClear) {
   auto db = MakeUniversityDb();
   Session session(db.get());
@@ -215,15 +193,11 @@ TEST(TraceTest, ChromeExportIsValidTraceEventJson) {
 /// Runs `source` once uninstrumented and once under a PipelineProfile,
 /// asserting identical result tuples and identical deterministic work
 /// counters — the profiled decorators must observe, never perturb.
-void CheckResultIdentity(const std::string& source,
-                         CollectionPolicy collection) {
-  SCOPED_TRACE(source + (collection == CollectionPolicy::kLazy ? " [lazy]"
-                                                               : " [eager]"));
+void CheckResultIdentity(const std::string& source) {
+  SCOPED_TRACE(source);
   auto db = MakeUniversityDb();
-  PlannerOptions options;
-  options.collection = collection;
   Result<PlannedQuery> planned =
-      PlanQuery(*db, MustBind(*db, source), options);
+      PlanQuery(*db, MustBind(*db, source), PlannerOptions());
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   auto shared = std::make_shared<PlannedQuery>(std::move(planned).value());
   std::shared_ptr<const QueryPlan> plan(shared, &shared->plan);
@@ -271,12 +245,7 @@ TEST(ExplainAnalyzeTest, InstrumentedRunsMatchUninstrumentedOnes) {
       // Single range, restriction only.
       "[<e.ename> OF EACH e IN employees: e.enr < 5]",
   };
-  for (const std::string& q : queries) {
-    for (CollectionPolicy collection :
-         {CollectionPolicy::kEager, CollectionPolicy::kLazy}) {
-      CheckResultIdentity(q, collection);
-    }
-  }
+  for (const std::string& q : queries) CheckResultIdentity(q);
 }
 
 TEST(ExplainAnalyzeTest, StatementPrintsOperatorTableAndSummary) {
@@ -335,8 +304,6 @@ TEST(ObservabilityTest, TracingOffLeavesEveryCounterUntouched) {
     Session session(db.get());
     session.set_tracing(tracing);
     CompileCounters before = GlobalCompileCounters();
-    ASSERT_TRUE(session.Query(Example21QuerySource()).ok());
-    session.options().collection = CollectionPolicy::kLazy;
     ASSERT_TRUE(session.Query(Example21QuerySource()).ok());
     session.options().batch_size = 1;
     ASSERT_TRUE(session.Query(Example21QuerySource()).ok());

@@ -603,13 +603,15 @@ TEST(PipelineEarlyCloseTest, CloseAfterOneTupleSkipsJoinWork) {
 // ------------------------------------------------------------ SQL / EXPLAIN
 
 TEST(PipelineSurfaceTest, DeletedOptionsAreUnknown) {
-  // The pipeline is the only execution mode and the greedy order the only
-  // join order: there is nothing to switch.
+  // The pipeline is the only execution mode, the greedy order the only
+  // join order and the eager pass the only collection policy: there is
+  // nothing to switch.
   auto db = MakeUniversityDb();
   Session session(db.get());
   for (const char* stmt :
        {"SET PIPELINE ON;", "SET PIPELINE OFF;", "SET JOINORDER DP;",
-        "SET JOINORDER BUSHY;", "SET JOINORDER GREEDY;"}) {
+        "SET JOINORDER BUSHY;", "SET JOINORDER GREEDY;",
+        "SET COLLECTION EAGER;", "SET COLLECTION LAZY;"}) {
     Status status = session.ExecuteScript(stmt);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << stmt;
   }

@@ -351,51 +351,5 @@ TEST_P(PipelineSweepTest, PipelineMatchesOracleAtEveryLevel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSweepTest, ::testing::Range(0, 6));
 
-// The demand-driven collection acceptance property: the lazy policy —
-// structures materialising fully on demand, per join key, or streaming
-// off the base relation — returns exactly the oracle's multiset at every
-// planner level, on random databases (including empty relations) and
-// random queries.
-class LazyCollectionSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(LazyCollectionSweepTest, LazyMatchesOracleAtEveryLevel) {
-  const int base_seed = GetParam();
-  for (int i = 0; i < 8; ++i) {
-    uint64_t seed = static_cast<uint64_t>(70000 + base_seed * 1000 + i);
-    auto db = MakeUniversityDb(false);
-    QueryGenerator gen(seed);
-    gen.RandomDatabase(db.get(), /*empty_prob=*/0.2);
-    SelectionExpr sel = gen.RandomSelection(/*max_depth=*/3);
-    std::string rendered = FormatSelection(sel);
-
-    Binder binder(db.get());
-    Result<BoundQuery> bound = binder.Bind(sel.Clone());
-    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-    NaiveEvaluator naive(db.get());
-    Result<std::vector<Tuple>> oracle = naive.Evaluate(*bound);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    auto expected = TupleStrings(*oracle);
-
-    for (int level = 0; level <= 4; ++level) {
-      Session session(db.get());
-      session.options().level = static_cast<OptLevel>(level);
-      session.options().collection = CollectionPolicy::kLazy;
-      auto prepared = session.PrepareSelection(sel.Clone());
-      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-      auto exec = prepared->Execute();
-      ASSERT_TRUE(exec.ok())
-          << "seed " << seed << " level " << level
-          << " lazy: " << exec.status().ToString() << "\n"
-          << rendered;
-      EXPECT_EQ(TupleStrings(exec->tuples), expected)
-          << "seed " << seed << " level " << level << " lazy\n"
-          << rendered;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, LazyCollectionSweepTest,
-                         ::testing::Range(0, 6));
-
 }  // namespace
 }  // namespace pascalr

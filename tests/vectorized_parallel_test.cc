@@ -2,8 +2,10 @@
 //
 //  - NextBatch contract units (chunk boundaries, the FilterIter
 //    selection-vector shape) over hand-built structures;
-//  - a property sweep — collection policy x batch size x optimization
-//    level on random queries — set-equal to the naive evaluator oracle;
+//  - a property sweep — batch size x optimization level x drain depth
+//    on random queries — against the naive evaluator oracle: full
+//    drains are set-equal to it, partial drains (a cursor closed after
+//    k tuples) emit distinct oracle rows only;
 //  - the determinism contract: SET BATCH 1024 drains emit the
 //    bit-identical tuple sequence AND work counters of the 1-row-chunk
 //    drain (SET BATCH 1), batches_emitted aside;
@@ -12,6 +14,7 @@
 //    membership) and its EXPLAIN rendering;
 //  - EXPLAIN ANALYZE batch attribution (batches= / rows/batch=).
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -43,20 +46,29 @@ Ref R(RelationId rel, uint32_t slot) { return Ref{rel, slot, 1}; }
 
 // ------------------------------------------------------------ chunk units
 
-TEST(ChunkTest, AppendRowFixesArityAndRoundTrips) {
+TEST(ChunkTest, ResetFixesArityAndRowsRoundTrip) {
   Chunk chunk;
   chunk.capacity = 4;
-  chunk.AppendRow(RefRow{R(1, 0), R(2, 0)});
-  chunk.AppendRow(RefRow{R(1, 1), R(2, 1)});
+  chunk.Reset(2);
+  auto append = [&chunk](uint32_t slot) {
+    chunk.cols[0].push_back(R(1, slot));
+    chunk.cols[1].push_back(R(2, slot));
+    ++chunk.rows;
+  };
+  append(0);
+  append(1);
   EXPECT_EQ(chunk.arity(), 2u);
   EXPECT_EQ(chunk.rows, 2u);
   EXPECT_FALSE(chunk.full());
   RefRow row;
   chunk.RowAt(1, &row);
   EXPECT_EQ(row, (RefRow{R(1, 1), R(2, 1)}));
-  chunk.AppendRow(RefRow{R(1, 2), R(2, 2)});
-  chunk.AppendRow(RefRow{R(1, 3), R(2, 3)});
+  append(2);
+  append(3);
   EXPECT_TRUE(chunk.full());
+  chunk.Reset(1);
+  EXPECT_EQ(chunk.arity(), 1u);
+  EXPECT_EQ(chunk.rows, 0u);
 }
 
 TEST(ChunkTest, SmallBatchesConcatenateToTheSingleFullBatch) {
@@ -160,6 +172,30 @@ std::vector<Tuple> MustRunWith(const Database& db, const BoundQuery& bound,
   return tuples;
 }
 
+// Opens a cursor for `options`, pulls at most `k` tuples and closes it
+// early.
+std::vector<Tuple> PartialDrain(const Database& db, const BoundQuery& bound,
+                                PlannerOptions options, size_t k) {
+  Result<PlannedQuery> planned =
+      PlanQuery(db, CloneBoundQuery(bound), options);
+  EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+  if (!planned.ok()) return {};
+  Result<Cursor> cursor = Cursor::Open(
+      std::make_shared<const QueryPlan>(std::move(planned->plan)), db);
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return {};
+  std::vector<Tuple> tuples;
+  Tuple tuple;
+  while (tuples.size() < k) {
+    Result<bool> more = cursor->Next(&tuple);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !*more) break;
+    tuples.push_back(std::move(tuple));
+  }
+  cursor->Close();
+  return tuples;
+}
+
 TEST(VectorizedParallelPropertyTest, AllConfigurationsMatchNaiveOracle) {
   auto db = MakeUniversityDb();
   int checked = 0;
@@ -173,21 +209,31 @@ TEST(VectorizedParallelPropertyTest, AllConfigurationsMatchNaiveOracle) {
     Result<std::vector<Tuple>> expected = naive.Evaluate(*bound);
     ASSERT_TRUE(expected.ok());
     auto want = TupleStrings(*expected);
+    const std::set<std::string> oracle(want.begin(), want.end());
     for (int level = 0; level <= 4; ++level) {
-      for (CollectionPolicy policy :
-           {CollectionPolicy::kEager, CollectionPolicy::kLazy}) {
-        for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
-          PlannerOptions options;
-          options.level = static_cast<OptLevel>(level);
-          options.collection = policy;
-          options.batch_size = batch;
-          std::vector<Tuple> got = MustRunWith(*db, *bound, options, nullptr);
-          EXPECT_EQ(TupleStrings(got), want)
-              << "seed=" << seed << " level=" << level
-              << " policy=" << (policy == CollectionPolicy::kLazy)
-              << " batch=" << batch;
-          ++checked;
+      for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+        PlannerOptions options;
+        options.level = static_cast<OptLevel>(level);
+        options.batch_size = batch;
+        std::vector<Tuple> got = MustRunWith(*db, *bound, options, nullptr);
+        EXPECT_EQ(TupleStrings(got), want)
+            << "seed=" << seed << " level=" << level << " batch=" << batch;
+        for (size_t k : {size_t{1}, (oracle.size() + 1) / 2}) {
+          std::vector<Tuple> part = PartialDrain(*db, *bound, options, k);
+          EXPECT_EQ(part.size(), std::min(k, oracle.size()))
+              << "seed=" << seed << " level=" << level << " batch=" << batch
+              << " k=" << k;
+          std::set<std::string> seen;
+          for (const Tuple& t : part) {
+            EXPECT_EQ(oracle.count(t.ToString()), 1u)
+                << "seed=" << seed << " level=" << level << " batch=" << batch
+                << " k=" << k << ": not an oracle row: " << t.ToString();
+            EXPECT_TRUE(seen.insert(t.ToString()).second)
+                << "seed=" << seed << " level=" << level << " batch=" << batch
+                << " k=" << k << ": repeated row: " << t.ToString();
+          }
         }
+        ++checked;
       }
     }
   }
@@ -242,7 +288,7 @@ TEST(VectorizedParallelDeterminismTest, BatchedDrainsAreBitIdentical) {
 
 // Two dyadic terms between the same variable pair plus a third input:
 // whichever e/t indirect join the greedy order takes second binds no new
-// columns, so the eager lowering runs it as a FilterIter membership probe
+// columns, so the lowering runs it as a FilterIter membership probe
 // (and EXPLAIN ANALYZE says so). Level 1 keeps the two e/t terms as two
 // separate structures (no mutual-restriction folding).
 const char kResidualQuery[] =
@@ -268,19 +314,14 @@ TEST(ResidualFilterTest, CoveredLeafLowersToMembershipFilter) {
 
   // EXPLAIN ANALYZE's operator tree names the executed operators: the
   // covered leaf runs as a membership filter, not a probe-join.
-  auto analyze = [&](const char* collection) {
-    std::ostringstream out;
-    Session session(db.get(), &out);
-    EXPECT_TRUE(session
-                    .ExecuteScript(std::string("SET OPTLEVEL 1; SET "
-                                               "COLLECTION ") +
-                                   collection + "; EXPLAIN ANALYZE " +
-                                   kResidualQuery + ";")
-                    .ok())
-        << out.str();
-    return out.str();
-  };
-  std::string text = analyze("EAGER");
+  std::ostringstream out;
+  Session session(db.get(), &out);
+  EXPECT_TRUE(session
+                  .ExecuteScript(std::string("SET OPTLEVEL 1; EXPLAIN ANALYZE ") +
+                                 kResidualQuery + ";")
+                  .ok())
+      << out.str();
+  std::string text = out.str();
   EXPECT_NE(text.find("filter ij_t_e"), std::string::npos) << text;
 
   PlannerOptions options;
@@ -292,15 +333,6 @@ TEST(ResidualFilterTest, CoveredLeafLowersToMembershipFilter) {
   std::vector<Tuple> got = MustRunWith(*db, bound, options, &stats);
   EXPECT_EQ(TupleStrings(got), TupleStrings(*expected));
   EXPECT_GT(stats.comparisons, 0u);
-
-  // Lazy keeps the probe-join lowering (demand builds stay possible):
-  // same rows either way.
-  PlannerOptions lazy = options;
-  lazy.collection = CollectionPolicy::kLazy;
-  std::string lazy_text = analyze("LAZY");
-  EXPECT_EQ(lazy_text.find("filter "), std::string::npos) << lazy_text;
-  std::vector<Tuple> lazy_got = MustRunWith(*db, bound, lazy, nullptr);
-  EXPECT_EQ(TupleStrings(lazy_got), TupleStrings(*expected));
 }
 
 // --------------------------------------------------- session + profiling
