@@ -160,6 +160,15 @@ Relation* Database::FindRelation(RelationId id) const {
   return relations_[id].get();
 }
 
+std::shared_ptr<const Relation> Database::ShareRelation(RelationId id) const {
+  if (const Snapshot* snap = AmbientSnapshot()) {
+    return id < snap->relations.size() ? snap->relations[id] : nullptr;
+  }
+  ReaderMutexLock cat(catalog_mu_);
+  if (id >= relations_.size()) return nullptr;
+  return relations_[id];
+}
+
 Result<const Tuple*> Database::Deref(const Ref& ref) const {
   Relation* rel = FindRelation(ref.relation);
   if (rel == nullptr) {

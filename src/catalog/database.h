@@ -74,6 +74,9 @@ class Database {
   /// readable, one created after capture is not yet visible.
   Relation* FindRelation(const std::string& name) const;
   Relation* FindRelation(RelationId id) const;
+  /// FindRelation(id) as a strong ref: the relation stays readable for as
+  /// long as the caller holds it, even if it is dropped meanwhile.
+  std::shared_ptr<const Relation> ShareRelation(RelationId id) const;
 
   /// Routes a reference to its owning relation and dereferences it.
   Result<const Tuple*> Deref(const Ref& ref) const;

@@ -220,9 +220,18 @@ Status CollectionBuilders::RunPostProbe(const PostScanProbe& probe) {
     return Status::Internal("post-scan probe over uncollected range '" +
                             probe.var + "'");
   }
+  const std::vector<Ref>& range = it->second;
+  if (range.empty()) return Status::OK();
+  // Every ref of a range points into its variable's relation: resolve it
+  // once per pass, not once per element.
+  const Relation* rel = db_.FindRelation(range.front().relation);
+  if (rel == nullptr) {
+    return Status::NotFound(StrFormat("reference into unknown relation %u",
+                                      range.front().relation));
+  }
   RefRelation* out = &result_.structures[probe.emit.structure_id];
-  for (const Ref& ref : it->second) {
-    PASCALR_ASSIGN_OR_RETURN(const Tuple* tuple, db_.Deref(ref));
+  for (const Ref& ref : range) {
+    PASCALR_ASSIGN_OR_RETURN(const Tuple* tuple, rel->Deref(ref));
     if (stats_ != nullptr) ++stats_->elements_scanned;
     ForEachIjPair(probe.emit, ref, *tuple, result_, stats_, [&](RowView row) {
       if (out->Add(row) && stats_ != nullptr) {

@@ -1,7 +1,9 @@
 // The construction phase (paper §3.3, step 3): dereferences the reference
 // tuples delivered by the combination phase and projects them onto the
-// component selection. The Cursor (exec/cursor.h) constructs one tuple at
-// a time through these helpers and deduplicates above them.
+// component selection. The Cursor (exec/cursor.h) maps the projection onto
+// the combination stream's columns here, then constructs and deduplicates
+// one tuple at a time itself (exec/projected_row_set.h); ConstructRow is the
+// one-row reference form of that step.
 
 #ifndef PASCALR_EXEC_CONSTRUCTION_H_
 #define PASCALR_EXEC_CONSTRUCTION_H_
@@ -27,7 +29,8 @@ Result<std::vector<int>> ResolveProjectionColumns(const QueryPlan& plan,
                                                   const RefRelation& table);
 
 /// Dereferences one combination row and projects it onto the component
-/// selection (`column_of_var` from ResolveProjectionColumns).
+/// selection (`column_of_var` from ResolveProjectionColumns). The cursor
+/// does not call it; tests/materialized_reference.h and bench_e2e/replay.cc do.
 Result<Tuple> ConstructRow(const QueryPlan& plan, RowView row,
                            const std::vector<int>& column_of_var,
                            const Database& db, ExecStats* stats);

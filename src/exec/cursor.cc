@@ -2,10 +2,12 @@
 
 #include <chrono>
 
+#include "base/str_util.h"
 #include "exec/construction.h"
 #include "obs/profile.h"
 #include "obs/span_names.h"
 #include "obs/trace.h"
+#include "storage/relation.h"
 
 namespace pascalr {
 
@@ -68,6 +70,10 @@ Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
   PASCALR_ASSIGN_OR_RETURN(
       run.column_of_var,
       ResolveProjectionColumns(*c.plan_, run.pipeline.columns));
+  const size_t arity = run.column_of_var.size();
+  run.relation_of_var.resize(arity);
+  run.values.resize(arity);
+  run.seen = ProjectedRowSet(arity);
   if (profile != nullptr) {
     // Construction (dereference + projection + dedup) runs in the cursor
     // above the pipeline sink; a node of its own lets EXPLAIN ANALYZE
@@ -111,6 +117,8 @@ Result<bool> Cursor::Next(Tuple* out) {
 
 Result<bool> Cursor::NextImpl(Tuple* out) {
   RunState& run = *run_;
+  const std::vector<OutputComponent>& projection = plan_->sf.projection;
+  const size_t arity = run.column_of_var.size();
   // Refill a column-major chunk from the sink, then construct tuples
   // row-by-row out of it. The sink accumulates full chunks, so
   // batches_emitted is ceil(rows / batch) for a full drain regardless of
@@ -123,13 +131,34 @@ Result<bool> Cursor::NextImpl(Tuple* out) {
       if (!more) return false;
       run.chunk_pos = 0;
       ++run.stats.batches_emitted;
+      if (run.chunk.rows == 0) continue;
+      run.seen.ReserveChunk(run.chunk.rows);
+      // A column binds one variable, so all its refs point into that
+      // variable's relation: one catalog lookup per column per chunk.
+      for (size_t i = 0; i < arity; ++i) {
+        const Ref& first =
+            run.chunk.cols[static_cast<size_t>(run.column_of_var[i])][0];
+        run.relation_of_var[i] = db_->ShareRelation(first.relation);
+        if (run.relation_of_var[i] == nullptr) {
+          return Status::NotFound(StrFormat(
+              "reference into unknown relation %u", first.relation));
+        }
+      }
     }
-    run.chunk.RowAt(run.chunk_pos++, &run.scratch);
-    PASCALR_ASSIGN_OR_RETURN(
-        Tuple tuple, ConstructRow(*plan_, run.scratch, run.column_of_var,
-                                  *db_, &run.stats));
-    if (!run.seen.insert(tuple).second) continue;  // duplicate row
-    *out = std::move(tuple);
+    // Dereference only the row Next consumes (lazy construction).
+    const size_t r = run.chunk_pos++;
+    for (size_t i = 0; i < arity; ++i) {
+      const Ref& ref =
+          run.chunk.cols[static_cast<size_t>(run.column_of_var[i])][r];
+      PASCALR_ASSIGN_OR_RETURN(const Tuple* tuple,
+                               run.relation_of_var[i]->Deref(ref));
+      ++run.stats.dereferences;
+      run.values[i] =
+          &tuple->at(static_cast<size_t>(projection[i].component_pos));
+    }
+    if (!run.seen.Insert(run.values.data())) continue;  // duplicate row
+    const Value* kept = run.seen.row(run.seen.size() - 1);
+    *out = Tuple(std::vector<Value>(kept, kept + arity));
     return true;
   }
 }

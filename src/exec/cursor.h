@@ -1,30 +1,34 @@
 // Pull-based result cursor over a compiled plan: the one way the engine
 // executes a statement.
 //
-// Open compiles the combination phase into a join-iterator tree
-// (src/pipeline/). Next constructs one tuple at a time — dereference +
-// projection + duplicate elimination on demand — out of a chunk of
+// Open runs the whole collection phase (paper §3.3 step 1) in one eager
+// pass, then compiles the combination phase into a join-iterator tree
+// (src/pipeline/). Next constructs one tuple at a time out of a chunk of
 // combination rows, pulling the next chunk (QueryPlan::batch_size rows)
-// through the tree only when the current one is used up. Open runs the
-// whole collection phase (paper §3.3 step 1) first, in one eager pass. No
-// combination intermediate is materialised (blocking buffers — division
-// input, dedup sinks — excepted), and closing (or dropping) a partially
-// drained cursor skips the remaining join work and the remaining
-// dereferences. A collection or compile failure fails the Open. The emitted tuple order is
-// deterministic.
+// through the tree only when the current one is used up. Construction
+// (step 3) is lazy: each projection column's relation is looked up once
+// per chunk, but a row is dereferenced only when Next consumes it, and its
+// projected values are deduplicated in a flat ProjectedRowSet
+// (exec/projected_row_set.h) through pointers into the dereferenced
+// tuples — only a new value row is copied, once into the set and once into
+// the caller's Tuple. No combination intermediate is materialised
+// (blocking buffers — division input, dedup sinks — excepted), and closing
+// (or dropping) a partially drained cursor skips the remaining join work
+// and the remaining dereferences. A collection or compile failure fails the
+// Open. The emitted tuple order is deterministic.
 
 #ifndef PASCALR_EXEC_CURSOR_H_
 #define PASCALR_EXEC_CURSOR_H_
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "base/status.h"
 #include "catalog/database.h"
 #include "exec/collection.h"
 #include "exec/plan.h"
+#include "exec/projected_row_set.h"
 #include "exec/stats.h"
 #include "pipeline/compile.h"
 #include "refstruct/ref_relation.h"
@@ -108,9 +112,15 @@ class Cursor {
     CompiledPipeline pipeline;
     Chunk chunk;           ///< current sink chunk
     size_t chunk_pos = 0;  ///< next unconstructed row of `chunk`
-    RefRow scratch;        ///< reused per-row construction input
+    /// By projection component: its column in `chunk`, and that column's
+    /// relation, resolved once per chunk (strong refs, so a relation
+    /// dropped mid-chunk stays readable until the next pull).
     std::vector<int> column_of_var;
-    std::unordered_set<Tuple, TupleHash> seen;
+    std::vector<std::shared_ptr<const Relation>> relation_of_var;
+    /// By projection component: the current row's value, pointing into a
+    /// dereferenced tuple.
+    std::vector<const Value*> values;
+    ProjectedRowSet seen;  ///< distinct value rows emitted so far
 
     // ---- observability (null/-1 on every untraced, unprofiled run) ----
     /// Thread-current tracer captured at Open; when set, Next accumulates

@@ -368,6 +368,7 @@ Result<bool> ProjectIter::NextBatch(Chunk* out) {
         break;
       }
       child_pos_ = 0;
+      seen_.ReserveChunk(child_chunk_.rows);
     }
     while (child_pos_ < child_chunk_.rows && !out->full()) {
       const size_t r = child_pos_++;

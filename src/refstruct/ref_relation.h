@@ -148,6 +148,10 @@ class RefRelation {
   /// stays only because bench_e2e/replay.cc binds it.
   const RefRow& row(size_t r) const;
 
+  /// Sizes the dedup index for a chunk of `rows` candidate rows
+  /// (RowIdTable::ReserveChunk).
+  void ReserveChunk(size_t rows) { table_.ReserveChunk(rows); }
+
   /// Inserts a row (arity must match); duplicate rows are ignored.
   /// Returns true if the row was new.
   bool Add(RowView row);

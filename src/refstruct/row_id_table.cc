@@ -7,7 +7,12 @@
 namespace pascalr {
 
 void RowIdTable::Reserve(size_t rows) {
-  next_.reserve(next_.size() + rows);
+  // Geometric, not exact: callers reserve once per chunk, and an exact
+  // reserve would reallocate and copy every row id each time.
+  const size_t needed = next_.size() + rows;
+  if (needed > next_.capacity()) {
+    next_.reserve(std::max(needed, 2 * next_.capacity()));
+  }
   // Every new row may bring a new hash; keep the load at most 1/2.
   size_t slots = std::max(kMinSlots, slots_.size());
   while (slots < 2 * (distinct_ + rows)) slots *= 2;

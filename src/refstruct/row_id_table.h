@@ -38,6 +38,13 @@ class RowIdTable {
 
   /// Sizes the table for `rows` further rows without regrowth.
   void Reserve(size_t rows);
+  /// Reserve for a chunk of `rows` candidates of a deduplicated stream:
+  /// all of them while the table is empty, later at most as many as it
+  /// already holds, so a stream that has proven mostly duplicates is not
+  /// sized for a whole chunk of new rows (Insert still grows on demand).
+  void ReserveChunk(size_t rows) {
+    Reserve(size() == 0 || rows < size() ? rows : size());
+  }
 
   /// The first row whose stored hash is `h`, or kNone. Next() walks the
   /// others with the same hash, in insertion order.

@@ -218,6 +218,36 @@ TEST(RowIdTableTest, ChainsKeepInsertionOrderAcrossGrowth) {
   EXPECT_EQ(table.size(), 2001u);
 }
 
+TEST(RowIdTableTest, RepeatedReserveKeepsChainsInInsertionOrder) {
+  // A dedup sink reserves a chunk's worth before every chunk; the chains
+  // must survive each Reserve's regrowth in insertion order.
+  RowIdTable table;
+  constexpr uint32_t kChunks = 40;
+  constexpr uint32_t kPerChunk = 37;
+  constexpr uint64_t kHashes = 11;
+  for (uint32_t c = 0; c < kChunks; ++c) {
+    table.Reserve(1024);
+    for (uint32_t i = 0; i < kPerChunk; ++i) {
+      table.Insert((c * kPerChunk + i) % kHashes);
+    }
+  }
+  const uint32_t rows = kChunks * kPerChunk;
+  ASSERT_EQ(table.size(), rows);
+  for (uint64_t h = 0; h < kHashes; ++h) {
+    std::vector<uint32_t> chain;
+    for (uint32_t r = table.Find(h); r != RowIdTable::kNone;
+         r = table.Next(r)) {
+      chain.push_back(r);
+    }
+    std::vector<uint32_t> expected;
+    for (uint32_t r = static_cast<uint32_t>(h); r < rows; r += kHashes) {
+      expected.push_back(r);
+    }
+    EXPECT_EQ(chain, expected) << "hash " << h;
+  }
+  EXPECT_EQ(table.Find(kHashes), RowIdTable::kNone);
+}
+
 TEST(RefRelationTest, DebugStringTruncates) {
   RefRelation sl = RefRelation::SingleList("e");
   for (uint32_t i = 0; i < 20; ++i) sl.Add({R(1, i)});
