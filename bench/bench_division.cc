@@ -1,6 +1,6 @@
-// Experiment D (DESIGN.md): relational division — the combination-phase
-// operator behind universal quantification (§3.3) — hash vs sort
-// algorithm, swept over table size and divisor size.
+// Experiment D: relational division — the combination-phase operator
+// behind universal quantification (§3.3) — swept over table size and
+// divisor size.
 
 #include <benchmark/benchmark.h>
 
@@ -41,34 +41,13 @@ void BM_DivisionHash(benchmark::State& state) {
   std::vector<Ref> divisor = MakeDivisor(divisor_size);
   for (auto _ : state) {
     ExecStats stats;
-    auto result =
-        Divide(table, "v", divisor, &stats, DivisionAlgorithm::kHash);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["table_rows"] = static_cast<double>(table.size());
-}
-
-void BM_DivisionSort(benchmark::State& state) {
-  size_t groups = static_cast<size_t>(state.range(0));
-  size_t divisor_size = static_cast<size_t>(state.range(1));
-  RefRelation table = MakeTable(groups, divisor_size, 0.5);
-  std::vector<Ref> divisor = MakeDivisor(divisor_size);
-  for (auto _ : state) {
-    ExecStats stats;
-    auto result =
-        Divide(table, "v", divisor, &stats, DivisionAlgorithm::kSort);
+    auto result = Divide(table, "v", divisor, &stats);
     benchmark::DoNotOptimize(result);
   }
   state.counters["table_rows"] = static_cast<double>(table.size());
 }
 
 BENCHMARK(BM_DivisionHash)
-    ->Args({16, 64})
-    ->Args({64, 64})
-    ->Args({256, 64})
-    ->Args({64, 256})
-    ->Args({64, 1024});
-BENCHMARK(BM_DivisionSort)
     ->Args({16, 64})
     ->Args({64, 64})
     ->Args({256, 64})

@@ -1,4 +1,4 @@
-// Experiment Q (DESIGN.md): the headline series — the full Example 2.1
+// Experiment Q: the headline series — the full Example 2.1
 // query at every optimization level O0..O4 over growing scale factors —
 // plus the streamed-vs-materialized combination comparison
 // (RunCombination): total drain time, time-to-first-tuple, and

@@ -1,4 +1,4 @@
-// Experiment E4.1/E4.3 (DESIGN.md): strategy 1 — parallel evaluation of
+// Experiment E4.1/E4.3: strategy 1 — parallel evaluation of
 // subexpressions. The claim (paper §4.1): grouping all join terms over a
 // relation into one scan reads each database relation at most once, where
 // the naive plan reads it once per term.

@@ -1,4 +1,4 @@
-// Experiment E4.2 (DESIGN.md): strategy 2 — one-step evaluation of nested
+// Experiment E4.2: strategy 2 — one-step evaluation of nested
 // subexpressions. The claim (paper §4.2): monadic terms gate indirect-join
 // emission during the scan, so intermediate reference structures shrink
 // with the monadic selectivity; single lists need not be materialised.

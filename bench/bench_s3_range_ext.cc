@@ -1,4 +1,4 @@
-// Experiment E4.4/E4.5 (DESIGN.md): strategy 3 — extended range
+// Experiment E4.4/E4.5: strategy 3 — extended range
 // expressions. The claims (paper §4.3):
 //  - the cardinality of range relations has a very strong impact: moving
 //    monadic terms into the range shrinks every downstream structure;

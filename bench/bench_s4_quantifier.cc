@@ -1,4 +1,4 @@
-// Experiment E4.6/E4.7 (DESIGN.md): strategy 4 — quantifier evaluation in
+// Experiment E4.6/E4.7: strategy 4 — quantifier evaluation in
 // the collection phase. The claims (paper §4.4):
 //  - moving the quantifier into the matrix replaces the combination-phase
 //    blow-up (build n-tuples, then divide/project them away) by one value

@@ -57,11 +57,9 @@ inline QueryRun MustRunOptions(const Database& db, const std::string& query,
 
 /// Binds and runs `query` at `level`.
 inline QueryRun MustRun(const Database& db, const std::string& query,
-                        OptLevel level,
-                        DivisionAlgorithm division = DivisionAlgorithm::kHash) {
+                        OptLevel level) {
   PlannerOptions options;
   options.level = level;
-  options.division = division;
   return MustRunOptions(db, query, options);
 }
 

@@ -21,8 +21,8 @@
 // Everything else is PASCAL/R: TYPE/VAR declarations, `rel :+ [<...>];`
 // inserts, `name := [<...> OF EACH ... : wff];` queries, PRINT, EXPLAIN,
 // PREPARE name AS [...$p...] / EXECUTE name WITH $p = lit, INDEX rel
-// comp [ORDERED], ANALYZE [rel], and SET OPTLEVEL/DIVISION/PERMINDEXES/
-// BATCH/TRACE/SLOWLOG.
+// comp [ORDERED], ANALYZE [rel], and SET OPTLEVEL/PERMINDEXES/BATCH/TRACE/
+// SLOWLOG.
 
 #include <iostream>
 #include <string>
@@ -54,7 +54,6 @@ void PrintHelp() {
       "  INDEX r a;                  -- permanent index (add ORDERED for B+tree)\n"
       "  ANALYZE;            -- refresh catalog statistics\n"
       "  SET OPTLEVEL AUTO;  -- cost-based strategy selection (or 0..4)\n"
-      "  SET DIVISION SORT;  -- division algorithm (or HASH)\n"
       "  SET PERMINDEXES ON; -- reuse fresh permanent indexes (or OFF)\n"
       "  SET BATCH 64;       -- rows per pipeline chunk (1..65536)\n"
       "  SET TRACE ON;       -- per-query span traces (.trace FILE exports)\n"

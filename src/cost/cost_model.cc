@@ -311,10 +311,6 @@ class CostWalker {
           rows_out = ProjectedRows(cur.rows, CappedProduct(cur, qv.var));
         } else {
           division_in += cur.rows;
-          if (plan_.division == DivisionAlgorithm::kSort) {
-            // Sorting the division input is not an ExecStats counter.
-            extra_cost_ += cur.rows * 0.25 * Log2Of(cur.rows);
-          }
           double divisor = std::max(1.0, range_size[qv.var]);
           double groups =
               ProjectedRows(cur.rows, CappedProduct(cur, qv.var));

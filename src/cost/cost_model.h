@@ -32,7 +32,7 @@ struct CostEstimate {
   ExecStats predicted;
   /// The ranking score: predicted TotalWork plus est_batches plus
   /// structural nudges the counters cannot see (ordered-index build/probe
-  /// log factors, sort division). Lower is better.
+  /// log factors). Lower is better.
   double weighted_cost = 0.0;
   /// Predicted root chunk refills of the drain —
   /// ceil(final rows / QueryPlan::batch_size), the batches_emitted

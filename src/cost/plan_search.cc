@@ -16,7 +16,7 @@ namespace pascalr {
 namespace {
 
 std::string LabelFor(const PlannerOptions& o) {
-  return StrFormat("O%d/hash-div%s", static_cast<int>(o.level),
+  return StrFormat("O%d%s", static_cast<int>(o.level),
                    o.use_permanent_indexes ? "/perm" : "");
 }
 
@@ -148,7 +148,6 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
     for (bool perm : perm_choices) {
       PlannerOptions options = base;
       options.level = static_cast<OptLevel>(level);
-      options.division = DivisionAlgorithm::kHash;
       options.use_permanent_indexes = perm;
 
       // Sound: the bound is a lower bound on elements_scanned, an addend

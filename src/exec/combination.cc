@@ -131,7 +131,7 @@ Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
         return Status::Internal("no materialised range for '" + qv.var + "'");
       }
       PASCALR_ASSIGN_OR_RETURN(
-          next, Divide(combined, qv.var, it->second, stats, plan.division));
+          next, Divide(combined, qv.var, it->second, stats));
     }
     tracker.Add(next.size());
     tracker.Sub(combined.size());

@@ -33,7 +33,6 @@
 
 #include "calculus/ast.h"
 #include "normalize/standard_form.h"
-#include "refstruct/division.h"
 #include "refstruct/value_list.h"
 
 namespace pascalr {
@@ -186,8 +185,6 @@ struct QueryPlan {
   /// Prefix variables eliminated by strategy 4 (they no longer take part
   /// in combination: no product extension, no projection/division).
   std::vector<std::string> eliminated_vars;
-
-  DivisionAlgorithm division = DivisionAlgorithm::kHash;
 
   /// Always true and set by no one; kept only because
   /// bench_e2e/replay.cc reads it.

@@ -50,7 +50,6 @@ QueryPlan CloneQueryPlan(const QueryPlan& plan) {
   out.post_probes = plan.post_probes;
   out.conj_inputs = plan.conj_inputs;
   out.eliminated_vars = plan.eliminated_vars;
-  out.division = plan.division;
   out.batch_size = plan.batch_size;
   return out;
 }
@@ -142,7 +141,6 @@ Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
                                          std::move(form.pushdown), db);
   if (!plan.ok()) return plan.status();
   out.plan = std::move(plan).value();
-  out.plan.division = options.division;
   out.plan.batch_size = options.batch_size;
   if (options.use_permanent_indexes) {
     for (IndexBuildSpec& spec : out.plan.indexes) {

@@ -31,7 +31,6 @@ namespace pascalr {
 
 struct PlannerOptions {
   OptLevel level = OptLevel::kQuantPush;
-  DivisionAlgorithm division = DivisionAlgorithm::kHash;
   /// Consult the catalog for fresh permanent indexes before building
   /// transient ones (paper §3.2). Ungated index specs only.
   bool use_permanent_indexes = false;
@@ -45,7 +44,7 @@ struct PlannerOptions {
 /// must appear here and in EncodePlannerOptions (concurrency/plan_cache.h);
 /// tools/lint_invariants.py checks both.
 inline bool operator==(const PlannerOptions& a, const PlannerOptions& b) {
-  return a.level == b.level && a.division == b.division &&
+  return a.level == b.level &&
          a.use_permanent_indexes == b.use_permanent_indexes &&
          a.batch_size == b.batch_size;
 }

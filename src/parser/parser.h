@@ -118,7 +118,7 @@ struct AnalyzeStmt {
 };
 
 /// `SET name value;` — session option assignment, e.g.
-/// `SET OPTLEVEL AUTO;`, `SET OPTLEVEL 2;`, `SET DIVISION SORT;`.
+/// `SET OPTLEVEL AUTO;`, `SET OPTLEVEL 2;`, `SET BATCH 64;`.
 struct SetStmt {
   std::string name;   ///< lower-cased option name
   std::string value;  ///< lower-cased identifier or integer spelling

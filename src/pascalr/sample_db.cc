@@ -28,8 +28,7 @@ Status CreateUniversitySchema(Database* db) {
   PASCALR_RETURN_IF_ERROR(db->RegisterEnum(daytype));
 
   // Figure 1 declares enumbertype/cnumbertype as 1..99; the library widens
-  // the subranges so synthetic workloads can scale past 99 elements (see
-  // DESIGN.md, substitutions).
+  // the subranges so synthetic workloads can scale past 99 elements.
   Type enumbertype = Type::IntRange(1, 1000000000);
   Type cnumbertype = Type::IntRange(1, 1000000000);
   Type yeartype = Type::IntRange(1900, 1999);

@@ -102,18 +102,6 @@ Status Session::ApplyOption(const std::string& name,
     return Status::InvalidArgument("SET OPTLEVEL expects 0..4 or AUTO, got '" +
                                    value + "'");
   }
-  if (name == "division") {
-    if (value == "hash") {
-      options_.division = DivisionAlgorithm::kHash;
-      return Status::OK();
-    }
-    if (value == "sort") {
-      options_.division = DivisionAlgorithm::kSort;
-      return Status::OK();
-    }
-    return Status::InvalidArgument("SET DIVISION expects HASH or SORT, got '" +
-                                   value + "'");
-  }
   if (name == "permindexes") {
     if (value == "on" || value == "off") {
       options_.use_permanent_indexes = value == "on";
@@ -166,8 +154,8 @@ Status Session::ApplyOption(const std::string& name,
         "'");
   }
   return Status::InvalidArgument("unknown option '" + name +
-                                 "' (expected OPTLEVEL, DIVISION, "
-                                 "PERMINDEXES, BATCH, TRACE, or SLOWLOG)");
+                                 "' (expected OPTLEVEL, PERMINDEXES, "
+                                 "BATCH, TRACE, or SLOWLOG)");
 }
 
 Status Session::RunAssign(const AssignStmt& stmt) {

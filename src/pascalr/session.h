@@ -135,7 +135,7 @@ class Session {
   /// (Database::SeedStats) without a relation scan.
   Status RunStatsSeed(const StatsStmt& stmt);
   /// `SET name value;` — planner option assignment: OPTLEVEL 0-4 | AUTO,
-  /// DIVISION HASH | SORT, PERMINDEXES ON | OFF, BATCH <rows 1..65536> —
+  /// PERMINDEXES ON | OFF, BATCH <rows 1..65536> —
   /// plus the session-level TRACE ON | OFF and
   /// the database-wide SLOWLOG <us> | OFF (deliberately NOT
   /// PlannerOptions members: observability must not perturb the

@@ -280,7 +280,7 @@ Result<CompiledPipeline> CompilePipeline(const QueryPlan& plan,
         profile,
         RefIteratorPtr(new QuantifierTailIter(
             std::move(stream), std::move(shape.tail), shape.needed,
-            shape.free_names, &coll, plan.division, stats, tracker)),
+            shape.free_names, &coll, stats, tracker)),
         "quantifier-tail", -1.0, {stream_node}, &root_node);
     if (profile != nullptr) profile->SetRoot(root_node);
     return out;

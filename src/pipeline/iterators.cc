@@ -406,14 +406,13 @@ Result<bool> ConcatIter::NextBatch(Chunk* out) {
 QuantifierTailIter::QuantifierTailIter(
     RefIteratorPtr child, std::vector<QuantifiedVar> tail,
     std::vector<std::string> columns, std::vector<std::string> free_names,
-    const CollectionResult* collection, DivisionAlgorithm division,
-    ExecStats* stats, PeakTracker* tracker)
+    const CollectionResult* collection, ExecStats* stats,
+    PeakTracker* tracker)
     : child_(std::move(child)),
       tail_(std::move(tail)),
       columns_(std::move(columns)),
       free_names_(std::move(free_names)),
       collection_(collection),
-      division_(division),
       stats_(stats),
       tracker_(tracker) {}
 
@@ -443,7 +442,7 @@ Status QuantifierTailIter::Materialize() {
         return Status::Internal("no materialised range for '" + qv.var + "'");
       }
       PASCALR_ASSIGN_OR_RETURN(
-          next, Divide(combined, qv.var, it->second, stats_, division_));
+          next, Divide(combined, qv.var, it->second, stats_));
     }
     if (tracker_ != nullptr) {
       tracker_->Add(next.size());

@@ -266,8 +266,7 @@ class QuantifierTailIter : public RefIterator {
                      std::vector<QuantifiedVar> tail,
                      std::vector<std::string> columns,
                      std::vector<std::string> free_names,
-                     const CollectionResult* collection,
-                     DivisionAlgorithm division, ExecStats* stats,
+                     const CollectionResult* collection, ExecStats* stats,
                      PeakTracker* tracker);
   /// Streams the buffered result in chunks. The blocking tail itself —
   /// division, projections — runs over the buffered relation at the
@@ -282,7 +281,6 @@ class QuantifierTailIter : public RefIterator {
   std::vector<std::string> columns_;
   std::vector<std::string> free_names_;
   const CollectionResult* collection_;
-  DivisionAlgorithm division_;
   ExecStats* stats_;
   PeakTracker* tracker_;
 

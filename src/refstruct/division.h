@@ -8,11 +8,8 @@
 // element of the divisor D (the full — possibly extended — range of the
 // universally quantified variable).
 //
-// Two algorithms are provided; bench_division compares them:
-//  - hash division: group rows by the remaining columns, count distinct
-//    divisor refs per group;
-//  - sort division: sort rows, then verify each group by merge against the
-//    sorted divisor.
+// Hash division: rows are grouped by the remaining columns and a group
+// qualifies when it matched every distinct divisor ref.
 
 #ifndef PASCALR_REFSTRUCT_DIVISION_H_
 #define PASCALR_REFSTRUCT_DIVISION_H_
@@ -26,16 +23,13 @@
 
 namespace pascalr {
 
-enum class DivisionAlgorithm { kHash, kSort };
-
 /// Divides `table` by the divisor refs bound to column `var`.
 /// The result drops the `var` column. An empty divisor yields all
 /// projected rows (vacuous truth: ALL over the empty set holds) — callers
 /// normally never reach this case because empty ranges trigger runtime
 /// adaptation first, but division itself is total.
 Result<RefRelation> Divide(const RefRelation& table, const std::string& var,
-                           const std::vector<Ref>& divisor, ExecStats* stats,
-                           DivisionAlgorithm algorithm = DivisionAlgorithm::kHash);
+                           const std::vector<Ref>& divisor, ExecStats* stats);
 
 }  // namespace pascalr
 

@@ -166,8 +166,13 @@ TEST(SessionStatsTest, SetStatementDrivesPlannerOptions) {
   EXPECT_EQ(session.options().level, OptLevel::kAuto);
   ASSERT_TRUE(session.ExecuteScript("SET OPTLEVEL 2;").ok());
   EXPECT_EQ(session.options().level, OptLevel::kOneStep);
-  ASSERT_TRUE(session.ExecuteScript("SET DIVISION SORT;").ok());
-  EXPECT_EQ(session.options().division, DivisionAlgorithm::kSort);
+  // One division algorithm: DIVISION is an unknown option like any other
+  // (option names are matched case-insensitively).
+  Status division = session.ExecuteScript("SET division sort;");
+  EXPECT_EQ(division.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(division.message().find("unknown option 'division'"),
+            std::string::npos)
+      << division.ToString();
   ASSERT_TRUE(session.ExecuteScript("SET PERMINDEXES ON;").ok());
   EXPECT_TRUE(session.options().use_permanent_indexes);
   EXPECT_FALSE(session.ExecuteScript("SET OPTLEVEL 9;").ok());

@@ -185,9 +185,9 @@ TEST(ExplainCostTest, AutoPlanPrintsCandidateTableAndEstimates) {
   EXPECT_NE(text.find("cost-based selection:"), std::string::npos);
   EXPECT_NE(text.find("estimated work"), std::string::npos);
   EXPECT_NE(text.find("chosen: O"), std::string::npos);
-  // All five strategy levels were considered.
+  // All five strategy levels were considered, each in a row of its own.
   for (int level = 0; level <= 4; ++level) {
-    EXPECT_NE(text.find("O" + std::to_string(level) + "/"),
+    EXPECT_NE(text.find("\n  O" + std::to_string(level) + " "),
               std::string::npos)
         << "candidate table lacks level " << level << "\n" << text;
   }

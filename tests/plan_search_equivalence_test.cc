@@ -1,12 +1,12 @@
 // The kAuto search plans each distinct strategy level once: it searches
 // levels x permanent-index reuse, shares one folded standard form and
 // skips levels whose transformation is a no-op. This suite keeps the
-// exhaustive grid it replaced as a reference — levels x division x
-// ordered transient indexes x permanent-index reuse — and checks that the
-// search chooses exactly the grid's plan: same level, same permanent-index
-// choice, same estimate, same EXPLAIN body. It also checks the premise of
-// dropping two grid dimensions: no sort-division or forced-btree cell is
-// ever strictly cheaper than its hash, unordered sibling.
+// exhaustive grid it replaced as a reference — levels x ordered transient
+// indexes x permanent-index reuse — and checks that the search chooses
+// exactly the grid's plan: same level, same permanent-index choice, same
+// estimate, same EXPLAIN body. It also checks the premise of dropping the
+// ordered-index dimension: no forced-btree cell is ever strictly cheaper
+// than its hash-index sibling.
 //
 // The forced-btree cells are emulated on the compiled plan (every
 // IndexBuildSpec flipped to ordered, then re-costed): ordering changes
@@ -35,21 +35,20 @@ using testing_util::MakeUniversityDb;
 using testing_util::QueryGenerator;
 
 struct GridChoice {
-  PlannedQuery planned;  ///< the hash, unordered cell's compiled plan
+  PlannedQuery planned;  ///< the hash-index cell's compiled plan
   CostEstimate estimate;
   int level = 0;
   bool perm = false;
   bool ordered = false;
-  DivisionAlgorithm division = DivisionAlgorithm::kHash;
 };
 
 /// The exhaustive grid the search used to enumerate, with its visiting
-/// order and tie-break: levels 4 -> 0, then permanent-index reuse, ordered
-/// indexes and division; exact ties go to the lowest level, then to the
-/// cell visited first. Permanent-index reuse is tried even where no fresh
-/// index exists (the search skips it there): such a cell can only tie its
-/// sibling, and loses the tie. Also fails the test if a sort or btree
-/// cell is strictly cheaper than the hash, unordered cell of its level and
+/// order and tie-break: levels 4 -> 0, then permanent-index reuse and
+/// ordered indexes; exact ties go to the lowest level, then to the cell
+/// visited first. Permanent-index reuse is tried even where no fresh index
+/// exists (the search skips it there): such a cell can only tie its
+/// sibling, and loses the tie. Also fails the test if a btree cell is
+/// strictly cheaper than the hash-index cell of its level and
 /// permanent-index choice.
 std::optional<GridChoice> ExhaustiveGrid(const Database& db,
                                          const BoundQuery& query,
@@ -60,7 +59,6 @@ std::optional<GridChoice> ExhaustiveGrid(const Database& db,
     for (bool perm : {false, true}) {
       PlannerOptions options = base;
       options.level = static_cast<OptLevel>(level);
-      options.division = DivisionAlgorithm::kHash;
       options.use_permanent_indexes = perm;
       Result<PlannedQuery> planned =
           PlanQuery(db, CloneBoundQuery(query), options);
@@ -72,35 +70,27 @@ std::optional<GridChoice> ExhaustiveGrid(const Database& db,
       double base_rank = 0.0;
       for (bool ordered : {false, true}) {
         if (ordered && !any_transient) continue;  // an exact duplicate
-        for (DivisionAlgorithm division :
-             {DivisionAlgorithm::kHash, DivisionAlgorithm::kSort}) {
-          QueryPlan plan = CloneQueryPlan(planned->plan);
-          if (ordered) {
-            for (IndexBuildSpec& spec : plan.indexes) spec.ordered = true;
-          }
-          plan.division = division;
-          CostEstimate est = EstimatePlanCost(plan, db);
-          const double rank = est.weighted_cost;
-          const bool hash_cell =
-              !ordered && division == DivisionAlgorithm::kHash;
-          if (hash_cell) {
-            base_rank = rank;
-          } else {
-            EXPECT_GE(rank, base_rank)
-                << what << ": O" << level << (perm ? "/perm" : "")
-                << (ordered ? "/btree" : "")
-                << (division == DivisionAlgorithm::kSort ? "/sort-div" : "")
-                << " is strictly cheaper than its hash, unordered cell";
-          }
-          if (best.has_value() &&
-              !(rank < best->estimate.weighted_cost ||
-                (rank == best->estimate.weighted_cost &&
-                 level < best->level))) {
-            continue;
-          }
-          best = GridChoice{ClonePlannedQuery(*planned), est, level, perm,
-                            ordered, division};
+        QueryPlan plan = CloneQueryPlan(planned->plan);
+        if (ordered) {
+          for (IndexBuildSpec& spec : plan.indexes) spec.ordered = true;
         }
+        CostEstimate est = EstimatePlanCost(plan, db);
+        const double rank = est.weighted_cost;
+        if (!ordered) {
+          base_rank = rank;
+        } else {
+          EXPECT_GE(rank, base_rank)
+              << what << ": O" << level << (perm ? "/perm" : "")
+              << "/btree is strictly cheaper than its hash-index cell";
+        }
+        if (best.has_value() &&
+            !(rank < best->estimate.weighted_cost ||
+              (rank == best->estimate.weighted_cost &&
+               level < best->level))) {
+          continue;
+        }
+        best = GridChoice{ClonePlannedQuery(*planned), est, level, perm,
+                          ordered};
       }
     }
   }
@@ -132,10 +122,8 @@ void ExpectSearchMatchesGrid(const Database& db, const SelectionExpr& sel,
   EXPECT_LE(after.plans - before.plans, 10u) << context;
 
   EXPECT_FALSE(grid->ordered) << context;
-  EXPECT_EQ(grid->division, DivisionAlgorithm::kHash) << context;
-  const std::string chosen =
-      StrFormat("  chosen: O%d/hash-div%s\n", grid->level,
-                grid->perm ? "/perm" : "");
+  const std::string chosen = StrFormat("  chosen: O%d%s\n", grid->level,
+                                       grid->perm ? "/perm" : "");
   EXPECT_NE(searched->cost_candidates.find(chosen), std::string::npos)
       << context << "\nexpected" << chosen << searched->cost_candidates;
   EXPECT_EQ(searched->estimate.weighted_cost, grid->estimate.weighted_cost)

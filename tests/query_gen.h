@@ -182,6 +182,45 @@ class QueryGenerator {
     return sel;
   }
 
+  /// `[<e.ename> OF EACH e IN employees: X op Q]`: a random formula X over
+  /// e joined by AND or OR with a quantifier over papers whose matrix has a
+  /// monadic year term m(p) — SOME p IN papers (m(p) AND d(e, p)) or
+  /// ALL p IN papers (m(p) OR d(e, p)), the shapes strategy 3 turns into
+  /// an extended range over papers. With probability `outside_prob` the
+  /// year is drawn from outside the populated 1975-1979 domain (1970-1974
+  /// or 1980-1984), so that an extension such as `p.pyear = 1982` is empty.
+  SelectionExpr RandomYearRangeSelection(double outside_prob) {
+    SelectionExpr sel;
+    OutputComponent oc;
+    oc.var = "e";
+    oc.component = "ename";
+    sel.projection.push_back(oc);
+    sel.free_vars.emplace_back("e", RangeExpr("employees"));
+    scope_ = {{"e", "employees"}};
+    quant_counter_ = 0;
+    FormulaPtr other = RandomFormula(2);
+    int64_t first_year = 1975;
+    if (Coin(outside_prob)) first_year = Coin(0.5) ? 1970 : 1980;
+    Operand year = Operand::Literal(
+        Value::MakeInt(first_year + static_cast<int64_t>(rng_() % 5)));
+    year.type = Type::Int();
+    FormulaPtr monadic = Formula::Compare(Operand::Component("p", "pyear"),
+                                          RandomOp(), std::move(year));
+    FormulaPtr dyadic =
+        Formula::Compare(Operand::Component("e", "enr"), RandomOp(),
+                         Operand::Component("p", "penr"));
+    const bool all = Coin(0.5);
+    FormulaPtr matrix =
+        all ? Formula::Or(std::move(monadic), std::move(dyadic))
+            : Formula::And(std::move(monadic), std::move(dyadic));
+    FormulaPtr quant =
+        Formula::Quant(all ? Quantifier::kAll : Quantifier::kSome, "p",
+                       RangeExpr("papers"), std::move(matrix));
+    sel.wff = Coin(0.5) ? Formula::And(std::move(other), std::move(quant))
+                        : Formula::Or(std::move(other), std::move(quant));
+    return sel;
+  }
+
   /// Fills the four relations with random small contents; each relation is
   /// empty with probability `empty_prob` (exercising Lemma 1 paths).
   void RandomDatabase(Database* db, double empty_prob = 0.2) {

@@ -3,9 +3,10 @@
 //  - NextBatch contract units (chunk boundaries, the FilterIter
 //    selection-vector shape) over hand-built structures;
 //  - a property sweep — batch size x optimization level x drain depth
-//    on random queries — against the naive evaluator oracle: full
-//    drains are set-equal to it, partial drains (a cursor closed after
-//    k tuples) emit distinct oracle rows only;
+//    on random queries over the Figure 1 data and over generated
+//    databases — against the naive evaluator oracle: full drains are
+//    set-equal to it, partial drains (a cursor closed after k tuples)
+//    emit distinct oracle rows only;
 //  - the determinism contract: SET BATCH 1024 drains emit the
 //    bit-identical tuple sequence AND work counters of the 1-row-chunk
 //    drain (SET BATCH 1), batches_emitted aside;
@@ -143,9 +144,8 @@ TEST(FilterIterTest, MembershipModeKeepsExactlyContainedRows) {
 
 // ------------------------------------------------------- property sweep
 
-// Plans with `options` and drains through Cursor — the pipelined path,
-// which is the only one that honors batch_size. (RunQuery uses
-// the materializing evaluator and would bypass the vectorized code.)
+// Plans with `options` and drains a Cursor to the end — the path RunQuery
+// takes — keeping the stats the cursor flushes on close.
 std::vector<Tuple> MustRunWith(const Database& db, const BoundQuery& bound,
                                PlannerOptions options, ExecStats* stats) {
   Result<PlannedQuery> planned =
@@ -196,48 +196,74 @@ std::vector<Tuple> PartialDrain(const Database& db, const BoundQuery& bound,
   return tuples;
 }
 
+// Binds `sel` over `db` and checks every level x batch size against the
+// naive evaluator: the full drain is set-equal to it, and drains closed
+// after k in {1, ceil(n/2)} tuples emit min(k, n) distinct oracle rows.
+// Returns the number of configurations checked.
+int CheckAllConfigurations(const Database& db, const SelectionExpr& sel,
+                           uint64_t seed) {
+  Binder binder(&db);
+  Result<BoundQuery> bound = binder.Bind(sel.Clone());
+  EXPECT_TRUE(bound.ok()) << "seed=" << seed;
+  if (!bound.ok()) return 0;
+  NaiveEvaluator naive(&db);
+  Result<std::vector<Tuple>> expected = naive.Evaluate(*bound);
+  EXPECT_TRUE(expected.ok()) << "seed=" << seed;
+  if (!expected.ok()) return 0;
+  auto want = TupleStrings(*expected);
+  const std::set<std::string> oracle(want.begin(), want.end());
+  int checked = 0;
+  for (int level = 0; level <= 4; ++level) {
+    for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+      PlannerOptions options;
+      options.level = static_cast<OptLevel>(level);
+      options.batch_size = batch;
+      std::vector<Tuple> got = MustRunWith(db, *bound, options, nullptr);
+      EXPECT_EQ(TupleStrings(got), want)
+          << "seed=" << seed << " level=" << level << " batch=" << batch;
+      for (size_t k : {size_t{1}, (oracle.size() + 1) / 2}) {
+        std::vector<Tuple> part = PartialDrain(db, *bound, options, k);
+        EXPECT_EQ(part.size(), std::min(k, oracle.size()))
+            << "seed=" << seed << " level=" << level << " batch=" << batch
+            << " k=" << k;
+        std::set<std::string> seen;
+        for (const Tuple& t : part) {
+          EXPECT_EQ(oracle.count(t.ToString()), 1u)
+              << "seed=" << seed << " level=" << level << " batch=" << batch
+              << " k=" << k << ": not an oracle row: " << t.ToString();
+          EXPECT_TRUE(seen.insert(t.ToString()).second)
+              << "seed=" << seed << " level=" << level << " batch=" << batch
+              << " k=" << k << ": repeated row: " << t.ToString();
+        }
+      }
+      ++checked;
+    }
+  }
+  return checked;
+}
+
 TEST(VectorizedParallelPropertyTest, AllConfigurationsMatchNaiveOracle) {
   auto db = MakeUniversityDb();
   int checked = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     QueryGenerator gen(seed);
-    SelectionExpr sel = gen.RandomSelection(3);
-    Binder binder(db.get());
-    Result<BoundQuery> bound = binder.Bind(sel.Clone());
-    ASSERT_TRUE(bound.ok());
-    NaiveEvaluator naive(db.get());
-    Result<std::vector<Tuple>> expected = naive.Evaluate(*bound);
-    ASSERT_TRUE(expected.ok());
-    auto want = TupleStrings(*expected);
-    const std::set<std::string> oracle(want.begin(), want.end());
-    for (int level = 0; level <= 4; ++level) {
-      for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
-        PlannerOptions options;
-        options.level = static_cast<OptLevel>(level);
-        options.batch_size = batch;
-        std::vector<Tuple> got = MustRunWith(*db, *bound, options, nullptr);
-        EXPECT_EQ(TupleStrings(got), want)
-            << "seed=" << seed << " level=" << level << " batch=" << batch;
-        for (size_t k : {size_t{1}, (oracle.size() + 1) / 2}) {
-          std::vector<Tuple> part = PartialDrain(*db, *bound, options, k);
-          EXPECT_EQ(part.size(), std::min(k, oracle.size()))
-              << "seed=" << seed << " level=" << level << " batch=" << batch
-              << " k=" << k;
-          std::set<std::string> seen;
-          for (const Tuple& t : part) {
-            EXPECT_EQ(oracle.count(t.ToString()), 1u)
-                << "seed=" << seed << " level=" << level << " batch=" << batch
-                << " k=" << k << ": not an oracle row: " << t.ToString();
-            EXPECT_TRUE(seen.insert(t.ToString()).second)
-                << "seed=" << seed << " level=" << level << " batch=" << batch
-                << " k=" << k << ": repeated row: " << t.ToString();
-          }
-        }
-        ++checked;
-      }
-    }
+    checked += CheckAllConfigurations(*db, gen.RandomSelection(3), seed);
   }
-  EXPECT_GT(checked, 0);
+  EXPECT_EQ(checked, 12 * 5 * 3);
+}
+
+TEST(VectorizedParallelPropertyTest,
+     AllConfigurationsMatchNaiveOracleOnGeneratedDatabases) {
+  // Random database contents, with some relations left empty, so partial
+  // drains also meet folded ranges and empty results.
+  int checked = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    auto db = MakeUniversityDb(/*populate=*/false);
+    QueryGenerator gen(seed);
+    gen.RandomDatabase(db.get(), /*empty_prob=*/0.1);
+    checked += CheckAllConfigurations(*db, gen.RandomSelection(3), seed);
+  }
+  EXPECT_EQ(checked, 12 * 5 * 3);
 }
 
 // ------------------------------------------------- determinism contract
