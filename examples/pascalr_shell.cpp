@@ -51,7 +51,7 @@ void PrintHelp() {
       "  EXPLAIN [<x.s> OF EACH x IN r: x.a < 10];\n"
       "  PREPARE q AS [<x.s> OF EACH x IN r: x.a < $top];\n"
       "  EXECUTE q WITH $top = 10;   -- re-runs reuse the cached plan\n"
-      "  INDEX r a;                  -- permanent index (add ORDERED for B+tree)\n"
+      "  INDEX r a;                  -- permanent index (add ORDERED for <, >)\n"
       "  ANALYZE;            -- refresh catalog statistics\n"
       "  SET OPTLEVEL AUTO;  -- cost-based strategy selection (or 0..4)\n"
       "  SET PERMINDEXES ON; -- reuse fresh permanent indexes (or OFF)\n"

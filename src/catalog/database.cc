@@ -1,8 +1,8 @@
 #include "catalog/database.h"
 
 #include "base/str_util.h"
-#include "index/btree_index.h"
 #include "index/hash_index.h"
+#include "index/sorted_index.h"
 #include "obs/system_relations.h"
 
 namespace pascalr {
@@ -204,7 +204,7 @@ Result<ComponentIndex*> Database::EnsureIndex(const std::string& relation,
   entry.ordered = ordered;
   std::string index_name = "ind_" + relation + "_" + component;
   if (ordered) {
-    entry.index = std::make_unique<BTreeIndex>(index_name);
+    entry.index = std::make_unique<SortedIndex>(index_name);
   } else {
     entry.index = std::make_unique<HashIndex>(index_name);
   }
@@ -212,6 +212,7 @@ Result<ComponentIndex*> Database::EnsureIndex(const std::string& relation,
     entry.index->Add(t.at(entry.component_pos), r);
     return true;
   });
+  entry.index->Seal();  // before publishing: readers share it read-only
   entry.built_at_mod = rel->mod_count();
   ComponentIndex* out = entry.index.get();
   if (it != indexes_.end()) {

@@ -82,7 +82,8 @@ class Database {
   Result<const Tuple*> Deref(const Ref& ref) const;
 
   /// Ensures a permanent index on `relation.component` exists and is fresh.
-  /// `ordered` selects a B+tree (supports <, <=, >, >=) over a hash index.
+  /// `ordered` selects a sorted index (binary search for <, <=, >, >=)
+  /// over a hash index. A stale index is rebuilt from scratch.
   /// Requesting an ordered index where an unordered one exists (or vice
   /// versa) replaces it.
   Result<ComponentIndex*> EnsureIndex(const std::string& relation,

@@ -175,7 +175,7 @@ class CostWalker {
 
   void NudgeProbe(size_t index_id, double probes) {
     // Borrowed permanent indexes ignore the spec's ordered flag, so only
-    // genuinely transient B+trees pay the log probe factor.
+    // genuinely transient sorted indexes pay the log probe factor.
     if (plan_.indexes[index_id].ordered && !borrowed_[index_id]) {
       extra_cost_ += probes * 0.25 * Log2Of(index_rows_[index_id]);
     }

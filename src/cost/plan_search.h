@@ -7,9 +7,9 @@
 // Each distinct plan is compiled once: the query is normalized once per
 // search, and a level whose own step is a no-op (no range extended, rule 2
 // abandoned the extension, no quantifier pushed) is the level below's plan
-// and is listed as "O4: same plan as O3 (no quantifier pushed)". B+tree
-// transient indexes are not searched: they only add a non-negative cost
-// nudge to the hash variant, so they cannot win.
+// and is listed as "O4: same plan as O3 (no quantifier pushed)". Sorted
+// transient indexes in place of hash ones are not searched: they only add
+// a non-negative cost nudge to the hash variant, so they cannot win.
 //
 // Join order is not a search dimension: each candidate is priced over the
 // executor's greedy smallest-first order (src/joinorder/) on its

@@ -4,8 +4,8 @@
 
 #include "base/str_util.h"
 #include "exec/eval_util.h"
-#include "index/btree_index.h"
 #include "index/hash_index.h"
+#include "index/sorted_index.h"
 #include "obs/span_names.h"
 #include "obs/trace.h"
 
@@ -81,7 +81,7 @@ CollectionBuilders::CollectionBuilders(const QueryPlan& plan,
     }
     if (spec.ordered) {
       result_.owned_indexes.push_back(
-          std::make_unique<BTreeIndex>(spec.debug_name));
+          std::make_unique<SortedIndex>(spec.debug_name));
     } else {
       result_.owned_indexes.push_back(
           std::make_unique<HashIndex>(spec.debug_name));
@@ -208,6 +208,13 @@ Status CollectionBuilders::RunScan(const RelationScan& scan) {
     }
     return true;
   });
+  // The pass has added everything it builds: make its indexes probeable.
+  // A borrowed permanent index is shared read-only and stays untouched.
+  for (const ScanAction& action : scan.actions) {
+    for (size_t index_id : action.index_builds) {
+      if (!borrowed_index_[index_id]) result_.indexes[index_id]->Seal();
+    }
+  }
   return scan_status;
 }
 

@@ -66,7 +66,7 @@ struct IndexBuildSpec {
   size_t id = 0;
   std::string var;
   int component_pos = -1;
-  bool ordered = false;              ///< B+tree instead of hash
+  bool ordered = false;              ///< sorted index instead of hash
   std::vector<JoinTerm> gates;       ///< monadic over `var`
   /// Use a fresh *permanent* catalog index when one exists instead of
   /// building a transient one (paper §3.2: "The first step can be

@@ -11,18 +11,6 @@ void HashIndex::Add(const Value& v, const Ref& ref) {
   ++entry_count_;
 }
 
-bool HashIndex::Remove(const Value& v, const Ref& ref) {
-  auto it = map_.find(v);
-  if (it == map_.end()) return false;
-  auto& refs = it->second;
-  auto pos = std::find(refs.begin(), refs.end(), ref);
-  if (pos == refs.end()) return false;
-  refs.erase(pos);
-  --entry_count_;
-  if (refs.empty()) map_.erase(it);
-  return true;
-}
-
 void HashIndex::Probe(CompareOp op, const Value& probe,
                       const std::function<bool(const Ref&)>& visit) const {
   if (op == CompareOp::kEq) {
@@ -45,15 +33,6 @@ void HashIndex::Probe(CompareOp op, const Value& probe,
 bool HashIndex::ProbeAny(CompareOp op, const Value& probe) const {
   if (op == CompareOp::kEq) return map_.find(probe) != map_.end();
   return ComponentIndex::ProbeAny(op, probe);
-}
-
-void HashIndex::ForEachEntry(
-    const std::function<bool(const Value&, const Ref&)>& visit) const {
-  for (const auto& [value, refs] : map_) {
-    for (const Ref& r : refs) {
-      if (!visit(value, r)) return;
-    }
-  }
 }
 
 }  // namespace pascalr

@@ -1,6 +1,7 @@
 // HashIndex: equality-optimised ComponentIndex. Non-equality probes fall
-// back to a full entry scan (correct, linear); the planner prefers a
-// BTreeIndex when a term uses an ordering operator.
+// back to a full entry scan (correct, linear); the planner builds a
+// SortedIndex when a term uses an ordering operator, but a permanent hash
+// index can still serve one.
 
 #ifndef PASCALR_INDEX_HASH_INDEX_H_
 #define PASCALR_INDEX_HASH_INDEX_H_
@@ -18,7 +19,6 @@ class HashIndex : public ComponentIndex {
   explicit HashIndex(std::string name) : name_(std::move(name)) {}
 
   void Add(const Value& v, const Ref& ref) override;
-  bool Remove(const Value& v, const Ref& ref) override;
   size_t size() const override { return entry_count_; }
 
   void Probe(CompareOp op, const Value& probe,
@@ -28,13 +28,7 @@ class HashIndex : public ComponentIndex {
   /// operators take the generic visitor path.
   bool ProbeAny(CompareOp op, const Value& probe) const override;
 
-  void ForEachEntry(const std::function<bool(const Value&, const Ref&)>& visit)
-      const override;
-
   std::string name() const override { return name_; }
-
-  /// Number of distinct indexed values.
-  size_t num_distinct_values() const { return map_.size(); }
 
  private:
   std::string name_ = "hash";

@@ -4,7 +4,8 @@
 // Indexes are built either permanently (Example 3.1's enrindex) or
 // transiently during the collection phase, and are probed with any of the
 // six comparison operators: Probe(op, x) yields every ref whose *stored*
-// value v satisfies `v op x`.
+// value v satisfies `v op x`. Each is built in one step and then only
+// probed: Add, Add, ..., Seal, then Probe.
 
 #ifndef PASCALR_INDEX_INDEX_H_
 #define PASCALR_INDEX_INDEX_H_
@@ -22,13 +23,16 @@ class ComponentIndex {
  public:
   virtual ~ComponentIndex() = default;
 
-  /// Registers `ref` under value `v`. Duplicate (v, ref) pairs collapse.
+  /// Registers `ref` under value `v`. Duplicate (v, ref) pairs collapse
+  /// by the next Seal.
   virtual void Add(const Value& v, const Ref& ref) = 0;
 
-  /// Unregisters (v, ref); returns false if absent.
-  virtual bool Remove(const Value& v, const Ref& ref) = 0;
+  /// Ends a build: every Add since the last Seal becomes visible to
+  /// probes. A build is one collection pass or one permanent (re)build;
+  /// indexes that need no finishing step ignore it.
+  virtual void Seal() {}
 
-  /// Number of (value, ref) entries.
+  /// Number of distinct (value, ref) entries.
   virtual size_t size() const = 0;
   bool empty() const { return size() == 0; }
 
@@ -47,10 +51,6 @@ class ComponentIndex {
     });
     return found;
   }
-
-  /// Visits every (value, ref) entry. Ordered indexes visit in value order.
-  virtual void ForEachEntry(
-      const std::function<bool(const Value&, const Ref&)>& visit) const = 0;
 
   virtual std::string name() const = 0;
 };

@@ -139,8 +139,8 @@ struct ExecuteStmt {
 };
 
 /// `INDEX rel component [ORDERED];` — declares (and builds) a permanent
-/// component index; ORDERED selects a B+tree over a hash index. Emitted by
-/// ExportScript so dumps carry their permanent indexes.
+/// component index; ORDERED selects a sorted index over a hash index.
+/// Emitted by ExportScript so dumps carry their permanent indexes.
 struct IndexStmt {
   std::string relation;
   std::string component;

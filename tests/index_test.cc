@@ -13,7 +13,6 @@ TEST(HashIndexTest, AddProbeEq) {
   idx.Add(Value::MakeInt(5), R(1));
   idx.Add(Value::MakeInt(7), R(2));
   EXPECT_EQ(idx.size(), 3u);
-  EXPECT_EQ(idx.num_distinct_values(), 2u);
 
   std::vector<uint32_t> hits;
   idx.Probe(CompareOp::kEq, Value::MakeInt(5), [&](const Ref& r) {
@@ -29,18 +28,6 @@ TEST(HashIndexTest, DuplicateEntryCollapses) {
   idx.Add(Value::MakeInt(5), R(0));
   idx.Add(Value::MakeInt(5), R(0));
   EXPECT_EQ(idx.size(), 1u);
-}
-
-TEST(HashIndexTest, Remove) {
-  HashIndex idx;
-  idx.Add(Value::MakeInt(5), R(0));
-  idx.Add(Value::MakeInt(5), R(1));
-  EXPECT_TRUE(idx.Remove(Value::MakeInt(5), R(0)));
-  EXPECT_FALSE(idx.Remove(Value::MakeInt(5), R(0)));
-  EXPECT_FALSE(idx.Remove(Value::MakeInt(9), R(0)));
-  EXPECT_EQ(idx.size(), 1u);
-  EXPECT_FALSE(idx.ProbeAny(CompareOp::kEq, Value::MakeInt(9)));
-  EXPECT_TRUE(idx.ProbeAny(CompareOp::kEq, Value::MakeInt(5)));
 }
 
 TEST(HashIndexTest, OrderingProbesFallBackToScan) {
@@ -73,18 +60,6 @@ TEST(HashIndexTest, ProbeEarlyStop) {
     return ++count < 3;
   });
   EXPECT_EQ(count, 3);
-}
-
-TEST(HashIndexTest, ForEachEntryVisitsAll) {
-  HashIndex idx;
-  idx.Add(Value::MakeString("a"), R(0));
-  idx.Add(Value::MakeString("b"), R(1));
-  size_t count = 0;
-  idx.ForEachEntry([&](const Value&, const Ref&) {
-    ++count;
-    return true;
-  });
-  EXPECT_EQ(count, 2u);
 }
 
 TEST(HashIndexTest, StringKeys) {

@@ -2,8 +2,11 @@
 // permanent indexes exist." The planner option use_permanent_indexes
 // reuses fresh catalog indexes for ungated, unextended index specs.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "exec/naive.h"
 #include "opt/planner.h"
 #include "tests/test_util.h"
 
@@ -13,6 +16,31 @@ namespace {
 using testing_util::FirstStrings;
 using testing_util::MakeUniversityDb;
 using testing_util::MustBind;
+using testing_util::TupleStrings;
+
+/// Runs `source` with permanent indexes on at O0-O4 and AUTO: each run
+/// must match the naive oracle and borrow at least one permanent index.
+void ExpectEveryLevelBorrowsAndMatchesOracle(const Database& db,
+                                             const char* source) {
+  const BoundQuery bound = MustBind(db, source);
+  NaiveEvaluator naive(&db);
+  Result<std::vector<Tuple>> expected = naive.Evaluate(bound);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_FALSE(expected->empty()) << source;
+  for (OptLevel level :
+       {OptLevel::kNaive, OptLevel::kParallel, OptLevel::kOneStep,
+        OptLevel::kRangeExt, OptLevel::kQuantPush, OptLevel::kAuto}) {
+    const std::string where =
+        std::string(source) + " at " + std::string(OptLevelToString(level));
+    PlannerOptions options;
+    options.level = level;
+    options.use_permanent_indexes = true;
+    Result<QueryRun> run = RunQuery(db, CloneBoundQuery(bound), options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString() << " " << where;
+    EXPECT_EQ(TupleStrings(run->tuples), TupleStrings(*expected)) << where;
+    EXPECT_GT(run->stats.permanent_index_hits, 0u) << where;
+  }
+}
 
 const char* kQuery =
     "[<e.ename> OF EACH e IN employees: SOME t IN timetable "
@@ -109,6 +137,38 @@ TEST(PermanentIndexTest, ExtendedRangesNeverUsePermanent) {
   EXPECT_EQ(run->stats.permanent_index_hits, 0u);
   EXPECT_EQ(FirstStrings(run->tuples),
             (std::set<std::string>{"Alice", "Carol", "Dave"}));
+}
+
+// An ORDERED permanent index serves dyadic ordering terms: its probes
+// answer `<` and `>=` from the sorted run.
+TEST(PermanentIndexTest, OrderedIndexServesOrderingTerms) {
+  auto db = MakeUniversityDb();
+  ASSERT_TRUE(db->AnalyzeAll().ok());
+  // The planner picks the build side by scan order; cover both sides.
+  ASSERT_TRUE(db->EnsureIndex("employees", "enr", true).ok());
+  ASSERT_TRUE(db->EnsureIndex("papers", "penr", true).ok());
+  ASSERT_TRUE(db->EnsureIndex("timetable", "tenr", true).ok());
+  ExpectEveryLevelBorrowsAndMatchesOracle(
+      *db,
+      "[<e.ename, p.ptitle> OF EACH e IN employees, EACH p IN papers: "
+      "(p.penr < e.enr)]");
+  ExpectEveryLevelBorrowsAndMatchesOracle(
+      *db,
+      "[<e.ename, t.troom> OF EACH e IN employees, EACH t IN timetable: "
+      "(t.tenr >= e.enr)]");
+}
+
+// A hash permanent index can serve an ordering term too: its probe falls
+// back to a scan of every entry.
+TEST(PermanentIndexTest, HashIndexServesOrderingTermByScan) {
+  auto db = MakeUniversityDb();
+  ASSERT_TRUE(db->AnalyzeAll().ok());
+  ASSERT_TRUE(db->EnsureIndex("employees", "enr", false).ok());
+  ASSERT_TRUE(db->EnsureIndex("papers", "penr", false).ok());
+  ExpectEveryLevelBorrowsAndMatchesOracle(
+      *db,
+      "[<e.ename, p.ptitle> OF EACH e IN employees, EACH p IN papers: "
+      "(p.penr > e.enr)]");
 }
 
 TEST(PermanentIndexTest, AllLevelsAgreeWithAndWithoutPermanentIndexes) {
