@@ -1,9 +1,14 @@
-// Reference-relation algebra micro-benchmarks: the combination-phase
-// operators of §3.3 (natural join, product extension, union, projection).
+// Reference-relation micro-benchmarks: building a structure the way the
+// collection phase does (Append) against the deduplicating Add, and the
+// combination-phase operators of §3.3 (natural join, product extension,
+// union, projection).
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"  // shared main(): BENCH_*.json reporter
+
+#include <string>
+#include <vector>
 
 #include "refstruct/ops.h"
 
@@ -11,6 +16,51 @@ namespace pascalr {
 namespace {
 
 Ref R(RelationId rel, uint32_t slot) { return Ref{rel, slot, 1}; }
+
+// Builds a structure of `rows` distinct rows of `arity` refs by Append
+// (collection: rows new by construction, no hashing) or by Add (dedup:
+// one hash and table insert per row). With `contains`, every row is then
+// probed once, as the pipeline's membership filter does; an appended
+// structure hashes its rows into the index on that first probe.
+void BM_StructureBuild(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t arity = static_cast<size_t>(state.range(1));
+  const bool append = state.range(2) != 0;
+  const bool contains = state.range(3) != 0;
+  std::vector<std::string> columns;
+  for (size_t c = 0; c < arity; ++c) columns.push_back("v" + std::to_string(c));
+  // Row i: (@1[i]) or (@1[i], @2[i % 64]), the shapes of a single list
+  // and an indirect join.
+  std::vector<Ref> refs;
+  for (uint32_t i = 0; i < rows; ++i) {
+    refs.push_back(R(1, i));
+    if (arity == 2) refs.push_back(R(2, i % 64));
+  }
+  for (auto _ : state) {
+    RefRelation rel(columns);
+    for (size_t i = 0; i < rows; ++i) {
+      const RowView row(refs.data() + i * arity, arity);
+      if (append) {
+        rel.Append(row);
+      } else {
+        rel.Add(row);
+      }
+    }
+    if (contains) {
+      size_t hits = 0;
+      for (size_t i = 0; i < rows; ++i) {
+        hits += rel.Contains(RowView(refs.data() + i * arity, arity)) ? 1 : 0;
+      }
+      benchmark::DoNotOptimize(hits);
+    }
+    benchmark::DoNotOptimize(rel.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_StructureBuild)
+    ->ArgsProduct({{1000, 10000}, {1, 2}, {1, 0}, {0, 1}})
+    ->ArgNames({"rows", "arity", "append", "contains"});
 
 void BM_NaturalJoin(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));

@@ -136,8 +136,8 @@ Status CollectionBuilders::RunScan(const RelationScan& scan) {
 
       for (const SingleListEmit& emit : action.single_lists) {
         if (!EvalGates(emit.gates, tuple, stats_)) continue;
-        if (result_.structures[emit.structure_id].Add({ref}) &&
-            stats_ != nullptr) {
+        result_.structures[emit.structure_id].Append({ref});
+        if (stats_ != nullptr) {
           ++stats_->single_list_refs;
           ++stats_->structure_elements_built;
         }
@@ -179,7 +179,8 @@ Status CollectionBuilders::RunScan(const RelationScan& scan) {
       for (const IndirectJoinEmit& emit : action.ij_emits) {
         RefRelation* out = &result_.structures[emit.structure_id];
         ForEachIjPair(emit, ref, tuple, result_, stats_, [&](RowView row) {
-          if (out->Add(row) && stats_ != nullptr) {
+          out->Append(row);
+          if (stats_ != nullptr) {
             stats_->indirect_join_refs += 2;
             ++stats_->structure_elements_built;
           }
@@ -199,8 +200,9 @@ Status CollectionBuilders::RunScan(const RelationScan& scan) {
           scan_status = holds.status();
           return false;
         }
-        if (*holds && result_.structures[emit.structure_id].Add({ref}) &&
-            stats_ != nullptr) {
+        if (!*holds) continue;
+        result_.structures[emit.structure_id].Append({ref});
+        if (stats_ != nullptr) {
           ++stats_->single_list_refs;
           ++stats_->structure_elements_built;
         }
@@ -241,7 +243,8 @@ Status CollectionBuilders::RunPostProbe(const PostScanProbe& probe) {
     PASCALR_ASSIGN_OR_RETURN(const Tuple* tuple, rel->Deref(ref));
     if (stats_ != nullptr) ++stats_->elements_scanned;
     ForEachIjPair(probe.emit, ref, *tuple, result_, stats_, [&](RowView row) {
-      if (out->Add(row) && stats_ != nullptr) {
+      out->Append(row);
+      if (stats_ != nullptr) {
         stats_->indirect_join_refs += 2;
         ++stats_->structure_elements_built;
       }

@@ -12,10 +12,23 @@
 //
 // Rows are flat throughout. A structure is a RefRelation (one
 // arity-strided Ref array plus a RowIdTable, refstruct/ref_relation.h);
-// the builders hand each emitted row to its Add as a RowView over refs
+// the builders hand each emitted row to its Append as a RowView over refs
 // already in hand — the scanned ref for a single list, a two-ref pair on
 // the stack for an indirect join — so building allocates only when a
-// structure's arrays grow.
+// structure's arrays grow, and hashes nothing.
+//
+// Append skips the dedup because every emitted row is new by
+// construction: a pass visits each element of its relation once; the
+// planner interns structures (opt/scan_plan.cc), so each has exactly one
+// emitter; and an index holds each (value, ref) pair once, so a probe
+// pairs its element with each build ref at most once. Checked builds
+// (PASCALR_ROW_BOUNDS) verify it on every row. A structure's row index is
+// built on its first membership probe, so the structures belong to the
+// one cursor that built them and are never probed from two threads.
+//
+// Transient indexes are flat too: a HashIndex (index/hash_index.h) for
+// `=` and `<>` terms, a SortedIndex (index/sorted_index.h) for ordering
+// terms.
 
 #ifndef PASCALR_EXEC_COLLECTION_H_
 #define PASCALR_EXEC_COLLECTION_H_

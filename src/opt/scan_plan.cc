@@ -72,6 +72,12 @@ class PlanBuilder {
   std::map<std::string, size_t> index_keys_;
 };
 
+// A structure is interned by the key of everything that decides its rows
+// (variables, terms, gates, co-restrictions), and every caller schedules
+// an emitter only for a fresh key (`fresh`, `already`, or one derived
+// structure per key). So each structure has exactly one emitter, and
+// collection may Append its rows without deduplicating them
+// (exec/collection.h).
 size_t PlanBuilder::InternStructure(const std::string& key,
                                     std::vector<std::string> columns,
                                     const std::string& debug) {

@@ -24,15 +24,35 @@ const RefRow& RefRelation::row(size_t r) const {
   return row_copies_[r];
 }
 
+void RefRelation::IndexAppended() const {
+  const size_t indexed = table_.size();
+  if (indexed == rows_) return;
+  table_.Reserve(rows_ - indexed);
+  for (size_t r = indexed; r < rows_; ++r) table_.Insert(HashRow((*this)[r]));
+}
+
 bool RefRelation::Add(RowView row) {
   PASCALR_DCHECK(row.size() == columns_.size());
+  IndexAppended();
   const bool added = table_.InsertUnique(
       HashRow(row), [&](uint32_t r) { return RowEquals(r, row); });
-  if (added) refs_.insert(refs_.end(), row.begin(), row.end());
+  if (added) {
+    refs_.insert(refs_.end(), row.begin(), row.end());
+    ++rows_;
+  }
   return added;
 }
 
+void RefRelation::Append(RowView row) {
+  PASCALR_DCHECK(row.size() == columns_.size());
+  PASCALR_ROW_BOUNDS(!Contains(row))
+      << "Append of a row already in " << DebugString();
+  refs_.insert(refs_.end(), row.begin(), row.end());
+  ++rows_;
+}
+
 bool RefRelation::ContainsPrehashed(uint64_t hash, RowView row) const {
+  IndexAppended();
   for (uint32_t r = table_.Find(hash); r != RowIdTable::kNone;
        r = table_.Next(r)) {
     if (RowEquals(r, row)) return true;
@@ -42,6 +62,7 @@ bool RefRelation::ContainsPrehashed(uint64_t hash, RowView row) const {
 
 void RefRelation::Clear() {
   refs_.clear();
+  rows_ = 0;
   table_.Clear();
   row_copies_.clear();
 }

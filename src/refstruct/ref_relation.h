@@ -9,11 +9,25 @@
 //
 // Layout: all rows live in one contiguous, arity-strided Ref array — row
 // r is the `arity` refs starting at r * arity, in insertion order — and a
-// RowIdTable of row ids keyed by the stored row hash deduplicates them.
-// Adding a row appends its refs and one table entry; the only allocations
-// are the amortised growth of those arrays. Rows are read as RowViews: a
-// pointer into the array plus the arity, valid until the next Add or
-// Clear.
+// RowIdTable of row ids keyed by the stored row hash indexes them. Rows
+// come in two ways:
+//
+//   - Add deduplicates: it hashes the row, looks it up and appends it only
+//     if it is new (the combination operators, ProjectIter, division).
+//   - Append takes a row the caller knows to be new and only copies its
+//     refs: no hash, no table insert. Collection emits only such rows
+//     (exec/collection.h says why), so building a structure never hashes.
+//
+// The table therefore covers rows [0, n) for some n <= size(): Append
+// leaves it behind, and the first Contains, ContainsPrehashed or Add
+// after Appends hashes the missing rows in, once. Those are const reads
+// that write the table, so a RefRelation must not be read from two
+// threads at once: a collection's structures belong to one cursor, and
+// only that cursor's pipeline (the membership FilterIter) probes them.
+//
+// Appending or adding a row allocates only when the arrays grow. Rows are
+// read as RowViews: a pointer into the array plus the arity, valid until
+// the next Add, Append or Clear.
 
 #ifndef PASCALR_REFSTRUCT_REF_RELATION_H_
 #define PASCALR_REFSTRUCT_REF_RELATION_H_
@@ -21,6 +35,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -121,6 +136,23 @@ class RefRelation {
   RefRelation() = default;
   explicit RefRelation(std::vector<std::string> columns)
       : columns_(std::move(columns)) {}
+  RefRelation(const RefRelation&) = default;
+  RefRelation& operator=(const RefRelation&) = default;
+  /// A moved-from relation is empty, as its moved-from arrays are.
+  RefRelation(RefRelation&& o) noexcept
+      : columns_(std::move(o.columns_)),
+        refs_(std::move(o.refs_)),
+        rows_(std::exchange(o.rows_, 0)),
+        table_(std::move(o.table_)),
+        row_copies_(std::move(o.row_copies_)) {}
+  RefRelation& operator=(RefRelation&& o) noexcept {
+    columns_ = std::move(o.columns_);
+    refs_ = std::move(o.refs_);
+    rows_ = std::exchange(o.rows_, 0);
+    table_ = std::move(o.table_);
+    row_copies_ = std::move(o.row_copies_);
+    return *this;
+  }
 
   /// Convenience constructors mirroring the paper's vocabulary.
   static RefRelation SingleList(std::string var) {
@@ -135,7 +167,7 @@ class RefRelation {
   /// Position of the column bound to `var`, or -1.
   int ColumnIndex(const std::string& var) const;
 
-  size_t size() const { return table_.size(); }
+  size_t size() const { return rows_; }
   bool empty() const { return size() == 0; }
   /// Row r as a view into the flat array.
   RowView operator[](size_t r) const { return rows()[r]; }
@@ -143,9 +175,9 @@ class RefRelation {
   RowSpan rows() const { return RowSpan(refs_.data(), size(), arity()); }
 
   /// Row r as an owned copy, for callers that need a `const RefRow&`.
-  /// The copies are made on first use and stay valid until the next Add
-  /// or Clear; not for concurrent callers. The engine reads views; this
-  /// stays only because bench_e2e/replay.cc binds it.
+  /// The copies are made on first use and stay valid until the next Add,
+  /// Append or Clear; not for concurrent callers. The engine reads views;
+  /// this stays only because bench_e2e/replay.cc binds it.
   const RefRow& row(size_t r) const;
 
   /// Sizes the dedup index for a chunk of `rows` candidate rows
@@ -157,6 +189,15 @@ class RefRelation {
   bool Add(RowView row);
   bool Add(std::initializer_list<Ref> refs) {
     return Add(RowView(refs.begin(), refs.size()));
+  }
+
+  /// Appends a row the caller guarantees is not in the relation yet
+  /// (arity must match): copies its refs, nothing else. Where
+  /// PASCALR_ROW_BOUNDS checks (debug builds, -D_GLIBCXX_ASSERTIONS) a
+  /// row already present is a fatal error.
+  void Append(RowView row);
+  void Append(std::initializer_list<Ref> refs) {
+    Append(RowView(refs.begin(), refs.size()));
   }
 
   bool Contains(RowView row) const {
@@ -172,7 +213,8 @@ class RefRelation {
 
   /// Contains with a caller-computed hash: `hash` must be the fold of
   /// kRowHashSeed with each ref's Hash() in column order (what HashRow
-  /// computes). Skips re-hashing on the per-row probe path.
+  /// computes). Skips re-hashing on the per-row probe path. Like Contains
+  /// and Add, first indexes the rows appended since the last of them.
   bool ContainsPrehashed(uint64_t hash, RowView row) const;
 
   void Clear();
@@ -185,13 +227,18 @@ class RefRelation {
 
  private:
   static uint64_t HashRow(RowView row);
+  /// Brings table_ up to size(): inserts the rows Append left unindexed.
+  void IndexAppended() const;
   bool RowEquals(uint32_t r, RowView row) const {
     return std::equal(row.begin(), row.end(), refs_.data() + r * arity());
   }
 
   std::vector<std::string> columns_;
   std::vector<Ref> refs_;  ///< row r at [r * arity, (r + 1) * arity)
-  RowIdTable table_;       ///< row hash -> row ids (dedup)
+  size_t rows_ = 0;        ///< rows stored (refs_ alone loses arity 0)
+  /// Row hash -> row ids over rows [0, table_.size()); trails rows_ by
+  /// the rows appended since the last Contains or Add.
+  mutable RowIdTable table_;
   mutable std::vector<RefRow> row_copies_;  ///< row()'s owned copies
 };
 

@@ -1,6 +1,7 @@
 // RowIdTable: the open-addressing hash table behind every flat reference
-// structure — the set-semantics dedup of RefRelation and the build side of
-// the hash joins (pipeline ProbeJoinIter, refstruct NaturalJoin).
+// structure — the set-semantics dedup of RefRelation, the entry chains of
+// HashIndex and the build side of the hash joins (pipeline ProbeJoinIter,
+// refstruct NaturalJoin).
 //
 // The table stores row *ids*, never rows: the i-th insert is row i, an
 // index into the caller's own (flat) row storage. Each slot holds one
@@ -68,6 +69,17 @@ class RowIdTable {
     for (uint32_t r = slots_[s].head; r != kNone; r = next_[r]) {
       if (same(r)) return false;
     }
+    Link(s, h);
+    return true;
+  }
+
+  /// InsertUnique for a stream in which a duplicate can only repeat the
+  /// latest row carrying its hash: compares `same` with that row alone.
+  template <typename Same>
+  bool InsertUnlessLast(uint64_t h, Same&& same) {
+    if (slots_.empty()) Rehash(kMinSlots);
+    const size_t s = Probe(h);
+    if (slots_[s].head != kNone && same(slots_[s].tail)) return false;
     Link(s, h);
     return true;
   }

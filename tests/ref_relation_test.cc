@@ -9,6 +9,13 @@ namespace {
 
 Ref R(RelationId rel, uint32_t slot) { return Ref{rel, slot, 1}; }
 
+/// The row hash ContainsPrehashed expects, computed as a caller would.
+uint64_t RowHash(RowView row) {
+  uint64_t h = RefRelation::kRowHashSeed;
+  for (const Ref& r : row) h = HashCombine(h, r.Hash());
+  return h;
+}
+
 TEST(RefTest, EqualityOrderingHash) {
   Ref a{1, 2, 3}, b{1, 2, 3}, c{1, 3, 3}, d{2, 2, 3};
   EXPECT_EQ(a, b);
@@ -175,16 +182,11 @@ TEST(RefRelationTest, ClearThenReuse) {
 TEST(RefRelationTest, ContainsPrehashedAgreesWithContains) {
   RefRelation rel = RefRelation::IndirectJoin("a", "b");
   for (uint32_t i = 0; i < 2000; i += 2) rel.Add({R(1, i), R(2, i % 13)});
-  auto row_hash = [](RowView row) {
-    uint64_t h = RefRelation::kRowHashSeed;
-    for (const Ref& r : row) h = HashCombine(h, r.Hash());
-    return h;
-  };
   size_t present = 0;
   for (uint32_t i = 0; i < 2000; ++i) {
     const RefRow probe{R(1, i), R(2, i % 13)};
     const bool contains = rel.Contains(probe);
-    EXPECT_EQ(rel.ContainsPrehashed(row_hash(probe), probe), contains)
+    EXPECT_EQ(rel.ContainsPrehashed(RowHash(probe), probe), contains)
         << "row " << i;
     EXPECT_EQ(contains, i % 2 == 0) << "row " << i;
     present += contains ? 1 : 0;
@@ -192,8 +194,132 @@ TEST(RefRelationTest, ContainsPrehashedAgreesWithContains) {
   EXPECT_EQ(present, rel.size());
   // A wrong hash never finds the row.
   const RefRow first{R(1, 0), R(2, 0)};
-  EXPECT_FALSE(rel.ContainsPrehashed(row_hash(first) + 1, first));
+  EXPECT_FALSE(rel.ContainsPrehashed(RowHash(first) + 1, first));
 }
+
+// ---------------------------------------------------------- append-only
+
+TEST(RefRelationAppendTest, AppendThenContains) {
+  RefRelation rel = RefRelation::IndirectJoin("a", "b");
+  for (uint32_t i = 0; i < 3000; ++i) rel.Append({R(1, i), R(2, i % 17)});
+  ASSERT_EQ(rel.size(), 3000u);
+  EXPECT_EQ(rel.RefCount(), 6000u);
+  EXPECT_EQ(rel[2999], RowView(RefRow{R(1, 2999), R(2, 2999 % 17)}));
+  for (uint32_t i = 0; i < 3000; i += 7) {
+    const RefRow present{R(1, i), R(2, i % 17)};
+    const RefRow absent{R(1, i), R(2, (i + 1) % 17)};
+    EXPECT_TRUE(rel.Contains(present)) << "row " << i;
+    EXPECT_TRUE(rel.ContainsPrehashed(RowHash(present), present));
+    EXPECT_FALSE(rel.Contains(absent)) << "row " << i;
+    EXPECT_FALSE(rel.ContainsPrehashed(RowHash(absent), absent));
+  }
+}
+
+TEST(RefRelationAppendTest, AppendAfterContainsExtendsTheIndex) {
+  RefRelation sl = RefRelation::SingleList("e");
+  for (uint32_t i = 0; i < 100; ++i) sl.Append({R(1, i)});
+  EXPECT_TRUE(sl.Contains({R(1, 99)}));
+  EXPECT_FALSE(sl.Contains({R(1, 100)}));
+  // Rows appended after the index was built are found too, across the
+  // index's growth.
+  for (uint32_t i = 100; i < 5000; ++i) sl.Append({R(1, i)});
+  for (uint32_t i = 0; i < 5000; i += 13) {
+    EXPECT_TRUE(sl.Contains({R(1, i)})) << "row " << i;
+  }
+  EXPECT_FALSE(sl.Contains({R(1, 5000)}));
+  sl.Append({R(1, 5000)});
+  EXPECT_TRUE(sl.Contains({R(1, 5000)}));
+  EXPECT_EQ(sl.size(), 5001u);
+}
+
+TEST(RefRelationAppendTest, AddRejectsAnAppendedRow) {
+  RefRelation ij = RefRelation::IndirectJoin("a", "b");
+  for (uint32_t i = 0; i < 1000; ++i) ij.Append({R(1, i), R(2, i)});
+  EXPECT_FALSE(ij.Add({R(1, 0), R(2, 0)}));
+  EXPECT_FALSE(ij.Add({R(1, 999), R(2, 999)}));
+  EXPECT_TRUE(ij.Add({R(1, 0), R(2, 1)}));
+  // Appends after an Add are seen by the next Add.
+  ij.Append({R(1, 5), R(2, 6)});
+  EXPECT_FALSE(ij.Add({R(1, 5), R(2, 6)}));
+  EXPECT_FALSE(ij.Add({R(1, 0), R(2, 1)}));
+  EXPECT_EQ(ij.size(), 1002u);
+  // Insertion order interleaves Appends and Adds as they came.
+  EXPECT_EQ(ij[1000], RowView(RefRow{R(1, 0), R(2, 1)}));
+  EXPECT_EQ(ij[1001], RowView(RefRow{R(1, 5), R(2, 6)}));
+}
+
+TEST(RefRelationAppendTest, ArityZeroAndThree) {
+  RefRelation unit{std::vector<std::string>{}};
+  unit.Append({});
+  EXPECT_EQ(unit.size(), 1u);
+  EXPECT_EQ(unit.RefCount(), 0u);
+  EXPECT_TRUE(unit.Contains({}));
+  EXPECT_FALSE(unit.Add({}));
+  size_t unit_rows = 0;
+  for (const RowView row : unit.rows()) {
+    EXPECT_TRUE(row.empty());
+    ++unit_rows;
+  }
+  EXPECT_EQ(unit_rows, 1u);
+
+  RefRelation tri({"a", "b", "c"});
+  for (uint32_t i = 0; i < 500; ++i) {
+    tri.Append({R(1, i), R(2, i / 3), R(3, i % 5)});
+  }
+  ASSERT_EQ(tri.size(), 500u);
+  EXPECT_EQ(tri.RefCount(), 1500u);
+  EXPECT_EQ(tri[1].begin(), tri[0].begin() + 3);
+  EXPECT_EQ(tri[499], RowView(RefRow{R(1, 499), R(2, 166), R(3, 4)}));
+  EXPECT_TRUE(tri.Contains({R(1, 7), R(2, 2), R(3, 2)}));
+  EXPECT_FALSE(tri.Contains({R(1, 7), R(2, 2), R(3, 3)}));
+  EXPECT_FALSE(tri.Add({R(1, 7), R(2, 2), R(3, 2)}));
+  EXPECT_EQ(tri.size(), 500u);
+}
+
+TEST(RefRelationAppendTest, ClearThenReuse) {
+  RefRelation rel = RefRelation::IndirectJoin("a", "b");
+  for (uint32_t i = 0; i < 2000; ++i) rel.Append({R(1, i), R(2, i)});
+  EXPECT_TRUE(rel.Contains({R(1, 7), R(2, 7)}));
+  rel.Clear();
+  EXPECT_TRUE(rel.empty());
+  EXPECT_EQ(rel.RefCount(), 0u);
+  EXPECT_FALSE(rel.Contains({R(1, 7), R(2, 7)}));
+  // Refill by Append, probe, then Add: the index starts from scratch.
+  for (uint32_t i = 0; i < 300; ++i) rel.Append({R(3, i), R(2, i)});
+  EXPECT_FALSE(rel.Contains({R(1, 7), R(2, 7)}));
+  EXPECT_TRUE(rel.Contains({R(3, 7), R(2, 7)}));
+  EXPECT_TRUE(rel.Add({R(1, 7), R(2, 7)}));
+  EXPECT_FALSE(rel.Add({R(3, 299), R(2, 299)}));
+  ASSERT_EQ(rel.size(), 301u);
+  EXPECT_EQ(rel[0], RowView(RefRow{R(3, 0), R(2, 0)}));
+}
+
+TEST(RefRelationAppendTest, MovedFromRelationIsEmpty) {
+  RefRelation rel = RefRelation::SingleList("e");
+  for (uint32_t i = 0; i < 10; ++i) rel.Append({R(1, i)});
+  RefRelation moved = std::move(rel);
+  EXPECT_EQ(moved.size(), 10u);
+  EXPECT_TRUE(moved.Contains({R(1, 9)}));
+  EXPECT_EQ(rel.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  rel = RefRelation::SingleList("e");
+  rel.Append({R(1, 3)});
+  EXPECT_TRUE(rel.Contains({R(1, 3)}));
+  EXPECT_FALSE(rel.Contains({R(1, 4)}));
+}
+
+// Checked builds (debug, or -D_GLIBCXX_ASSERTIONS as in the sanitizer CI
+// job) verify that an appended row is new; collection relies on it.
+#if !defined(NDEBUG) || defined(_GLIBCXX_ASSERTIONS)
+TEST(RefRelationAppendDeathTest, DuplicateAppendFails) {
+  RefRelation ij = RefRelation::IndirectJoin("a", "b");
+  ij.Append({R(1, 0), R(2, 0)});
+  ij.Append({R(1, 0), R(2, 1)});
+  EXPECT_DEATH(ij.Append({R(1, 0), R(2, 0)}), "Append of a row already in");
+  RefRelation sl = RefRelation::SingleList("e");
+  EXPECT_TRUE(sl.Add({R(1, 4)}));
+  EXPECT_DEATH(sl.Append({R(1, 4)}), "Append of a row already in");
+}
+#endif
 
 TEST(RowIdTableTest, ChainsKeepInsertionOrderAcrossGrowth) {
   // 50 distinct hashes, 40 rows each, interleaved: every hash's chain
