@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 
 #include "base/counters.h"
@@ -226,6 +228,126 @@ TEST(PlanSearchEquivalenceTest, NoOpLevelsAreNamedNotCompiled) {
       << planned->cost_candidates;
   EXPECT_EQ(after.standard_forms - before.standard_forms, 1u);
   EXPECT_LE(after.plans - before.plans, 3u);
+}
+
+// ------------------------------------------------------------ exactness pin
+//
+// A golden table of the search's choices, recorded once and never
+// regenerated by a refactor of the planner or the cost model: for each
+// (catalog, selection) the chosen candidate, the exact weighted cost (%a),
+// the predicted total work, and a hash of the full EXPLAIN text (candidate
+// table included). Regenerate only for an intended change of plans or
+// estimates, by running this test with PASCALR_PLAN_SEARCH_GOLDEN_OUT set
+// to the path of tests/plan_search_golden.inc.
+
+struct GoldenRow {
+  const char* chosen;
+  const char* weighted_cost;
+  uint64_t total_work;
+  uint64_t explain_hash;
+};
+
+const GoldenRow kGolden[] = {
+#include "tests/plan_search_golden.inc"
+};
+
+/// 150 generated selections per seed: random formulas, two free
+/// variables, chains, stars, cycles and ALL over a conjunction.
+std::vector<std::pair<std::string, SelectionExpr>> GoldenCorpus(
+    uint64_t seed) {
+  std::vector<std::pair<std::string, SelectionExpr>> out;
+  QueryGenerator gen(seed);
+  for (size_t i = 0; i < 25; ++i) {
+    const std::string tag = StrFormat(" seed %llu #%zu",
+                                      static_cast<unsigned long long>(seed), i);
+    out.emplace_back("random" + tag, gen.RandomSelection(3));
+    out.emplace_back("two-free" + tag, gen.RandomSelectionTwoFree(2));
+    out.emplace_back("chain" + tag, gen.RandomChainSelection(3 + i % 3));
+    out.emplace_back("star" + tag, gen.RandomStarSelection(2 + i % 3));
+    out.emplace_back("cycle" + tag, gen.RandomCycleSelection(3 + i % 2));
+    out.emplace_back("all-over-conjunction" + tag,
+                     gen.RandomAllOverConjunction());
+  }
+  return out;
+}
+
+std::string GoldenRowFor(const Database& db, const SelectionExpr& sel) {
+  Binder binder(&db);
+  Result<BoundQuery> bound = binder.Bind(sel.Clone());
+  if (!bound.ok()) return "{\"bind failed\", \"\", 0, 0},";
+  PlannerOptions options;
+  options.level = OptLevel::kAuto;
+  Result<PlannedQuery> planned =
+      PlanQuery(db, std::move(bound).value(), options);
+  if (!planned.ok()) {
+    const std::string status = planned.status().ToString();
+    return StrFormat("{\"failed\", \"\", 0, 0x%016llxull},",
+                     static_cast<unsigned long long>(
+                         Fnv1a64(status.data(), status.size())));
+  }
+  const std::string& table = planned->cost_candidates;
+  const size_t at = table.rfind("chosen: ");
+  std::string chosen = at == std::string::npos ? "" : table.substr(at + 8);
+  while (!chosen.empty() && chosen.back() == '\n') chosen.pop_back();
+  const std::string explain = ExplainPlan(*planned);
+  return StrFormat(
+      "{\"%s\", \"%a\", %lluull, 0x%016llxull},", chosen.c_str(),
+      planned->estimate.weighted_cost,
+      static_cast<unsigned long long>(
+          planned->estimate.predicted.TotalWork()),
+      static_cast<unsigned long long>(
+          Fnv1a64(explain.data(), explain.size())));
+}
+
+TEST(PlanSearchGoldenTest, ChoicesEstimatesAndExplainArePinned) {
+  std::vector<std::string> rows;
+  std::vector<std::string> names;
+  for (bool permanent_index : {false, true}) {
+    auto db = MakeUniversityDb(/*populate=*/false);
+    UniversityScale scale;
+    scale.employees = 64;
+    scale.papers = 128;
+    scale.courses = 33;
+    scale.timetable = 192;
+    ASSERT_TRUE(PopulateSynthetic(db.get(), scale).ok());
+    if (permanent_index) {
+      ASSERT_TRUE(db->EnsureIndex("timetable", "tenr", false).ok());
+      ASSERT_TRUE(db->EnsureIndex("employees", "enr", false).ok());
+    }
+    ASSERT_TRUE(db->AnalyzeAll().ok());
+    for (uint64_t seed : {1u, 2u}) {
+      for (const auto& [name, sel] : GoldenCorpus(seed)) {
+        rows.push_back(GoldenRowFor(*db, sel));
+        names.push_back((permanent_index ? "+index " : "") + name + "\n" +
+                        FormatSelection(sel));
+      }
+    }
+  }
+  if (const char* out = std::getenv("PASCALR_PLAN_SEARCH_GOLDEN_OUT")) {
+    FILE* f = std::fopen(out, "w");
+    ASSERT_NE(f, nullptr) << out;
+    std::fprintf(f,
+                 "// Generated by plan_search_equivalence_test "
+                 "(PlanSearchGoldenTest); see the comment there.\n");
+    for (const std::string& row : rows) std::fprintf(f, "%s\n", row.c_str());
+    std::fclose(f);
+    return;
+  }
+  const size_t golden_rows = sizeof(kGolden) / sizeof(kGolden[0]);
+  ASSERT_EQ(rows.size(), golden_rows);
+  size_t mismatches = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const GoldenRow& g = kGolden[i];
+    const std::string want = StrFormat(
+        "{\"%s\", \"%s\", %lluull, 0x%016llxull},", g.chosen, g.weighted_cost,
+        static_cast<unsigned long long>(g.total_work),
+        static_cast<unsigned long long>(g.explain_hash));
+    if (rows[i] != want && ++mismatches <= 10) {
+      ADD_FAILURE() << names[i] << "\n  pinned: " << want
+                    << "\n  now:    " << rows[i];
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

@@ -98,49 +98,20 @@ class QueryGenerator {
   /// one multi-input combination join — the greedy join order's
   /// workload.
   SelectionExpr RandomChainSelection(size_t joins, double filter_prob = 0.5) {
-    SelectionExpr sel;
-    OutputComponent oc;
-    oc.var = "e";
-    oc.component = "ename";
-    sel.projection.push_back(oc);
-    sel.free_vars.emplace_back("e", RangeExpr("employees"));
-    scope_ = {{"e", "employees"}};
-    quant_counter_ = 0;
+    return RandomJoinSelection(joins, filter_prob, JoinShape::kRandomTree);
+  }
 
-    static const char* kRelations[] = {"employees", "papers", "courses",
-                                       "timetable"};
-    std::vector<FormulaPtr> terms;
-    for (size_t i = 0; i < joins; ++i) {
-      std::string relation = kRelations[rng_() % 4];
-      std::string name = "j" + std::to_string(quant_counter_++);
-      const GenVar& partner = scope_[rng_() % scope_.size()];
-      const CompInfo& lhs = RandomSmallIntComponentOf(relation);
-      const CompInfo& rhs = RandomSmallIntComponentOf(partner.relation);
-      terms.push_back(Formula::Compare(
-          Operand::Component(name, lhs.component), CompareOp::kEq,
-          Operand::Component(partner.name, rhs.component)));
-      if (Coin(filter_prob)) {
-        const CompInfo& f = RandomComponentOf(relation);
-        terms.push_back(Formula::Compare(
-            Operand::Component(name, f.component), RandomOp(),
-            LiteralFor(f.tag)));
-      }
-      scope_.push_back({name, relation});
-    }
-    FormulaPtr body = std::move(terms.back());
-    terms.pop_back();
-    while (!terms.empty()) {
-      body = Formula::And(std::move(terms.back()), std::move(body));
-      terms.pop_back();
-    }
-    // Quantifiers wrap innermost-last: SOME j0 (SOME j1 (... body)).
-    for (size_t i = scope_.size(); i-- > 1;) {
-      body = Formula::Quant(Quantifier::kSome, scope_[i].name,
-                            RangeExpr(scope_[i].relation), std::move(body));
-    }
-    scope_.resize(1);
-    sel.wff = std::move(body);
-    return sel;
+  /// Like RandomChainSelection, but every quantified variable joins e: a
+  /// star around the free variable.
+  SelectionExpr RandomStarSelection(size_t joins, double filter_prob = 0.5) {
+    return RandomJoinSelection(joins, filter_prob, JoinShape::kStar);
+  }
+
+  /// Like RandomChainSelection, but each quantified variable joins the one
+  /// before it (e for the first), and one more term closes the path from
+  /// the last variable back to e: a cycle through the free variable.
+  SelectionExpr RandomCycleSelection(size_t joins, double filter_prob = 0.5) {
+    return RandomJoinSelection(joins, filter_prob, JoinShape::kCycle);
   }
 
   /// `[<e.ename> OF EACH e IN employees: ALL q IN rel (m(q) AND d(e, q))]`:
@@ -233,6 +204,73 @@ class QueryGenerator {
   std::mt19937_64& rng() { return rng_; }
 
  private:
+  enum class JoinShape { kRandomTree, kStar, kCycle };
+
+  SelectionExpr RandomJoinSelection(size_t joins, double filter_prob,
+                                    JoinShape shape) {
+    SelectionExpr sel;
+    OutputComponent oc;
+    oc.var = "e";
+    oc.component = "ename";
+    sel.projection.push_back(oc);
+    sel.free_vars.emplace_back("e", RangeExpr("employees"));
+    scope_ = {{"e", "employees"}};
+    quant_counter_ = 0;
+
+    static const char* kRelations[] = {"employees", "papers", "courses",
+                                       "timetable"};
+    std::vector<FormulaPtr> terms;
+    auto join_term = [&](const GenVar& a, const GenVar& b) {
+      const CompInfo& lhs = RandomSmallIntComponentOf(a.relation);
+      const CompInfo& rhs = RandomSmallIntComponentOf(b.relation);
+      return Formula::Compare(Operand::Component(a.name, lhs.component),
+                              CompareOp::kEq,
+                              Operand::Component(b.name, rhs.component));
+    };
+    for (size_t i = 0; i < joins; ++i) {
+      std::string relation = kRelations[rng_() % 4];
+      std::string name = "j" + std::to_string(quant_counter_++);
+      size_t partner = 0;
+      switch (shape) {
+        case JoinShape::kRandomTree:
+          partner = rng_() % scope_.size();
+          break;
+        case JoinShape::kStar:
+          partner = 0;
+          break;
+        case JoinShape::kCycle:
+          partner = scope_.size() - 1;
+          break;
+      }
+      const GenVar partner_var = scope_[partner];
+      terms.push_back(join_term({name, relation}, partner_var));
+      if (Coin(filter_prob)) {
+        const CompInfo& f = RandomComponentOf(relation);
+        terms.push_back(Formula::Compare(
+            Operand::Component(name, f.component), RandomOp(),
+            LiteralFor(f.tag)));
+      }
+      scope_.push_back({name, relation});
+    }
+    if (shape == JoinShape::kCycle && scope_.size() > 2) {
+      terms.push_back(join_term(scope_.back(), scope_.front()));
+    }
+    FormulaPtr body = std::move(terms.back());
+    terms.pop_back();
+    while (!terms.empty()) {
+      body = Formula::And(std::move(terms.back()), std::move(body));
+      terms.pop_back();
+    }
+    // Quantifiers wrap innermost-last: SOME j0 (SOME j1 (... body)).
+    for (size_t i = scope_.size(); i-- > 1;) {
+      body = Formula::Quant(Quantifier::kSome, scope_[i].name,
+                            RangeExpr(scope_[i].relation), std::move(body));
+    }
+    scope_.resize(1);
+    sel.wff = std::move(body);
+    return sel;
+  }
+
   size_t MaybeEmpty(size_t max, double empty_prob) {
     if (Coin(empty_prob)) return 0;
     return 1 + rng_() % max;
