@@ -9,10 +9,16 @@
 //  - the search overhead is flat in data size, so auto's wall-clock
 //    converges to the best level's as n grows;
 //  - `chosen_level` exposes the decision for the record.
+//
+// BM_PlanSearch times the search alone (PlanQuery under kAuto, nothing
+// executed) over a fixed set of generated selections: the cold-statement
+// cost a plan-cache miss pays.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "semantics/binder.h"
+#include "tests/query_gen.h"
 
 namespace pascalr {
 namespace {
@@ -86,6 +92,48 @@ BENCHMARK(BM_Fixed_Example21)
     ->Args({200, 4})
     ->Args({1000, 4})
     ->Unit(benchmark::kMillisecond);
+
+void BM_PlanSearch(benchmark::State& state) {
+  auto db = MakeScaledDb(64);
+  if (!db->AnalyzeAll().ok()) std::abort();
+  // 16 selections of each generated shape, bound once.
+  std::vector<BoundQuery> queries;
+  testing_util::QueryGenerator gen(1);
+  Binder binder(db.get());
+  for (size_t i = 0; i < 16; ++i) {
+    SelectionExpr shapes[] = {
+        gen.RandomSelection(3),          gen.RandomSelectionTwoFree(2),
+        gen.RandomChainSelection(3 + i % 3), gen.RandomStarSelection(2 + i % 3),
+        gen.RandomCycleSelection(3 + i % 2), gen.RandomAllOverConjunction()};
+    for (SelectionExpr& sel : shapes) {
+      Result<BoundQuery> bound = binder.Bind(std::move(sel));
+      if (!bound.ok()) std::abort();
+      queries.push_back(std::move(bound).value());
+    }
+  }
+  PlannerOptions options;
+  options.level = OptLevel::kAuto;
+  const CompileCounters before = GlobalCompileCounters();
+  for (auto _ : state) {
+    for (const BoundQuery& query : queries) {
+      Result<PlannedQuery> planned =
+          PlanQuery(*db, CloneBoundQuery(query), options);
+      if (!planned.ok()) std::abort();
+      benchmark::DoNotOptimize(planned->estimate.weighted_cost);
+    }
+  }
+  const CompileCounters after = GlobalCompileCounters();
+  const double searches = static_cast<double>(after.plan_searches -
+                                              before.plan_searches);
+  state.SetItemsProcessed(static_cast<int64_t>(searches));
+  state.counters["plans_per_search"] =
+      static_cast<double>(after.plans - before.plans) / searches;
+  state.counters["collection_walks_per_search"] =
+      static_cast<double>(after.collection_walks - before.collection_walks) /
+      searches;
+}
+
+BENCHMARK(BM_PlanSearch)->Unit(benchmark::kMicrosecond);
 
 // ANALYZE itself: one scan per relation; the price of fresh statistics.
 void BM_Analyze(benchmark::State& state) {

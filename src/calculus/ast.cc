@@ -33,15 +33,32 @@ bool Operand::operator==(const Operand& other) const {
   return literal.SameKind(other.literal) && literal == other.literal;
 }
 
-std::string Operand::ToString() const {
-  if (kind == Kind::kComponent) return var + "." + component;
+void Operand::AppendTo(std::string* out) const {
+  if (kind == Kind::kComponent) {
+    *out += var;
+    *out += '.';
+    *out += component;
+    return;
+  }
   // Parameter slots keep their marker spelling, before and after value
   // substitution — structure-interning keys and EXPLAIN output both want
   // the slot identity, not the currently patched value.
-  if (!param_name.empty()) return "$" + param_name;
-  if (type.kind() == TypeKind::kEnum) return literal.ToStringTyped(type);
-  if (!enum_label.empty()) return enum_label;  // unresolved label
-  return literal.ToString();
+  if (!param_name.empty()) {
+    *out += '$';
+    *out += param_name;
+  } else if (type.kind() == TypeKind::kEnum) {
+    *out += literal.ToStringTyped(type);
+  } else if (!enum_label.empty()) {
+    *out += enum_label;  // unresolved label
+  } else {
+    *out += literal.ToString();
+  }
+}
+
+std::string Operand::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 std::vector<std::string> JoinTerm::Variables() const {
@@ -77,8 +94,16 @@ bool JoinTerm::operator==(const JoinTerm& other) const {
 }
 
 std::string JoinTerm::ToString() const {
-  return "(" + lhs.ToString() + " " + std::string(CompareOpToString(op)) +
-         " " + rhs.ToString() + ")";
+  std::string out;
+  out.reserve(48);
+  out += '(';
+  lhs.AppendTo(&out);
+  out += ' ';
+  out += CompareOpToString(op);
+  out += ' ';
+  rhs.AppendTo(&out);
+  out += ')';
+  return out;
 }
 
 RangeExpr RangeExpr::Clone() const {

@@ -90,6 +90,8 @@ struct Operand {
 
   bool operator==(const Operand& other) const;
   std::string ToString() const;
+  /// Appends ToString() to `out`.
+  void AppendTo(std::string* out) const;
 };
 
 /// An atomic formula: `lhs op rhs`. Monadic if it references exactly one
@@ -102,8 +104,18 @@ struct JoinTerm {
 
   /// Distinct variable names referenced (0, 1 or 2 entries).
   std::vector<std::string> Variables() const;
-  bool IsMonadic() const { return Variables().size() == 1; }
-  bool IsDyadic() const { return Variables().size() == 2; }
+  bool IsMonadic() const {
+    return (lhs.is_component() || rhs.is_component()) && !IsDyadic();
+  }
+  bool IsDyadic() const {
+    return lhs.is_component() && rhs.is_component() && lhs.var != rhs.var;
+  }
+  /// Monadic, and the one variable is `var`.
+  bool IsMonadicOver(const std::string& var) const {
+    return (lhs.is_component() || rhs.is_component()) &&
+           (!lhs.is_component() || lhs.var == var) &&
+           (!rhs.is_component() || rhs.var == var);
+  }
   bool References(const std::string& var) const;
 
   /// The negated term (operator complement).

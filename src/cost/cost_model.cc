@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <vector>
 
 #include "base/counters.h"
@@ -33,6 +32,13 @@ class CostWalker {
  private:
   void Prepare() {
     ++GlobalCompileCounters().collection_walks;
+    shape_ = AnalyzePipelineShape(plan_);
+    structure_cols_.clear();
+    structure_cols_.reserve(plan_.structures.size());
+    for (const StructureDef& def : plan_.structures) {
+      structure_cols_.push_back(shape_.IdsOf(def.columns));
+    }
+    range_size_.assign(shape_.ids.size(), -1.0);
     structure_rows_.assign(plan_.structures.size(), 0.0);
     index_rows_.assign(plan_.indexes.size(), 0.0);
     index_distinct_.assign(plan_.indexes.size(), 1.0);
@@ -58,7 +64,7 @@ class CostWalker {
     for (const PostScanProbe& probe : plan_.post_probes) {
       // The post-scan pass iterates the variable's already-restricted
       // materialised range.
-      double pass = sel_.RangeSize(probe.var);
+      double pass = RangeSize(shape_.ids.Of(probe.var));
       elements_scanned_ += pass;
       WalkIjEmit(probe.emit, probe.var, pass);
     }
@@ -72,6 +78,9 @@ class CostWalker {
       comparisons_ += n * rest.comparisons;
       pass = n * rest.selectivity;
     }
+    // The range size the combination walk extends by: the same product
+    // SelectivityEstimator::RangeSize computes, already in hand here.
+    range_size_[shape_.ids.Of(action.var)] = pass;
 
     for (const SingleListEmit& emit : action.single_lists) {
       SelEstimate g = sel_.Gates(emit.gates);
@@ -185,10 +194,15 @@ class CostWalker {
     return plan_.sf.vars.at(var).relation_name;
   }
 
+  /// Elements of `v`'s range: recorded by its scan action, else estimated.
+  double RangeSize(VarId v) {
+    if (range_size_[v] < 0.0) range_size_[v] = sel_.RangeSize(shape_.ids.Name(v));
+    return range_size_[v];
+  }
+
   // ---------------------------------------------------------- combination
 
-  static double CappedProduct(const EstRel& rel,
-                              const std::string& skip = "") {
+  static double CappedProduct(const EstRel& rel, VarId skip = kNoVar) {
     double d = 1.0;
     for (const auto& [col, dc] : rel.distinct) {
       if (col == skip) continue;
@@ -212,34 +226,47 @@ class CostWalker {
   /// rows. Mirrors the executor's compile.cc decisions via the shared
   /// shape analysis, over the executor's greedy smallest-first order.
   void WalkCombination() {
-    const PipelineShape shape = AnalyzePipelineShape(plan_);
+    const PipelineShape& shape = shape_;
     has_division_ = shape.has_division;
     if (plan_.sf.matrix.IsFalse()) return;
 
-    std::map<std::string, double> range_size;
+    // Active variables' range sizes; a structure column without one (none
+    // in practice) is bounded by the structure's rows instead.
+    const size_t num_vars = shape.ids.size();
+    std::vector<double> range_size(num_vars, 0.0);
+    std::vector<bool> has_range(num_vars, false);
+    std::vector<VarId> active;
     for (const QuantifiedVar& qv : shape.active) {
-      range_size[qv.var] = sel_.RangeSize(qv.var);
+      const VarId v = shape.ids.Of(qv.var);
+      active.push_back(v);
+      range_size[v] = RangeSize(v);
+      has_range[v] = true;
+    }
+    std::vector<VarId> needed;
+    for (const std::string& col : shape.needed) {
+      needed.push_back(shape.ids.Of(col));
     }
 
     double comb = 0.0;           // streamed combination_rows
     double division_in = 0.0;    // pipelined division input rows
     double rows_to_sink = 0.0;   // pre-dedup rows reaching the sink/buffer
     EstRel sink;                 // distinct-count view of the sink columns
-    for (const std::string& col : shape.needed) sink.distinct[col] = 0.0;
+    for (VarId col : needed) sink.Set(col, 0.0);
 
+    std::vector<EstRel> inputs;
+    std::vector<std::vector<VarId>> input_cols;
     for (size_t c = 0; c < plan_.sf.matrix.disjuncts.size(); ++c) {
-      std::vector<EstRel> inputs;
-      std::vector<std::vector<std::string>> input_cols;
+      inputs.clear();
+      input_cols.clear();
       for (size_t id : plan_.conj_inputs[c]) {
         EstRel e;
         e.rows = structure_rows_[id];
-        for (const std::string& col : plan_.structures[id].columns) {
-          e.distinct[col] = std::min(e.rows, range_size.count(col) > 0
-                                                 ? range_size[col]
-                                                 : e.rows);
+        for (VarId col : structure_cols_[id]) {
+          e.Set(col, std::min(e.rows, has_range[col] ? range_size[col]
+                                                     : e.rows));
         }
         inputs.push_back(std::move(e));
-        input_cols.push_back(plan_.structures[id].columns);
+        input_cols.push_back(structure_cols_[id]);
       }
       EstRel acc;
       if (inputs.empty()) {
@@ -257,9 +284,9 @@ class CostWalker {
             est.rows = std::min(est.rows, acc.rows);
             for (const auto& [col, dc] : r.distinct) {
               (void)dc;
-              if (!acc.HasCol(col)) est.distinct.erase(col);
+              if (!acc.HasCol(col)) est.Erase(col);
             }
-            for (auto& [col, dc] : est.distinct) dc = std::min(dc, est.rows);
+            est.CapDistinct(est.rows);
           }
           comb += est.rows;
           acc = std::move(est);
@@ -267,31 +294,29 @@ class CostWalker {
       }
       // Extension: needed variables only; purely existential ones are
       // witnessed by semi-joins or a non-empty range instead.
-      for (const QuantifiedVar& qv : shape.active) {
-        if (acc.HasCol(qv.var)) continue;
-        if (shape.IsExistential(qv.var)) {
-          if (range_size[qv.var] <= 0.0) acc.rows = 0.0;  // annihilated
+      for (VarId v : active) {
+        if (acc.HasCol(v)) continue;
+        if (shape.existential_mask[v]) {
+          if (range_size[v] <= 0.0) acc.rows = 0.0;  // annihilated
           continue;
         }
-        acc.rows *= std::max(0.0, range_size[qv.var]);
-        acc.distinct[qv.var] = std::min(range_size[qv.var], acc.rows);
-        for (auto& [col, dc] : acc.distinct) dc = std::min(dc, acc.rows);
+        acc.rows *= std::max(0.0, range_size[v]);
+        acc.Set(v, std::min(range_size[v], acc.rows));
+        acc.CapDistinct(acc.rows);
         comb += acc.rows;
       }
       // Projection onto the needed layout (streamed, no dedup). Chains
       // already emitting exactly the needed columns skip the copy in
       // compile.cc; mirror that (column order is invisible here, so this
       // is the optimistic estimate).
-      bool aligned = acc.distinct.size() == shape.needed.size();
-      for (const std::string& col : shape.needed) {
-        aligned = aligned && acc.HasCol(col);
-      }
+      bool aligned = acc.distinct.size() == needed.size();
+      for (VarId col : needed) aligned = aligned && acc.HasCol(col);
       if (!aligned) comb += acc.rows;
       rows_to_sink += acc.rows;
-      for (const std::string& col : shape.needed) {
-        if (acc.HasCol(col)) {
-          sink.distinct[col] = std::max(sink.distinct[col],
-                                        acc.distinct[col]);
+      for (VarId col : needed) {
+        if (const double* dc = acc.Find(col)) {
+          double* sink_dc = sink.Find(col);
+          *sink_dc = std::max(*sink_dc, *dc);
         }
       }
     }
@@ -306,14 +331,14 @@ class CostWalker {
       for (size_t i = shape.tail.size(); i-- > 0;) {
         const QuantifiedVar& qv = shape.tail[i];
         if (qv.quantifier == Quantifier::kFree) break;
+        const VarId v = active[i];  // the tail is a prefix of `active`
         double rows_out;
         if (qv.quantifier == Quantifier::kSome) {
-          rows_out = ProjectedRows(cur.rows, CappedProduct(cur, qv.var));
+          rows_out = ProjectedRows(cur.rows, CappedProduct(cur, v));
         } else {
           division_in += cur.rows;
-          double divisor = std::max(1.0, range_size[qv.var]);
-          double groups =
-              ProjectedRows(cur.rows, CappedProduct(cur, qv.var));
+          double divisor = std::max(1.0, range_size[v]);
+          double groups = ProjectedRows(cur.rows, CappedProduct(cur, v));
           double per_group = groups > 0.0 ? cur.rows / groups : 0.0;
           double coverage = Clamp01(per_group / divisor);
           rows_out = groups * std::pow(coverage, std::min(divisor, 32.0));
@@ -321,8 +346,8 @@ class CostWalker {
         comb += rows_out;
         pipe_peak = std::max(pipe_peak, cur.rows + rows_out);
         cur.rows = rows_out;
-        cur.distinct.erase(qv.var);
-        for (auto& [col, dc] : cur.distinct) dc = std::min(dc, rows_out);
+        cur.Erase(v);
+        cur.CapDistinct(rows_out);
         live = rows_out;
       }
       comb += live;  // final projection onto the free variables
@@ -403,6 +428,11 @@ class CostWalker {
   const QueryPlan& plan_;
   const Database& db_;
   SelectivityEstimator sel_;
+  PipelineShape shape_;
+  /// Per structure, its columns' ids under shape_.ids.
+  std::vector<std::vector<VarId>> structure_cols_;
+  /// Per variable id, the elements of its range; negative until known.
+  std::vector<double> range_size_;
 
   double relations_read_ = 0.0;
   double elements_scanned_ = 0.0;

@@ -1,7 +1,6 @@
 #include "cost/plan_search.h"
 
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "base/counters.h"
@@ -10,6 +9,7 @@
 #include "normalize/standard_form.h"
 #include "obs/span_names.h"
 #include "obs/trace.h"
+#include "opt/scan_plan.h"
 
 namespace pascalr {
 
@@ -20,18 +20,23 @@ std::string LabelFor(const PlannerOptions& o) {
                    o.use_permanent_indexes ? "/perm" : "");
 }
 
-/// True when the catalog holds a fresh permanent index over any component
+/// True when the catalog holds a fresh permanent index over a component
 /// of a relation the query ranges over — otherwise the permanent-index
-/// knob cannot change any plan.
+/// knob cannot change any plan. One pass over the catalog's indexes; with
+/// none declared, that is the whole answer.
 bool AnyFreshPermanentIndex(const Database& db, const BoundQuery& query) {
-  for (const auto& [var, binding] : query.vars) {
-    const Relation* rel = db.FindRelation(binding.relation_name);
-    if (rel == nullptr) continue;
-    for (size_t i = 0; i < rel->schema().num_components(); ++i) {
-      if (db.FindFreshIndex(binding.relation_name,
-                            rel->schema().component(i).name) != nullptr) {
-        return true;
-      }
+  for (const Database::IndexDescription& index : db.ListIndexes()) {
+    bool ranged_over = false;
+    for (const auto& [var, binding] : query.vars) {
+      ranged_over = ranged_over || binding.relation_name == index.relation;
+    }
+    if (!ranged_over) continue;
+    const Relation* rel = db.FindRelation(index.relation);
+    if (rel == nullptr || rel->schema().FindComponent(index.component) < 0) {
+      continue;
+    }
+    if (db.FindFreshIndex(index.relation, index.component) != nullptr) {
+      return true;
     }
   }
   return false;
@@ -56,7 +61,8 @@ double CardinalityFor(const Database& db, const std::string& relation) {
 /// addend of the weighted cost. Returns 0 (no pruning) whenever the bound
 /// cannot be guaranteed: extended ranges (restricted post-scan passes) and
 /// empty or missing relations, including any range rule 1 folded away.
-double NaiveScanLowerBound(const Database& db, const LevelForm& folded) {
+double NaiveScanLowerBound(const Database& db, const LevelForm& folded,
+                           const PlanIds& ids, const MatrixTermIds& terms) {
   if (folded.replans > 0) return 0.0;
   const StandardForm& sf = folded.sf;
   for (const auto& [var, binding] : sf.vars) {
@@ -66,22 +72,20 @@ double NaiveScanLowerBound(const Database& db, const LevelForm& folded) {
   for (const QuantifiedVar& qv : sf.prefix) {
     if (qv.range.IsExtended()) return 0.0;
   }
+  auto cardinality = [&](VarId v) {
+    return CardinalityFor(db, ids.RelationName(ids.RelationOf(v)));
+  };
   double bound = 0.0;
-  std::set<std::string> seen;  // the keys AssembleNaive interns by
-  for (const Conjunction& conj : sf.matrix.disjuncts) {
-    for (const JoinTerm& t : conj.terms) {
-      std::vector<std::string> vars = t.Variables();
-      if (vars.empty()) continue;
-      if (vars.size() == 1) {
-        if (!seen.insert("sl#" + vars[0] + "#" + t.ToString()).second) {
-          continue;
-        }
-        bound += CardinalityFor(db, sf.vars.at(vars[0]).relation_name);
-        continue;
-      }
-      if (!seen.insert("ij#" + t.ToString()).second) continue;
-      bound += CardinalityFor(db, sf.vars.at(t.lhs.var).relation_name);
-      bound += CardinalityFor(db, sf.vars.at(t.rhs.var).relation_name);
+  std::vector<bool> seen;  // by term id, as AssembleNaive interns
+  for (const std::vector<TermId>& conj : terms) {
+    for (TermId term : conj) {
+      const TermFacts& f = ids.term(term);
+      if (f.a == kNoVar) continue;
+      if (term >= seen.size()) seen.resize(term + 1, false);
+      if (seen[term]) continue;
+      seen[term] = true;
+      bound += cardinality(f.a);
+      if (f.dyadic()) bound += cardinality(f.b);
     }
   }
   return bound;
@@ -97,37 +101,50 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
   std::vector<bool> perm_choices = {false};
   if (AnyFreshPermanentIndex(db, query)) perm_choices.push_back(true);
 
-  // Normalize once. Each level plans from a copy of the folded form, level
-  // 4 from level 3's, so range extension and rule 2 run once. A level whose
-  // own step changed nothing has the plan of the level below, which wins
-  // the equal-cost tie (plan.level is display-only): it is not compiled.
+  // Normalize once. Levels 0-2 compile the folded form itself, level 3 a
+  // copy raised by range extension (and rule 2), level 4 a copy of that
+  // with quantifiers pushed, so range extension and rule 2 run once. A
+  // level whose own step changed nothing has the plan of the level below,
+  // which wins the equal-cost tie (plan.level is display-only): it is not
+  // compiled.
   PASCALR_ASSIGN_OR_RETURN(LevelForm folded,
                            StandardFormWithFolding(db, std::move(query)));
-  std::vector<LevelForm> forms;
-  for (int level = 0; level <= 3; ++level) {
-    forms.push_back(LevelFormFor(db, folded, static_cast<OptLevel>(level)));
-  }
-  forms.push_back(forms[3].Clone());
+  PlanIds ids(folded.sf, db);
+  const MatrixTermIds folded_terms = ids.Intern(folded.sf.matrix);
+  LevelForm extended = LevelFormFor(db, folded, OptLevel::kRangeExt);
+  LevelForm pushed;
   std::string same_as_below[5];
-  if (forms[3].level < OptLevel::kRangeExt) {
+  if (extended.level < OptLevel::kRangeExt) {
     same_as_below[3] = same_as_below[4] =
         "extended range empty; strategies 3/4 abandoned";
   } else {
-    const RangeExtensionReport& ext = forms[3].range_extension;
+    const RangeExtensionReport& ext = extended.range_extension;
     if (ext.extensions.empty() && ext.cnf_extended.empty() &&
-        forms[3].sf.matrix.disjuncts.size() ==
+        extended.sf.matrix.disjuncts.size() ==
             folded.sf.matrix.disjuncts.size()) {
       same_as_below[3] = "no range extended";
     }
-    forms[4].level = OptLevel::kQuantPush;
-    forms[4].pushdown = ApplyQuantPushdown(&forms[4].sf);
-    if (forms[4].pushdown.eliminated.empty()) {
+    pushed = extended.Clone();
+    pushed.level = OptLevel::kQuantPush;
+    pushed.pushdown = ApplyQuantPushdown(&pushed.sf);
+    if (pushed.pushdown.eliminated.empty()) {
       same_as_below[4] = "no quantifier pushed";
     }
   }
+  LevelForm* const forms[5] = {&folded, &folded, &folded, &extended,
+                               &pushed};
+  // Each compiled form's terms are interned once, however many candidates
+  // compile it.
+  MatrixTermIds extended_terms, pushed_terms;
+  if (same_as_below[3].empty()) extended_terms = ids.Intern(extended.sf.matrix);
+  if (same_as_below[4].empty()) pushed_terms = ids.Intern(pushed.sf.matrix);
+  const MatrixTermIds* const terms[5] = {&folded_terms, &folded_terms,
+                                         &folded_terms, &extended_terms,
+                                         &pushed_terms};
 
   std::optional<PlannedQuery> best;
   PlannerOptions best_options;
+  LevelForm* best_form = nullptr;
   Status last_error = Status::OK();
   std::string table;
 
@@ -136,7 +153,8 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
   // lower bound already exceeds it cannot win, so its compilation is
   // skipped. Only the naive level has a per-candidate bound worth having
   // (its per-term scans dwarf everything once a grouped plan is costed).
-  const double naive_bound = NaiveScanLowerBound(db, folded);
+  const double naive_bound =
+      NaiveScanLowerBound(db, folded, ids, folded_terms);
   size_t pruned = 0;
 
   for (int level = 4; level >= 0; --level) {
@@ -145,6 +163,8 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
                          same_as_below[level].c_str());
       continue;
     }
+    LevelForm& form = *forms[level];
+    form.level = static_cast<OptLevel>(level);
     for (bool perm : perm_choices) {
       PlannerOptions options = base;
       options.level = static_cast<OptLevel>(level);
@@ -158,17 +178,19 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
         continue;
       }
 
-      Result<PlannedQuery> planned = PlanLevelForm(
-          db, perm == perm_choices.back() ? std::move(forms[level])
-                                          : forms[level].Clone(),
-          options);
+      Result<PlannedQuery> planned =
+          PlanLevelForm(form, options, ids, *terms[level]);
       if (!planned.ok()) {
         last_error = planned.status();
         table += "  " + LabelFor(options) +
                  ": failed: " + planned.status().ToString() + "\n";
         continue;
       }
+      // The candidate borrows the form's standard form to be priced; only
+      // the winner keeps it, once the search is over.
+      planned->plan.sf = std::move(form.sf);
       planned->estimate = EstimatePlanCost(planned->plan, db);
+      form.sf = std::move(planned->plan.sf);
       // Levels run 4 -> 0 but exact ties still choose the lowest level.
       const double cost = planned->estimate.weighted_cost;
       bool better = !best.has_value() || cost < best->estimate.weighted_cost ||
@@ -183,6 +205,7 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
       if (better) {
         best = std::move(planned).value();
         best_options = options;
+        best_form = &form;
       }
     }
   }
@@ -193,6 +216,7 @@ Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
     }
     return last_error;
   }
+  best->plan.sf = std::move(best_form->sf);
   best->cost_based = true;
   if (pruned > 0) {
     table += StrFormat(

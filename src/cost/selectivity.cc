@@ -107,26 +107,32 @@ double SelectivityEstimator::RangeSize(const std::string& var) const {
 }
 
 double SelectivityEstimator::Monadic(const JoinTerm& term) const {
-  JoinTerm t = term.lhs.is_literal() ? term.Mirrored() : term;
-  if (t.lhs.is_literal()) {
+  // Read the term literal-last (the mirrored term when its lhs is the
+  // literal).
+  const bool mirror = term.lhs.is_literal();
+  const Operand& lhs_op = mirror ? term.rhs : term.lhs;
+  const Operand& rhs_op = mirror ? term.lhs : term.rhs;
+  const CompareOp op = mirror ? MirrorOp(term.op) : term.op;
+  if (lhs_op.is_literal()) {
     // Literal vs literal: decided outright.
-    return t.lhs.literal.SameKind(t.rhs.literal) &&
-                   t.lhs.literal.Satisfies(t.op, t.rhs.literal)
+    return lhs_op.literal.SameKind(rhs_op.literal) &&
+                   lhs_op.literal.Satisfies(op, rhs_op.literal)
                ? 1.0
                : 0.0;
   }
-  const ColumnStats* lhs = Stats(t.lhs.var, t.lhs.component_pos);
-  if (t.rhs.is_literal()) {
-    if (lhs != nullptr) return lhs->Selectivity(t.op, t.rhs.literal);
-    return t.op == CompareOp::kEq
+  const ColumnStats* lhs = Stats(lhs_op.var, lhs_op.component_pos);
+  if (rhs_op.is_literal()) {
+    if (lhs != nullptr) return lhs->Selectivity(op, rhs_op.literal);
+    return op == CompareOp::kEq
                ? kDefaultEq
-               : (t.op == CompareOp::kNe ? 1.0 - kDefaultEq : kDefaultRange);
+               : (op == CompareOp::kNe ? 1.0 - kDefaultEq : kDefaultRange);
   }
   // Two components of the same element, e.g. t.tenr = t.tcnr: treat the
   // components as independent draws.
-  const ColumnStats* rhs = Stats(t.rhs.var, t.rhs.component_pos);
-  return CrossColumn(lhs, ColumnDistinct(t.lhs.var, t.lhs.component_pos), rhs,
-                     ColumnDistinct(t.rhs.var, t.rhs.component_pos), t.op);
+  const ColumnStats* rhs = Stats(rhs_op.var, rhs_op.component_pos);
+  return CrossColumn(lhs, ColumnDistinct(lhs_op.var, lhs_op.component_pos),
+                     rhs, ColumnDistinct(rhs_op.var, rhs_op.component_pos),
+                     op);
 }
 
 double SelectivityEstimator::DyadicPair(const JoinTerm& term) const {

@@ -35,7 +35,8 @@ RefRelation ExecuteJoinOrder(const JoinOrder& order,
 
 }  // namespace
 
-JoinOrder RuntimeJoinOrder(const std::vector<const RefRelation*>& inputs) {
+JoinOrder RuntimeJoinOrder(const std::vector<const RefRelation*>& inputs,
+                           const VarIds& ids) {
   // Row counts decide the picks and columns decide connectivity, so a
   // size-only summary is all the greedy order needs.
   std::vector<EstRel> actual;
@@ -43,7 +44,7 @@ JoinOrder RuntimeJoinOrder(const std::vector<const RefRelation*>& inputs) {
   for (const RefRelation* rel : inputs) {
     EstRel e;
     e.rows = static_cast<double>(rel->size());
-    for (const std::string& col : rel->columns()) e.distinct[col] = e.rows;
+    for (const std::string& col : rel->columns()) e.Set(ids.Of(col), e.rows);
     actual.push_back(std::move(e));
   }
   return GreedyJoinOrder(actual);
@@ -73,6 +74,7 @@ Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
   }
 
   // Step 1 + 2: evaluate each conjunction, union the n-tuple sets.
+  const VarIds ids(plan.sf.vars);
   RefRelation combined(active_names);
   for (size_t c = 0; c < plan.sf.matrix.disjuncts.size(); ++c) {
     std::vector<const RefRelation*> inputs;
@@ -85,7 +87,7 @@ Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
       conj_result.Add({});  // arity-0 relation containing the empty row: TRUE
       tracker.Add(1);
     } else {
-      conj_result = ExecuteJoinOrder(RuntimeJoinOrder(inputs), inputs,
+      conj_result = ExecuteJoinOrder(RuntimeJoinOrder(inputs, ids), inputs,
                                      stats, &tracker);
     }
     // Extend to all active variables (the n-tuple invariant of §3.3).

@@ -24,10 +24,12 @@ Result<RefRelation> ExecuteCombination(const QueryPlan& plan,
                                        ExecStats* stats);
 
 /// The executor's join order for one conjunction's actual inputs
-/// (non-empty): greedy smallest-first on the structures' actual sizes.
-/// Shared by the materialized reference and the pipeline
-/// (src/pipeline/), so both run the same order.
-JoinOrder RuntimeJoinOrder(const std::vector<const RefRelation*>& inputs);
+/// (non-empty): greedy smallest-first on the structures' actual sizes,
+/// with columns numbered by the plan's variable ids. Shared by the
+/// materialized reference and the pipeline (src/pipeline/), so both run
+/// the same order.
+JoinOrder RuntimeJoinOrder(const std::vector<const RefRelation*>& inputs,
+                           const VarIds& ids);
 
 }  // namespace pascalr
 

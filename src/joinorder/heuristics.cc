@@ -4,30 +4,80 @@
 
 namespace pascalr {
 
+const double* EstRel::Find(VarId c) const {
+  for (const auto& [col, dc] : distinct) {
+    if (col == c) return &dc;
+    if (col > c) break;
+  }
+  return nullptr;
+}
+
+void EstRel::Set(VarId c, double d) {
+  auto it = std::lower_bound(
+      distinct.begin(), distinct.end(), c,
+      [](const std::pair<VarId, double>& e, VarId v) { return e.first < v; });
+  if (it != distinct.end() && it->first == c) {
+    it->second = d;
+  } else {
+    distinct.insert(it, {c, d});
+  }
+}
+
+void EstRel::Erase(VarId c) {
+  for (auto it = distinct.begin(); it != distinct.end(); ++it) {
+    if (it->first == c) {
+      distinct.erase(it);
+      return;
+    }
+  }
+}
+
+void EstRel::CapDistinct(double cap) {
+  for (auto& [col, dc] : distinct) dc = std::min(dc, cap);
+}
+
 EstRel JoinEstimate(const EstRel& a, const EstRel& b) {
   EstRel out;
   out.rows = a.rows * b.rows;
   for (const auto& [col, dc] : b.distinct) {
-    auto it = a.distinct.find(col);
-    if (it != a.distinct.end()) {
-      out.rows /= std::max(1.0, std::max(it->second, dc));
+    if (const double* da = a.Find(col)) {
+      out.rows /= std::max(1.0, std::max(*da, dc));
     }
   }
-  out.distinct = a.distinct;
-  for (const auto& [col, dc] : b.distinct) {
-    auto it = out.distinct.find(col);
-    if (it == out.distinct.end()) {
-      out.distinct[col] = dc;
+  // Merge the two ascending column lists; shared columns keep the smaller
+  // distinct count.
+  out.distinct.reserve(a.distinct.size() + b.distinct.size());
+  auto ai = a.distinct.begin();
+  auto bi = b.distinct.begin();
+  while (ai != a.distinct.end() || bi != b.distinct.end()) {
+    if (bi == b.distinct.end() ||
+        (ai != a.distinct.end() && ai->first < bi->first)) {
+      out.distinct.push_back(*ai++);
+    } else if (ai == a.distinct.end() || bi->first < ai->first) {
+      out.distinct.push_back(*bi++);
     } else {
-      it->second = std::min(it->second, dc);
+      out.distinct.emplace_back(ai->first, std::min(ai->second, bi->second));
+      ++ai;
+      ++bi;
     }
   }
-  for (auto& [col, dc] : out.distinct) dc = std::min(dc, out.rows);
+  out.CapDistinct(out.rows);
   return out;
 }
 
-std::vector<std::string> SharedColumns(const EstRel& a, const EstRel& b) {
-  std::vector<std::string> shared;
+namespace {
+
+bool SharesColumn(const EstRel& a, const EstRel& b) {
+  for (const auto& [col, dc] : b.distinct) {
+    if (a.HasCol(col)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+std::vector<VarId> SharedColumns(const EstRel& a, const EstRel& b) {
+  std::vector<VarId> shared;
   for (const auto& [col, dc] : b.distinct) {
     if (a.HasCol(col)) shared.push_back(col);
   }
@@ -58,7 +108,7 @@ JoinOrder GreedyJoinOrder(const std::vector<EstRel>& inputs) {
     size_t best = remaining.size();
     size_t best_connected = remaining.size();
     for (size_t i = 0; i < remaining.size(); ++i) {
-      bool connected = !SharedColumns(acc, inputs[remaining[i]]).empty();
+      bool connected = SharesColumn(acc, inputs[remaining[i]]);
       if (connected &&
           (best_connected == remaining.size() ||
            inputs[remaining[i]].rows < inputs[remaining[best_connected]].rows)) {

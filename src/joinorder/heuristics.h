@@ -6,24 +6,39 @@
 // as an estimated relation — a row count plus per-column (per-variable)
 // distinct counts — and joins between summaries follow the textbook
 // containment estimate, so the executed and the priced order agree.
+//
+// Columns are dense VarIds (normalize/var_ids.h) in variable-name order,
+// and an EstRel keeps its columns sorted by id: every loop over columns
+// runs in name order, as it did when columns were keyed by name.
 
 #ifndef PASCALR_JOINORDER_HEURISTICS_H_
 #define PASCALR_JOINORDER_HEURISTICS_H_
 
 #include <cstddef>
-#include <map>
-#include <string>
+#include <utility>
 #include <vector>
+
+#include "normalize/var_ids.h"
 
 namespace pascalr {
 
 /// An estimated combination-phase relation: expected (distinct) row count
-/// plus per-column distinct counts. Columns are query variable names.
+/// plus per-column distinct counts. Columns are query variables.
 struct EstRel {
   double rows = 0.0;
-  std::map<std::string, double> distinct;
+  /// (column, distinct count), ascending by column id.
+  std::vector<std::pair<VarId, double>> distinct;
 
-  bool HasCol(const std::string& c) const { return distinct.count(c) > 0; }
+  const double* Find(VarId c) const;
+  double* Find(VarId c) {
+    return const_cast<double*>(static_cast<const EstRel*>(this)->Find(c));
+  }
+  bool HasCol(VarId c) const { return Find(c) != nullptr; }
+  /// Sets column `c`'s distinct count, adding the column when absent.
+  void Set(VarId c, double d);
+  void Erase(VarId c);
+  /// Caps every distinct count at `rows`.
+  void CapDistinct(double rows);
 };
 
 /// Estimated natural join of `a` and `b`: Cartesian rows divided by the
@@ -35,7 +50,7 @@ EstRel JoinEstimate(const EstRel& a, const EstRel& b);
 
 /// Columns bound by both sides — the natural-join columns. Empty means a
 /// join of the two degenerates to a Cartesian product.
-std::vector<std::string> SharedColumns(const EstRel& a, const EstRel& b);
+std::vector<VarId> SharedColumns(const EstRel& a, const EstRel& b);
 
 /// One step of a left-deep join order: input `input` (a position within
 /// the conjunction's conj_inputs entry) joins the result of the steps
@@ -44,7 +59,7 @@ struct JoinStep {
   size_t input = 0;
   /// Columns shared with the result so far (empty: a Cartesian step, and
   /// always for the first step).
-  std::vector<std::string> join_columns;
+  std::vector<VarId> join_columns;
   /// Estimated rows of the result after this step (the first step: the
   /// input's own rows); 0 when no estimate was made.
   double est_rows = 0.0;
@@ -58,7 +73,9 @@ using JoinOrder = std::vector<JoinStep>;
 /// the smallest remaining input that shares a column with the result so
 /// far, and fall back to the smallest overall (a genuine Cartesian step)
 /// when none connects. Ties go to the first input of equal size. Steps
-/// carry JoinEstimate cardinalities and the shared join columns.
+/// carry JoinEstimate cardinalities and the shared join columns. The one
+/// join-order routine: the executor (RuntimeJoinOrder) and the cost model
+/// both call it.
 JoinOrder GreedyJoinOrder(const std::vector<EstRel>& inputs);
 
 }  // namespace pascalr

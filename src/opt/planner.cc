@@ -125,20 +125,22 @@ LevelForm LevelFormFor(const Database& db, const LevelForm& folded,
   return form;
 }
 
-Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
-                                   const PlannerOptions& options) {
+Result<PlannedQuery> PlanLevelForm(const LevelForm& form,
+                                   const PlannerOptions& options,
+                                   const PlanIds& ids,
+                                   const MatrixTermIds& terms) {
   ++GlobalCompileCounters().plans;
   TraceSpanGuard trace_span(spans::kPlan, nullptr,
                             std::string(OptLevelToString(options.level)));
   PlannedQuery out;
-  out.range_extension = std::move(form.range_extension);
+  out.range_extension = form.range_extension;
   out.quant_pushdown_summary.eliminated = form.pushdown.eliminated;
   out.quant_pushdown_summary.derived = form.pushdown.derived;
-  out.adaptation_notes = std::move(form.notes);
+  out.adaptation_notes = form.notes;
   out.replans = form.replans;
 
-  Result<QueryPlan> plan = BuildScanPlan(std::move(form.sf), form.level,
-                                         std::move(form.pushdown), db);
+  Result<QueryPlan> plan =
+      BuildScanPlan(form.sf, form.level, form.pushdown, ids, terms);
   if (!plan.ok()) return plan.status();
   out.plan = std::move(plan).value();
   out.plan.batch_size = options.batch_size;
@@ -146,7 +148,7 @@ Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
     for (IndexBuildSpec& spec : out.plan.indexes) {
       // A permanent index covers the whole relation; it can only stand in
       // for an ungated index over an *unextended* range.
-      const QuantifiedVar* qv = out.plan.sf.FindVar(spec.var);
+      const QuantifiedVar* qv = form.sf.FindVar(spec.var);
       spec.try_permanent = spec.gates.empty() && qv != nullptr &&
                            !qv->range.IsExtended();
     }
@@ -168,7 +170,13 @@ Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
   }
   PASCALR_ASSIGN_OR_RETURN(LevelForm folded,
                            StandardFormWithFolding(db, std::move(query)));
-  return PlanLevelForm(db, LevelFormFor(db, folded, options.level), options);
+  LevelForm form = LevelFormFor(db, folded, options.level);
+  PlanIds ids(form.sf, db);
+  PASCALR_ASSIGN_OR_RETURN(
+      PlannedQuery planned,
+      PlanLevelForm(form, options, ids, ids.Intern(form.sf.matrix)));
+  planned.plan.sf = std::move(form.sf);
+  return planned;
 }
 
 Result<QueryRun> RunPlanned(const Database& db, PlannedQuery planned) {

@@ -25,6 +25,7 @@
 #include "exec/plan.h"
 #include "opt/quant_pushdown.h"
 #include "opt/range_extension.h"
+#include "opt/scan_plan.h"
 #include "semantics/binder.h"
 
 namespace pascalr {
@@ -105,10 +106,15 @@ Result<LevelForm> StandardFormWithFolding(const Database& db,
 LevelForm LevelFormFor(const Database& db, const LevelForm& folded,
                        OptLevel level);
 
-/// Compiles `form` and applies the physical knobs of `options` (whose
-/// level only labels the trace span).
-Result<PlannedQuery> PlanLevelForm(const Database& db, LevelForm form,
-                                   const PlannerOptions& options);
+/// Compiles `form` at form.level, whose matrix `ids` interned as `terms`,
+/// and applies the physical knobs of `options` (whose level only labels
+/// the trace span). The form is not consumed, so one form can be compiled
+/// for several candidates: the returned plan's `sf` is empty, and the
+/// caller moves form.sf into it.
+Result<PlannedQuery> PlanLevelForm(const LevelForm& form,
+                                   const PlannerOptions& options,
+                                   const PlanIds& ids,
+                                   const MatrixTermIds& terms);
 
 /// Normalise + optimise + compile. Performs adaptation rules 1 and 2.
 Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,

@@ -9,11 +9,6 @@ namespace pascalr {
 
 namespace {
 
-bool MonadicOver(const JoinTerm& t, const std::string& var) {
-  std::vector<std::string> vars = t.Variables();
-  return vars.size() == 1 && vars[0] == var;
-}
-
 /// The elimination recipe for one conjunction.
 struct ConjElimination {
   size_t conj = 0;
@@ -52,7 +47,7 @@ bool PlanElimination(const StandardForm& sf, const QuantifiedVar& qv,
     int dyadic_count = 0;
     for (const JoinTerm& t : conj.terms) {
       if (!t.References(vn)) continue;
-      if (MonadicOver(t, vn)) {
+      if (t.IsMonadicOver(vn)) {
         elim.vn_gates.push_back(t);
         continue;
       }

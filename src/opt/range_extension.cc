@@ -12,12 +12,6 @@ bool SameTermEither(const JoinTerm& a, const JoinTerm& b) {
   return a == b || a.Mirrored() == b;
 }
 
-/// True if `t` is monadic and references exactly `var`.
-bool MonadicOver(const JoinTerm& t, const std::string& var) {
-  std::vector<std::string> vars = t.Variables();
-  return vars.size() == 1 && vars[0] == var;
-}
-
 void AddToRestriction(RangeExpr* range, const JoinTerm& term) {
   FormulaPtr cmp = Formula::Compare(term);
   if (range->restriction == nullptr) {
@@ -54,7 +48,7 @@ std::vector<JoinTerm> ExtendExistential(StandardForm* sf,
   // disjunct that recur in all the others.
   std::vector<JoinTerm> candidates;
   for (const JoinTerm& t : sf->matrix.disjuncts[referencing[0]].terms) {
-    if (!MonadicOver(t, qv->var)) continue;
+    if (!t.IsMonadicOver(qv->var)) continue;
     bool everywhere = true;
     for (size_t k = 1; k < referencing.size() && everywhere; ++k) {
       const Conjunction& c = sf->matrix.disjuncts[referencing[k]];
@@ -90,7 +84,7 @@ std::vector<JoinTerm> ExtendUniversal(StandardForm* sf, QuantifiedVar* qv,
   std::vector<JoinTerm> moved;
   std::vector<Conjunction> kept;
   for (Conjunction& c : sf->matrix.disjuncts) {
-    if (c.terms.size() == 1 && MonadicOver(c.terms[0], qv->var)) {
+    if (c.terms.size() == 1 && c.terms[0].IsMonadicOver(qv->var)) {
       JoinTerm negated = c.terms[0].Negated();
       AddToRestriction(&qv->range, negated);
       moved.push_back(negated);
@@ -128,7 +122,7 @@ bool CnfExtendExistential(StandardForm* sf, QuantifiedVar* qv) {
     any_referencing = true;
     std::vector<FormulaPtr> monadics;
     for (const JoinTerm& t : c.terms) {
-      if (MonadicOver(t, qv->var)) monadics.push_back(Formula::Compare(t));
+      if (t.IsMonadicOver(qv->var)) monadics.push_back(Formula::Compare(t));
     }
     if (monadics.empty()) return false;  // this disjunct admits any element
     groups.push_back(Formula::And(std::move(monadics)));
@@ -160,7 +154,7 @@ bool CnfExtendUniversal(StandardForm* sf, QuantifiedVar* qv,
     bool pure_monadic =
         c.terms.size() >= 2 &&
         std::all_of(c.terms.begin(), c.terms.end(), [&](const JoinTerm& t) {
-          return MonadicOver(t, qv->var);
+          return t.IsMonadicOver(qv->var);
         });
     if (pure_monadic) {
       // NOT (m1 AND ... AND mk) == (NOT m1) OR ... OR (NOT mk).

@@ -66,8 +66,12 @@ ConjunctionLowering PlanConjunctionLowering(const QueryPlan& plan,
   ConjunctionLowering low;
   low.order = std::move(order);
   std::vector<std::vector<std::string>> input_cols;
-  for (size_t id : ids) input_cols.push_back(plan.structures[id].columns);
-  low.semi = SemiJoinEligible(low.order, input_cols, shape);
+  std::vector<std::vector<VarId>> input_ids;
+  for (size_t id : ids) {
+    input_cols.push_back(plan.structures[id].columns);
+    input_ids.push_back(shape.IdsOf(plan.structures[id].columns));
+  }
+  low.semi = SemiJoinEligible(low.order, input_ids, shape);
   low.steps.resize(low.order.size());
 
   // The first input is the driving stream.
@@ -124,7 +128,8 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
     std::vector<const RefRelation*> inputs;
     for (size_t id : ids) inputs.push_back(&coll.structures[id]);
     ConjunctionLowering low =
-        PlanConjunctionLowering(plan, conj, RuntimeJoinOrder(inputs), shape);
+        PlanConjunctionLowering(plan, conj,
+                                RuntimeJoinOrder(inputs, shape.ids), shape);
 
     // The first input is the driving stream.
     {

@@ -17,6 +17,7 @@
 
 #include "exec/plan.h"
 #include "joinorder/heuristics.h"
+#include "normalize/var_ids.h"
 
 namespace pascalr {
 
@@ -42,25 +43,33 @@ struct PipelineShape {
   std::vector<QuantifiedVar> tail;
   bool has_division = false;
 
+  /// The plan's variable ids (name order), and `needed` / `existential`
+  /// as masks over them.
+  VarIds ids;
+  std::vector<bool> needed_mask;
+  std::vector<bool> existential_mask;
+
   bool IsExistential(const std::string& var) const {
     for (const std::string& v : existential) {
       if (v == var) return true;
     }
     return false;
   }
+  /// Ids of `cols`, in the same order.
+  std::vector<VarId> IdsOf(const std::vector<std::string>& cols) const;
 };
 
 PipelineShape AnalyzePipelineShape(const QueryPlan& plan);
 
 /// Per-step semi-join eligibility for `order` joining inputs with the
-/// given column sets (input_cols[i] belongs to input i). A join step may
+/// given column sets (input_cols[i], ids under shape.ids, belongs to input
+/// i). A join step may
 /// emit each left row once at the first match — and drop the input's
 /// extra columns entirely — when every such column is purely existential
 /// and no later step or the output needs it. Indexed like `order`; the
 /// first step is false.
 std::vector<bool> SemiJoinEligible(
-    const JoinOrder& order,
-    const std::vector<std::vector<std::string>>& input_cols,
+    const JoinOrder& order, const std::vector<std::vector<VarId>>& input_cols,
     const PipelineShape& shape);
 
 }  // namespace pascalr

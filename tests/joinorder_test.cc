@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "calculus/printer.h"
 #include "exec/naive.h"
 #include "joinorder/heuristics.h"
@@ -20,12 +22,25 @@ using testing_util::MakeUniversityDb;
 using testing_util::QueryGenerator;
 using testing_util::TupleStrings;
 
+/// The column named `name`: columns are variable ids in name order.
+VarId Col(const std::string& name) {
+  static const VarIds* const kIds = new VarIds(std::map<std::string, int>{
+      {"a", 0}, {"b", 0}, {"c", 0}, {"x", 0}, {"y", 0}, {"z", 0}});
+  return kIds->Of(name);
+}
+
 EstRel MakeRel(double rows,
                std::vector<std::pair<std::string, double>> distinct) {
   EstRel rel;
   rel.rows = rows;
-  for (auto& [col, dc] : distinct) rel.distinct[col] = dc;
+  for (auto& [col, dc] : distinct) rel.Set(Col(col), dc);
   return rel;
+}
+
+/// Column `name`'s distinct count in `rel` (-1 when absent).
+double DistinctOf(const EstRel& rel, const std::string& name) {
+  const double* dc = rel.Find(Col(name));
+  return dc == nullptr ? -1.0 : *dc;
 }
 
 /// Input positions of `order`, in join order.
@@ -41,10 +56,10 @@ TEST(JoinEstimateTest, UsesContainmentAndCapsDistincts) {
   EstRel j = JoinEstimate(a, b);
   // 100 * 40 / max(50, 20) shared-column containment.
   EXPECT_DOUBLE_EQ(j.rows, 80.0);
-  EXPECT_DOUBLE_EQ(j.distinct.at("y"), 20.0);  // min of the two sides
-  EXPECT_DOUBLE_EQ(j.distinct.at("x"), 10.0);
-  EXPECT_DOUBLE_EQ(j.distinct.at("z"), 40.0);
-  EXPECT_EQ(SharedColumns(a, b), std::vector<std::string>{"y"});
+  EXPECT_DOUBLE_EQ(DistinctOf(j, "y"), 20.0);  // min of the two sides
+  EXPECT_DOUBLE_EQ(DistinctOf(j, "x"), 10.0);
+  EXPECT_DOUBLE_EQ(DistinctOf(j, "z"), 40.0);
+  EXPECT_EQ(SharedColumns(a, b), std::vector<VarId>{Col("y")});
 }
 
 TEST(GreedyJoinOrderTest, MirrorsExecutorTieBreaks) {
@@ -70,9 +85,9 @@ TEST(GreedyJoinOrderTest, StepsCarryJoinColumnsAndEstimates) {
   ASSERT_EQ(Inputs(order), (std::vector<size_t>{0, 1, 2}));
   EXPECT_TRUE(order[0].join_columns.empty());
   EXPECT_DOUBLE_EQ(order[0].est_rows, 10.0);  // the input's own rows
-  EXPECT_EQ(order[1].join_columns, std::vector<std::string>{"a"});
+  EXPECT_EQ(order[1].join_columns, std::vector<VarId>{Col("a")});
   EXPECT_DOUBLE_EQ(order[1].est_rows, 100.0);  // 10 * 100 / 10
-  EXPECT_EQ(order[2].join_columns, std::vector<std::string>{"a"});
+  EXPECT_EQ(order[2].join_columns, std::vector<VarId>{Col("a")});
   EXPECT_DOUBLE_EQ(order[2].est_rows, 100.0);  // 100 * 120 / 120
   EXPECT_TRUE(GreedyJoinOrder({}).empty());
 }
@@ -87,8 +102,8 @@ TEST(GreedyJoinOrderTest, DefersCartesianSteps) {
   };
   JoinOrder order = GreedyJoinOrder(connected);
   EXPECT_EQ(Inputs(order), (std::vector<size_t>{0, 2, 1}));
-  EXPECT_EQ(order[1].join_columns, std::vector<std::string>{"a"});
-  EXPECT_EQ(order[2].join_columns, std::vector<std::string>{"b"});
+  EXPECT_EQ(order[1].join_columns, std::vector<VarId>{Col("a")});
+  EXPECT_EQ(order[2].join_columns, std::vector<VarId>{Col("b")});
 
   // Nothing connects: the smallest remaining input is a Cartesian step.
   std::vector<EstRel> disconnected = {

@@ -104,6 +104,43 @@ TEST(PermanentIndexTest, StaleIndexIsNotUsed) {
   EXPECT_EQ(FirstStrings(run->tuples).count("Erin"), 1u);
 }
 
+/// True when the kAuto search of kQuery listed a permanent-index
+/// candidate.
+bool SearchConsidersPermanent(const Database& db) {
+  PlannerOptions options;
+  options.level = OptLevel::kAuto;
+  Result<PlannedQuery> planned = PlanQuery(db, MustBind(db, kQuery), options);
+  EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+  return planned.ok() &&
+         planned->cost_candidates.find("/perm") != std::string::npos;
+}
+
+TEST(PermanentIndexTest, SearchTriesPermanentIndexesOnlyWhenOneIsFresh) {
+  auto db = MakeUniversityDb();
+  ASSERT_TRUE(db->AnalyzeAll().ok());
+  EXPECT_FALSE(SearchConsidersPermanent(*db)) << "no index";
+
+  // An index over a relation the query does not range over cannot help.
+  ASSERT_TRUE(db->EnsureIndex("papers", "penr", false).ok());
+  EXPECT_FALSE(SearchConsidersPermanent(*db)) << "index on papers only";
+
+  ASSERT_TRUE(db->EnsureIndex("timetable", "tenr", false).ok());
+  EXPECT_TRUE(SearchConsidersPermanent(*db)) << "fresh index";
+
+  // A mutation makes the index stale.
+  Relation* timetable = db->FindRelation("timetable");
+  ASSERT_TRUE(timetable
+                  ->Insert(Tuple{Value::MakeInt(5), Value::MakeInt(10),
+                                 Value::MakeEnum(2), Value::MakeInt(9001000),
+                                 Value::MakeString("R7")})
+                  .ok());
+  ASSERT_TRUE(db->AnalyzeAll().ok());
+  EXPECT_FALSE(SearchConsidersPermanent(*db)) << "stale index";
+
+  ASSERT_TRUE(db->EnsureIndex("timetable", "tenr", false).ok());
+  EXPECT_TRUE(SearchConsidersPermanent(*db)) << "rebuilt index";
+}
+
 TEST(PermanentIndexTest, GatedSpecsNeverUsePermanent) {
   auto db = MakeUniversityDb();
   ASSERT_TRUE(db->EnsureIndex("timetable", "tenr", false).ok());
