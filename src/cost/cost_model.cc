@@ -196,7 +196,9 @@ class CostWalker {
 
   /// Elements of `v`'s range: recorded by its scan action, else estimated.
   double RangeSize(VarId v) {
-    if (range_size_[v] < 0.0) range_size_[v] = sel_.RangeSize(shape_.ids.Name(v));
+    if (range_size_[v] < 0.0) {
+      range_size_[v] = sel_.RangeSize(shape_.ids.Name(v));
+    }
     return range_size_[v];
   }
 
@@ -230,18 +232,18 @@ class CostWalker {
     has_division_ = shape.has_division;
     if (plan_.sf.matrix.IsFalse()) return;
 
-    // Active variables' range sizes; a structure column without one (none
-    // in practice) is bounded by the structure's rows instead.
-    const size_t num_vars = shape.ids.size();
-    std::vector<double> range_size(num_vars, 0.0);
-    std::vector<bool> has_range(num_vars, false);
+    // Active variables bound their columns' distinct counts by their
+    // range sizes; a structure column of no active variable (none in
+    // practice) is bounded by the structure's rows instead.
+    std::vector<bool> is_active(shape.ids.size(), false);
     std::vector<VarId> active;
     for (const QuantifiedVar& qv : shape.active) {
       const VarId v = shape.ids.Of(qv.var);
       active.push_back(v);
-      range_size[v] = RangeSize(v);
-      has_range[v] = true;
+      is_active[v] = true;
+      RangeSize(v);
     }
+    const std::vector<double>& range_size = range_size_;
     std::vector<VarId> needed;
     for (const std::string& col : shape.needed) {
       needed.push_back(shape.ids.Of(col));
@@ -262,7 +264,7 @@ class CostWalker {
         EstRel e;
         e.rows = structure_rows_[id];
         for (VarId col : structure_cols_[id]) {
-          e.Set(col, std::min(e.rows, has_range[col] ? range_size[col]
+          e.Set(col, std::min(e.rows, is_active[col] ? range_size[col]
                                                      : e.rows));
         }
         inputs.push_back(std::move(e));

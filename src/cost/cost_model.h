@@ -11,6 +11,13 @@
 //                  (src/joinorder/), ranked on estimated structure sizes:
 //                  semi-joins, extensions, the dedup sink, division;
 //   construction - dereferences per result row and output component.
+//
+// The combination walk keys its estimated relations by VarId
+// (normalize/var_ids.h): the plan's variables numbered in name order, the
+// order the walk once iterated a std::map keyed by name, so every sum and
+// product over columns runs in the same sequence and estimates stay
+// bit-identical. Each variable's range size is taken from the collection
+// walk's own restriction estimate instead of being re-estimated.
 
 #ifndef PASCALR_COST_COST_MODEL_H_
 #define PASCALR_COST_COST_MODEL_H_

@@ -7,7 +7,12 @@
 // Each distinct plan is compiled once: the query is normalized once per
 // search, and a level whose own step is a no-op (no range extended, rule 2
 // abandoned the extension, no quantifier pushed) is the level below's plan
-// and is listed as "O4: same plan as O3 (no quantifier pushed)". Sorted
+// and is listed as "O4: same plan as O3 (no quantifier pushed)". Levels
+// 0-2 compile the one folded form; only levels 3 and 4 get copies, which
+// their rewrites need. Candidates borrow their form to be priced and the
+// winner keeps it. One PlanIds table (opt/scan_plan.h) serves the whole
+// search: each form's terms are interned once, and the naive lower bound
+// counts distinct terms by the same ids the naive plan interns by. Sorted
 // transient indexes in place of hash ones are not searched: they only add
 // a non-negative cost nudge to the hash variant, so they cannot win.
 //
