@@ -12,7 +12,9 @@
 //
 // BM_PlanSearch times the search alone (PlanQuery under kAuto, nothing
 // executed) over a fixed set of generated selections: the cold-statement
-// cost a plan-cache miss pays.
+// cost a plan-cache miss pays. The set comes from tests/query_gen.h, whose
+// draw order the golden table of plan_search_equivalence_test pins, so it
+// does not shift unnoticed.
 
 #include <benchmark/benchmark.h>
 
@@ -101,10 +103,12 @@ void BM_PlanSearch(benchmark::State& state) {
   testing_util::QueryGenerator gen(1);
   Binder binder(db.get());
   for (size_t i = 0; i < 16; ++i) {
-    SelectionExpr shapes[] = {
-        gen.RandomSelection(3),          gen.RandomSelectionTwoFree(2),
-        gen.RandomChainSelection(3 + i % 3), gen.RandomStarSelection(2 + i % 3),
-        gen.RandomCycleSelection(3 + i % 2), gen.RandomAllOverConjunction()};
+    SelectionExpr shapes[] = {gen.RandomSelection(3),
+                              gen.RandomSelectionTwoFree(2),
+                              gen.RandomChainSelection(3 + i % 3),
+                              gen.RandomStarSelection(2 + i % 3),
+                              gen.RandomCycleSelection(3 + i % 2),
+                              gen.RandomAllOverConjunction()};
     for (SelectionExpr& sel : shapes) {
       Result<BoundQuery> bound = binder.Bind(std::move(sel));
       if (!bound.ok()) std::abort();
