@@ -112,7 +112,7 @@ void RunCombination(benchmark::State& state) {
       benchmark::DoNotOptimize(results);
       continue;
     }
-    Result<Cursor> cursor = Cursor::Open(plan, *db, nullptr);
+    Result<Cursor> cursor = Cursor::Open(plan, *db);
     if (!cursor.ok()) std::abort();
     Tuple t;
     results = 0;
@@ -177,7 +177,7 @@ void RunCollection(benchmark::State& state) {
   ExecStats last;
   size_t results = 0;
   for (auto _ : state) {
-    Result<Cursor> cursor = Cursor::Open(plan, *db, nullptr);
+    Result<Cursor> cursor = Cursor::Open(plan, *db);
     if (!cursor.ok()) std::abort();
     Tuple t;
     results = 0;
@@ -373,7 +373,7 @@ void RunBatchSweepCursor(benchmark::State& state) {
   ExecStats last;
   size_t results = 0;
   for (auto _ : state) {
-    Result<Cursor> cursor = Cursor::Open(plan, *db, nullptr);
+    Result<Cursor> cursor = Cursor::Open(plan, *db);
     if (!cursor.ok()) std::abort();
     Tuple t;
     results = 0;
@@ -427,7 +427,7 @@ void RunDrainLatency(benchmark::State& state) {
   size_t results = 0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    Result<Cursor> cursor = Cursor::Open(plan, *db, nullptr);
+    Result<Cursor> cursor = Cursor::Open(plan, *db);
     if (!cursor.ok()) std::abort();
     Tuple t;
     results = 0;
@@ -485,7 +485,7 @@ void RunStmtStatsFoldOverhead(benchmark::State& state) {
   StmtStatsStore store;
   auto drain = [&](bool fold) -> uint64_t {
     const auto t0 = std::chrono::steady_clock::now();
-    Result<Cursor> cursor = Cursor::Open(plan, *db, nullptr);
+    Result<Cursor> cursor = Cursor::Open(plan, *db);
     if (!cursor.ok()) std::abort();
     Tuple t;
     uint64_t rows = 0;

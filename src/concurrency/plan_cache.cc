@@ -1,7 +1,5 @@
 #include "concurrency/plan_cache.h"
 
-#include <algorithm>
-
 #include "base/atomic_util.h"
 #include "base/str_util.h"
 #include "opt/planner.h"
@@ -14,73 +12,32 @@ std::string EncodePlannerOptions(const PlannerOptions& o) {
                    o.batch_size);
 }
 
-bool SharedPlanCache::Lookup(const std::string& key,
-                             SharedPlanEntry* out) const {
+std::shared_ptr<const SharedPlanEntry> SharedPlanCache::Lookup(
+    const std::string& key) const {
   MutexLock lock(mu_);
   auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  *out = it->second;
-  return true;
+  return it == entries_.end() ? nullptr : it->second;
 }
 
-void SharedPlanCache::Insert(const std::string& key, SharedPlanEntry entry) {
+void SharedPlanCache::Insert(const std::string& key,
+                             std::shared_ptr<const SharedPlanEntry> entry) {
   MutexLock lock(mu_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second = std::move(entry);  // replace in place; keeps FIFO position
-    return;
-  }
-  entries_.emplace(key, std::move(entry));
+  auto [it, inserted] = entries_.insert_or_assign(key, std::move(entry));
+  (void)it;
+  if (!inserted) return;  // replaced in place; keeps its FIFO position
   insertion_order_.push_back(key);
-  EvictIfNeededLocked();
-}
-
-void SharedPlanCache::EvictIfNeededLocked() {
-  while (entries_.size() > capacity_ && !insertion_order_.empty()) {
+  while (entries_.size() > kCapacity) {
     entries_.erase(insertion_order_.front());
     insertion_order_.pop_front();
   }
 }
 
 void SharedPlanCache::RecordHit() {
-  {
-    MutexLock lock(mu_);
-    ++hits_;
-  }
-  if (counters_ != nullptr) {
-    RelaxedFetchAdd(counters_->shared_plan_hits, 1);
-  }
+  if (counters_ != nullptr) RelaxedFetchAdd(counters_->shared_plan_hits, 1);
 }
 
 void SharedPlanCache::RecordMiss() {
-  {
-    MutexLock lock(mu_);
-    ++misses_;
-  }
-  if (counters_ != nullptr) {
-    RelaxedFetchAdd(counters_->shared_plan_misses, 1);
-  }
-}
-
-uint64_t SharedPlanCache::hits() const {
-  MutexLock lock(mu_);
-  return hits_;
-}
-
-uint64_t SharedPlanCache::misses() const {
-  MutexLock lock(mu_);
-  return misses_;
-}
-
-size_t SharedPlanCache::size() const {
-  MutexLock lock(mu_);
-  return entries_.size();
-}
-
-void SharedPlanCache::Clear() {
-  MutexLock lock(mu_);
-  entries_.clear();
-  insertion_order_.clear();
+  if (counters_ != nullptr) RelaxedFetchAdd(counters_->shared_plan_misses, 1);
 }
 
 std::vector<SharedPlanCache::Description> SharedPlanCache::Describe() const {
@@ -90,9 +47,10 @@ std::vector<SharedPlanCache::Description> SharedPlanCache::Describe() const {
   for (const auto& [key, entry] : entries_) {
     Description d;
     d.key = key;
-    d.stats_epoch = entry.stats_epoch;
-    d.relations = entry.rel_mods.size();
-    d.param_probes = entry.template_range_empty.size() + entry.plan_probes.size();
+    d.stats_epoch = entry->stamp.stats_epoch;
+    d.relations = entry->stamp.rel_mods.size();
+    d.param_probes = entry->stamp.param_range_empty.size() +
+                     entry->stamp.prefix_range_empty.size();
     out.push_back(std::move(d));
   }
   return out;

@@ -237,8 +237,8 @@ class CostWalker {
     // practice) is bounded by the structure's rows instead.
     std::vector<bool> is_active(shape.ids.size(), false);
     std::vector<VarId> active;
-    for (const QuantifiedVar& qv : shape.active) {
-      const VarId v = shape.ids.Of(qv.var);
+    for (const QuantifiedVar* qv : shape.active) {
+      const VarId v = shape.ids.Of(qv->var);
       active.push_back(v);
       is_active[v] = true;
       RangeSize(v);
@@ -331,7 +331,7 @@ class CostWalker {
       EstRel cur = sink;
       double live = cur.rows;
       for (size_t i = shape.tail.size(); i-- > 0;) {
-        const QuantifiedVar& qv = shape.tail[i];
+        const QuantifiedVar& qv = *shape.tail[i];
         if (qv.quantifier == Quantifier::kFree) break;
         const VarId v = active[i];  // the tail is a prefix of `active`
         double rows_out;

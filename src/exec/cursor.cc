@@ -30,27 +30,23 @@ Cursor& Cursor::operator=(Cursor&& other) noexcept {
   Close();
   plan_ = std::move(other.plan_);
   db_ = other.db_;
-  sink_ = other.sink_;
   close_hook_ = std::move(other.close_hook_);
   run_ = std::move(other.run_);
   open_ = other.open_;
-  // The moved-from cursor must not flush the sink (or fire the close
-  // hook) again on destruction.
+  // The moved-from cursor must not fire the close hook again on
+  // destruction.
   other.open_ = false;
-  other.sink_ = nullptr;
   other.close_hook_ = nullptr;
   other.plan_.reset();
   return *this;
 }
 
 Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
-                            const Database& db, ExecStats* sink,
-                            PipelineProfile* profile) {
+                            const Database& db, PipelineProfile* profile) {
   if (plan == nullptr) return Status::InvalidArgument("cursor needs a plan");
   Cursor c;
   c.plan_ = std::move(plan);
   c.db_ = &db;
-  c.sink_ = sink;
   c.run_ = std::make_unique<RunState>();
   RunState& run = *c.run_;
   run.snapshot = CurrentSnapshotRef();
@@ -113,6 +109,15 @@ Result<bool> Cursor::Next(Tuple* out) {
     if (produced) ++p->rows_out;
   }
   return result;
+}
+
+Status Cursor::DrainInto(std::vector<Tuple>* out) {
+  Tuple tuple;
+  while (true) {
+    PASCALR_ASSIGN_OR_RETURN(bool more, Next(&tuple));
+    if (!more) return Status::OK();
+    out->push_back(std::move(tuple));
+  }
 }
 
 Result<bool> Cursor::NextImpl(Tuple* out) {
@@ -179,7 +184,6 @@ void Cursor::Close() {
     // Tear down the iterator tree first: its operators hold pointers into
     // the plan and the collection builders.
     run_->pipeline.root.reset();
-    if (sink_ != nullptr) sink_->Merge(run_->stats);
     if (close_hook_) {
       // seen's size is exactly the emitted-tuple count (every emitted
       // tuple passes dedup), unlike rows_emitted which only counts when a
@@ -188,7 +192,6 @@ void Cursor::Close() {
     }
   }
   close_hook_ = nullptr;
-  sink_ = nullptr;
   plan_.reset();
 }
 

@@ -50,23 +50,24 @@ class Cursor {
   /// Runs the collection phase and compiles the pipeline over its
   /// structures. The cursor shares ownership of the plan, so it stays valid even if the
   /// caller's plan cache replans meanwhile.
-  /// `sink` (optional) receives this run's ExecStats exactly once, when
-  /// the cursor is closed or destroyed; it must outlive the cursor.
   /// `profile` (optional, EXPLAIN ANALYZE) receives one profiled node per
   /// pipeline operator plus a construction/dedup root. It must outlive
   /// the cursor. When null (every normal query) no instrumentation is
   /// inserted.
   static Result<Cursor> Open(std::shared_ptr<const QueryPlan> plan,
-                             const Database& db, ExecStats* sink = nullptr,
+                             const Database& db,
                              PipelineProfile* profile = nullptr);
 
   /// Produces the next result tuple into `*out`. Returns false when the
   /// result set is exhausted (or the cursor is closed).
   Result<bool> Next(Tuple* out);
 
-  /// Flushes stats to the sink, tears down the iterator tree (skipping
-  /// unperformed join work) and releases the plan.
-  /// Idempotent.
+  /// Calls Next until the result set is exhausted, appending every tuple
+  /// to `*out`.
+  Status DrainInto(std::vector<Tuple>* out);
+
+  /// Tears down the iterator tree (skipping unperformed join work), runs
+  /// the close hook and releases the plan. Idempotent.
   void Close();
 
   bool is_open() const { return open_; }
@@ -137,7 +138,6 @@ class Cursor {
 
   std::shared_ptr<const QueryPlan> plan_;
   const Database* db_ = nullptr;
-  ExecStats* sink_ = nullptr;
   std::function<void(const ExecStats&, uint64_t)> close_hook_;
   std::unique_ptr<RunState> run_;
   bool open_ = false;

@@ -189,12 +189,7 @@ Result<QueryRun> RunPlanned(const Database& db, PlannedQuery planned) {
         Cursor cursor,
         Cursor::Open(std::shared_ptr<const QueryPlan>(shared, &shared->plan),
                      db));
-    Tuple tuple;
-    while (true) {
-      PASCALR_ASSIGN_OR_RETURN(bool more, cursor.Next(&tuple));
-      if (!more) break;
-      run.tuples.push_back(std::move(tuple));
-    }
+    PASCALR_RETURN_IF_ERROR(cursor.DrainInto(&run.tuples));
     run.stats = cursor.stats();
     run.collection = cursor.ReleaseCollection();
   }

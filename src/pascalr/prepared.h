@@ -12,24 +12,30 @@
 //   }
 //
 // Prepare parses and binds once ($params are typed by the binder against
-// the components they are compared with). The first Execute substitutes
-// the bound values and runs cost-based planning — parameterized
-// selectivity is estimated from the actual values, so OptLevel::kAuto can
-// pick a different strategy level for a selective vs. a non-selective
-// binding. The compiled plan is cached keyed on the catalog stats epoch,
-// the referenced relations' mod_counts, and the session's planner
-// options; while the key matches, further Executes only re-patch the
-// parameter slots in place — zero parse / normalize / plan-search work
-// (asserted by tests against base/counters.h). A mutation or ANALYZE
-// changes the key and the next Execute transparently replans. Safety
-// wrinkle: when a parameter appears inside an extended range, its
-// emptiness (which drives the planner's runtime-adaptation rules) is
-// re-probed per execution, and a flip forces a replan — a stale cache
-// never returns wrong tuples.
+// the components they are compared with) and collects the template's
+// parameter-carrying ranges. The first execution substitutes the bound
+// values and runs cost-based planning — parameterized selectivity is
+// estimated from the actual values, so OptLevel::kAuto can pick a
+// different strategy level for a selective vs. a non-selective binding.
+// The compiled plan is cached with the session's planner options and one
+// PlanStamp (concurrency/plan_cache.h): the catalog stats epoch, the
+// referenced relations' mod_counts, and the plan-time emptiness of every
+// parameter-carrying range. While the options match and the stamp holds,
+// further executions only re-patch the parameter slots in place — zero
+// parse / normalize / plan-search work (asserted by tests against
+// base/counters.h). A mutation or ANALYZE breaks the stamp and the next
+// execution transparently replans. Safety wrinkle: the emptiness of a
+// range whose restriction holds a parameter drives the planner's
+// runtime-adaptation rules (Lemma 1, rule 2), so it is re-probed under the
+// new values on every execution, and a flip forces a replan — a stale
+// cache never returns wrong tuples. While concurrent serving is on, a
+// private miss first consults the database's shared plan cache, whose
+// entries carry the same stamp and pass the same check.
 //
 // Results stream through a pull-based Cursor (exec/cursor.h); Execute is
-// simply OpenCursor + drain. A PreparedQuery must not outlive its Session
-// (or the Database).
+// OpenCursor + drain, and the cursor's close accounts the run (session
+// totals, metrics, sys$statements) on either path. A PreparedQuery must
+// not outlive its Session (or the Database).
 
 #ifndef PASCALR_PASCALR_PREPARED_H_
 #define PASCALR_PASCALR_PREPARED_H_
@@ -40,6 +46,7 @@
 #include <vector>
 
 #include "base/status.h"
+#include "concurrency/plan_cache.h"
 #include "exec/cursor.h"
 #include "opt/params.h"
 #include "opt/planner.h"
@@ -74,16 +81,17 @@ class PreparedQuery {
   PreparedQuery() = default;  ///< empty shell; Session::Prepare makes real ones
 
   /// Runs the query with the given parameter values, materialising the
-  /// whole result (OpenCursor + drain). Statistics are added to the
-  /// session totals.
+  /// whole result: OpenCursor, drain, ReleaseCollection, Close — so it is
+  /// accounted exactly like a drained cursor.
   Result<PreparedExecution> Execute(const ParamBindings& params = {});
 
   /// Runs collection + combination and returns a streaming cursor over
   /// the result; construction work (dereference + projection + dedup)
   /// happens per Next() call, so a partially drained cursor never pays
-  /// for tuples nobody asked for. The cursor flushes its stats to the
-  /// session when closed and keeps the executed plan alive even if a
-  /// later Execute replans.
+  /// for tuples nobody asked for. Closing (or dropping) the cursor
+  /// accounts the run once: session totals (with the plan's replans on a
+  /// miss), session metrics and the sys$statements fold. The cursor keeps
+  /// the executed plan alive even if a later Execute replans.
   Result<Cursor> OpenCursor(const ParamBindings& params = {});
 
   /// EXPLAIN text of the currently cached plan (plans with the given
@@ -119,30 +127,32 @@ class PreparedQuery {
     /// drop + re-create — the template's schema resolutions are void.
     std::vector<std::pair<std::string, RelationId>> bound_relations;
 
-    // ---- plan cache (null until the first Execute) -------------------
+    /// Clones of the template's parameter-carrying ranges, in
+    /// CollectParamRanges order (collected at bind and rebind); the
+    /// stamp's param_range_empty is indexed like it.
+    std::vector<RangeExpr> param_ranges;
+
+    // ---- plan cache (null until the first execution) -----------------
     std::shared_ptr<PlannedQuery> planned;
-    uint64_t stamp_epoch = 0;  ///< Database::stats_epoch at plan time
-    std::vector<std::pair<std::string, uint64_t>> stamp_mods;
-    PlannerOptions stamp_options;
+    PlanStamp stamp;         ///< what `planned`'s validity rests on
+    PlannerOptions options;  ///< the session options it was compiled under
     ParamBindings last_bindings;  ///< values currently patched into the plan
-    /// Emptiness, at plan time, of every range whose restriction holds a
-    /// parameter: template-level user-written ranges (they may have been
-    /// folded out of the plan entirely — adaptation rule 1) and plan-
-    /// prefix ranges (strategy-3 extensions — rule 2). A flip under new
-    /// values invalidates the plan.
-    std::vector<std::pair<RangeExpr, bool>> template_probes;
-    std::vector<std::pair<size_t, bool>> plan_probes;
 
     PreparedStats stats;
 
     Status Rebind(const Database* db);
-    void RecordBoundRelations();
+    /// Derives param_types, bound_relations and param_ranges from a
+    /// freshly bound template_query.
+    void RecordTemplate();
   };
 
   /// Validates bindings, revalidates template + plan cache, replans if
   /// needed, and leaves state_->planned holding an executable plan whose
   /// parameter slots carry `params`. Sets *cache_hit.
   Status EnsurePlan(const ParamBindings& params, bool* cache_hit);
+
+  /// OpenCursor that also reports whether the cached plan was reused.
+  Result<Cursor> OpenCursor(const ParamBindings& params, bool* cache_hit);
 
   /// Moves the planning trail out (Session::Query assembling a QueryRun
   /// from a throwaway prepared query).

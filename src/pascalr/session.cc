@@ -164,31 +164,27 @@ Status Session::RunAssign(const AssignStmt& stmt) {
                            binder.Bind(stmt.selection.Clone()));
   Schema output_schema = bound.output_schema;
   const auto t0 = std::chrono::steady_clock::now();
-  PASCALR_ASSIGN_OR_RETURN(QueryRun run,
-                           RunQuery(*db_, std::move(bound), options_));
-  total_stats_.Merge(run.stats);
-  // Assignments run the one-shot path (no prepared layer), so they fold
-  // here — every query surface reports into sys$statements.
-  FoldStatementStats(
-      FormatSelection(stmt.selection),
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()),
-      run.tuples.size(), run.stats, /*plan_cache_hit=*/false,
-      /*max_qerror=*/0.0,
-      StrFormat("level=%s cache=off",
-                std::string(OptLevelToString(run.planned.plan.level)).c_str()));
+  PASCALR_ASSIGN_OR_RETURN(PlannedQuery planned,
+                           PlanQuery(*db_, std::move(bound), options_));
+  std::vector<Tuple> tuples;
+  {
+    PASCALR_ASSIGN_OR_RETURN(
+        Cursor cursor,
+        OpenAccountedCursor(std::make_shared<PlannedQuery>(std::move(planned)),
+                            FormatSelection(stmt.selection),
+                            /*plan_cache_hit=*/false, t0));
+    PASCALR_RETURN_IF_ERROR(cursor.DrainInto(&tuples));
+  }
 
-  // Create or replace the target relation. RunQuery drained and closed
-  // its cursor above, so a selection over the target itself has read the
-  // old contents before they are dropped.
+  // Create or replace the target relation. The cursor above was drained
+  // and closed, so a selection over the target itself has read the old
+  // contents before they are dropped.
   if (db_->FindRelation(stmt.target) != nullptr) {
     PASCALR_RETURN_IF_ERROR(db_->DropRelation(stmt.target));
   }
   PASCALR_ASSIGN_OR_RETURN(Relation * target,
                            db_->CreateRelation(stmt.target, output_schema));
-  for (Tuple& t : run.tuples) {
+  for (Tuple& t : tuples) {
     PASCALR_ASSIGN_OR_RETURN(Ref ignored, target->Insert(std::move(t)));
     (void)ignored;
   }
@@ -434,10 +430,17 @@ Status Session::ExecuteStatementImpl(const Statement& stmt) {
     if (planned.cost_based) {
       // EXPLAIN under cost-based mode also drains the chosen plan, so the
       // estimated counters can be judged against reality.
-      PASCALR_ASSIGN_OR_RETURN(QueryRun run,
-                               RunPlanned(*db_, std::move(planned)));
-      total_stats_.Merge(run.stats);
-      Emit(ExplainEstimatedVsActual(run.planned, run.stats));
+      auto shared = std::make_shared<const PlannedQuery>(std::move(planned));
+      PASCALR_ASSIGN_OR_RETURN(
+          Cursor cursor,
+          OpenAccountedCursor(shared, FormatSelection(explain->selection),
+                              /*plan_cache_hit=*/false,
+                              std::chrono::steady_clock::now()));
+      std::vector<Tuple> discarded;
+      PASCALR_RETURN_IF_ERROR(cursor.DrainInto(&discarded));
+      const ExecStats actual = cursor.stats();
+      cursor.Close();
+      Emit(ExplainEstimatedVsActual(*shared, actual));
     }
     return Status::OK();
   }
@@ -480,6 +483,48 @@ Status Session::ExecuteStatementImpl(const Statement& stmt) {
     return Status::OK();
   }
   return Status::Internal("unknown statement kind");
+}
+
+Result<Cursor> Session::OpenAccountedCursor(
+    std::shared_ptr<const PlannedQuery> planned, std::string fingerprint,
+    bool plan_cache_hit, std::chrono::steady_clock::time_point t0,
+    PipelineProfile* profile) {
+  // A reused plan's replans were accounted by the run that compiled it.
+  const uint64_t replans = plan_cache_hit ? 0 : planned->replans;
+  std::string summary = StrFormat(
+      "level=%s cache=%s",
+      std::string(OptLevelToString(planned->plan.level)).c_str(),
+      plan_cache_hit ? "hit" : "miss");
+  std::shared_ptr<const QueryPlan> plan(planned, &planned->plan);
+  PASCALR_ASSIGN_OR_RETURN(
+      Cursor cursor,
+      Cursor::Open(std::move(plan), *db_, profile));
+  // The accounting runs when the cursor closes — also for a half-drained
+  // cursor the client abandons — so latency covers plan + drain, and rows
+  // are whatever was actually emitted.
+  cursor.set_close_hook([this, fingerprint = std::move(fingerprint),
+                         summary = std::move(summary), plan_cache_hit,
+                         replans, t0, profile](const ExecStats& run,
+                                               uint64_t rows) {
+    ExecStats stats = run;
+    stats.replans = replans;
+    total_stats_.Merge(stats);
+    const uint64_t latency_us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    metrics_.counter("query.count").Inc();
+    metrics_.histogram("query.latency_us").Record(latency_us);
+    if (replans > 0) metrics_.counter("query.replans").Inc(replans);
+    if (stats.structure_elements_built > 0) {
+      metrics_.counter("collection.elements_built")
+          .Inc(stats.structure_elements_built);
+    }
+    FoldStatementStats(fingerprint, latency_us, rows, stats, plan_cache_hit,
+                       profile == nullptr ? 0.0 : MaxQError(*profile),
+                       summary);
+  });
+  return cursor;
 }
 
 void Session::FoldStatementStats(const std::string& fingerprint,
@@ -556,8 +601,7 @@ Result<PreparedQuery> Session::PrepareSelection(SelectionExpr selection) {
     PASCALR_ASSIGN_OR_RETURN(state->template_query,
                              binder.Bind(std::move(selection)));
   }
-  state->param_types = state->template_query.params;
-  state->RecordBoundRelations();
+  state->RecordTemplate();
   PreparedQuery prepared;
   prepared.session_ = this;
   prepared.state_ = std::move(state);
@@ -566,7 +610,7 @@ Result<PreparedQuery> Session::PrepareSelection(SelectionExpr selection) {
 
 Result<QueryRun> Session::Query(std::string_view selection_source) {
   // Thin compatibility wrapper: Prepare + Execute (no parameters) + drain.
-  // Execute accumulates the stats into total_stats_ itself.
+  // Execute's cursor accounts the run when it closes.
   PASCALR_RETURN_IF_ERROR(RefreshSystemViewsForSource(db_, selection_source));
   ScopedSystemViewPin pin;
   ScopedTracerInstall install_tracer(active_tracer());
@@ -692,20 +736,17 @@ Result<std::string> Session::ExplainAnalyzeSelection(SelectionExpr selection) {
   }
   PASCALR_ASSIGN_OR_RETURN(PlannedQuery planned,
                            PlanQuery(*db_, std::move(bound), options_));
-  // Shared ownership mirrors the prepared-query path: the cursor keeps the
-  // plan alive through an aliasing pointer into the PlannedQuery.
-  auto shared = std::make_shared<PlannedQuery>(std::move(planned));
-  std::shared_ptr<const QueryPlan> plan(shared, &shared->plan);
+  auto shared = std::make_shared<const PlannedQuery>(std::move(planned));
 
   // Execute with profiling on. The result tuples are drained and
   // discarded — EXPLAIN ANALYZE reports about the run, it does not return
-  // rows — but the run is a real one: it feeds total_stats() and the
-  // latency histogram exactly like Execute.
+  // rows — but the run is a real one, accounted like any other query.
   PipelineProfile profile;
   const auto t0 = std::chrono::steady_clock::now();
   PASCALR_ASSIGN_OR_RETURN(
-      Cursor cursor,
-      Cursor::Open(plan, *db_, /*sink=*/nullptr, &profile));
+      Cursor cursor, OpenAccountedCursor(shared, fingerprint,
+                                         /*plan_cache_hit=*/false, t0,
+                                         &profile));
   size_t result_tuples = 0;
   Tuple tuple;
   while (true) {
@@ -714,23 +755,12 @@ Result<std::string> Session::ExplainAnalyzeSelection(SelectionExpr selection) {
     ++result_tuples;
   }
   ExecStats stats = cursor.stats();
-  cursor.Close();
   stats.replans = shared->replans;
-  total_stats_.Merge(stats);
+  cursor.Close();
   const uint64_t wall_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  metrics_.counter("query.count").Inc();
-  metrics_.histogram("query.latency_us").Record(wall_ns / 1000);
-  if (stats.replans > 0) {
-    metrics_.counter("query.replans").Inc(stats.replans);
-  }
-  FoldStatementStats(
-      fingerprint, wall_ns / 1000, result_tuples, stats,
-      /*plan_cache_hit=*/false, MaxQError(profile),
-      StrFormat("level=%s cache=miss",
-                std::string(OptLevelToString(shared->plan.level)).c_str()));
 
   std::string report = ExplainPlan(*shared);
   report +=

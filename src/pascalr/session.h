@@ -12,7 +12,9 @@
 #ifndef PASCALR_PASCALR_SESSION_H_
 #define PASCALR_PASCALR_SESSION_H_
 
+#include <chrono>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 
@@ -84,9 +86,12 @@ class Session {
   /// EXPLAIN ANALYZE: plans AND executes the selection, returning the
   /// plan rendering plus the operator tree annotated with actual rows,
   /// per-operator self-time, and estimated-vs-actual q-error. The
-  /// instrumented run feeds total_stats() and the metrics registry like
-  /// any other query; its result tuples are discarded (tests prove they
-  /// are identical to an uninstrumented run's).
+  /// instrumented run opens its cursor through the same accounting
+  /// helper as Execute and OpenCursor, so it feeds total_stats(), the
+  /// metrics registry and sys$statements (its profile supplying the
+  /// row's q-error) like any other query; its result tuples are
+  /// discarded (tests prove they are identical to an uninstrumented
+  /// run's).
   Result<std::string> ExplainAnalyze(std::string_view selection_source);
   /// EXPLAIN ANALYZE for an already-parsed selection (the statement path).
   Result<std::string> ExplainAnalyzeSelection(SelectionExpr selection);
@@ -149,10 +154,25 @@ class Session {
   /// relation by name).
   std::string StatementSourceForRefresh(const Statement& stmt);
 
+  /// Opens a cursor over `planned`'s plan whose close hook accounts the
+  /// run, once, for every query surface (Execute, OpenCursor, `:=`,
+  /// EXPLAIN's cost-based drain, EXPLAIN ANALYZE): it merges the run's stats — plus the plan's
+  /// replans when the plan was not a cache hit — into total_stats(),
+  /// records query.count, query.latency_us (measured from `t0`),
+  /// query.replans and collection.elements_built, and calls
+  /// FoldStatementStats under `fingerprint`. `profile` (EXPLAIN ANALYZE)
+  /// is passed to Cursor::Open and supplies the fold's max q-error; it
+  /// must outlive the cursor, as must this session.
+  Result<Cursor> OpenAccountedCursor(
+      std::shared_ptr<const PlannedQuery> planned, std::string fingerprint,
+      bool plan_cache_hit, std::chrono::steady_clock::time_point t0,
+      PipelineProfile* profile = nullptr);
+
   /// Folds one completed query run into the database-wide observability
   /// surfaces: the statement-statistics store, the session registry, the
   /// server metrics, and — when armed and over threshold — the slow-query
-  /// log. Called once per statement, after the run's cursor has closed.
+  /// log. Called only from OpenAccountedCursor's close hook
+  /// (tools/lint_invariants.py, rule stmt-accounting).
   void FoldStatementStats(const std::string& fingerprint, uint64_t latency_us,
                           uint64_t rows, const ExecStats& stats,
                           bool plan_cache_hit, double max_qerror,

@@ -175,7 +175,8 @@ Result<RefIteratorPtr> CompileConjunction(const QueryPlan& plan, size_t conj,
   // joins witnessed them; absent everywhere, a non-empty range is the
   // whole existence proof (and an empty one annihilates the conjunct,
   // exactly like the materializing path's product with an empty range).
-  for (const QuantifiedVar& qv : shape.active) {
+  for (const QuantifiedVar* active : shape.active) {
+    const QuantifiedVar& qv = *active;
     if (IndexOf(cols, qv.var) >= 0) continue;
     if (shape.IsExistential(qv.var)) {
       bool in_structures = false;
@@ -280,11 +281,15 @@ Result<CompiledPipeline> CompilePipeline(const QueryPlan& plan,
   int root_node = -1;
   if (shape.has_division) {
     // Universal quantification is inherently blocking: buffer the needed
-    // columns (set semantics) and run the tail right-to-left.
+    // columns (set semantics) and run the tail right-to-left. The iterator
+    // owns copies of the tail quantifiers.
+    std::vector<QuantifiedVar> tail;
+    tail.reserve(shape.tail.size());
+    for (const QuantifiedVar* qv : shape.tail) tail.push_back(qv->Clone());
     out.root = ProfileWrap(
         profile,
         RefIteratorPtr(new QuantifierTailIter(
-            std::move(stream), std::move(shape.tail), shape.needed,
+            std::move(stream), std::move(tail), shape.needed,
             shape.free_names, &coll, stats, tracker)),
         "quantifier-tail", -1.0, {stream_node}, &root_node);
     if (profile != nullptr) profile->SetRoot(root_node);

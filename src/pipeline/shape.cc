@@ -7,20 +7,20 @@ PipelineShape AnalyzePipelineShape(const QueryPlan& plan) {
   shape.active.reserve(plan.sf.prefix.size());
   shape.needed.reserve(plan.sf.prefix.size());
   for (const QuantifiedVar& qv : plan.sf.prefix) {
-    if (!plan.IsEliminated(qv.var)) shape.active.push_back(qv.Clone());
+    if (!plan.IsEliminated(qv.var)) shape.active.push_back(&qv);
   }
-  for (const QuantifiedVar& qv : shape.active) {
-    if (qv.quantifier == Quantifier::kFree) {
-      shape.free_names.push_back(qv.var);
+  for (const QuantifiedVar* qv : shape.active) {
+    if (qv->quantifier == Quantifier::kFree) {
+      shape.free_names.push_back(qv->var);
     }
   }
   size_t last_all = shape.active.size();
   for (size_t i = 0; i < shape.active.size(); ++i) {
-    if (shape.active[i].quantifier == Quantifier::kAll) last_all = i;
+    if (shape.active[i]->quantifier == Quantifier::kAll) last_all = i;
   }
   shape.has_division = last_all != shape.active.size();
   for (size_t i = 0; i < shape.active.size(); ++i) {
-    const QuantifiedVar& qv = shape.active[i];
+    const QuantifiedVar& qv = *shape.active[i];
     bool survives = qv.quantifier == Quantifier::kFree ||
                     (shape.has_division && i <= last_all);
     if (survives) {
@@ -31,7 +31,7 @@ PipelineShape AnalyzePipelineShape(const QueryPlan& plan) {
   }
   if (shape.has_division) {
     for (size_t i = 0; i <= last_all; ++i) {
-      shape.tail.push_back(shape.active[i].Clone());
+      shape.tail.push_back(shape.active[i]);
     }
   }
   // The form's variables; prefix variables too, for plans built without

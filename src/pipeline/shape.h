@@ -24,7 +24,8 @@ namespace pascalr {
 struct PipelineShape {
   /// The prefix minus strategy-4 eliminations, in prefix order (free
   /// variables first by construction) — §3.3's n-tuple variables.
-  std::vector<QuantifiedVar> active;
+  /// Borrowed from plan.sf.prefix: the shape must not outlive the plan.
+  std::vector<const QuantifiedVar*> active;
   std::vector<std::string> free_names;
   /// Columns a conjunction's stream must deliver upward: the free
   /// variables plus every quantified variable up to and including the
@@ -39,8 +40,8 @@ struct PipelineShape {
   std::vector<std::string> existential;
   /// active[0 .. last ALL], the quantifiers the blocking tail evaluates
   /// right-to-left over the buffered stream. Empty when no ALL survives —
-  /// the stream then feeds a dedup sink directly.
-  std::vector<QuantifiedVar> tail;
+  /// the stream then feeds a dedup sink directly. Borrowed, like active.
+  std::vector<const QuantifiedVar*> tail;
   bool has_division = false;
 
   /// The plan's variable ids (name order), and `needed` / `existential`

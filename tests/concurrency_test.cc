@@ -7,9 +7,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -309,6 +312,75 @@ TEST(ConcurrencyTest, SharedPlanCacheRejectsStaleEntryAfterWrite) {
   EXPECT_EQ(v1.shared_plan_hits, v0.shared_plan_hits);
   EXPECT_GT(v1.shared_plan_misses, v0.shared_plan_misses);
   EXPECT_EQ(FirstStrings(r2->tuples).count("New"), 1u);
+}
+
+// The shared-adoption side of the emptiness guard. The ALL ranges over
+// an extended range whose contents depend on $y: when no paper has
+// pyear = $y the range is empty and Lemma-1 folding makes the ALL
+// vacuously true, so a plan compiled for a non-empty binding is wrong
+// for an empty one (and vice versa) — no session may adopt a shared
+// entry across that flip, while an entry whose verdict matches is
+// adopted.
+TEST(ConcurrencyTest, SharedAdoptionNeverCrossesParamEmptinessFlip) {
+  const std::string src =
+      "[<e.ename> OF EACH e IN employees:"
+      " ALL p IN [EACH p IN papers: p.pyear = $y] (e.enr <> p.penr)]";
+  auto db = MakeUniversityDb();
+  SessionManager manager(db.get());
+
+  std::map<int64_t, std::multiset<std::string>> literal;
+  {
+    auto oracle = manager.CreateSession();
+    for (int64_t y : {1977, 1399, 1976}) {
+      std::string text = src;
+      text.replace(text.find("$y"), 2, std::to_string(y));
+      auto run = oracle->Query(text);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      literal[y] = TupleStrings(run->tuples);
+    }
+  }
+  ASSERT_NE(literal[1977], literal[1399]);
+
+  struct Step {
+    int64_t y;
+    bool plan_cache_hit;
+    uint64_t shared_hits;
+    uint64_t shared_misses;
+  };
+  auto run_steps = [&](PreparedQuery* prepared,
+                       const std::vector<Step>& steps) {
+    for (const Step& step : steps) {
+      auto v0 = manager.counters();
+      auto exec = prepared->Execute({{"y", Value::MakeInt(step.y)}});
+      auto v1 = manager.counters();
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      EXPECT_EQ(TupleStrings(exec->tuples), literal[step.y]) << "y=" << step.y;
+      EXPECT_EQ(exec->plan_cache_hit, step.plan_cache_hit) << "y=" << step.y;
+      EXPECT_EQ(v1.shared_plan_hits - v0.shared_plan_hits, step.shared_hits)
+          << "y=" << step.y;
+      EXPECT_EQ(v1.shared_plan_misses - v0.shared_plan_misses,
+                step.shared_misses)
+          << "y=" << step.y;
+    }
+  };
+
+  auto a = manager.CreateSession();
+  auto b = manager.CreateSession();
+  auto c = manager.CreateSession();
+  auto pa = a->Prepare(src);
+  auto pb = b->Prepare(src);
+  auto pc = c->Prepare(src);
+  ASSERT_TRUE(pa.ok() && pb.ok() && pc.ok());
+
+  // A compiles and publishes the non-empty (1977) plan.
+  run_steps(&*pa, {{1977, false, 0, 1}});
+  // B: 1399 empties the range, so A's entry is refused and B publishes
+  // its own; 1977 flips B's private plan and refuses that entry; 1976
+  // keeps the non-empty verdict and reuses B's private plan.
+  run_steps(&*pb, {{1399, false, 0, 1}, {1977, false, 0, 1},
+                   {1976, true, 0, 0}});
+  // C adopts B's non-empty entry for 1976, then refuses it for 1399.
+  run_steps(&*pc, {{1976, true, 1, 0}, {1399, false, 0, 1}});
 }
 
 TEST(ConcurrencyTest, SharedCacheKeySeparatesPlannerOptions) {

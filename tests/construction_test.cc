@@ -165,10 +165,11 @@ struct Drain {
 Drain DrainCursor(std::shared_ptr<const QueryPlan> plan, const Database& db,
                   size_t k) {
   Drain drain;
-  Result<Cursor> cursor = Cursor::Open(std::move(plan), db, &drain.stats);
+  Result<Cursor> cursor = Cursor::Open(std::move(plan), db);
   EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
   if (!cursor.ok()) return drain;
-  cursor->set_close_hook([&drain](const ExecStats&, uint64_t emitted) {
+  cursor->set_close_hook([&drain](const ExecStats& stats, uint64_t emitted) {
+    drain.stats = stats;
     drain.hook_count = emitted;
     ++drain.hook_calls;
   });

@@ -204,7 +204,7 @@ void CheckResultIdentity(const std::string& source) {
 
   auto drain = [&](PipelineProfile* profile, std::vector<Tuple>* tuples,
                    ExecStats* stats) {
-    Result<Cursor> cursor = Cursor::Open(plan, *db, nullptr, profile);
+    Result<Cursor> cursor = Cursor::Open(plan, *db, profile);
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
     Tuple t;
     while (true) {

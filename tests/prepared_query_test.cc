@@ -356,5 +356,75 @@ TEST(PreparedQueryTest, ExplainCachedPlanNeedsNoBindings) {
   EXPECT_TRUE(fresh->Explain({{"top", Value::MakeInt(1)}}).ok());
 }
 
+// Execute is OpenCursor + drain, so a run accounts for itself the same
+// way on both entry points. The run replans: Example 2.1 at strategy 4
+// with `courses` empty, where rule 2 abandons the range extension.
+TEST(PreparedQueryTest, ExecuteAndDrainedCursorAccountIdentically) {
+  struct Accounting {
+    uint64_t count = 0;
+    uint64_t latency_samples = 0;
+    uint64_t replans = 0;
+    uint64_t elements_built = 0;
+    std::string totals;
+    int64_t statement_replans = -1;
+  };
+  auto account = [](bool via_cursor) {
+    Accounting a;
+    auto db = MakeUniversityDb();
+    db->FindRelation("courses")->Clear();
+    Session session(db.get());
+    session.options().level = OptLevel::kQuantPush;
+    auto prepared = session.Prepare(Example21QuerySource());
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    if (!prepared.ok()) return a;
+    if (via_cursor) {
+      auto cursor = prepared->OpenCursor();
+      EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+      if (!cursor.ok()) return a;
+      Tuple tuple;
+      while (true) {
+        auto more = cursor->Next(&tuple);
+        EXPECT_TRUE(more.ok());
+        if (!more.ok() || !*more) break;
+      }
+      cursor->Close();
+    } else {
+      EXPECT_TRUE(prepared->Execute().ok());
+    }
+    const MetricsRegistry& metrics = session.metrics();
+    auto counter = [&](const char* name) -> uint64_t {
+      const Counter* c = metrics.FindCounter(name);
+      return c == nullptr ? 0 : c->value();
+    };
+    a.count = counter("query.count");
+    a.replans = counter("query.replans");
+    a.elements_built = counter("collection.elements_built");
+    const LatencyHistogram* latency = metrics.FindHistogram("query.latency_us");
+    a.latency_samples = latency == nullptr ? 0 : latency->count();
+    a.totals = session.total_stats().ToString();
+    auto row = session.Query(
+        "[<s.replans> OF EACH s IN sys$statements: s.calls > 0]");
+    EXPECT_TRUE(row.ok()) << row.status().ToString();
+    if (row.ok() && row->tuples.size() == 1) {
+      a.statement_replans = row->tuples[0].at(0).AsInt();
+    }
+    return a;
+  };
+  const Accounting execute = account(/*via_cursor=*/false);
+  const Accounting cursor = account(/*via_cursor=*/true);
+  EXPECT_EQ(execute.count, 1u);
+  EXPECT_EQ(execute.latency_samples, 1u);
+  EXPECT_GE(execute.replans, 1u);
+  EXPECT_GT(execute.elements_built, 0u);
+  EXPECT_EQ(execute.statement_replans,
+            static_cast<int64_t>(execute.replans));
+  EXPECT_EQ(cursor.count, execute.count);
+  EXPECT_EQ(cursor.latency_samples, execute.latency_samples);
+  EXPECT_EQ(cursor.replans, execute.replans);
+  EXPECT_EQ(cursor.elements_built, execute.elements_built);
+  EXPECT_EQ(cursor.totals, execute.totals);
+  EXPECT_EQ(cursor.statement_replans, execute.statement_replans);
+}
+
 }  // namespace
 }  // namespace pascalr

@@ -145,21 +145,22 @@ TEST(FilterIterTest, MembershipModeKeepsExactlyContainedRows) {
 // ------------------------------------------------------- property sweep
 
 // Plans with `options` and drains a Cursor to the end — the path RunQuery
-// takes — keeping the stats the cursor flushes on close.
+// takes — keeping the stats the cursor hands its close hook.
 std::vector<Tuple> MustRunWith(const Database& db, const BoundQuery& bound,
                                PlannerOptions options, ExecStats* stats) {
   Result<PlannedQuery> planned =
       PlanQuery(db, CloneBoundQuery(bound), options);
   EXPECT_TRUE(planned.ok()) << planned.status().ToString();
   if (!planned.ok()) return {};
-  ExecStats sink;
+  ExecStats closed;
   std::vector<Tuple> tuples;
   {
     Result<Cursor> cursor = Cursor::Open(
-        std::make_shared<const QueryPlan>(std::move(planned->plan)), db,
-        &sink);
+        std::make_shared<const QueryPlan>(std::move(planned->plan)), db);
     EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
     if (!cursor.ok()) return {};
+    cursor->set_close_hook(
+        [&closed](const ExecStats& run, uint64_t) { closed = run; });
     Tuple tuple;
     while (true) {
       Result<bool> more = cursor->Next(&tuple);
@@ -167,8 +168,8 @@ std::vector<Tuple> MustRunWith(const Database& db, const BoundQuery& bound,
       if (!more.ok() || !*more) break;
       tuples.push_back(std::move(tuple));
     }
-  }  // close flushes the run's stats into `sink`
-  if (stats != nullptr) *stats = sink;
+  }  // close hands the run's stats to the hook
+  if (stats != nullptr) *stats = closed;
   return tuples;
 }
 

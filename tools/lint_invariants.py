@@ -53,6 +53,12 @@ each been broken (or nearly broken) by ordinary drift:
                         plan_cache.cc) — a field missing from the key lets
                         sessions with different options adopt each
                         other's plans
+  stmt-accounting       FoldStatementStats is called from one function
+                        only, and the "query.count" / "query.latency_us"
+                        metric literals appear in that function only —
+                        one accounting path for every query surface, so
+                        Execute, cursors and EXPLAIN ANALYZE cannot drift
+                        apart
 
 Usage:
   lint_invariants.py --root <repo-root>          lint the tree
@@ -607,6 +613,89 @@ def check_planner_options_key(root, findings):
                 "only in it share one cached plan" % name))
 
 
+# ---- stmt-accounting --------------------------------------------------
+
+STMT_FOLD = "FoldStatementStats"
+STMT_METRIC_LITERALS = ('"query.count"', '"query.latency_us"')
+NOT_FUNCTION_HEADER_RE = re.compile(
+    r"^\s*(namespace|class|struct|union|enum|extern)\b|=\s*$")
+
+
+def function_spans(code):
+    """(name, body_start, body_end) of every outermost function body in
+    `code` (comment- and string-stripped text): a brace block whose header
+    (the text since the previous ';', '{' or '}') holds a parameter list
+    and is not a namespace, class, enum or initializer. Bodies nested in a
+    function (lambdas, local blocks) belong to it."""
+    spans = []
+    stack = []  # per open brace: index of its function span, or None
+    header_start = 0
+    for i, c in enumerate(code):
+        if c == "{":
+            in_function = any(entry is not None for entry in stack)
+            header = code[header_start:i]
+            entry = None
+            if (not in_function and "(" in header
+                    and not NOT_FUNCTION_HEADER_RE.search(header)):
+                m = re.search(r"([~\w:]+)\s*\(", header)
+                spans.append([m.group(1) if m else "?", i + 1, len(code)])
+                entry = len(spans) - 1
+            stack.append(entry)
+            header_start = i + 1
+        elif c == "}":
+            if stack:
+                entry = stack.pop()
+                if entry is not None:
+                    spans[entry][2] = i
+            header_start = i + 1
+        elif c == ";":
+            header_start = i + 1
+    return [tuple(span) for span in spans]
+
+
+def check_stmt_accounting(root, findings):
+    callers = {}  # (path, function) -> first call line
+    literals = []  # (path, line, literal, enclosing function or None)
+    for path in iter_source_files(root, "src"):
+        rp = rel(root, path)
+        raw = read(path)
+        code = strip_comments(raw)  # length-preserving
+        spans = function_spans(code)
+
+        def enclosing(pos):
+            for name, start, end in spans:
+                if start <= pos < end:
+                    return (rp, name, start)
+            return None
+
+        for m in re.finditer(r"\b%s\s*\(" % STMT_FOLD, code):
+            fn = enclosing(m.start())
+            if fn is not None:  # declarations and the definition are not
+                callers.setdefault(fn, code[:m.start()].count("\n") + 1)
+        for literal in STMT_METRIC_LITERALS:
+            for m in re.finditer(re.escape(literal), raw):
+                if code[m.start()] != '"':
+                    continue  # inside a comment
+                literals.append((rp, code[:m.start()].count("\n") + 1,
+                                 literal, enclosing(m.start())))
+    if len(callers) > 1:
+        for (rp, name, _), line in sorted(callers.items(),
+                                          key=lambda kv: kv[0]):
+            findings.append(Finding(
+                "stmt-accounting", rp, line,
+                "%s is called from %d functions (here from %s) — every "
+                "query surface must account through one helper"
+                % (STMT_FOLD, len(callers), name)))
+    allowed = next(iter(callers)) if len(callers) == 1 else None
+    for rp, line, literal, fn in literals:
+        if fn is None or fn != allowed:
+            findings.append(Finding(
+                "stmt-accounting", rp, line,
+                "metric %s recorded outside the one function that calls "
+                "%s — statement accounting belongs in that function"
+                % (literal, STMT_FOLD)))
+
+
 # ---- driver -----------------------------------------------------------
 
 ALL_CHECKS = (
@@ -618,6 +707,7 @@ ALL_CHECKS = (
     check_hot_path_logs,
     check_relaxed_tokens,
     check_planner_options_key,
+    check_stmt_accounting,
 )
 
 
