@@ -2,7 +2,8 @@
 // throughput as reader threads scale (snapshot reads share one Database
 // and never block), session churn against the shared plan cache (a fresh
 // session per iteration must adopt the cached plan — hit rate, not
-// compile rate, dominates), and snapshot reads racing a writer thread.
+// compile rate, dominates), and snapshot reads racing a writer thread
+// (revalidation, not replanning, keeps their plan hit rate near 1).
 // Exports BENCH_bench_concurrent.json via the shared bench_util main.
 
 #include <atomic>
@@ -128,14 +129,37 @@ BENCHMARK(BM_SessionChurnSharedPlanCache)
     ->Threads(4)
     ->UseRealTime();
 
+/// Reader plan-cache hits and executes of the current
+/// BM_SnapshotReadsUnderWrites run, summed over its reader threads.
+std::atomic<uint64_t> reader_plan_hits{0};
+std::atomic<uint64_t> reader_executes{0};
+
 /// Snapshot reads racing a writer: thread 0 commits an insert+delete pair
 /// per iteration while every other thread executes the prepared query.
 /// Readers never block on the writer (they capture a snapshot and go);
 /// what this measures is the end-to-end cost of reading under constant
-/// invalidation pressure — every mod-count bump stales the plan caches.
+/// write pressure. Every commit moves employees' mod count, so a reader's
+/// next execute revalidates its cached plan (re-probes the ranges over
+/// employees, checks the cardinality band) instead of replanning it:
+/// plan_hit_rate, reader plan-cache hits over executes, stays near 1.
 void BM_SnapshotReadsUnderWrites(benchmark::State& state) {
   ServingDb& shared = SharedMixedDb();
   auto session = shared.manager->CreateSession();
+  // Every thread reports the run-wide rate; the loop's closing barrier
+  // orders all readers' increments before these reads.
+  auto report_plan_hit_rate = [&state] {
+    const double executes = static_cast<double>(reader_executes.load());
+    const double rate =
+        executes == 0.0 ? 0.0
+                        : static_cast<double>(reader_plan_hits.load()) / executes;
+    state.counters["plan_hit_rate"] =
+        benchmark::Counter(rate, benchmark::Counter::kAvgThreads);
+  };
+  if (state.thread_index() == 0) {
+    // Before the loop's opening barrier, so no reader has counted yet.
+    reader_plan_hits = 0;
+    reader_executes = 0;
+  }
   if (state.threads() > 1 && state.thread_index() == 0) {
     // Writer role. Keys are beyond every reader predicate and are removed
     // within the iteration, so the database is net-unchanged between runs.
@@ -151,6 +175,7 @@ void BM_SnapshotReadsUnderWrites(benchmark::State& state) {
         std::abort();
       }
     }
+    report_plan_hit_rate();
     return;
   }
   auto prepared = session->Prepare(ParamQuerySource());
@@ -160,8 +185,12 @@ void BM_SnapshotReadsUnderWrites(benchmark::State& state) {
     top = 1 + (top + 7) % static_cast<int64_t>(kScale);
     auto exec = prepared->Execute({{"top", Value::MakeInt(top)}});
     if (!exec.ok()) std::abort();
+    reader_plan_hits.fetch_add(exec->plan_cache_hit ? 1 : 0,
+                               std::memory_order_relaxed);
+    reader_executes.fetch_add(1, std::memory_order_relaxed);
     benchmark::DoNotOptimize(exec->tuples);
   }
+  report_plan_hit_rate();
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SnapshotReadsUnderWrites)

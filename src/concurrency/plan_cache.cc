@@ -32,6 +32,17 @@ void SharedPlanCache::Insert(const std::string& key,
   }
 }
 
+bool SharedPlanCache::ReplaceIf(
+    const std::string& key,
+    const std::shared_ptr<const SharedPlanEntry>& expected,
+    std::shared_ptr<const SharedPlanEntry> entry) {
+  MutexLock lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second != expected) return false;
+  it->second = std::move(entry);
+  return true;
+}
+
 void SharedPlanCache::RecordHit() {
   if (counters_ != nullptr) RelaxedFetchAdd(counters_->shared_plan_hits, 1);
 }
@@ -49,7 +60,7 @@ std::vector<SharedPlanCache::Description> SharedPlanCache::Describe() const {
     d.key = key;
     d.stats_epoch = entry->stamp.stats_epoch;
     d.relations = entry->stamp.rel_mods.size();
-    d.param_probes = entry->stamp.param_range_empty.size() +
+    d.param_probes = entry->stamp.template_range_empty.size() +
                      entry->stamp.prefix_range_empty.size();
     out.push_back(std::move(d));
   }

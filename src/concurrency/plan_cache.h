@@ -15,9 +15,12 @@
 // ConcurrencyCounters::shared_plan_{hits,misses}.
 //
 // Entries are immutable once inserted and handed out as shared_ptr<const>;
-// a newer plan for the same key replaces the older one. Bounded FIFO
-// eviction. All operations take one short mutex hop; nothing is held
-// while planning or validating.
+// a newer plan for the same key replaces the older one, and a session
+// that revalidated an entry after a write publishes a copy with the
+// refreshed stamp through ReplaceIf — only over the very entry it looked
+// up, so it never overwrites a newer compile. Bounded FIFO eviction. All
+// operations take one short mutex hop; nothing is held while planning or
+// validating.
 
 #ifndef PASCALR_CONCURRENCY_PLAN_CACHE_H_
 #define PASCALR_CONCURRENCY_PLAN_CACHE_H_
@@ -44,23 +47,44 @@ struct PlannerOptions;  // opt/planner.h
 /// options adopt each other's plans (tools/lint_invariants.py checks).
 std::string EncodePlannerOptions(const PlannerOptions& options);
 
-/// What a compiled plan's validity rests on, taken when it was compiled:
-/// the catalog stats epoch, the referenced relations' mod counts, and the
-/// emptiness of every parameter-carrying range (the planner's Lemma-1 /
-/// rule-2 adaptations were decided under it). Held by a prepared query's
-/// private plan slot and by every shared entry.
+/// What a compiled plan's validity rests on, taken when it was compiled.
+/// Held by a prepared query's private plan slot and by every shared entry.
+///
+/// Correctness rests on the emptiness verdicts the planner's Lemma-1
+/// folding and rule-2 abandonment were decided under, so the stamp records
+/// the plan-time emptiness of every template range and every plan-prefix
+/// range. The strategy choice rests on the catalog stats epoch and on the
+/// relations' sizes, so it records the epoch and each referenced
+/// relation's live cardinality. Each relation's mod count is the fast
+/// path: while none moved, only parameter-carrying ranges are re-probed.
+/// When one moved, the plan is revalidated rather than replanned: it still
+/// holds if every range over a modified relation keeps its verdict and the
+/// relation's cardinality stays within kCardinalityBand of its plan-time
+/// value; then only the mod counts are refreshed (pascalr/prepared.cc
+/// StampHolds, the one check for private and shared plans).
 /// lint: thread-compatible(a value type — shared entries are immutable
 /// once published and reached only through shared_ptr<const>)
 struct PlanStamp {
+  /// A revalidated plan keeps its relation's plan-time cardinality c while
+  /// the live one stays within [c / 2, 2c]. Measured against the plan-time
+  /// value, never the last refresh, so drift cannot accumulate.
+  static constexpr size_t kCardinalityBand = 2;
+
+  /// One referenced relation as the plan saw it.
+  /// lint: thread-compatible(a value type, part of PlanStamp)
+  struct RelationMark {
+    std::string name;
+    uint64_t mod_count = 0;  ///< refreshed by every revalidation
+    size_t cardinality = 0;  ///< plan-time; the band's anchor
+  };
+
   uint64_t stats_epoch = 0;
-  /// Referenced relations' (name, mod_count) at plan time.
-  std::vector<std::pair<std::string, uint64_t>> rel_mods;
-  /// Emptiness of each parameter-carrying template range, in
-  /// CollectParamRanges order (deterministic for one source string).
-  std::vector<bool> param_range_empty;
-  /// (prefix position, emptiness) of each parameter-carrying range of the
-  /// plan's prefix (strategy-3 extensions).
-  std::vector<std::pair<size_t, bool>> prefix_range_empty;
+  std::vector<RelationMark> rel_mods;
+  /// Plan-time emptiness of each template range, in CollectTemplateRanges
+  /// order (deterministic for one source string).
+  std::vector<bool> template_range_empty;
+  /// Plan-time emptiness of each range of the plan's prefix, by position.
+  std::vector<bool> prefix_range_empty;
 };
 
 /// lint: thread-compatible(immutable once published — Lookup hands out
@@ -85,6 +109,13 @@ class SharedPlanCache {
   void Insert(const std::string& key,
               std::shared_ptr<const SharedPlanEntry> entry);
 
+  /// Replaces the entry for `key` with `entry` only while `expected` is
+  /// still the cached one (not replaced, not evicted); returns whether it
+  /// did.
+  bool ReplaceIf(const std::string& key,
+                 const std::shared_ptr<const SharedPlanEntry>& expected,
+                 std::shared_ptr<const SharedPlanEntry> entry);
+
   /// Adoption outcome, reported by the prepared layer after checking a
   /// Lookup result; feeds ConcurrencyCounters when attached.
   void RecordHit();
@@ -99,8 +130,11 @@ class SharedPlanCache {
   struct Description {
     std::string key;
     uint64_t stats_epoch = 0;
-    size_t relations = 0;     // rel_mods watermarks carried
-    size_t param_probes = 0;  // template + plan-prefix emptiness probes
+    size_t relations = 0;  // rel_mods watermarks carried
+    /// Emptiness verdicts the stamp carries: every template range plus
+    /// every plan-prefix range. A check re-probes the parameter-carrying
+    /// ones always, the rest only when their relation's mod count moved.
+    size_t param_probes = 0;
   };
   std::vector<Description> Describe() const;
 

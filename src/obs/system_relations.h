@@ -9,7 +9,12 @@
 //                   and shared-plan-cache counters, one row per metric
 //   sys$relations   the user catalog: cardinality, mod_count, arity,
 //                   statistics freshness, permanent-index count
-//   sys$plan_cache  the shared prepared-plan cache, one row per entry
+//   sys$plan_cache  the shared prepared-plan cache, one row per entry:
+//                   cache_key, stats_epoch, relations (mod-count marks)
+//                   and param_probes — the range emptiness verdicts the
+//                   stamp carries (every template and plan-prefix range;
+//                   parameter-carrying ones are re-probed on every check,
+//                   the rest when their relation was written)
 //   sys$sessions    live sessions with per-session query/write tallies
 //
 // Mechanism: these are real catalog relations, lazily created and

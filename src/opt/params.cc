@@ -200,31 +200,37 @@ Status BindFormulaParams(Formula* f, const ParamBindings& bindings) {
   return status;
 }
 
-void CollectParamRanges(const Formula& f, std::vector<RangeExpr>* out) {
+namespace {
+
+void AppendRange(const RangeExpr& range, std::vector<TemplateRange>* out) {
+  out->push_back({range.Clone(), RangeHasParams(range)});
+}
+
+void CollectTemplateRanges(const Formula& f, std::vector<TemplateRange>* out) {
   switch (f.kind()) {
     case FormulaKind::kConst:
     case FormulaKind::kCompare:
       return;
     case FormulaKind::kNot:
-      CollectParamRanges(f.child(), out);
+      CollectTemplateRanges(f.child(), out);
       return;
     case FormulaKind::kAnd:
     case FormulaKind::kOr:
-      for (const FormulaPtr& c : f.children()) CollectParamRanges(*c, out);
+      for (const FormulaPtr& c : f.children()) CollectTemplateRanges(*c, out);
       return;
     case FormulaKind::kQuant:
-      if (RangeHasParams(f.range())) out->push_back(f.range().Clone());
-      CollectParamRanges(f.child(), out);
+      AppendRange(f.range(), out);
+      CollectTemplateRanges(f.child(), out);
       return;
   }
 }
 
-void CollectParamRanges(const SelectionExpr& sel,
-                        std::vector<RangeExpr>* out) {
-  for (const RangeDecl& decl : sel.free_vars) {
-    if (RangeHasParams(decl.range)) out->push_back(decl.range.Clone());
-  }
-  if (sel.wff != nullptr) CollectParamRanges(*sel.wff, out);
+}  // namespace
+
+void CollectTemplateRanges(const SelectionExpr& sel,
+                           std::vector<TemplateRange>* out) {
+  for (const RangeDecl& decl : sel.free_vars) AppendRange(decl.range, out);
+  if (sel.wff != nullptr) CollectTemplateRanges(*sel.wff, out);
 }
 
 bool RangeHasParams(const RangeExpr& range) {

@@ -15,6 +15,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "base/status.h"
 #include "calculus/ast.h"
@@ -54,14 +55,20 @@ size_t PatchPlanParams(QueryPlan* plan, const ParamBindings& bindings);
 /// operands and previously substituted literal slots alike).
 Status BindFormulaParams(Formula* f, const ParamBindings& bindings);
 
-/// Appends a clone of every quantifier range under `f` — and, separately,
-/// of the free-variable ranges a caller passes through the SelectionExpr
-/// overload — whose restriction carries parameter tags. These are the
-/// ranges whose emptiness (and with it the planner's Lemma-1 / rule-2
-/// adaptation decisions) can change between executions of the same cached
-/// plan when the parameter values change.
-void CollectParamRanges(const Formula& f, std::vector<RangeExpr>* out);
-void CollectParamRanges(const SelectionExpr& sel, std::vector<RangeExpr>* out);
+/// One range of a selection template: a free variable's or a quantifier's.
+struct TemplateRange {
+  RangeExpr range;
+  /// The restriction carries a parameter tag (RangeHasParams): its
+  /// emptiness can change with the bound values, not only with writes.
+  bool has_params = false;
+};
+
+/// Appends a clone of every range of `sel` — the free-variable ranges
+/// first, then every quantifier range of the wff in pre-order. Their
+/// emptiness drives the planner's Lemma-1 / rule-2 adaptation decisions,
+/// so a cached plan's stamp records it per range (pascalr/prepared.cc).
+void CollectTemplateRanges(const SelectionExpr& sel,
+                           std::vector<TemplateRange>* out);
 
 /// True when `range`'s restriction (if any) carries a parameter tag.
 bool RangeHasParams(const RangeExpr& range);

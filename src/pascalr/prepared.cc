@@ -20,70 +20,112 @@ const Schema kEmptySchema;
 /// Whether `range` denotes no element once `bound` is substituted into its
 /// parameter slots (the range itself is left untouched).
 Result<bool> ProbeEmpty(const Database& db, const RangeExpr& range,
-                        const ParamBindings& bound) {
+                        bool has_params, const ParamBindings& bound) {
+  if (!has_params) return RangeIsEmpty(db, range);
   RangeExpr probe = range.Clone();
-  if (probe.IsExtended()) {
-    PASCALR_RETURN_IF_ERROR(BindFormulaParams(probe.restriction.get(), bound));
-  }
+  PASCALR_RETURN_IF_ERROR(BindFormulaParams(probe.restriction.get(), bound));
   return RangeIsEmpty(db, probe);
 }
 
-/// The stamp of `plan`, compiled just now from a template whose
-/// parameter-carrying ranges are `param_ranges`, under `bound`.
+/// The stamp of `plan`, compiled just now from a template whose ranges are
+/// `ranges`, under `bound`.
 Result<PlanStamp> TakeStamp(
     const Database& db, const QueryPlan& plan,
     const std::vector<std::pair<std::string, RelationId>>& relations,
-    const std::vector<RangeExpr>& param_ranges, const ParamBindings& bound) {
+    const std::vector<TemplateRange>& ranges, const ParamBindings& bound) {
   PlanStamp stamp;
   stamp.stats_epoch = db.stats_epoch();
   for (const auto& [name, id] : relations) {
     (void)id;
     const Relation* rel = db.FindRelation(name);
-    stamp.rel_mods.emplace_back(name, rel == nullptr ? 0 : rel->mod_count());
+    stamp.rel_mods.push_back({name, rel == nullptr ? 0 : rel->mod_count(),
+                              rel == nullptr ? 0 : rel->cardinality()});
   }
-  for (const RangeExpr& range : param_ranges) {
-    PASCALR_ASSIGN_OR_RETURN(bool empty, ProbeEmpty(db, range, bound));
-    stamp.param_range_empty.push_back(empty);
+  for (const TemplateRange& t : ranges) {
+    PASCALR_ASSIGN_OR_RETURN(bool empty,
+                             ProbeEmpty(db, t.range, t.has_params, bound));
+    stamp.template_range_empty.push_back(empty);
   }
-  for (size_t i = 0; i < plan.sf.prefix.size(); ++i) {
-    const RangeExpr& range = plan.sf.prefix[i].range;
-    if (!RangeHasParams(range)) continue;
-    PASCALR_ASSIGN_OR_RETURN(bool empty, ProbeEmpty(db, range, bound));
-    stamp.prefix_range_empty.emplace_back(i, empty);
+  for (const QuantifiedVar& qv : plan.sf.prefix) {
+    PASCALR_ASSIGN_OR_RETURN(
+        bool empty, ProbeEmpty(db, qv.range, RangeHasParams(qv.range), bound));
+    stamp.prefix_range_empty.push_back(empty);
   }
   return stamp;
 }
 
-/// The one validity check of a cached plan, private or shared: `stamp`
-/// (taken when `plan` was compiled) still holds under the current snapshot
-/// and `bound` — same stats epoch, same relation mod counts, and every
-/// parameter-carrying range as empty as it was at plan time. The
-/// adaptation decisions (Lemma-1 folding of template ranges, rule-2
-/// abandonment of prefix extensions) were taken under the plan-time
-/// values; a flipped verdict would make the plan return wrong tuples.
-Result<bool> StampHolds(const Database& db, const PlanStamp& stamp,
-                        const QueryPlan& plan,
-                        const std::vector<RangeExpr>& param_ranges,
-                        const ParamBindings& bound) {
+/// `now` is within PlanStamp::kCardinalityBand of the plan-time `was`.
+bool WithinBand(size_t was, size_t now) {
+  return now <= was * PlanStamp::kCardinalityBand &&
+         was <= now * PlanStamp::kCardinalityBand;
+}
+
+enum class StampVerdict {
+  kStale,        ///< replan
+  kHolds,        ///< no mod count moved and every re-probe agrees
+  kRevalidated,  ///< mod counts moved but nothing the plan rests on did
+};
+
+/// The one validity check of a cached plan, private or shared: does
+/// `stamp` (taken when `plan` was compiled from a template with `ranges`)
+/// still hold under the current snapshot and `bound`? The stats epoch must
+/// match. Every parameter-carrying range is re-probed, as the bindings may
+/// have changed. When a relation's mod count moved, its live cardinality
+/// must be within the band of the plan-time one, and every literal range
+/// over it is re-probed too. A flipped emptiness verdict means the
+/// plan's Lemma-1 folding or rule-2 abandonment was decided under a state
+/// that no longer holds, and the plan would return wrong tuples.
+Result<StampVerdict> StampHolds(const Database& db, const PlanStamp& stamp,
+                                const QueryPlan& plan,
+                                const std::vector<TemplateRange>& ranges,
+                                const ParamBindings& bound) {
   if (stamp.stats_epoch != db.stats_epoch() ||
-      stamp.param_range_empty.size() != param_ranges.size()) {
+      stamp.template_range_empty.size() != ranges.size() ||
+      stamp.prefix_range_empty.size() != plan.sf.prefix.size()) {
+    return StampVerdict::kStale;
+  }
+  std::vector<const std::string*> moved;
+  for (const PlanStamp::RelationMark& mark : stamp.rel_mods) {
+    const Relation* rel = db.FindRelation(mark.name);
+    if (rel == nullptr) return StampVerdict::kStale;
+    if (rel->mod_count() == mark.mod_count) continue;
+    if (!WithinBand(mark.cardinality, rel->cardinality())) {
+      return StampVerdict::kStale;
+    }
+    moved.push_back(&mark.name);
+  }
+  auto must_probe = [&](const RangeExpr& range, bool has_params) {
+    if (has_params) return true;
+    for (const std::string* name : moved) {
+      if (*name == range.relation) return true;
+    }
     return false;
-  }
-  for (const auto& [name, mod] : stamp.rel_mods) {
-    const Relation* rel = db.FindRelation(name);
-    if (rel == nullptr || rel->mod_count() != mod) return false;
-  }
-  for (size_t i = 0; i < param_ranges.size(); ++i) {
+  };
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    const TemplateRange& t = ranges[i];
+    if (!must_probe(t.range, t.has_params)) continue;
     PASCALR_ASSIGN_OR_RETURN(bool empty,
-                             ProbeEmpty(db, param_ranges[i], bound));
-    if (empty != stamp.param_range_empty[i]) return false;
+                             ProbeEmpty(db, t.range, t.has_params, bound));
+    if (empty != stamp.template_range_empty[i]) return StampVerdict::kStale;
   }
-  for (const auto& [i, was_empty] : stamp.prefix_range_empty) {
+  for (size_t i = 0; i < plan.sf.prefix.size(); ++i) {
+    const RangeExpr& range = plan.sf.prefix[i].range;
+    const bool has_params = RangeHasParams(range);
+    if (!must_probe(range, has_params)) continue;
     PASCALR_ASSIGN_OR_RETURN(bool empty,
-                             ProbeEmpty(db, plan.sf.prefix[i].range, bound));
-    if (empty != was_empty) return false;
+                             ProbeEmpty(db, range, has_params, bound));
+    if (empty != stamp.prefix_range_empty[i]) return StampVerdict::kStale;
   }
-  return true;
+  return moved.empty() ? StampVerdict::kHolds : StampVerdict::kRevalidated;
+}
+
+/// After a revalidation: `stamp`'s mod counts catch up with the current
+/// snapshot, so the next check takes the fast path. The plan-time
+/// cardinalities stay.
+void RefreshMods(const Database& db, PlanStamp* stamp) {
+  for (PlanStamp::RelationMark& mark : stamp->rel_mods) {
+    mark.mod_count = db.FindRelation(mark.name)->mod_count();
+  }
 }
 
 }  // namespace
@@ -106,8 +148,8 @@ void PreparedQuery::State::RecordTemplate() {
                                    binding.relation->id());
     }
   }
-  param_ranges.clear();
-  CollectParamRanges(template_query.selection, &param_ranges);
+  template_ranges.clear();
+  CollectTemplateRanges(template_query.selection, &template_ranges);
 }
 
 Status PreparedQuery::State::Rebind(const Database* db) {
@@ -152,12 +194,17 @@ Status PreparedQuery::EnsurePlan(const ParamBindings& params,
   // 2. The private plan: compiled under the same planner options, and its
   // stamp still holds. Then the whole fast path is re-patching the
   // parameter slots in place — no parse, no normalization, no plan search.
-  bool valid = st.planned != nullptr && st.options == session_->options_;
-  if (valid) {
-    PASCALR_ASSIGN_OR_RETURN(valid, StampHolds(db, st.stamp, st.planned->plan,
-                                               st.param_ranges, bound));
+  StampVerdict verdict = StampVerdict::kStale;
+  if (st.planned != nullptr && st.options == session_->options_) {
+    PASCALR_ASSIGN_OR_RETURN(
+        verdict, StampHolds(db, st.stamp, st.planned->plan,
+                            st.template_ranges, bound));
   }
-  if (valid) {
+  if (verdict != StampVerdict::kStale) {
+    if (verdict == StampVerdict::kRevalidated) {
+      RefreshMods(db, &st.stamp);
+      CountRevalidation();
+    }
     if (bound != st.last_bindings) {
       PatchPlanParams(&st.planned->plan, bound);
       st.last_bindings = std::move(bound);
@@ -179,19 +226,29 @@ Status PreparedQuery::EnsurePlan(const ParamBindings& params,
     shared_key = st.source + "|" + EncodePlannerOptions(session_->options_);
     std::shared_ptr<const SharedPlanEntry> entry =
         db.shared_plans().Lookup(shared_key);
-    bool adoptable = false;
     if (entry != nullptr) {
       PASCALR_ASSIGN_OR_RETURN(
-          adoptable, StampHolds(db, entry->stamp, entry->planned->plan,
-                                st.param_ranges, bound));
+          verdict, StampHolds(db, entry->stamp, entry->planned->plan,
+                              st.template_ranges, bound));
     }
-    if (adoptable) {
+    if (verdict != StampVerdict::kStale) {
       st.planned =
           std::make_shared<PlannedQuery>(ClonePlannedQuery(*entry->planned));
       PatchPlanParams(&st.planned->plan, bound);
       st.stamp = entry->stamp;
       st.options = session_->options_;
       st.last_bindings = std::move(bound);
+      if (verdict == StampVerdict::kRevalidated) {
+        // The entry stays immutable: publish a copy with the refreshed
+        // stamp (the plan itself is shared, it is never patched), unless
+        // the key has moved on to another entry meanwhile.
+        RefreshMods(db, &st.stamp);
+        auto refreshed = std::make_shared<SharedPlanEntry>();
+        refreshed->planned = entry->planned;
+        refreshed->stamp = st.stamp;
+        db.shared_plans().ReplaceIf(shared_key, entry, std::move(refreshed));
+        CountRevalidation();
+      }
       db.shared_plans().RecordHit();
       *cache_hit = true;
       ++st.stats.plan_cache_hits;
@@ -212,7 +269,7 @@ Status PreparedQuery::EnsurePlan(const ParamBindings& params,
       PlanQuery(db, std::move(query), session_->options_));
   PASCALR_ASSIGN_OR_RETURN(
       st.stamp, TakeStamp(db, planned.plan, st.bound_relations,
-                          st.param_ranges, bound));
+                          st.template_ranges, bound));
   st.planned = std::make_shared<PlannedQuery>(std::move(planned));
   st.options = session_->options_;
   st.last_bindings = std::move(bound);
@@ -229,6 +286,11 @@ Status PreparedQuery::EnsurePlan(const ParamBindings& params,
     db.shared_plans().Insert(shared_key, std::move(entry));
   }
   return Status::OK();
+}
+
+void PreparedQuery::CountRevalidation() {
+  ++state_->stats.revalidations;
+  session_->metrics_.counter("plan_cache.revalidations").Inc();
 }
 
 Result<PreparedExecution> PreparedQuery::Execute(const ParamBindings& params) {

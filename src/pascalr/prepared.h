@@ -13,24 +13,28 @@
 //
 // Prepare parses and binds once ($params are typed by the binder against
 // the components they are compared with) and collects the template's
-// parameter-carrying ranges. The first execution substitutes the bound
-// values and runs cost-based planning — parameterized selectivity is
-// estimated from the actual values, so OptLevel::kAuto can pick a
-// different strategy level for a selective vs. a non-selective binding.
-// The compiled plan is cached with the session's planner options and one
-// PlanStamp (concurrency/plan_cache.h): the catalog stats epoch, the
-// referenced relations' mod_counts, and the plan-time emptiness of every
-// parameter-carrying range. While the options match and the stamp holds,
-// further executions only re-patch the parameter slots in place — zero
-// parse / normalize / plan-search work (asserted by tests against
-// base/counters.h). A mutation or ANALYZE breaks the stamp and the next
-// execution transparently replans. Safety wrinkle: the emptiness of a
-// range whose restriction holds a parameter drives the planner's
-// runtime-adaptation rules (Lemma 1, rule 2), so it is re-probed under the
-// new values on every execution, and a flip forces a replan — a stale
-// cache never returns wrong tuples. While concurrent serving is on, a
-// private miss first consults the database's shared plan cache, whose
-// entries carry the same stamp and pass the same check.
+// ranges, flagging the parameter-carrying ones. The first execution
+// substitutes the bound values and runs cost-based planning —
+// parameterized selectivity is estimated from the actual values, so
+// OptLevel::kAuto can pick a different strategy level for a selective vs.
+// a non-selective binding. The compiled plan is cached with the session's
+// planner options and one PlanStamp (concurrency/plan_cache.h): the
+// catalog stats epoch, the referenced relations' mod counts and plan-time
+// cardinalities, and the plan-time emptiness of every template and
+// plan-prefix range. While the options match and the stamp holds, further
+// executions only re-patch the parameter slots in place — zero parse /
+// normalize / plan-search work (asserted by tests against
+// base/counters.h). ANALYZE breaks the stamp and the next execution
+// transparently replans. A write to a referenced relation does not by
+// itself: the plan is revalidated — the ranges over the written relation
+// are re-probed and its cardinality must stay within the stamp's band —
+// and only a flipped verdict or a breached band replans. Safety wrinkle:
+// the emptiness of a range drives the planner's runtime-adaptation rules
+// (Lemma 1, rule 2), so a range whose restriction holds a parameter is
+// re-probed under the new values on every execution, and a flip forces a
+// replan — a stale cache never returns wrong tuples. While concurrent
+// serving is on, a private miss first consults the database's shared plan
+// cache, whose entries carry the same stamp and pass the same check.
 //
 // Results stream through a pull-based Cursor (exec/cursor.h); Execute is
 // OpenCursor + drain, and the cursor's close accounts the run (session
@@ -61,6 +65,9 @@ struct PreparedStats {
   uint64_t plan_cache_hits = 0;  ///< executions that reused the cached plan
   uint64_t plan_compiles = 0;    ///< plan (re)builds, including the first
   uint64_t rebinds = 0;          ///< template rebinds (relation re-created)
+  /// Hits whose stamp had to be revalidated (a referenced relation was
+  /// written since the plan or its last revalidation).
+  uint64_t revalidations = 0;
 };
 
 /// One Execute's materialised result (the cursor drained).
@@ -127,10 +134,10 @@ class PreparedQuery {
     /// drop + re-create — the template's schema resolutions are void.
     std::vector<std::pair<std::string, RelationId>> bound_relations;
 
-    /// Clones of the template's parameter-carrying ranges, in
-    /// CollectParamRanges order (collected at bind and rebind); the
-    /// stamp's param_range_empty is indexed like it.
-    std::vector<RangeExpr> param_ranges;
+    /// Every range of the template, flagged when parameter-carrying, in
+    /// CollectTemplateRanges order (collected at bind and rebind); the
+    /// stamp's template_range_empty is indexed like it.
+    std::vector<TemplateRange> template_ranges;
 
     // ---- plan cache (null until the first execution) -----------------
     std::shared_ptr<PlannedQuery> planned;
@@ -141,7 +148,7 @@ class PreparedQuery {
     PreparedStats stats;
 
     Status Rebind(const Database* db);
-    /// Derives param_types, bound_relations and param_ranges from a
+    /// Derives param_types, bound_relations and template_ranges from a
     /// freshly bound template_query.
     void RecordTemplate();
   };
@@ -150,6 +157,10 @@ class PreparedQuery {
   /// needed, and leaves state_->planned holding an executable plan whose
   /// parameter slots carry `params`. Sets *cache_hit.
   Status EnsurePlan(const ParamBindings& params, bool* cache_hit);
+
+  /// Counts a hit that revalidated its stamp (PreparedStats and the
+  /// session's plan_cache.revalidations).
+  void CountRevalidation();
 
   /// OpenCursor that also reports whether the cached plan was reused.
   Result<Cursor> OpenCursor(const ParamBindings& params, bool* cache_hit);

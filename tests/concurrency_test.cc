@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "base/stable_vector.h"
+#include "concurrency/plan_cache.h"
 #include "concurrency/session_manager.h"
 #include "concurrency/snapshot.h"
 #include "pascalr/session.h"
@@ -298,10 +299,11 @@ TEST(ConcurrencyTest, SharedPlanCacheRejectsStaleEntryAfterWrite) {
   auto r1 = first->Query(kAllEmployees);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
 
-  // The write moves the relation's mod count; the cached entry's
-  // watermark no longer matches, so adopting it would read the future or
-  // plan on stale cardinalities — it must be rejected, recompiled, and
-  // the fresh result must include the new row.
+  // The write moves the relation's mod count, so the cached entry's
+  // watermark no longer matches. It flips no emptiness verdict and keeps
+  // employees within the cardinality band (6 -> 7), so the entry is
+  // revalidated and adopted rather than recompiled — and the result must
+  // include the new row.
   ASSERT_TRUE(
       first->ExecuteScript("employees :+ [<70, 'New', student>];").ok());
   auto v0 = manager.counters();
@@ -309,9 +311,87 @@ TEST(ConcurrencyTest, SharedPlanCacheRejectsStaleEntryAfterWrite) {
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   auto v1 = manager.counters();
 
-  EXPECT_EQ(v1.shared_plan_hits, v0.shared_plan_hits);
-  EXPECT_GT(v1.shared_plan_misses, v0.shared_plan_misses);
+  EXPECT_GT(v1.shared_plan_hits, v0.shared_plan_hits);
+  EXPECT_EQ(v1.shared_plan_misses, v0.shared_plan_misses);
+  ASSERT_NE(second->metrics().FindCounter("plan_cache.revalidations"),
+            nullptr);
+  EXPECT_EQ(
+      second->metrics().FindCounter("plan_cache.revalidations")->value(), 1u);
   EXPECT_EQ(FirstStrings(r2->tuples).count("New"), 1u);
+
+  // Growing employees past twice the entry's plan-time cardinality
+  // (6 -> 13) breaches the band: the entry is rejected and recompiled,
+  // and the fresh result includes every new row.
+  for (int enr = 71; enr <= 76; ++enr) {
+    ASSERT_TRUE(first
+                    ->ExecuteScript("employees :+ [<" + std::to_string(enr) +
+                                    ", 'N" + std::to_string(enr) +
+                                    "', student>];")
+                    .ok());
+  }
+  auto v2 = manager.counters();
+  auto r3 = second->Query(kAllEmployees);
+  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
+  auto v3 = manager.counters();
+  EXPECT_EQ(v3.shared_plan_hits, v2.shared_plan_hits);
+  EXPECT_GT(v3.shared_plan_misses, v2.shared_plan_misses);
+  EXPECT_EQ(r3->tuples.size(), 13u);
+}
+
+// A revalidated copy replaces only the entry it was made from: never a
+// newer compile published meanwhile, and never an evicted key.
+TEST(ConcurrencyTest, SharedPlanCacheReplaceIfOnlyOverTheExpectedEntry) {
+  SharedPlanCache cache;
+  auto older = std::make_shared<const SharedPlanEntry>();
+  auto newer = std::make_shared<const SharedPlanEntry>();
+  auto refreshed = std::make_shared<const SharedPlanEntry>();
+  EXPECT_FALSE(cache.ReplaceIf("k", older, refreshed));
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
+
+  cache.Insert("k", older);
+  cache.Insert("k", newer);
+  EXPECT_FALSE(cache.ReplaceIf("k", older, refreshed));
+  EXPECT_EQ(cache.Lookup("k"), newer);
+  EXPECT_TRUE(cache.ReplaceIf("k", newer, refreshed));
+  EXPECT_EQ(cache.Lookup("k"), refreshed);
+}
+
+// A session that revalidates a shared entry after a write publishes a
+// copy with the refreshed stamp, so the next session adopts it on the
+// unchanged-mods fast path instead of revalidating again.
+TEST(ConcurrencyTest, RevalidatedSharedEntryIsAdoptedOnTheFastPath) {
+  auto db = MakeUniversityDb();
+  SessionManager manager(db.get());
+  auto a = manager.CreateSession();
+  auto b = manager.CreateSession();
+  auto writer = manager.CreateSession();
+  auto revalidations = [](Session* s) {
+    const auto* c = s->metrics().FindCounter("plan_cache.revalidations");
+    return c == nullptr ? uint64_t{0} : c->value();
+  };
+
+  ASSERT_TRUE(a->Query(kJoinQuery).ok());
+  ASSERT_TRUE(
+      writer->ExecuteScript("timetable :+ [<5, 13, friday, 9009000, 'R9'>];")
+          .ok());
+
+  auto v0 = manager.counters();
+  auto ra = a->Query(kJoinQuery);
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  auto v1 = manager.counters();
+  EXPECT_EQ(v1.shared_plan_hits - v0.shared_plan_hits, 1u);
+  EXPECT_EQ(v1.shared_plan_misses, v0.shared_plan_misses);
+  EXPECT_EQ(revalidations(a.get()), 1u);
+  EXPECT_EQ(FirstStrings(ra->tuples).count("Erin"), 1u);
+
+  auto rb = b->Query(kJoinQuery);
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  auto v2 = manager.counters();
+  EXPECT_EQ(v2.shared_plan_hits - v1.shared_plan_hits, 1u);
+  EXPECT_EQ(v2.shared_plan_misses, v1.shared_plan_misses);
+  EXPECT_EQ(revalidations(b.get()), 0u)
+      << "B must find the refreshed stamp, not revalidate A's old one";
+  EXPECT_EQ(TupleStrings(rb->tuples), TupleStrings(ra->tuples));
 }
 
 // The shared-adoption side of the emptiness guard. The ALL ranges over
