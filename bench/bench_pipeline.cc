@@ -205,6 +205,69 @@ BENCHMARK(RunCollection)
     ->Args({256, 2})
     ->Unit(benchmark::kMicrosecond);
 
+// The collection phase alone (CollectionBuilders::EnsureAll, no
+// combination or construction) for the two pass shapes the prepared
+// workloads repeat:
+//   shape 0: one single-list pass, `p.pyear = 1980` over papers (2n
+//            elements) at O2 — a column term and a per-survivor append;
+//   shape 1: the authors_in_year shape at O4 — papers' range extended to
+//            `p.pyear = 1980` feeding a value list, then employees gated
+//            by `e.enr <= n/16` and probing it.
+// `scan_time_ns_per_element` is the wall time per scanned element (a
+// timing, so tools/bench_compare.py skips it); the work counters are
+// deterministic and gated.
+void RunScanPass(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const int shape = static_cast<int>(state.range(1));
+  auto db = MakeScaledDb(n);
+  const std::string query =
+      shape == 0
+          ? "[<p.ptitle> OF EACH p IN papers: p.pyear = 1980]"
+          : "[<e.ename> OF EACH e IN employees: (e.enr <= " +
+                std::to_string(n / 16) +
+                ") AND SOME p IN papers ((p.penr = e.enr) AND "
+                "(p.pyear = 1980))]";
+  Parser parser(query);
+  Result<SelectionExpr> sel = parser.ParseSelectionOnly();
+  if (!sel.ok()) std::abort();
+  Binder binder(db.get());
+  Result<BoundQuery> bound = binder.Bind(std::move(sel).value());
+  if (!bound.ok()) std::abort();
+  PlannerOptions options;
+  options.level = shape == 0 ? OptLevel::kOneStep : OptLevel::kQuantPush;
+  Result<PlannedQuery> planned =
+      PlanQuery(*db, std::move(bound).value(), options);
+  if (!planned.ok()) std::abort();
+  const QueryPlan& plan = planned->plan;
+
+  ExecStats last;
+  double elapsed_ns = 0;
+  for (auto _ : state) {
+    ExecStats stats;
+    const auto start = std::chrono::steady_clock::now();
+    CollectionBuilders builders(plan, *db, &stats);
+    if (!builders.EnsureAll().ok()) std::abort();
+    benchmark::DoNotOptimize(builders.result());
+    elapsed_ns += std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    last = stats;
+  }
+  ExportStats(state, last, 0);
+  const double scanned = static_cast<double>(last.elements_scanned) *
+                         static_cast<double>(state.iterations());
+  state.counters["scan_time_ns_per_element"] =
+      scanned > 0 ? elapsed_ns / scanned : 0.0;
+  state.SetLabel(shape == 0 ? "single-list" : "range+value-list");
+}
+
+BENCHMARK(RunScanPass)
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Args({4000, 0})
+    ->Args({4000, 1})
+    ->Unit(benchmark::kMicrosecond);
+
 // Vectorized drain sweep: the compiled pipeline root drained directly —
 // no per-tuple construction, so the timing isolates exactly what
 // batching changes (virtual dispatch + per-row bookkeeping per pull).

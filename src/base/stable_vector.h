@@ -11,6 +11,11 @@
 //    (acquire) and the writer publishes a new element only after it is
 //    fully constructed (release).
 //
+// Blocks start at multiples of 256 and hold multiples of 256 elements, so
+// an aligned run of 64 elements never straddles two blocks (RunAt). Blocks
+// are value-initialised: elements of a trivially constructible type (the
+// relation's int64 column mirror) start zeroed, never indeterminate.
+//
 // Writers must be externally serialised (the owning Relation's latch); the
 // reader side is wait-free. Reset() is single-threaded only.
 
@@ -43,6 +48,11 @@ class StableVector {
   T& operator[](size_t i) { return *Locate(i); }
   const T& operator[](size_t i) const { return *Locate(i); }
 
+  /// Element i as the start of a contiguous run: elements i .. i+63 are
+  /// adjacent in memory when i is a multiple of 64, whether or not they
+  /// are published yet (the block is allocated whole).
+  const T* RunAt(size_t i) const { return Locate(i); }
+
   /// Writer-only: default-constructs one element (allocating its block if
   /// needed), publishes the new size with release ordering, and returns
   /// the element's index. The caller typically fills the element *before*
@@ -58,7 +68,7 @@ class StableVector {
     PASCALR_CHECK_LT(block, kNumBlocks);
     T* base = blocks_[block].load(std::memory_order_relaxed);
     if (base == nullptr) {
-      base = new T[BlockCapacity(block)];
+      base = new T[BlockCapacity(block)]();
       blocks_[block].store(base, std::memory_order_release);
     }
     size_.store(i + 1, std::memory_order_release);

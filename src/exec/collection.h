@@ -10,6 +10,21 @@
 // range — the paper's phase-1/phase-2 split. Every cursor runs it at
 // Open, and the pipeline compiles over the finished structures.
 //
+// A scan pass has one path, and it walks its relation 64 slots at a time
+// (Relation::ScanWords). At the start of the pass each action's range
+// restriction and each emission's gates compile into one ordered term
+// list: a *column term* (int, enum or bool component vs constant) reads
+// the relation's int64 column mirror and narrows a 64-bit selection word
+// at once; a *row term* (anything else) is evaluated on the tuple of each
+// surviving candidate. Per word, the visibility word narrows to each
+// action's range and then to each emission's gates; index builds, value
+// lists, indirect joins and quantifier probes run per selected element,
+// in slot order. Before each column term the pass adds the number of
+// candidates still standing to `comparisons`, which is exactly what
+// element-at-a-time short-circuit evaluation counts, so every counter is
+// unchanged by the word-at-a-time walk. Relation::Scan, one element at a
+// time, remains for the naive evaluator, ANALYZE and range probes.
+//
 // Rows are flat throughout. A structure is a RefRelation (one
 // arity-strided Ref array plus a RowIdTable, refstruct/ref_relation.h);
 // the builders hand each emitted row to its Append as a RowView over refs

@@ -588,8 +588,13 @@ Result<Operand> Parser::ParseOperand() {
       o.literal = Value::MakeEnum(-1);
       return o;
     }
+    case TokenType::kMinus:
     case TokenType::kInt: {
-      Operand o = Operand::Literal(Value::MakeInt(Cur().int_value));
+      // A signed integer constant, e.g. `x.v < -3`.
+      const bool negative = Accept(TokenType::kMinus);
+      if (!Check(TokenType::kInt)) return ErrorHere("expected an integer");
+      Operand o = Operand::Literal(
+          Value::MakeInt(negative ? -Cur().int_value : Cur().int_value));
       o.type = Type::Int();
       Advance();
       return o;

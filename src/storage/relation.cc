@@ -1,8 +1,34 @@
 #include "storage/relation.h"
 
+#include <algorithm>
+
 #include "base/str_util.h"
 
 namespace pascalr {
+
+Relation::Relation(RelationId id, std::string name, Schema schema)
+    : id_(id), name_(std::move(name)), schema_(std::move(schema)) {
+  mirror_column_of_.assign(schema_.num_components(), -1);
+  for (size_t pos = 0; pos < schema_.num_components(); ++pos) {
+    if (schema_.component(pos).type.kind() == TypeKind::kString) continue;
+    mirror_column_of_[pos] = static_cast<int>(mirror_.size());
+    mirror_component_.push_back(pos);
+    mirror_.push_back(std::make_unique<MirrorCells>());
+  }
+}
+
+bool Relation::MirrorCode(const Value& v, int64_t* code) {
+  if (v.is_int()) {
+    *code = v.AsInt();
+  } else if (v.is_enum()) {
+    *code = v.AsEnumOrdinal();
+  } else if (v.is_bool()) {
+    *code = v.AsBool() ? 1 : 0;
+  } else {
+    return false;
+  }
+  return true;
+}
 
 // Unanalyzed: write_mod_ is read latch-free here, but only on the path
 // where this thread IS the (serialised) write statement — no other thread
@@ -46,7 +72,20 @@ uint32_t Relation::AllocateSlot() {
     free_slots_.pop_back();
     return slot_index;
   }
+  // Cells before the slot: a reader that sees the slot published sees
+  // the column blocks that cover it.
+  for (const auto& column : mirror_) column->Append();
   return static_cast<uint32_t>(slots_.Append());
+}
+
+void Relation::WriteMirror(uint32_t slot_index, const Tuple& tuple) {
+  for (size_t col = 0; col < mirror_.size(); ++col) {
+    int64_t code = 0;
+    MirrorCode(tuple.at(mirror_component_[col]), &code);
+    // Relaxed: published by the caller's `born` release store (or, in
+    // legacy mode, by there being no concurrent reader).
+    RelaxedStore((*mirror_[col])[slot_index], code);
+  }
 }
 
 void Relation::AfterMutation() {
@@ -88,6 +127,7 @@ Result<Ref> Relation::Insert(Tuple tuple) {
   const uint64_t mod = write_mod_ + 1;
   const uint32_t slot_index = AllocateSlot();
   Slot& slot = slots_[slot_index];
+  WriteMirror(slot_index, tuple);
   slot.tuple = std::move(tuple);
   ++slot.generation;
   slot.prev = prev_head;
@@ -122,6 +162,7 @@ Result<Ref> Relation::Upsert(Tuple tuple) {
     // Legacy: replace in place. The element identity (key) is unchanged;
     // existing refs stay valid.
     Slot& slot = slots_[old_index];
+    WriteMirror(old_index, tuple);
     slot.tuple = std::move(tuple);
     ++write_mod_;
     AfterMutation();
@@ -133,6 +174,7 @@ Result<Ref> Relation::Upsert(Tuple tuple) {
   const uint64_t mod = write_mod_ + 1;
   const uint32_t slot_index = AllocateSlot();
   Slot& slot = slots_[slot_index];
+  WriteMirror(slot_index, tuple);
   slot.tuple = std::move(tuple);
   ++slot.generation;
   slot.prev = old_index;
@@ -164,10 +206,12 @@ Status Relation::EraseByKey(const Tuple& key) {
     // chain from it, and a later insert of the same key links through it.
     if (slot_index < delta_.base_size()) delta_.NoteBaseDelete();
   } else {
-    // Legacy: free the slot immediately for reuse.
+    // Legacy: free the slot immediately for reuse. The free-slot `born`
+    // sentinel keeps a later CompactVersions from freeing it twice.
     key_to_slot_.erase(it);
     slot.tuple = Tuple();
     slot.prev = kNoSlot;
+    RelaxedStore(slot.born, kNeverVisible);
     free_slots_.push_back(slot_index);
   }
   write_mod_ = mod;
@@ -263,6 +307,39 @@ void Relation::Scan(
   });
 }
 
+void Relation::ScanWords(
+    const std::function<bool(const SlotWord&)>& visit) const {
+  const uint64_t watermark = ReadWatermark();
+  const size_t published_size = slots_.size();
+  // Slot order is base region then delta (MergeScan), i.e. index order;
+  // the delta merge is counted when the first word reaching it is read.
+  const size_t boundary = std::min(delta_.base_size(), published_size);
+  ConcurrencyCounters* counters =
+      serving() && published_size > boundary ? &concurrency_->counters
+                                             : nullptr;
+  SlotWord word;
+  word.rel_ = this;
+  for (size_t base = 0; base < published_size; base += kWordSlots) {
+    const size_t n = std::min(kWordSlots, published_size - base);
+    if (counters != nullptr && base + n > boundary) {
+      RelaxedFetchAdd(counters->delta_merges, 1);  // pure tally
+      counters = nullptr;
+    }
+    const Slot* slots = slots_.RunAt(base);
+    // The acquire loads of `born` order this word's cell and tuple reads
+    // after the writes that made each version visible.
+    uint64_t visible = 0;
+    for (size_t j = 0; j < n; ++j) {
+      visible |= static_cast<uint64_t>(VisibleAt(slots[j], watermark)) << j;
+    }
+    if (visible == 0) continue;
+    word.slots_ = slots;
+    word.base_ = base;
+    word.visible_ = visible;
+    if (!visit(word)) return;
+  }
+}
+
 std::vector<Ref> Relation::AllRefs() const {
   std::vector<Ref> out;
   out.reserve(cardinality());
@@ -277,6 +354,7 @@ void Relation::Clear() {
   WriterMutexLock latch(latch_);
   if (!serving()) {
     slots_.Reset();
+    for (const auto& column : mirror_) column->Reset();
     free_slots_.clear();
     key_to_slot_.clear();
     live_count_ = 0;

@@ -26,12 +26,33 @@
 //    concurrent snapshot may still read; publication of a statement's
 //    stamps is deferred to its WriteBatch commit, so a snapshot observes
 //    either all of a statement's effects or none.
+//
+// Column mirror. Beside the row store, every relation keeps one int64
+// column per int, enum and bool component, indexed by slot: ints as they
+// are, enum ordinals, bools as 0/1. Strings get no column (no workload
+// filters on them yet, so dictionary coding waits). The collection kernel
+// (exec/collection.cc) reads it 64 slots at a time through ScanWords. The
+// protocol:
+//  - each column is a StableVector with the slot heap's block geometry,
+//    appended before the slot itself, so a 64-slot word never straddles a
+//    block and a reader that sees a slot also sees its column blocks;
+//  - a slot's cells are written under the latch wherever its tuple is
+//    (Insert, both Upsert paths, legacy in place included), and before
+//    the `born` release store, so a reader whose acquire load of `born`
+//    finds the version visible reads its cells, not a previous tenant's;
+//  - cells are zero-initialised atomics read with relaxed loads: the
+//    kernel reads whole words, cells of invisible slots included, and in
+//    serving mode a writer may be filling a reused slot meanwhile. The
+//    visibility word masks every such cell out;
+//  - Clear resets the columns with the heap; compaction needs nothing
+//    (a reclaimed slot is invisible, and reuse rewrites its cells).
 
 #ifndef PASCALR_STORAGE_RELATION_H_
 #define PASCALR_STORAGE_RELATION_H_
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -50,9 +71,11 @@
 namespace pascalr {
 
 class Relation {
+ private:
+  struct Slot;
+
  public:
-  Relation(RelationId id, std::string name, Schema schema)
-      : id_(id), name_(std::move(name)), schema_(std::move(schema)) {}
+  Relation(RelationId id, std::string name, Schema schema);
 
   Relation(const Relation&) = delete;
   Relation& operator=(const Relation&) = delete;
@@ -126,6 +149,48 @@ class Relation {
   /// All visible refs in slot order.
   std::vector<Ref> AllRefs() const;
 
+  // ---- column mirror (see the file comment) ----------------------------
+
+  /// Slots per word of ScanWords: one bit of a uint64_t selection each.
+  static constexpr size_t kWordSlots = 64;
+
+  /// The mirror column of component `pos`, or -1 for a string component.
+  int MirrorColumn(size_t pos) const { return mirror_column_of_[pos]; }
+
+  /// The mirror cell of a value: an int as it is, an enum's ordinal, a
+  /// bool as 0/1. False for a string, which has no cell.
+  static bool MirrorCode(const Value& v, int64_t* code);
+
+  /// 64 consecutive slots, as ScanWords hands them to its visitor.
+  class SlotWord {
+   public:
+    /// Slot index of bit 0; a multiple of kWordSlots.
+    size_t base() const { return base_; }
+    /// Bit j is set iff slot base()+j is visible at the scan's watermark.
+    uint64_t visible() const { return visible_; }
+    /// The 64 cells of mirror column `column` over this word. Read them
+    /// with relaxed loads only; a cell counts only under a visible bit.
+    const std::atomic<int64_t>* Cells(int column) const {
+      return rel_->mirror_[static_cast<size_t>(column)]->RunAt(base_);
+    }
+    /// Ref and tuple of slot base()+j; only for a visible bit j.
+    inline Ref RefAt(unsigned j) const;
+    inline const Tuple& TupleAt(unsigned j) const;
+
+   private:
+    friend class Relation;
+    const Relation* rel_ = nullptr;
+    const Slot* slots_ = nullptr;
+    size_t base_ = 0;
+    uint64_t visible_ = 0;
+  };
+
+  /// Scan a word at a time: the same versions in the same slot order,
+  /// counting the same delta merge. `visit` receives every word of the
+  /// published heap that holds a visible version; returning false stops
+  /// the scan. Lock-free. The collection kernel's only way in.
+  void ScanWords(const std::function<bool(const SlotWord&)>& visit) const;
+
   /// Removes every element. Legacy mode releases all storage; serving
   /// mode stamps every visible version dead (snapshots keep reading).
   void Clear();
@@ -188,8 +253,12 @@ class Relation {
   /// published) — the value mod_count() reports.
   uint64_t ReadWatermark() const;
 
-  /// Pops a free slot or appends a fresh one.
+  /// Pops a free slot or appends a fresh one (its mirror cells first).
   uint32_t AllocateSlot() REQUIRES(latch_);
+
+  /// Writes the mirror cells of slot `slot_index` from `tuple`. Callers
+  /// run it before the slot's `born` release store.
+  void WriteMirror(uint32_t slot_index, const Tuple& tuple) REQUIRES(latch_);
 
   /// Mutation epilogue: hand the pending publication to the ambient
   /// WriteBatch (serving mode inside a statement) or publish immediately.
@@ -202,6 +271,14 @@ class Relation {
   /// the born/died release protocol make slot reads lock-free (see file
   /// comment); mutators touch it only under latch_.
   StableVector<Slot> slots_;
+  /// The column mirror, unguarded on the same terms as slots_: one column
+  /// per int/enum/bool component, each as long as slots_ or longer.
+  using MirrorCells = StableVector<std::atomic<int64_t>>;
+  std::vector<std::unique_ptr<MirrorCells>> mirror_;
+  /// By component position: its mirror column, or -1 for a string.
+  std::vector<int> mirror_column_of_;
+  /// By mirror column: its component position.
+  std::vector<size_t> mirror_component_;
   std::vector<uint32_t> free_slots_ GUARDED_BY(latch_);
   /// Key -> head of its version chain (latest version, live or dead).
   /// Mutators exclusive, key lookups shared.
@@ -220,6 +297,15 @@ class Relation {
   DeltaLayer delta_;
   ConcurrencyState* concurrency_ = nullptr;
 };
+
+Ref Relation::SlotWord::RefAt(unsigned j) const {
+  return Ref{rel_->id_, static_cast<uint32_t>(base_ + j),
+             slots_[j].generation};
+}
+
+const Tuple& Relation::SlotWord::TupleAt(unsigned j) const {
+  return slots_[j].tuple;
+}
 
 }  // namespace pascalr
 

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "concurrency/session_manager.h"
+#include "exec/naive.h"
 #include "obs/stmt_stats.h"
 #include "pascalr/session.h"
 #include "test_util.h"
@@ -34,6 +35,7 @@ namespace pascalr {
 namespace {
 
 using testing_util::MakeUniversityDb;
+using testing_util::MustBind;
 using testing_util::TupleStrings;
 
 constexpr int kWriters = 2;
@@ -282,6 +284,164 @@ TEST(ConcurrencyStressTest, SharedPlanCacheStaysHotAcrossSessionChurn) {
             static_cast<uint64_t>(kThreads * kSessionsPerThread))
       << "every post-warmup session must adopt the shared plan";
   EXPECT_EQ(after.shared_plan_misses, warm.shared_plan_misses);
+}
+
+// The collection kernel reads the column mirror a word at a time, cells of
+// invisible slots included, while a writer fills reused slots. Readers run
+// restricted prepared selections (mirror terms, and a restriction with an
+// OR and a string term) while one writer inserts, upserts and deletes
+// employees and compacts after every few statements, so slots freed by
+// compaction are reused under running scans. Every read must equal the
+// naive evaluator over the write log replayed up to its snapshot, and TSan
+// must see no race on the mirror.
+TEST(ConcurrencyStressTest, RestrictedScansMatchNaiveAcrossSlotReuse) {
+  const char* kSelections[] = {
+      "[<e.enr, e.ename> OF EACH e IN employees: (e.estatus = student) AND "
+      "(e.enr >= 1000)]",
+      "[<e.enr> OF EACH e IN [EACH e IN employees: (e.enr < 1030) OR "
+      "(e.estatus = professor)]: (e.ename <> 'N1004')]",
+  };
+  constexpr int kStatements = 90;
+  constexpr int kScanReaders = 3;
+
+  auto db = MakeUniversityDb();
+  SessionManager manager(db.get());
+  Relation* employees = db->FindRelation("employees");
+  ASSERT_NE(employees, nullptr);
+
+  // One logged write: insert, upsert, or erase (tuple holds the key).
+  struct Write {
+    enum Kind { kInsert, kUpsert, kErase } kind;
+    Tuple tuple;
+  };
+  auto apply = [](Relation* rel, const Write& w) {
+    switch (w.kind) {
+      case Write::kInsert:
+        return rel->Insert(w.tuple).status();
+      case Write::kUpsert:
+        return rel->Upsert(w.tuple).status();
+      case Write::kErase:
+        return rel->EraseByKey(w.tuple);
+    }
+    return Status::OK();
+  };
+  auto employee = [](int64_t enr, bool student) {
+    return Tuple{Value::MakeInt(enr),
+                 Value::MakeString("N" + std::to_string(enr)),
+                 Value::MakeEnum(student ? 0 : 3)};
+  };
+
+  std::map<uint64_t, Write> commit_log;  // the writer's own; read after join
+  std::atomic<int> readers_ready{0};
+  std::atomic<bool> writer_go{false};
+  std::atomic<bool> writer_done{false};
+
+  std::thread writer([&] {
+    while (!writer_go.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    std::vector<int64_t> live;
+    int64_t next = 1000;
+    for (int i = 0; i < kStatements; ++i) {
+      Write w;
+      switch (i % 5) {
+        case 0:
+        case 1:
+          w = {Write::kInsert, employee(next, next % 3 != 0)};
+          live.push_back(next++);
+          break;
+        case 2:
+          // Flip the status of the oldest live key: a new version that
+          // the first selection's terms see differently.
+          w = {Write::kUpsert, employee(live.front(), i % 10 == 2)};
+          break;
+        case 3:
+          w = {Write::kErase, Tuple{Value::MakeInt(live.front())}};
+          live.erase(live.begin());
+          break;
+        default:
+          // Frees the dead versions; the next inserts and upserts reuse
+          // their slots while readers keep scanning.
+          db->Compact();
+          continue;
+      }
+      Database::WriteStatementGuard guard = db->BeginWriteStatement();
+      Status status = apply(employees, w);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      commit_log.emplace(guard.Commit(), std::move(w));
+    }
+  });
+
+  struct Observation {
+    size_t selection = 0;
+    uint64_t snapshot_version = 0;
+    std::multiset<std::string> tuples;
+  };
+  std::vector<std::vector<Observation>> observations(kScanReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kScanReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const size_t selection = static_cast<size_t>(r) % 2;
+      auto session = manager.CreateSession();
+      auto prepared = session->Prepare(kSelections[selection]);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      auto observe = [&] {
+        auto exec = prepared->Execute({});
+        ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+        observations[r].push_back({selection, exec->snapshot_version,
+                                   TupleStrings(exec->tuples)});
+      };
+      observe();
+      readers_ready.fetch_add(1, std::memory_order_acq_rel);
+      while (!writer_done.load(std::memory_order_acquire)) observe();
+      observe();
+    });
+  }
+  while (readers_ready.load(std::memory_order_acquire) < kScanReaders) {
+    std::this_thread::yield();
+  }
+  writer_go.store(true, std::memory_order_release);
+  writer.join();
+  writer_done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  ASSERT_EQ(commit_log.size(), static_cast<size_t>(kStatements * 4 / 5));
+  // Compaction freed dead versions, so later writes reused slots.
+  EXPECT_GT(db->ConcurrencyCountersView().versions_retired, 0u);
+
+  // Naive oracle over the log prefix `<= version`, memoised per version.
+  std::map<std::pair<size_t, uint64_t>, std::multiset<std::string>> oracle;
+  auto oracle_at = [&](size_t selection, uint64_t version)
+      -> const std::multiset<std::string>& {
+    auto found = oracle.find({selection, version});
+    if (found != oracle.end()) return found->second;
+    auto fresh = MakeUniversityDb();
+    Relation* rel = fresh->FindRelation("employees");
+    for (const auto& [v, w] : commit_log) {
+      if (v > version) break;
+      EXPECT_TRUE(apply(rel, w).ok());
+    }
+    NaiveEvaluator naive(fresh.get());
+    auto rows = naive.Evaluate(MustBind(*fresh, kSelections[selection]));
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return oracle.emplace(std::make_pair(selection, version),
+                          TupleStrings(*rows))
+        .first->second;
+  };
+  size_t versions_seen = 0;
+  for (int r = 0; r < kScanReaders; ++r) {
+    ASSERT_GE(observations[r].size(), 2u);
+    uint64_t last = UINT64_MAX;
+    for (size_t i = 0; i < observations[r].size(); ++i) {
+      const Observation& obs = observations[r][i];
+      EXPECT_EQ(obs.tuples, oracle_at(obs.selection, obs.snapshot_version))
+          << "reader " << r << " execute " << i << " at snapshot version "
+          << obs.snapshot_version;
+      versions_seen += obs.snapshot_version != last;
+      last = obs.snapshot_version;
+    }
+  }
+  EXPECT_GE(versions_seen, static_cast<size_t>(kScanReaders) * 2)
+      << "no interleaving happened";
 }
 
 }  // namespace

@@ -368,5 +368,77 @@ TEST_P(PipelineSweepTest, PipelineMatchesOracleAtEveryLevel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSweepTest, ::testing::Range(0, 6));
 
+// The collection kernel selects 64 slots at a time, answering int, enum
+// and bool terms from the column mirror and every other term on the row.
+// Relation sizes around the word edges (0, 1, 63, 64, 65, 129 flags),
+// terms the mirror cannot answer (strings, component-vs-component, OR/NOT
+// restrictions, TRUE/FALSE), negative ints and bools must give the
+// oracle's rows at O0-O4 and AUTO through Session::Query, a prepared
+// Execute, and a SET BATCH 1 cursor drained halfway.
+class MirrorShapesTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(MirrorShapesTest, MatchOracleThroughQueryExecuteAndPartialDrain) {
+  const size_t n = GetParam();
+  for (uint64_t i = 0; i < 24; ++i) {
+    const uint64_t seed = 80000 + n * 100 + i;
+    auto db = MakeUniversityDb(false);
+    QueryGenerator gen(seed);
+    ASSERT_TRUE(QueryGenerator::CreateFlags(db.get()).ok());
+    gen.RandomDatabase(db.get(), /*empty_prob=*/0.1);
+    gen.FillFlags(db.get(), n);
+    ASSERT_TRUE(db->AnalyzeAll().ok());
+    SelectionExpr sel = gen.RandomMirrorSelection();
+    const std::string text = FormatSelection(sel);
+
+    Binder binder(db.get());
+    Result<BoundQuery> bound = binder.Bind(sel.Clone());
+    ASSERT_TRUE(bound.ok()) << "seed " << seed << ": "
+                            << bound.status().ToString() << "\n"
+                            << text;
+    NaiveEvaluator naive(db.get());
+    Result<std::vector<Tuple>> oracle = naive.Evaluate(*bound);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    const std::multiset<std::string> expected = TupleStrings(*oracle);
+
+    for (int level = 0; level <= 5; ++level) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " level " + std::to_string(level) +
+          "\n" + text;
+      Session session(db.get());
+      session.options().level = static_cast<OptLevel>(level);
+      Result<QueryRun> query = session.Query(text);
+      ASSERT_TRUE(query.ok()) << what << ": " << query.status().ToString();
+      EXPECT_EQ(TupleStrings(query->tuples), expected) << "Query " << what;
+
+      Result<PreparedQuery> prepared = session.PrepareSelection(sel.Clone());
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      Result<PreparedExecution> exec = prepared->Execute();
+      ASSERT_TRUE(exec.ok()) << what << ": " << exec.status().ToString();
+      EXPECT_EQ(TupleStrings(exec->tuples), expected) << "Execute " << what;
+
+      session.options().batch_size = 1;
+      Result<PreparedQuery> partial = session.PrepareSelection(sel.Clone());
+      ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+      Result<Cursor> cursor = partial->OpenCursor();
+      ASSERT_TRUE(cursor.ok()) << what << ": " << cursor.status().ToString();
+      std::multiset<std::string> unseen = expected;
+      for (size_t row = 0; row < (expected.size() + 1) / 2; ++row) {
+        Tuple tuple;
+        Result<bool> more = cursor->Next(&tuple);
+        ASSERT_TRUE(more.ok()) << what << ": " << more.status().ToString();
+        ASSERT_TRUE(*more) << "BATCH 1 drain ended early: " << what;
+        auto it = unseen.find(tuple.ToString());
+        ASSERT_NE(it, unseen.end())
+            << "BATCH 1 drain row " << tuple.ToString() << ": " << what;
+        unseen.erase(it);
+      }
+      cursor->Close();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, MirrorShapesTest,
+                         ::testing::Values(0, 1, 63, 64, 65, 129));
+
 }  // namespace
 }  // namespace pascalr

@@ -4,6 +4,11 @@
 // Generated selections always project <e.ename> from a free variable e
 // over employees; the wff is a random formula over e plus randomly
 // quantified variables, built from type-compatible join terms.
+//
+// RandomMirrorSelection adds a fifth relation, flags (CreateFlags), with
+// the component kinds the Figure 1 schema lacks — signed ints and a bool
+// — and builds the term shapes the collection kernel's column mirror
+// cannot answer beside the ones it can.
 
 #ifndef PASCALR_TESTS_QUERY_GEN_H_
 #define PASCALR_TESTS_QUERY_GEN_H_
@@ -20,7 +25,17 @@ namespace pascalr {
 namespace testing_util {
 
 /// Kind tags used to pair comparable components across relations.
-enum class CompTag { kSmallInt, kYear, kString, kStatus, kLevel, kDay };
+enum class CompTag {
+  kSmallInt,
+  kYear,
+  kString,
+  kStatus,
+  kLevel,
+  kDay,
+  kSerial,  ///< flags.fnr: 1..n, literals 0..140
+  kSigned,  ///< flags.fval: -4..4
+  kBool,
+};
 
 struct CompInfo {
   const char* relation;
@@ -43,6 +58,10 @@ inline const std::vector<CompInfo>& AllComponents() {
       {"timetable", "tcnr", CompTag::kSmallInt},
       {"timetable", "tday", CompTag::kDay},
       {"timetable", "troom", CompTag::kString},
+      {"flags", "fnr", CompTag::kSerial},
+      {"flags", "fval", CompTag::kSigned},
+      {"flags", "fok", CompTag::kBool},
+      {"flags", "fname", CompTag::kString},
   };
   return kComponents;
 }
@@ -192,6 +211,72 @@ class QueryGenerator {
     return sel;
   }
 
+  /// `[<f.fnr, f.fname> OF EACH f IN flags: wff]`, f's range sometimes
+  /// extended.
+  /// Atoms mix terms the column mirror answers (int, signed int, enum and
+  /// bool components against constants) with terms it cannot: string
+  /// compares, component-vs-component terms, TRUE and FALSE; ranges are
+  /// extended by restrictions under AND, OR and NOT. A quantified variable
+  /// ranges over (an extension of) flags or over employees, so at most
+  /// two variables scan flags. Call CreateFlags and FillFlags first.
+  SelectionExpr RandomMirrorSelection() {
+    SelectionExpr sel;
+    for (const char* component : {"fnr", "fname"}) {
+      OutputComponent oc;
+      oc.var = "f";
+      oc.component = component;
+      sel.projection.push_back(oc);
+    }
+    sel.free_vars.emplace_back("f", MirrorRange("f", "flags", 0.3));
+    scope_ = {{"f", "flags"}};
+    FormulaPtr wff = MirrorFormula(2);
+    if (Coin(0.6)) {
+      const bool over_flags = Coin(0.6);
+      const std::string relation = over_flags ? "flags" : "employees";
+      scope_.push_back({"g", relation});
+      FormulaPtr link = Formula::Compare(
+          Operand::Component("g", over_flags ? "fnr" : "enr"), RandomOp(),
+          Operand::Component("f", "fnr"));
+      FormulaPtr body =
+          Coin(0.5) ? std::move(link)
+                    : Formula::And(std::move(link), MirrorFormula(1));
+      scope_.pop_back();
+      FormulaPtr quant = Formula::Quant(
+          Coin(0.5) ? Quantifier::kSome : Quantifier::kAll, "g",
+          MirrorRange("g", relation, 0.6), std::move(body));
+      wff = Coin(0.5) ? Formula::And(std::move(wff), std::move(quant))
+                      : Formula::Or(std::move(wff), std::move(quant));
+    }
+    sel.wff = std::move(wff);
+    scope_.resize(1);
+    return sel;
+  }
+
+  /// Adds the relation flags(fnr: integer key, fval: integer, fok: boolean,
+  /// fname: string) to `db`.
+  static Status CreateFlags(Database* db) {
+    PASCALR_ASSIGN_OR_RETURN(
+        Schema schema, Schema::Make({{"fnr", Type::Int()},
+                                     {"fval", Type::Int()},
+                                     {"fok", Type::Bool()},
+                                     {"fname", Type::String()}},
+                                    {"fnr"}));
+    return db->CreateRelation("flags", std::move(schema)).status();
+  }
+
+  /// Fills flags with `n` random elements (fnr 1..n).
+  void FillFlags(Database* db, size_t n) {
+    Relation* rel = db->FindRelation("flags");
+    rel->Clear();
+    for (size_t i = 1; i <= n; ++i) {
+      (void)rel->Insert(
+          Tuple{Value::MakeInt(static_cast<int64_t>(i)),
+                Value::MakeInt(static_cast<int64_t>(rng_() % 9) - 4),
+                Value::MakeBool(Coin(0.5)),
+                Value::MakeString(std::string(1, "ABC"[rng_() % 3]))});
+    }
+  }
+
   /// Fills the four relations with random small contents; each relation is
   /// empty with probability `empty_prob` (exercising Lemma 1 paths).
   void RandomDatabase(Database* db, double empty_prob = 0.2) {
@@ -271,6 +356,62 @@ class QueryGenerator {
     return sel;
   }
 
+  /// `relation`, extended with probability `extend_prob` by a random
+  /// restriction over `var`.
+  RangeExpr MirrorRange(const std::string& var, const std::string& relation,
+                        double extend_prob) {
+    if (!Coin(extend_prob)) return RangeExpr(relation);
+    std::vector<GenVar> saved = std::move(scope_);
+    scope_ = {{var, relation}};
+    FormulaPtr restriction = MirrorFormula(2);
+    scope_ = std::move(saved);
+    return RangeExpr(relation, std::move(restriction));
+  }
+
+  /// A quantifier-free formula over the last variable in scope.
+  FormulaPtr MirrorFormula(int depth) {
+    if (depth <= 0 || Coin(0.4)) return MirrorAtom();
+    switch (rng_() % 4) {
+      case 0:
+      case 1:
+        return Formula::And(MirrorFormula(depth - 1),
+                            MirrorFormula(depth - 1));
+      case 2:
+        return Formula::Or(MirrorFormula(depth - 1), MirrorFormula(depth - 1));
+      default:
+        return Formula::Not(MirrorFormula(depth - 1));
+    }
+  }
+
+  FormulaPtr MirrorAtom() {
+    const GenVar& var = scope_.back();
+    if (Coin(0.08)) return Formula::Constant(Coin(0.5));
+    const CompInfo& comp = RandomComponentOf(var.relation);
+    Operand lhs = Operand::Component(var.name, comp.component);
+    if (Coin(0.2)) {
+      // Component vs component of the same element (f.fval < f.fnr).
+      auto is_int = [](CompTag t) {
+        return t == CompTag::kSmallInt || t == CompTag::kSerial ||
+               t == CompTag::kSigned;
+      };
+      for (const CompInfo& c : AllComponents()) {
+        const bool comparable =
+            c.tag == comp.tag || (is_int(c.tag) && is_int(comp.tag));
+        if (var.relation == c.relation && comparable &&
+            std::string(c.component) != comp.component) {
+          return Formula::Compare(std::move(lhs), RandomOp(),
+                                  Operand::Component(var.name, c.component));
+        }
+      }
+    }
+    Operand literal = LiteralFor(comp.tag);
+    if (comp.tag != CompTag::kBool && Coin(0.25)) {
+      // Constant on the left (a leading TRUE would parse as a formula).
+      return Formula::Compare(std::move(literal), RandomOp(), std::move(lhs));
+    }
+    return Formula::Compare(std::move(lhs), RandomOp(), std::move(literal));
+  }
+
   size_t MaybeEmpty(size_t max, double empty_prob) {
     if (Coin(empty_prob)) return 0;
     return 1 + rng_() % max;
@@ -341,6 +482,23 @@ class QueryGenerator {
         o.kind = Operand::Kind::kLiteral;
         o.enum_label = kLabels[rng_() % 4];
         o.literal = Value::MakeEnum(-1);
+        return o;
+      }
+      case CompTag::kSerial: {
+        Operand o =
+            Operand::Literal(Value::MakeInt(static_cast<int64_t>(rng_() % 141)));
+        o.type = Type::Int();
+        return o;
+      }
+      case CompTag::kSigned: {
+        Operand o = Operand::Literal(
+            Value::MakeInt(static_cast<int64_t>(rng_() % 9) - 4));
+        o.type = Type::Int();
+        return o;
+      }
+      case CompTag::kBool: {
+        Operand o = Operand::Literal(Value::MakeBool(Coin(0.5)));
+        o.type = Type::Bool();
         return o;
       }
       case CompTag::kDay: {
