@@ -184,7 +184,7 @@ class PassTerms {
       int64_t code = 0;
       if (column >= 0 && KindMatches(rel_.schema().component(pos).type,
                                      literal) &&
-          Relation::MirrorCode(literal, &code)) {
+          literal.Code(&code)) {
         t.kind = Term::kColumn;
         t.column = column;
         t.op = lhs_col ? jt.op : MirrorOp(jt.op);

@@ -5,7 +5,10 @@
 // transiently during the collection phase, and are probed with any of the
 // six comparison operators: Probe(op, x) yields every ref whose *stored*
 // value v satisfies `v op x`. Each is built in one step and then only
-// probed: Add, Add, ..., Seal, then Probe.
+// probed: Add, Add, ..., Seal, then Probe. A probe needs a Seal after the
+// last Add; both index kinds fail a CHECK on a probe of unsealed entries.
+// A sealed index is read-only, so a permanent index is shared by
+// concurrent readers without a lock.
 
 #ifndef PASCALR_INDEX_INDEX_H_
 #define PASCALR_INDEX_INDEX_H_
@@ -32,7 +35,7 @@ class ComponentIndex {
   /// indexes that need no finishing step ignore it.
   virtual void Seal() {}
 
-  /// Number of distinct (value, ref) entries.
+  /// Number of distinct (value, ref) entries; read it after a Seal.
   virtual size_t size() const = 0;
   bool empty() const { return size() == 0; }
 
@@ -58,6 +61,21 @@ class ComponentIndex {
 struct ValueHash {
   uint64_t operator()(const Value& v) const { return v.Hash(); }
 };
+
+/// The key of `v` in the hashed structures (HashIndex, ValueList's full
+/// mode): its Value::Code for an int, enum or bool, so one key is one
+/// value and a key match needs no Compare; Value::Hash() for a string,
+/// whose entries keep the value to tell colliding strings apart. Returns
+/// whether `v` is coded.
+inline bool HashKey(const Value& v, uint64_t* key) {
+  int64_t code;
+  if (v.Code(&code)) {
+    *key = static_cast<uint64_t>(code);
+    return true;
+  }
+  *key = v.Hash();
+  return false;
+}
 
 }  // namespace pascalr
 

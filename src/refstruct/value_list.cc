@@ -32,14 +32,30 @@ void ValueList::Add(const Value& v) {
     if (max_ < v) max_ = v;
     if (!many_distinct_ && v != the_one_) many_distinct_ = true;
   }
-  if (mode_ == Mode::kFull) values_.insert(v);
+  if (mode_ != Mode::kFull) return;
+  uint64_t key;
+  const bool coded = HashKey(v, &key);
+  const bool added = distinct_.InsertUnique(
+      key, [&](uint32_t r) { return coded || strings_[r] == v; });
+  if (added && !coded) strings_.push_back(v);
+}
+
+bool ValueList::Contains(const Value& x) const {
+  uint64_t key;
+  const bool coded = HashKey(x, &key);
+  uint32_t r = distinct_.Find(key);
+  if (coded) return r != RowIdTable::kNone;
+  for (; r != RowIdTable::kNone; r = distinct_.Next(r)) {
+    if (strings_[r] == x) return true;
+  }
+  return false;
 }
 
 size_t ValueList::stored_values() const {
   if (!has_any_) return 0;
   switch (mode_) {
     case Mode::kFull:
-      return values_.size();
+      return distinct_.size();
     case Mode::kMinOnly:
     case Mode::kMaxOnly:
       return 1;
@@ -62,14 +78,14 @@ Result<bool> ValueList::SatisfiesSome(CompareOp op, const Value& x) const {
     case CompareOp::kEq:
       // exists w: x = w  <=>  x in list
       PASCALR_RETURN_IF_ERROR(NeedFull(op));
-      return values_.count(x) > 0;
+      return Contains(x);
     case CompareOp::kNe:
       // exists w: x <> w  <=>  >=2 distinct values, or the single one != x
       if (mode_ != Mode::kAtMostOne && mode_ != Mode::kFull) {
         return NeedFull(op);
       }
       if (mode_ == Mode::kFull) {
-        return values_.size() >= 2 || values_.count(x) == 0;
+        return distinct_.size() >= 2 || !Contains(x);
       }
       return many_distinct_ || the_one_ != x;
     case CompareOp::kLt:
@@ -99,13 +115,13 @@ Result<bool> ValueList::SatisfiesAll(CompareOp op, const Value& x) const {
         return NeedFull(op);
       }
       if (mode_ == Mode::kFull) {
-        return values_.size() == 1 && values_.count(x) > 0;
+        return distinct_.size() == 1 && Contains(x);
       }
       return !many_distinct_ && the_one_ == x;
     case CompareOp::kNe:
       // all w: x <> w  <=>  x not in list
       PASCALR_RETURN_IF_ERROR(NeedFull(op));
-      return values_.count(x) == 0;
+      return !Contains(x);
     case CompareOp::kLt:
       // all w: x < w  <=>  x < min
       if (mode_ == Mode::kMaxOnly) return NeedFull(op);

@@ -11,16 +11,23 @@
 //
 // Probes are phrased from the scanning side: x is vm's component value,
 // and the question is "does x op w hold for SOME / ALL w in the list?".
+//
+// The full set is a RowIdTable with one row per distinct value, keyed by
+// HashKey (index/index.h): for an int, enum or bool component the key is
+// the value's code, so a membership test is one Find; for strings it is
+// Value::Hash() and strings_ keeps each row's value for the collision
+// check. Nothing iterates the set.
 
 #ifndef PASCALR_REFSTRUCT_VALUE_LIST_H_
 #define PASCALR_REFSTRUCT_VALUE_LIST_H_
 
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "base/status.h"
 #include "calculus/ast.h"
 #include "index/index.h"
+#include "refstruct/row_id_table.h"
 #include "value/value.h"
 
 namespace pascalr {
@@ -60,6 +67,8 @@ class ValueList {
 
  private:
   Status NeedFull(CompareOp op) const;
+  /// kFull: whether `x` is in the set.
+  bool Contains(const Value& x) const;
 
   Mode mode_;
   size_t count_ = 0;
@@ -67,7 +76,8 @@ class ValueList {
   Value min_, max_;
   bool many_distinct_ = false;  ///< kAtMostOne: saw >= 2 distinct values
   Value the_one_;               ///< kAtMostOne: the single distinct value
-  std::unordered_set<Value, ValueHash> values_;  ///< kFull
+  RowIdTable distinct_;         ///< kFull: one row per distinct value
+  std::vector<Value> strings_;  ///< kFull over strings: row r's value
 };
 
 }  // namespace pascalr

@@ -17,19 +17,6 @@ Relation::Relation(RelationId id, std::string name, Schema schema)
   }
 }
 
-bool Relation::MirrorCode(const Value& v, int64_t* code) {
-  if (v.is_int()) {
-    *code = v.AsInt();
-  } else if (v.is_enum()) {
-    *code = v.AsEnumOrdinal();
-  } else if (v.is_bool()) {
-    *code = v.AsBool() ? 1 : 0;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 // Unanalyzed: write_mod_ is read latch-free here, but only on the path
 // where this thread IS the (serialised) write statement — no other thread
 // can be mutating it, and the read is of this thread's own prior writes.
@@ -81,7 +68,7 @@ uint32_t Relation::AllocateSlot() {
 void Relation::WriteMirror(uint32_t slot_index, const Tuple& tuple) {
   for (size_t col = 0; col < mirror_.size(); ++col) {
     int64_t code = 0;
-    MirrorCode(tuple.at(mirror_component_[col]), &code);
+    tuple.at(mirror_component_[col]).Code(&code);
     // Relaxed: published by the caller's `born` release store (or, in
     // legacy mode, by there being no concurrent reader).
     RelaxedStore((*mirror_[col])[slot_index], code);

@@ -28,8 +28,9 @@
 //    either all of a statement's effects or none.
 //
 // Column mirror. Beside the row store, every relation keeps one int64
-// column per int, enum and bool component, indexed by slot: ints as they
-// are, enum ordinals, bools as 0/1. Strings get no column (no workload
+// column per int, enum and bool component, indexed by slot: each cell is
+// its value's Value::Code (ints as they are, enum ordinals, bools as
+// 0/1). Strings get no column (no workload
 // filters on them yet, so dictionary coding waits). The collection kernel
 // (exec/collection.cc) reads it 64 slots at a time through ScanWords. The
 // protocol:
@@ -156,10 +157,6 @@ class Relation {
 
   /// The mirror column of component `pos`, or -1 for a string component.
   int MirrorColumn(size_t pos) const { return mirror_column_of_[pos]; }
-
-  /// The mirror cell of a value: an int as it is, an enum's ordinal, a
-  /// bool as 0/1. False for a string, which has no cell.
-  static bool MirrorCode(const Value& v, int64_t* code);
 
   /// 64 consecutive slots, as ScanWords hands them to its visitor.
   class SlotWord {

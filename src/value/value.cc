@@ -76,8 +76,7 @@ int Value::Compare(const Value& other) const {
   return a < b ? -1 : (a > b ? 1 : 0);
 }
 
-bool Value::Satisfies(CompareOp op, const Value& other) const {
-  int c = Compare(other);
+bool OrderSatisfies(CompareOp op, int c) {
   switch (op) {
     case CompareOp::kEq:
       return c == 0;
@@ -93,6 +92,10 @@ bool Value::Satisfies(CompareOp op, const Value& other) const {
       return c >= 0;
   }
   return false;
+}
+
+bool Value::Satisfies(CompareOp op, const Value& other) const {
+  return OrderSatisfies(op, Compare(other));
 }
 
 uint64_t Value::Hash() const {

@@ -25,6 +25,9 @@ CompareOp MirrorOp(CompareOp op);
 CompareOp NegateOp(CompareOp op);
 /// "=", "<>", "<", "<=", ">", ">=".
 std::string_view CompareOpToString(CompareOp op);
+/// Whether a three-way comparison result `c` (<0, 0, >0) satisfies `op`:
+/// `a op b` holds iff OrderSatisfies(op, a.Compare(b)).
+bool OrderSatisfies(CompareOp op, int c);
 
 class Value {
  public:
@@ -62,6 +65,22 @@ class Value {
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator!=(const Value& other) const { return Compare(other) != 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
+
+  /// The value's int64 code: an int as it is, an enum's ordinal, a bool
+  /// as 0/1. Within a kind, code order is Compare order, so equal codes
+  /// mean equal values. False for a string, which has no code.
+  bool Code(int64_t* code) const {
+    if (const int64_t* i = std::get_if<int64_t>(&rep_)) {
+      *code = *i;
+    } else if (const EnumRep* e = std::get_if<EnumRep>(&rep_)) {
+      *code = e->ordinal;
+    } else if (const bool* b = std::get_if<bool>(&rep_)) {
+      *code = *b ? 1 : 0;
+    } else {
+      return false;
+    }
+    return true;
+  }
 
   uint64_t Hash() const;
 

@@ -1,6 +1,7 @@
 #include "index/hash_index.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <utility>
@@ -100,6 +101,16 @@ Value StringOf(int64_t i) {
   return Value::MakeString(std::string(prefix, 'a') + std::to_string(i));
 }
 Value EnumOf(int64_t i) { return Value::MakeEnum(static_cast<int32_t>(i)); }
+Value NegativeIntOf(int64_t i) { return Value::MakeInt(-1 - 5 * i); }
+/// The int64 extremes and values around zero, in ascending order: stored
+/// values are ExtremeIntOf(0..6), the probes -1 and 7 lie beyond them.
+Value ExtremeIntOf(int64_t i) {
+  static const int64_t kCodes[] = {INT64_MIN,     INT64_MIN + 1, -1000,
+                                   -7,            -1,            0,
+                                   1,             INT64_MAX - 1, INT64_MAX};
+  return Value::MakeInt(kCodes[i + 1]);
+}
+Value BoolOf(int64_t i) { return Value::MakeBool(i % 2 != 0); }
 
 struct KindCase {
   const char* name;
@@ -110,7 +121,7 @@ class HashIndexKindTest : public ::testing::TestWithParam<KindCase> {};
 
 TEST_P(HashIndexKindTest, ProbesMatchBruteForceForAllOperators) {
   const size_t kDistinct = 7;
-  const std::vector<Pair> pairs =
+  std::vector<Pair> pairs =
       DuplicateHeavyPairs(200, kDistinct, GetParam().make);
   HashIndex idx("t");
   for (const auto& [v, ref] : pairs) idx.Add(v, ref);
@@ -127,12 +138,30 @@ TEST_P(HashIndexKindTest, ProbesMatchBruteForceForAllOperators) {
     for (int64_t x : {-100, -9, 0, 1, 100}) probes.push_back(Value::MakeInt(x));
   }
   CheckAgainstBruteForce(idx, pairs, probes);
+
+  // A build after the Seal repeats every pair and brings new ones, refs
+  // not ascending: the answers are those of the distinct pairs, in order
+  // of first addition.
+  std::vector<Pair> more;
+  for (uint32_t k = 0; k < 20; ++k) {
+    more.emplace_back(GetParam().make((k * 5) % kDistinct), R(400 - k));
+    more.emplace_back(GetParam().make(k % kDistinct), R(k));
+  }
+  for (const auto& [v, ref] : more) idx.Add(v, ref);
+  for (const auto& [v, ref] : pairs) idx.Add(v, ref);
+  pairs.insert(pairs.end(), more.begin(), more.end());
+  idx.Seal();
+  EXPECT_EQ(idx.size(), FirstOccurrences(pairs).size());
+  CheckAgainstBruteForce(idx, pairs, probes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, HashIndexKindTest,
     ::testing::Values(KindCase{"Int", &IntOf}, KindCase{"String", &StringOf},
-                      KindCase{"Enum", &EnumOf}),
+                      KindCase{"Enum", &EnumOf},
+                      KindCase{"NegativeInt", &NegativeIntOf},
+                      KindCase{"ExtremeInt", &ExtremeIntOf},
+                      KindCase{"Bool", &BoolOf}),
     [](const ::testing::TestParamInfo<KindCase>& info) {
       return std::string(info.param.name);
     });
@@ -214,11 +243,26 @@ TEST(HashIndexDeathTest, DescendingRefWithinABuildFails) {
 }
 #endif
 
+// Add ... Seal ... Probe (index/index.h): entries added after the last
+// Seal are not in the table yet, and probing them fails in every build.
+TEST(HashIndexDeathTest, ProbeBeforeSealFails) {
+  HashIndex idx("t");
+  idx.Add(Value::MakeInt(1), R(0));
+  EXPECT_DEATH(idx.ProbeAny(CompareOp::kEq, Value::MakeInt(1)),
+               "probe of unsealed index t");
+  idx.Seal();
+  EXPECT_TRUE(idx.ProbeAny(CompareOp::kEq, Value::MakeInt(1)));
+  idx.Add(Value::MakeInt(2), R(1));
+  EXPECT_DEATH(Visited(idx, CompareOp::kNe, Value::MakeInt(1)),
+               "probe of unsealed index t");
+}
+
 TEST(HashIndexTest, AddProbeEq) {
   HashIndex idx("test");
   idx.Add(Value::MakeInt(5), R(0));
   idx.Add(Value::MakeInt(5), R(1));
   idx.Add(Value::MakeInt(7), R(2));
+  idx.Seal();
   EXPECT_EQ(idx.size(), 3u);
 
   std::vector<uint32_t> hits;
@@ -234,6 +278,7 @@ TEST(HashIndexTest, DuplicateEntryCollapses) {
   HashIndex idx;
   idx.Add(Value::MakeInt(5), R(0));
   idx.Add(Value::MakeInt(5), R(0));
+  idx.Seal();
   EXPECT_EQ(idx.size(), 1u);
 }
 
@@ -242,6 +287,7 @@ TEST(HashIndexTest, OrderingProbesFallBackToScan) {
   for (int i = 0; i < 10; ++i) {
     idx.Add(Value::MakeInt(i), R(static_cast<uint32_t>(i)));
   }
+  idx.Seal();
   // Stored v satisfies `v < 3` -> slots 0,1,2.
   std::vector<uint32_t> hits;
   idx.Probe(CompareOp::kLt, Value::MakeInt(3), [&](const Ref& r) {
@@ -262,6 +308,7 @@ TEST(HashIndexTest, OrderingProbesFallBackToScan) {
 TEST(HashIndexTest, ProbeEarlyStop) {
   HashIndex idx;
   for (int i = 0; i < 10; ++i) idx.Add(Value::MakeInt(1), R(static_cast<uint32_t>(i)));
+  idx.Seal();
   int count = 0;
   idx.Probe(CompareOp::kEq, Value::MakeInt(1), [&](const Ref&) {
     return ++count < 3;
@@ -273,6 +320,7 @@ TEST(HashIndexTest, StringKeys) {
   HashIndex idx;
   idx.Add(Value::MakeString("alpha"), R(0));
   idx.Add(Value::MakeString("beta"), R(1));
+  idx.Seal();
   EXPECT_TRUE(idx.ProbeAny(CompareOp::kEq, Value::MakeString("alpha")));
   EXPECT_FALSE(idx.ProbeAny(CompareOp::kEq, Value::MakeString("gamma")));
 }

@@ -368,13 +368,64 @@ TEST_P(PipelineSweepTest, PipelineMatchesOracleAtEveryLevel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSweepTest, ::testing::Range(0, 6));
 
+/// Expects the oracle's rows for `sel` at O0-O4 and AUTO through
+/// Session::Query, a prepared Execute, and a SET BATCH 1 cursor drained
+/// halfway.
+void ExpectQueryExecuteAndPartialDrainMatchOracle(Database* db,
+                                                  const SelectionExpr& sel,
+                                                  uint64_t seed) {
+  const std::string text = FormatSelection(sel);
+  Binder binder(db);
+  Result<BoundQuery> bound = binder.Bind(sel.Clone());
+  ASSERT_TRUE(bound.ok()) << "seed " << seed << ": "
+                          << bound.status().ToString() << "\n"
+                          << text;
+  NaiveEvaluator naive(db);
+  Result<std::vector<Tuple>> oracle = naive.Evaluate(*bound);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  const std::multiset<std::string> expected = TupleStrings(*oracle);
+
+  for (int level = 0; level <= 5; ++level) {
+    const std::string what = "seed " + std::to_string(seed) + " level " +
+                             std::to_string(level) + "\n" + text;
+    Session session(db);
+    session.options().level = static_cast<OptLevel>(level);
+    Result<QueryRun> query = session.Query(text);
+    ASSERT_TRUE(query.ok()) << what << ": " << query.status().ToString();
+    EXPECT_EQ(TupleStrings(query->tuples), expected) << "Query " << what;
+
+    Result<PreparedQuery> prepared = session.PrepareSelection(sel.Clone());
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    Result<PreparedExecution> exec = prepared->Execute();
+    ASSERT_TRUE(exec.ok()) << what << ": " << exec.status().ToString();
+    EXPECT_EQ(TupleStrings(exec->tuples), expected) << "Execute " << what;
+
+    session.options().batch_size = 1;
+    Result<PreparedQuery> partial = session.PrepareSelection(sel.Clone());
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    Result<Cursor> cursor = partial->OpenCursor();
+    ASSERT_TRUE(cursor.ok()) << what << ": " << cursor.status().ToString();
+    std::multiset<std::string> unseen = expected;
+    for (size_t row = 0; row < (expected.size() + 1) / 2; ++row) {
+      Tuple tuple;
+      Result<bool> more = cursor->Next(&tuple);
+      ASSERT_TRUE(more.ok()) << what << ": " << more.status().ToString();
+      ASSERT_TRUE(*more) << "BATCH 1 drain ended early: " << what;
+      auto it = unseen.find(tuple.ToString());
+      ASSERT_NE(it, unseen.end())
+          << "BATCH 1 drain row " << tuple.ToString() << ": " << what;
+      unseen.erase(it);
+    }
+    cursor->Close();
+  }
+}
+
 // The collection kernel selects 64 slots at a time, answering int, enum
 // and bool terms from the column mirror and every other term on the row.
 // Relation sizes around the word edges (0, 1, 63, 64, 65, 129 flags),
 // terms the mirror cannot answer (strings, component-vs-component, OR/NOT
 // restrictions, TRUE/FALSE), negative ints and bools must give the
-// oracle's rows at O0-O4 and AUTO through Session::Query, a prepared
-// Execute, and a SET BATCH 1 cursor drained halfway.
+// oracle's rows on every path.
 class MirrorShapesTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(MirrorShapesTest, MatchOracleThroughQueryExecuteAndPartialDrain) {
@@ -387,58 +438,81 @@ TEST_P(MirrorShapesTest, MatchOracleThroughQueryExecuteAndPartialDrain) {
     gen.RandomDatabase(db.get(), /*empty_prob=*/0.1);
     gen.FillFlags(db.get(), n);
     ASSERT_TRUE(db->AnalyzeAll().ok());
-    SelectionExpr sel = gen.RandomMirrorSelection();
-    const std::string text = FormatSelection(sel);
-
-    Binder binder(db.get());
-    Result<BoundQuery> bound = binder.Bind(sel.Clone());
-    ASSERT_TRUE(bound.ok()) << "seed " << seed << ": "
-                            << bound.status().ToString() << "\n"
-                            << text;
-    NaiveEvaluator naive(db.get());
-    Result<std::vector<Tuple>> oracle = naive.Evaluate(*bound);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    const std::multiset<std::string> expected = TupleStrings(*oracle);
-
-    for (int level = 0; level <= 5; ++level) {
-      const std::string what =
-          "seed " + std::to_string(seed) + " level " + std::to_string(level) +
-          "\n" + text;
-      Session session(db.get());
-      session.options().level = static_cast<OptLevel>(level);
-      Result<QueryRun> query = session.Query(text);
-      ASSERT_TRUE(query.ok()) << what << ": " << query.status().ToString();
-      EXPECT_EQ(TupleStrings(query->tuples), expected) << "Query " << what;
-
-      Result<PreparedQuery> prepared = session.PrepareSelection(sel.Clone());
-      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-      Result<PreparedExecution> exec = prepared->Execute();
-      ASSERT_TRUE(exec.ok()) << what << ": " << exec.status().ToString();
-      EXPECT_EQ(TupleStrings(exec->tuples), expected) << "Execute " << what;
-
-      session.options().batch_size = 1;
-      Result<PreparedQuery> partial = session.PrepareSelection(sel.Clone());
-      ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-      Result<Cursor> cursor = partial->OpenCursor();
-      ASSERT_TRUE(cursor.ok()) << what << ": " << cursor.status().ToString();
-      std::multiset<std::string> unseen = expected;
-      for (size_t row = 0; row < (expected.size() + 1) / 2; ++row) {
-        Tuple tuple;
-        Result<bool> more = cursor->Next(&tuple);
-        ASSERT_TRUE(more.ok()) << what << ": " << more.status().ToString();
-        ASSERT_TRUE(*more) << "BATCH 1 drain ended early: " << what;
-        auto it = unseen.find(tuple.ToString());
-        ASSERT_NE(it, unseen.end())
-            << "BATCH 1 drain row " << tuple.ToString() << ": " << what;
-        unseen.erase(it);
-      }
-      cursor->Close();
-    }
+    ExpectQueryExecuteAndPartialDrainMatchOracle(
+        db.get(), gen.RandomMirrorSelection(), seed);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MirrorShapesTest,
                          ::testing::Values(0, 1, 63, 64, 65, 129));
+
+/// Whether component `pos` of `var`'s relation in `plan` is a string.
+bool IsStringComponent(const QueryPlan& plan, const std::string& var,
+                       int pos) {
+  auto it = plan.sf.vars.find(var);
+  return it != plan.sf.vars.end() && it->second.relation != nullptr &&
+         it->second.relation->schema()
+                 .component(static_cast<size_t>(pos))
+                 .type.kind() == TypeKind::kString;
+}
+
+/// Whether `plan` builds a hash index, or a full value list, over a
+/// string component.
+bool BuildsStringHashIndex(const QueryPlan& plan) {
+  for (const IndexBuildSpec& spec : plan.indexes) {
+    if (!spec.ordered &&
+        IsStringComponent(plan, spec.var, spec.component_pos)) {
+      return true;
+    }
+  }
+  return false;
+}
+bool BuildsStringFullValueList(const QueryPlan& plan) {
+  for (const ValueListSpec& spec : plan.value_lists) {
+    if (spec.mode == ValueList::Mode::kFull &&
+        IsStringComponent(plan, spec.var, spec.component_pos)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// String-vs-string joins and quantifier probes: collection keys their
+// hash indexes and full value lists by Value::Hash and checks each hit
+// against the stored string. Names and titles share one pool, so joins
+// match, repeat and miss; the rows must be the oracle's on every path,
+// and the seeds must reach both string-keyed structures.
+class StringPathTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(StringPathTest, MatchOracleThroughQueryExecuteAndPartialDrain) {
+  size_t string_indexes = 0, string_value_lists = 0;
+  for (uint64_t i = 0; i < 16; ++i) {
+    const uint64_t seed = 90000 + static_cast<uint64_t>(GetParam()) * 100 + i;
+    auto db = MakeUniversityDb(false);
+    QueryGenerator gen(seed);
+    gen.StringDatabase(db.get());
+    ASSERT_TRUE(db->AnalyzeAll().ok());
+    const SelectionExpr sel = gen.RandomStringSelection();
+    ExpectQueryExecuteAndPartialDrainMatchOracle(db.get(), sel, seed);
+
+    Binder binder(db.get());
+    Result<BoundQuery> bound = binder.Bind(sel.Clone());
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    for (int level = 2; level <= 5; ++level) {
+      PlannerOptions options;
+      options.level = static_cast<OptLevel>(level);
+      Result<PlannedQuery> planned =
+          PlanQuery(*db, CloneBoundQuery(*bound), options);
+      ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      string_indexes += BuildsStringHashIndex(planned->plan);
+      string_value_lists += BuildsStringFullValueList(planned->plan);
+    }
+  }
+  EXPECT_GT(string_indexes, 0u);
+  EXPECT_GT(string_value_lists, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StringPathTest, ::testing::Range(0, 4));
 
 }  // namespace
 }  // namespace pascalr

@@ -9,6 +9,11 @@
 // the component kinds the Figure 1 schema lacks — signed ints and a bool
 // — and builds the term shapes the collection kernel's column mirror
 // cannot answer beside the ones it can.
+//
+// RandomStringSelection joins string components with each other — the
+// joins and quantifier probes for which collection builds a string-keyed
+// HashIndex and a full ValueList over strings — over StringDatabase,
+// whose names and titles share one small pool of strings.
 
 #ifndef PASCALR_TESTS_QUERY_GEN_H_
 #define PASCALR_TESTS_QUERY_GEN_H_
@@ -252,6 +257,54 @@ class QueryGenerator {
     return sel;
   }
 
+  /// `[<e.ename> OF EACH e IN employees: wff]`, the wff joining e.ename
+  /// with paper and course titles by string terms: quantifier probes such
+  /// as `SOME p IN papers (p.ptitle = e.ename)`, joins such as
+  /// `SOME c IN courses (e.ename = c.ctitle AND m(c))`, string literal
+  /// terms, under AND, OR and NOT. Fill the database with StringDatabase.
+  SelectionExpr RandomStringSelection() {
+    SelectionExpr sel;
+    OutputComponent oc;
+    oc.var = "e";
+    oc.component = "ename";
+    sel.projection.push_back(oc);
+    sel.free_vars.emplace_back("e", RangeExpr("employees"));
+    quant_counter_ = 0;
+    sel.wff = StringFormula(2);
+    return sel;
+  }
+
+  /// Fills employees, papers and courses with names and titles drawn
+  /// from one pool of five strings (so string joins match, repeat and
+  /// miss), and timetable at random; each relation is empty with
+  /// probability `empty_prob`.
+  void StringDatabase(Database* db, double empty_prob = 0.1) {
+    Relation* employees = db->FindRelation("employees");
+    employees->Clear();
+    for (size_t i = 1, n = MaybeEmpty(8, empty_prob); i <= n; ++i) {
+      (void)employees->Insert(
+          Tuple{Value::MakeInt(static_cast<int64_t>(i)), PooledString(),
+                Value::MakeEnum(static_cast<int32_t>(rng_() % 4))});
+    }
+    Relation* papers = db->FindRelation("papers");
+    papers->Clear();
+    for (size_t i = 1, n = MaybeEmpty(8, empty_prob); i <= n; ++i) {
+      (void)papers->Insert(
+          Tuple{Value::MakeInt(1 + static_cast<int64_t>(rng_() % 5)),
+                Value::MakeInt(1975 + static_cast<int64_t>(rng_() % 5)),
+                PooledString()});
+    }
+    Relation* courses = db->FindRelation("courses");
+    courses->Clear();
+    for (size_t i = 1, n = MaybeEmpty(6, empty_prob); i <= n; ++i) {
+      (void)courses->Insert(
+          Tuple{Value::MakeInt(static_cast<int64_t>(i)),
+                Value::MakeEnum(static_cast<int32_t>(rng_() % 4)),
+                PooledString()});
+    }
+    FillTimetable(db, MaybeEmpty(8, empty_prob));
+  }
+
   /// Adds the relation flags(fnr: integer key, fval: integer, fok: boolean,
   /// fname: string) to `db`.
   static Status CreateFlags(Database* db) {
@@ -410,6 +463,63 @@ class QueryGenerator {
       return Formula::Compare(std::move(literal), RandomOp(), std::move(lhs));
     }
     return Formula::Compare(std::move(lhs), RandomOp(), std::move(literal));
+  }
+
+  Value PooledString() {
+    static const char* kPool[] = {"A", "B", "C", "AB", "BA"};
+    return Value::MakeString(kPool[rng_() % 5]);
+  }
+
+  /// A formula over e whose atoms are string terms: e.ename against a
+  /// literal, or a quantifier over papers or courses whose title meets
+  /// e.ename, under AND, OR and NOT.
+  FormulaPtr StringFormula(int depth) {
+    if (depth <= 0 || Coin(0.3)) return StringAtom();
+    switch (rng_() % 4) {
+      case 0:
+        return Formula::And(StringFormula(depth - 1),
+                            StringFormula(depth - 1));
+      case 1:
+        return Formula::Or(StringFormula(depth - 1), StringFormula(depth - 1));
+      case 2:
+        return Formula::Not(StringFormula(depth - 1));
+      default:
+        return StringAtom();
+    }
+  }
+
+  FormulaPtr StringAtom() {
+    if (Coin(0.15)) {
+      Operand literal = Operand::Literal(PooledString());
+      literal.type = Type::String();
+      return Formula::Compare(Operand::Component("e", "ename"), RandomOp(),
+                              std::move(literal));
+    }
+    const bool papers = Coin(0.5);
+    const std::string name = "s" + std::to_string(quant_counter_++);
+    // Mostly `=` and `<>`, the operators that need the full value list
+    // or the hashed index; the ordering operators now and then.
+    static const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kEq,
+                                     CompareOp::kNe, CompareOp::kNe,
+                                     CompareOp::kLt, CompareOp::kGe};
+    Operand title = Operand::Component(name, papers ? "ptitle" : "ctitle");
+    Operand ename = Operand::Component("e", "ename");
+    const CompareOp op = kOps[rng_() % 6];
+    FormulaPtr link =
+        Coin(0.5) ? Formula::Compare(std::move(title), op, std::move(ename))
+                  : Formula::Compare(std::move(ename), op, std::move(title));
+    if (Coin(0.4)) {
+      // A monadic term over the quantified variable beside the join.
+      Operand lhs = Operand::Component(name, papers ? "pyear" : "clevel");
+      FormulaPtr monadic = Formula::Compare(
+          std::move(lhs), RandomOp(),
+          LiteralFor(papers ? CompTag::kYear : CompTag::kLevel));
+      link = Coin(0.5) ? Formula::And(std::move(link), std::move(monadic))
+                       : Formula::Or(std::move(link), std::move(monadic));
+    }
+    return Formula::Quant(Coin(0.6) ? Quantifier::kSome : Quantifier::kAll,
+                          name, RangeExpr(papers ? "papers" : "courses"),
+                          std::move(link));
   }
 
   size_t MaybeEmpty(size_t max, double empty_prob) {

@@ -1,5 +1,9 @@
 #include "refstruct/value_list.h"
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace pascalr {
@@ -146,6 +150,73 @@ TEST(ValueListTest, StringValues) {
   EXPECT_TRUE(*vl.SatisfiesSome(CompareOp::kLt, Value::MakeString("c")));
   EXPECT_FALSE(*vl.SatisfiesAll(CompareOp::kLt, Value::MakeString("c")));
   EXPECT_TRUE(*vl.SatisfiesAll(CompareOp::kLe, Value::MakeString("a")));
+}
+
+/// Full-mode lists of every value kind, with duplicates and negative
+/// codes: `=` and `<>` under SOME and ALL answer as a brute force over the
+/// added values does, and stored_values() is the distinct count.
+TEST(ValueListTest, FullModeMatchesBruteForceForEveryKind) {
+  auto ints = [](std::vector<int64_t> xs) {
+    std::vector<Value> out;
+    for (int64_t x : xs) out.push_back(V(x));
+    return out;
+  };
+  auto enums = [](std::vector<int32_t> xs) {
+    std::vector<Value> out;
+    for (int32_t x : xs) out.push_back(Value::MakeEnum(x));
+    return out;
+  };
+  auto strings = [](std::vector<std::string> xs) {
+    std::vector<Value> out;
+    for (std::string& x : xs) out.push_back(Value::MakeString(std::move(x)));
+    return out;
+  };
+  const std::vector<std::vector<Value>> lists = {
+      ints({-3, 7, -3, 0, INT64_MIN, 7, INT64_MAX, -1}),
+      ints({-5, -5, -5}),
+      ints({-2}),
+      enums({2, 0, 2, 3, 0}),
+      enums({1, 1}),
+      {Value::MakeBool(true), Value::MakeBool(true)},
+      {Value::MakeBool(false), Value::MakeBool(true), Value::MakeBool(false)},
+      strings({"b", "", "ab", "b", "ba", ""}),
+      strings({"x", "x"}),
+  };
+  const std::vector<Value> probes = {
+      V(-3), V(7), V(0), V(INT64_MIN), V(INT64_MAX), V(-1), V(-5), V(-2),
+      V(1), V(-4), Value::MakeEnum(0), Value::MakeEnum(1),
+      Value::MakeEnum(2), Value::MakeEnum(3), Value::MakeEnum(4),
+      Value::MakeBool(false), Value::MakeBool(true), Value::MakeString(""),
+      Value::MakeString("b"), Value::MakeString("ab"),
+      Value::MakeString("ba"), Value::MakeString("x"),
+      Value::MakeString("c")};
+  for (const std::vector<Value>& list : lists) {
+    ValueList vl(ValueList::Mode::kFull);
+    std::vector<Value> distinct;
+    for (const Value& w : list) {
+      vl.Add(w);
+      bool seen = false;
+      for (const Value& d : distinct) seen |= d == w;
+      if (!seen) distinct.push_back(w);
+    }
+    EXPECT_EQ(vl.count(), list.size());
+    EXPECT_EQ(vl.stored_values(), distinct.size());
+    for (const Value& x : probes) {
+      if (!x.SameKind(list.front())) continue;
+      for (CompareOp op : {CompareOp::kEq, CompareOp::kNe}) {
+        bool some = false, all = true;
+        for (const Value& w : list) {
+          some |= x.Satisfies(op, w);
+          all &= x.Satisfies(op, w);
+        }
+        const std::string where = "op=" + std::string(CompareOpToString(op)) +
+                                  " x=" + x.ToString() +
+                                  " list[0]=" + list.front().ToString();
+        EXPECT_EQ(*vl.SatisfiesSome(op, x), some) << where;
+        EXPECT_EQ(*vl.SatisfiesAll(op, x), all) << where;
+      }
+    }
+  }
 }
 
 TEST(ValueListTest, DebugString) {
